@@ -19,6 +19,7 @@ from .errors import (
     DivisionByZero,
     NotAssociative,
     NotNilpotent,
+    NotInvariant,
     NotPrime,
     SearchExhausted,
     VerificationFailed,
@@ -27,9 +28,9 @@ from .exactfield import gf
 from .linalg import rref
 from .unitgroup import (
     DEFAULT_GROUP_CAP,
-    UnitGroup,
     check_commutator_theorem,
     power_subgroup,
+    unit_group_of,
 )
 
 USAGE_ERRORS = (
@@ -62,14 +63,6 @@ def _emit(args, payload, name, kind, text=None):
         print(path)
     else:
         sys.stdout.write(text)
-
-
-def _group(algebra, cap):
-    G = getattr(algebra, "_unit_group", None)
-    if G is None:
-        G = UnitGroup(algebra, cap=cap)
-        algebra._unit_group = G
-    return G
 
 
 def cmd_catalog(args):
@@ -108,7 +101,7 @@ def cmd_show(args):
 
 def cmd_chartable(args):
     A = resolve(args.target)
-    tab = character_table(_group(A, args.cap))
+    tab = character_table(unit_group_of(A, args.cap))
     if args.format == "csv":
         _emit(args, None, args.target, "chartable", text=tab.to_csv())
     else:
@@ -120,7 +113,7 @@ def cmd_decompose(args):
     from .gutkin import gutkin_decompose
 
     A = resolve(args.target)
-    G = _group(A, args.cap)
+    G = unit_group_of(A, args.cap)
     tab = character_table(G)
     certs = [gutkin_decompose(chi).to_json() for chi in tab.chars]
     payload = {
@@ -144,11 +137,12 @@ def _suite_gutkin(A, args):
 
 
 def _suite_commutators(A, args):
+    G = unit_group_of(A, args.cap)
     top = A.nilpotency_index
     checks = []
     for m in range(1, top + 1):
         for n in range(1, top + 1):
-            ok, witness = check_commutator_theorem(A, m, n, cap=args.cap)
+            ok, witness = check_commutator_theorem(G, m, n)
             if not ok:
                 raise VerificationFailed(
                     "commutator-containment", witness=(m, n, witness)
@@ -191,7 +185,7 @@ def _suite_identities(A, args):
         except CapExceeded:
             pass
 
-    G = _group(A, args.cap)
+    G = unit_group_of(A, args.cap)
     pairing = []
     for m in range(2, A.nilpotency_index + 1):
         Hm, emb, _ = power_subgroup(G, m).std_group
@@ -203,7 +197,7 @@ def _suite_identities(A, args):
             try:
                 finite_pairing_check(A, m, zeta, cap=args.cap)
                 invariant += 1
-            except VerificationFailed:
+            except NotInvariant:
                 continue
         pairing.append({"m": m, "invariant_characters": invariant})
     return {

@@ -332,10 +332,6 @@ class FiniteField:
         # integers act through the prime field
         return self.elements[n % self.p]
 
-    def prime_basis(self):
-        """x^t for t < k: a Z/p-basis of the field."""
-        return [self.gen ** t for t in range(self.k)]
-
     def descriptor(self):
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 

@@ -8,7 +8,10 @@ it relies on along the way: the minimal scalar level, conjugation invariance
 of the central character, the commutator pairing on (A/A^2) x (A^(m-1)/A^m)
 with all three of its bilinearity laws, the ideals cut out by the induced
 linear map, and the extension lemma for 1 + U (nonempty, a single
-conjugation orbit, stabilizer exactly 1 + A_1).  Violations surface as
+conjugation orbit, stabilizer exactly 1 + A_1).  The pairing is scanned and
+checked once per group and level, with values in the finite quotient
+Q = (1+A^m)/(1+A, 1+A^m) and no character involved; each central character
+then only has to be checked to be a character of Q.  Violations surface as
 VerificationFailed with a witness, so the module doubles as a falsification
 harness for the theorem it implements.
 
@@ -47,7 +50,13 @@ from .errors import (
 )
 from .exactfield import Cyclotomic, FieldElement, trace
 from .nilalg import AlgebraElement, Subspace, is_ideal, is_subalgebra
-from .unitgroup import DEFAULT_GROUP_CAP, Subgroup, UnitGroup, power_subgroup
+from .unitgroup import (
+    DEFAULT_GROUP_CAP,
+    Subgroup,
+    UnitGroup,
+    commutator_subgroup,
+    power_subgroup,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +180,158 @@ def minimal_scalar_level(chi):
     raise RuntimeError("no scalar level found")  # unreachable: 1 + A^n = {1}
 
 
+def _coord_ids(coords, q):
+    """Positions of coordinate vectors (along the last axis) in the order of
+    QuotientSpace.all_coords."""
+    coords = np.asarray(coords, dtype=np.int64)
+    return coords @ q ** np.arange(coords.shape[-1] - 1, -1, -1)
+
+
+def quotient_pairing(group, m):
+    """The commutator pairing (1+x, 1+y) -> (1+x)(1+y)(1+x)^-1(1+y)^-1 with
+    values in Q = (1+A^m)/(1+A, 1+A^m), on (A/A^2) x (A^(m-1)/A^m).
+
+    Character-free, and computed and verified once per group and level: the
+    scan over every g in 1+A and h in 1+A^(m-1) checks that each commutator
+    lies in 1+A^m, that its class in Q depends only on the two cosets, and
+    that all q^(dim dom + dim cod) points are covered; the three bilinearity
+    laws (multiplicativity in x, in y, and the scalar swap
+    C(lam*x, y) = C(x, lam*y)) are then checked on Q's multiplication table.
+
+    Returns a dict with the quotient spaces dom and cod, Sm = 1+A^m, the
+    FiniteGroupTable Q (identity 0), to_q (ambient index -> Q index, -1 off
+    1+A^m), gens (the Q indices of the generators of 1+A^m) and values (Q
+    indices, one row per dom point and one column per cod point, in
+    all_coords order)."""
+    if m < 2:
+        raise ValueError("the pairing needs m >= 2")
+    cache = getattr(group, "_quotient_pairing_cache", None)
+    if cache is None:
+        cache = group._quotient_pairing_cache = {}
+    if m in cache:
+        return cache[m]
+
+    A = group.algebra
+    field = group.field
+    q = field.q
+    T, inv = group.table, group.group.inv
+    Sm = _power_cached(group, m)
+    whole = Subgroup(group, np.arange(group.order), verify=False)
+    K = commutator_subgroup(whole, Sm)
+    if not Sm.mask[K.indices].all():
+        raise VerificationFailed("level-quotient", witness=m)
+    Hm, emb, amb_to_sub = Sm.std_group
+    Q, proj, _ = Hm.group.quotient([amb_to_sub[int(k)] for k in K.indices])
+    to_q = np.full(group.order, -1, dtype=np.int64)
+    to_q[emb] = proj
+    gens = sorted({int(proj[g]) for g in Hm.generator_indices()})
+
+    dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
+    cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
+    xs, ys = dom.all_coords(), cod.all_coords()
+    xid = _coord_ids(
+        [dom.project(group.coords_of_index(g)) for g in range(group.order)], q
+    )
+    present, first, block = np.unique(xid, return_index=True, return_inverse=True)
+    values = np.full((len(xs), len(ys)), -1, dtype=np.int64)
+    filled_by = {}
+    garr = np.arange(group.order)
+    for h in _power_cached(group, m - 1).indices.tolist():
+        y = int(_coord_ids(cod.project(group.coords_of_index(h)), q))
+        qv = to_q[T[T[T[garr, h], inv], inv[h]]]  # (g h g^-1) h^-1 for every g
+        if (qv < 0).any():
+            g = int(np.nonzero(qv < 0)[0][0])
+            raise VerificationFailed("pairing-level-containment", witness=(g, h))
+        col = qv[first]
+        bad = np.nonzero(qv != col[block])[0]
+        if len(bad):
+            g = int(bad[0])
+            raise NotWellDefined(((int(first[block[g]]), h), (g, h)))
+        if y not in filled_by:
+            values[present, y] = col
+            filled_by[y] = h
+            continue
+        bad = np.nonzero(values[present, y] != col)[0]
+        if len(bad):
+            g = int(first[bad[0]])
+            raise NotWellDefined(((g, filled_by[y]), (g, h)))
+    missing = np.argwhere(values < 0)
+    if len(missing):
+        i, j = missing[0]
+        raise VerificationFailed("pairing-coverage", witness=(xs[i], ys[j]))
+
+    add_t = np.array([[field.add_idx(a, b) for b in range(q)] for a in range(q)])
+    mul_t = np.array([[field.mul_idx(a, b) for b in range(q)] for a in range(q)])
+    X = np.array(xs, dtype=np.int64)
+    Y = np.array(ys, dtype=np.int64)
+    QT = Q.table
+    xsum = _coord_ids(add_t[X[:, None], X[None, :]], q)
+    ysum = _coord_ids(add_t[Y[:, None], Y[None, :]], q)
+    for i, row in enumerate(values):
+        bad = np.argwhere(values[xsum[i]] != QT[row, values])
+        if len(bad):
+            j, t = bad[0]
+            raise NotBilinear(("additive-in-x", xs[i], xs[j], ys[t]))
+        bad = np.argwhere(row[ysum] != QT[row[:, None], row[None, :]])
+        if len(bad):
+            s, t = bad[0]
+            raise NotBilinear(("additive-in-y", xs[i], ys[s], ys[t]))
+    lam = np.arange(q)[:, None, None]
+    xscale = _coord_ids(mul_t[lam, X[None]], q)
+    yscale = _coord_ids(mul_t[lam, Y[None]], q)
+    for t in range(q):
+        bad = np.argwhere(values[xscale[t]] != values[:, yscale[t]])
+        if len(bad):
+            i, j = bad[0]
+            raise NotBilinear(("scalar-swap", t, xs[i], ys[j]))
+
+    cache[m] = {
+        "dom": dom,
+        "cod": cod,
+        "Sm": Sm,
+        "Q": Q,
+        "to_q": to_q,
+        "gens": gens,
+        "values": values,
+    }
+    return cache[m]
+
+
+def quotient_character(group, m, zeta):
+    """zeta, given on 1+A^m as {group index: value}, as a list over the
+    indices of Q = (1+A^m)/(1+A, 1+A^m), after checking that it is a
+    character of Q: constant on the cosets of (1+A, 1+A^m) (for a character
+    of 1+A^m, exactly conjugation invariance), zeta(1) = 1, and
+    zeta(a g) = zeta(a) zeta(g) for every a in Q and every g in a generating
+    set of Q, which is enough in a finite group."""
+    data = quotient_pairing(group, m)
+    to_q = data["to_q"]
+    n = data["Q"].order
+    vals, where = [None] * n, [None] * n
+    for s in data["Sm"].indices.tolist():
+        t = int(to_q[s])
+        if where[t] is None:
+            vals[t], where[t] = zeta[s], s
+        elif zeta[s] != vals[t]:
+            raise NotInvariant((where[t], s))
+    if vals[0] != 1:
+        raise VerificationFailed("zeta-identity", witness=0)
+    QT = data["Q"].table
+    for a in range(n):
+        for g in data["gens"]:
+            if vals[int(QT[a, g])] != vals[a] * vals[g]:
+                raise VerificationFailed(
+                    "zeta-multiplicative", witness=(where[a], where[g])
+                )
+    return vals
+
+
 class PairingTable:
     """Exhaustive table of the commutator pairing.
 
     values[(xc, yc)] = zeta of the group commutator (1+x)(1+y)(1+x)^-1(1+y)^-1
     where xc are the coordinates of x in A/A^2 and yc those of y in
-    A^(m-1)/A^m.  Built and checked by commutator_pairing."""
+    A^(m-1)/A^m.  Built by commutator_pairing."""
 
     __slots__ = ("group", "m", "zeta", "dom", "cod", "values")
 
@@ -194,97 +349,19 @@ class PairingTable:
 
 def commutator_pairing(group, m, zeta):
     """Tabulate (x, y) -> zeta((1+x)(1+y)(1+x)^-1(1+y)^-1) on the quotients
-    (A/A^2) x (A^(m-1)/A^m), verifying everything that makes the table
-    meaningful: zeta is conjugation-invariant, each commutator lands in
-    1 + A^m, the value depends only on the two cosets, and the three
-    bilinearity laws hold at every F_q point (multiplicativity in x, in y,
-    and the scalar swap C(lam*x, y) = C(x, lam*y))."""
-    if m < 2:
-        raise ValueError("the pairing needs m >= 2")
-    A = group.algebra
-    Sm = _power_cached(group, m)
-    _scalar_values_invariant(group, Sm.indices, zeta)
-
-    dom = QuotientSpace(A, A.power_subspace(2), Subspace.unit(A, range(A.dim)))
-    cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
-    T, inv = group.table, group.group.inv
-    garr = np.arange(group.order)
-
-    # integer ids for the zeta values turn the exhaustive scan into array work
-    vid = {}
-    vlist = []
-    zcode = np.full(group.order, -1, dtype=np.int64)
-    for n in Sm.indices:
-        v = zeta[int(n)]
-        t = vid.get(v)
-        if t is None:
-            t = vid[v] = len(vlist)
-            vlist.append(v)
-        zcode[int(n)] = t
-
-    xkeys = [dom.project(group.coords_of_index(g)) for g in range(group.order)]
-    by_xkey = {}
-    for g, xk in enumerate(xkeys):
-        by_xkey.setdefault(xk, []).append(g)
-    blocks = [(xk, np.array(gs, dtype=np.int64)) for xk, gs in sorted(by_xkey.items())]
-
-    values = {}
-    first_pair = {}
-    for h in _power_cached(group, m - 1).indices:
-        h = int(h)
-        yk = cod.project(group.coords_of_index(h))
-        w = T[T[T[garr, h], inv], int(inv[h])]  # (g h g^-1) h^-1 for every g
-        outside = ~Sm.mask[w]
-        if outside.any():
-            g = int(garr[outside][0])
-            raise NotWellDefined(("commutator outside the level subgroup", g, h))
-        codes = zcode[w]
-        for xk, gs in blocks:
-            vals = codes[gs]
-            if not (vals == vals[0]).all():
-                g_bad = int(gs[np.nonzero(vals != vals[0])[0][0]])
-                raise NotWellDefined(((int(gs[0]), h), (g_bad, h)))
-            key = (xk, yk)
-            seen = values.get(key)
-            if seen is None:
-                values[key] = int(vals[0])
-                first_pair[key] = (int(gs[0]), h)
-            elif seen != int(vals[0]):
-                raise NotWellDefined((first_pair[key], (int(gs[0]), h)))
-
-    q = group.field.q
-    assert len(values) == q ** (dom.dim + cod.dim)
-    table = {key: vlist[t] for key, t in values.items()}
-    pairing = PairingTable(group, m, zeta, dom, cod, table)
-    _check_bilinear(pairing)
-    return pairing
-
-
-def _check_bilinear(pairing):
-    field = pairing.group.field
-    add, mul = field.add_idx, field.mul_idx
-    xs = pairing.dom.all_coords()
-    ys = pairing.cod.all_coords()
-    val = pairing.values
-    for x1 in xs:
-        for x2 in xs:
-            xsum = tuple(add(a, b) for a, b in zip(x1, x2))
-            for y in ys:
-                if val[(xsum, y)] != val[(x1, y)] * val[(x2, y)]:
-                    raise NotBilinear(("additive-in-x", x1, x2, y))
-    for y1 in ys:
-        for y2 in ys:
-            ysum = tuple(add(a, b) for a, b in zip(y1, y2))
-            for x in xs:
-                if val[(x, ysum)] != val[(x, y1)] * val[(x, y2)]:
-                    raise NotBilinear(("additive-in-y", x, y1, y2))
-    for lam in range(field.q):
-        for x in xs:
-            lx = tuple(mul(lam, c) for c in x)
-            for y in ys:
-                ly = tuple(mul(lam, c) for c in y)
-                if val[(lx, y)] != val[(x, ly)]:
-                    raise NotBilinear(("scalar-swap", lam, x, y))
+    (A/A^2) x (A^(m-1)/A^m): the verified table of quotient_pairing composed
+    with zeta, once quotient_character has checked that zeta is a character
+    of Q.  Bilinearity in Q carries over to the values, since zeta is a
+    homomorphism."""
+    data = quotient_pairing(group, m)
+    zq = quotient_character(group, m, zeta)
+    xs, ys = data["dom"].all_coords(), data["cod"].all_coords()
+    values = {
+        (x, y): zq[t]
+        for x, row in zip(xs, data["values"].tolist())
+        for y, t in zip(ys, row)
+    }
+    return PairingTable(group, m, zeta, data["dom"], data["cod"], values)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,17 @@ The group commutator of 1+x and 1+y collapses to 1+[x, y] once y sits deep
 enough in the power filtration; the additivity and scaling defects of that
 commutator, computed over Z and Z[lam] with no modular shortcuts, vanish in
 all word degrees <= m.  Over a finite field the same statements are checked
-by brute force at the level of the quotient (1+A^m)/(1+A, 1+A^m), with no
-character theory involved.  The explorer at the bottom measures whether the
+by brute force at the level of the quotient Q = (1+A^m)/(1+A, 1+A^m), with
+no character theory involved: the pairing is scanned and checked once per
+group and level (gutkin.quotient_pairing), and each zeta is only checked to
+be a character of Q.  The explorer at the bottom measures whether the
 derived-subgroup intersection (1+J, 1+J) with 1+J^k collapses to
 (1+J, 1+J^(k-1)) over finite fields, where the characteristic-zero argument
 is unavailable; it reports orders and takes no side.
 """
 
-import numpy as np
-
-from .errors import NotBilinear, NotInvariant, NotWellDefined, VerificationFailed
-from .gutkin import QuotientSpace
+from .errors import VerificationFailed
+from .gutkin import quotient_character
 from .nilalg import (
     FREE_DIM_CAP,
     FieldRing,
@@ -26,10 +26,10 @@ from .nilalg import (
 from .unitgroup import (
     DEFAULT_GROUP_CAP,
     Subgroup,
-    UnitGroup,
     commutator_subgroup,
     power_subgroup,
     unit,
+    unit_group_of,
 )
 
 
@@ -141,138 +141,13 @@ def scaling_defect_check(m):
 # -- finite-field verification at the quotient level ---------------------------
 
 
-def _group_of(algebra, cap):
-    G = getattr(algebra, "_unit_group", None)
-    if G is None:
-        G = UnitGroup(algebra, cap=cap)
-        algebra._unit_group = G
-    return G
-
-
-def _quotient_pairing(group, m):
-    """The commutator map (1+A) x (1+A^(m-1)) -> Q = (1+A^m)/(1+A, 1+A^m),
-    verified to factor through (A/A^2) x (A^(m-1)/A^m) and to be biadditive
-    with the scalar-swap symmetry.  Character-free; cached per level."""
-    cache = getattr(group, "_quotient_pairing_cache", None)
-    if cache is None:
-        cache = group._quotient_pairing_cache = {}
-    if m in cache:
-        return cache[m]
-
-    A = group.algebra
-    whole = Subgroup.from_subspace(group, A.power_subspace(1))
-    Sm = power_subgroup(group, m)
-    Sm1 = power_subgroup(group, m - 1)
-    K = commutator_subgroup(whole, Sm)
-
-    Hm, emb, amb_to_sub = Sm.std_group
-    K_sub = sorted(amb_to_sub[int(k)] for k in K.indices)
-    Qt, proj, _ = Hm.group.quotient(K_sub)
-    amb_to_Q = np.full(group.order, -1, dtype=np.int64)
-    for i, s in enumerate(emb):
-        amb_to_Q[int(s)] = proj[i]
-
-    dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
-    cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
-
-    T = group.table
-    inv = group.group.inv
-    garr = np.arange(group.order, dtype=np.int64)
-    xkeys = [
-        dom.project(group.coords_of_index(g)) for g in range(group.order)
-    ]
-    order = {}
-    for g, k in enumerate(xkeys):
-        order.setdefault(k, []).append(g)
-    blocks = sorted(order.items())
-
-    values = {}
-    for h in Sm1.indices:
-        h = int(h)
-        yk = cod.project(group.coords_of_index(h))
-        w = T[T[T[garr, h], inv], int(inv[h])]
-        qv = amb_to_Q[w]
-        if (qv < 0).any():
-            g = int(np.nonzero(qv < 0)[0][0])
-            raise VerificationFailed(
-                "pairing-level-containment", witness=(g, h)
-            )
-        for xk, members in blocks:
-            vals = qv[members]
-            if not (vals == vals[0]).all():
-                bad = members[int(np.nonzero(vals != vals[0])[0][0])]
-                raise NotWellDefined(witness=(members[0], bad, h))
-            key = (xk, yk)
-            got = int(vals[0])
-            if key not in values:
-                values[key] = got
-            elif values[key] != got:
-                raise NotWellDefined(witness=(key, values[key], got))
-
-    field = group.field
-    q = field.q
-
-    def add_coords(a, b):
-        return tuple(field.add_idx(x, y) for x, y in zip(a, b))
-
-    def scale_coords(lam, a):
-        return tuple(field.mul_idx(lam, x) for x in a)
-
-    for x1 in dom.all_coords():
-        for x2 in dom.all_coords():
-            for y in cod.all_coords():
-                lhs = values[(add_coords(x1, x2), y)]
-                rhs = int(Qt.table[values[(x1, y)], values[(x2, y)]])
-                if lhs != rhs:
-                    raise NotBilinear(witness=("additive-in-x", x1, x2, y))
-    for x in dom.all_coords():
-        for y1 in cod.all_coords():
-            for y2 in cod.all_coords():
-                lhs = values[(x, add_coords(y1, y2))]
-                rhs = int(Qt.table[values[(x, y1)], values[(x, y2)]])
-                if lhs != rhs:
-                    raise NotBilinear(witness=("additive-in-y", x, y1, y2))
-    for lam in range(q):
-        for x in dom.all_coords():
-            for y in cod.all_coords():
-                if values[(scale_coords(lam, x), y)] != values[
-                    (x, scale_coords(lam, y))
-                ]:
-                    raise NotBilinear(witness=("scalar-swap", lam, x, y))
-
-    result = {
-        "K": K,
-        "Sm": Sm,
-        "q_order": int(Qt.order),
-        "values": values,
-    }
-    cache[m] = result
-    return result
-
-
 def finite_pairing_check(algebra, m, zeta, cap=DEFAULT_GROUP_CAP):
-    """Brute-force check, independent of any character, that the commutator
-    map factors through (A/A^2) x (A^(m-1)/A^m) into the finite quotient
-    Q = (1+A^m)/(1+A, 1+A^m) and is bilinear there; then that zeta is an
-    actual character of 1+A^m killing (1+A, 1+A^m), which is exactly
-    conjugation invariance."""
-    if m < 2:
-        raise ValueError("the pairing needs m >= 2")
-    G = _group_of(algebra, cap)
-    data = _quotient_pairing(G, m)
-
-    Sm = data["Sm"]
-    T = G.table
-    for a in Sm.indices:
-        for b in Sm.indices:
-            a, b = int(a), int(b)
-            if zeta[a] * zeta[b] != zeta[int(T[a, b])]:
-                raise VerificationFailed(
-                    "zeta-multiplicative", witness=(a, b)
-                )
-    for k in data["K"].indices:
-        if zeta[int(k)] != 1:
-            raise NotInvariant(witness=int(k))
+    """Brute-force check, independent of any character table, that the
+    commutator map factors through (A/A^2) x (A^(m-1)/A^m) into the finite
+    quotient Q = (1+A^m)/(1+A, 1+A^m) and is bilinear there (verified once
+    per group and level by quotient_pairing); then that zeta is a character
+    of Q, which for a character of 1+A^m is exactly conjugation invariance."""
+    quotient_character(unit_group_of(algebra, cap), m, zeta)
     return True
 
 
@@ -287,7 +162,7 @@ def halasi_explore(field, num_gens, n, k, cap=DEFAULT_GROUP_CAP):
     if k < 2:
         raise ValueError("the comparison needs k >= 2")
     J = free_nilpotent(FieldRing(field), num_gens, n)
-    G = _group_of(J, cap)
+    G = unit_group_of(J, cap)
     whole = Subgroup.from_subspace(G, J.power_subspace(1))
     derived = commutator_subgroup(G)
     Sk = power_subgroup(G, k)

@@ -661,10 +661,6 @@ class Subspace:
 # constructors
 
 
-def alg_from_sc(ring, dim, sc, labels=None, check=True):
-    return Algebra(ring, dim, sc, labels=labels, check=check)
-
-
 def strictly_upper_triangular(n, field):
     """Strictly upper triangular n x n matrices, basis ordered by diagonal:
     e12, e23, ..., then e13, e24, ..., finishing with e1n."""
@@ -719,10 +715,6 @@ def free_nilpotent(ring, num_gens, nil_index, names=None):
         graded_degrees=[len(w) for w in words],
         nilindex=nil_index if dim else 1,
     )
-
-
-def power_ideal(algebra, m):
-    return algebra.power_subspace(m)
 
 
 def subalgebra_closure(algebra, vectors):

@@ -54,9 +54,6 @@ class UnitElement:
     def commutator(self, other):
         return self.inverse() * other.inverse() * self * other
 
-    def conj_by(self, g):
-        return g.inverse() * self * g
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
@@ -445,6 +442,14 @@ class Subgroup:
         return self._std
 
 
+def unit_group_of(algebra, cap=DEFAULT_GROUP_CAP):
+    """The unit group of algebra, built once and kept on the algebra."""
+    G = getattr(algebra, "_unit_group", None)
+    if G is None:
+        G = algebra._unit_group = UnitGroup(algebra, cap=cap)
+    return G
+
+
 def subgroup_closure(group, indices):
     return Subgroup(group, group.group.subgroup_closure(indices), verify=False)
 
@@ -495,31 +500,3 @@ def check_commutator_theorem(algebra, m, n, cap=DEFAULT_GROUP_CAP):
     if len(outside):
         return False, int(outside[0])
     return True, None
-
-
-def check_commutator_containment(algebra, cap=DEFAULT_GROUP_CAP):
-    """check_commutator_theorem over every m, n >= 1 with A^(m+n-1) != 0.
-
-    Returns per-(m, n) sizes; raises VerificationFailed on a counterexample.
-    """
-    from .errors import VerificationFailed
-
-    G = UnitGroup(algebra, cap=cap)
-    nil = algebra.nilpotency_index
-    results = []
-    for m in range(1, nil):
-        for n in range(1, nil):
-            if m + n - 1 > nil - 1:
-                continue
-            ok, witness = check_commutator_theorem(G, m, n)
-            if not ok:
-                raise VerificationFailed("commutator-containment", witness=(m, n, witness))
-            lhs = commutator_subgroup(power_subgroup(G, m), power_subgroup(G, n))
-            rhs = commutator_subgroup(
-                Subgroup(G, np.arange(G.order), verify=False),
-                power_subgroup(G, m + n - 1),
-            )
-            results.append(
-                {"m": m, "n": n, "lhs_order": lhs.order, "rhs_order": rhs.order}
-            )
-    return results

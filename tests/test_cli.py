@@ -135,6 +135,22 @@ def test_verify_exit_one_on_falsified(monkeypatch, capsys):
     assert "falsified" in err and "synthetic" in err
 
 
+def test_identities_suite_reports_pairing_failure(monkeypatch, capsys):
+    # only NotInvariant marks a character as non-invariant; any other
+    # failure of the pairing check falsifies the suite
+    from oneplusa import gutkin
+    from oneplusa.errors import NotBilinear
+
+    def broken(group, m):
+        raise NotBilinear(("additive-in-x", (1,), (1,), (1,)))
+
+    monkeypatch.setattr(gutkin, "quotient_pairing", broken)
+    code, out, err = run(capsys, "verify", "ul(3,2)", "--suite", "identities")
+    assert code == 1
+    assert out == ""
+    assert "falsified" in err and "pairing-bilinear" in err
+
+
 def test_unknown_target_exits_two(capsys):
     code, _, err = run(capsys, "show", "nope(9,9)")
     assert code == 2

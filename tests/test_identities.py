@@ -11,6 +11,7 @@ import pytest
 from oneplusa.chars import linear_characters
 from oneplusa.errors import CapExceeded, NotInvariant, VerificationFailed
 from oneplusa.exactfield import Cyclotomic, gf
+from oneplusa.gutkin import commutator_pairing, quotient_pairing
 from oneplusa.identities import (
     additivity_defect,
     additivity_defect_check,
@@ -28,7 +29,7 @@ from oneplusa.nilalg import (
     quotient_algebra,
     strictly_upper_triangular,
 )
-from oneplusa.unitgroup import UnitGroup, power_subgroup, unit
+from oneplusa.unitgroup import UnitGroup, power_subgroup, unit, unit_group_of
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -156,11 +157,8 @@ def test_finite_pairing_heisenberg():
     assert finite_pairing_check(A, 2, {0: ONE, 1: MINUS_ONE})
     assert finite_pairing_check(A, 2, {0: ONE, 1: ONE})
     # here (1+A, 1+A^2) is trivial, so Q is all of 1+A^2
-    from oneplusa.identities import _group_of, _quotient_pairing
-
-    data = _quotient_pairing(_group_of(A, 2 ** 20), 2)
-    assert data["q_order"] == 2
-    assert data["K"].order == 1
+    data = quotient_pairing(unit_group_of(A), 2)
+    assert data["Q"].order == data["Sm"].order == 2
 
 
 def test_finite_pairing_every_invariant_zeta():
@@ -173,6 +171,10 @@ def test_finite_pairing_every_invariant_zeta():
     for A, m in cases:
         G = UnitGroup(A)
         A._unit_group = G
+        # a character of Q is checked on a generating set of Q only
+        data = quotient_pairing(G, m)
+        Q = data["Q"]
+        assert len(Q.subgroup_closure(data["gens"])) == Q.order
         Hm, emb, _ = power_subgroup(G, m).std_group
         checked = 0
         for lin in linear_characters(Hm):
@@ -216,11 +218,36 @@ def test_finite_pairing_on_quotient_algebra():
         assert finite_pairing_check(A, 2, zeta)
 
 
+def _free_223_non_character():
+    # On free(2,2,3), 1+A^2 is central and elementary abelian of order 16,
+    # and the commutators of 1+A are 1 and 1 + x1x2 - x2x1.  zeta is the
+    # character "-1 on the x1x2 coefficient" except at 1 + x1^2, where it
+    # is -1 too; the pairing scan never evaluates zeta there.
+    A = free_nilpotent(FieldRing(gf(2)), 2, 3)
+    G = unit_group_of(A)
+    zeta = {}
+    for s in power_subgroup(G, 2).indices:
+        c = G.coords_of_index(int(s))
+        zeta[int(s)] = MINUS_ONE if c[3] or c == (0, 0, 1, 0, 0, 0) else ONE
+    assert zeta[G.index_of_coords((0, 0, 0, 1, 1, 0))] == MINUS_ONE
+    return A, zeta
+
+
 def test_finite_pairing_rejects_non_character():
-    A = strictly_upper_triangular(3, gf(2))
-    bad = {0: MINUS_ONE, 1: ONE}  # not multiplicative: value at 1 must be 1
-    with pytest.raises(VerificationFailed):
-        finite_pairing_check(A, 2, bad)
+    heisenberg = strictly_upper_triangular(3, gf(2))
+    cases = [
+        # not multiplicative: the value at 1 must be 1
+        (heisenberg, {0: MINUS_ONE, 1: ONE}, "zeta-identity"),
+        _free_223_non_character() + ("zeta-multiplicative",),
+    ]
+    for A, bad, stage in cases:
+        with pytest.raises(VerificationFailed) as err:
+            finite_pairing_check(A, 2, bad)
+        assert err.value.stage == stage
+        # the descent's pairing shares the check, so it rejects bad as well
+        with pytest.raises(VerificationFailed) as err:
+            commutator_pairing(unit_group_of(A), 2, bad)
+        assert err.value.stage == stage
 
 
 # -- the derived-intersection explorer ------------------------------------------

@@ -13,7 +13,6 @@ from oneplusa.nilalg import (
 from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
-    check_commutator_containment,
     check_commutator_theorem,
     commutator_subgroup,
     power_subgroup,
@@ -249,10 +248,11 @@ def test_commutator_containment_small():
         strictly_upper_triangular(4, gf(2)),
         free_nilpotent(FieldRing(gf(2)), 2, 3),
     ):
-        results = check_commutator_containment(alg)
-        assert results  # at least (m, n) = (1, 1)
-        for r in results:
-            assert r["lhs_order"] <= r["rhs_order"]
+        G = UnitGroup(alg)
+        nil = alg.nilpotency_index
+        for m in range(1, nil):
+            for n in range(1, nil - m + 1):
+                assert check_commutator_theorem(G, m, n) == (True, None)
 
 
 def test_group_cap():

@@ -583,7 +583,7 @@ def mackey_irreducible(rho, H):
     if not H.is_normal() or rho.inner(rho) != 1:
         # the inertia criterion below needs rho irreducible and H normal
         return by_inner
-    Hg, emb, amb_to_sub = H.std_group
+    Hg, emb, sub_of = H.std_group
     T, inv = G.table, G.group.inv
     seen = np.zeros(G.order, dtype=bool)
     seen[H.indices] = True
@@ -597,7 +597,7 @@ def mackey_irreducible(rho, H):
         for a in range(Hg.order):
             h_amb = int(emb[a])
             conj_amb = int(T[T[gi, h_amb], g])
-            if rho.values[int(Hg.class_of[amb_to_sub[conj_amb]])] != rho.values[int(Hg.class_of[a])]:
+            if rho.values[int(Hg.class_of[sub_of[conj_amb]])] != rho.values[int(Hg.class_of[a])]:
                 moves = True
                 break
         if not moves:

@@ -4,8 +4,7 @@ Field elements are polynomials over Z/p modulo a deterministic irreducible
 modulus, so GF(p^k) is reproducible across runs.  Character values live in
 Q(zeta_N) with exact rational coordinates in the power basis
 1, zeta, ..., zeta^(phi(N)-1), stored at the smallest possible order, so
-equality is structural and hashing is safe.  Additive characters psi_a
-(values in Q(zeta_p)) bridge the two worlds.
+equality is structural and hashing is safe.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from . import linalg
 from .errors import CapExceeded, DivisionByZero, NotPrime
 
 FIELD_ORDER_CAP = 2 ** 16
-_TABLE_CAP = 512  # build q x q lookup tables only for small fields
+FIELD_TABLE_CAP = 512  # build q x q lookup tables only for small fields
 
 
 def is_prime(n):
@@ -253,7 +252,7 @@ class FiniteField:
         return idx
 
     def _ensure_tables(self):
-        if self._add_table is not None or self.q > _TABLE_CAP:
+        if self._add_table is not None or self.q > FIELD_TABLE_CAP:
             return
         p, q = self.p, self.q
         add = [[0] * q for _ in range(q)]
@@ -715,34 +714,3 @@ def _zeta_cached(order, power):
 
 CYC_ZERO = Cyclotomic(1, (0,))
 CYC_ONE = Cyclotomic(1, (1,))
-
-
-class AdditiveCharacter:
-    """psi_a(x) = zeta_p ^ Tr(a*x); the map a -> psi_a identifies the field
-    with its own Pontryagin dual."""
-
-    __slots__ = ("field", "scale")
-
-    def __init__(self, field, scale=None):
-        self.field = field
-        self.scale = scale if scale is not None else field.one
-
-    def __call__(self, x):
-        return Cyclotomic.zeta(self.field.p, trace(self.scale * x))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AdditiveCharacter)
-            and other.field is self.field
-            and other.scale == self.scale
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.scale.index))
-
-    def __repr__(self):
-        return f"psi_{self.scale.render()} on {self.field!r}"
-
-
-def additive_character(field, a=None):
-    return AdditiveCharacter(field, a)

@@ -55,7 +55,12 @@ from .unitgroup import (
     Subgroup,
     UnitGroup,
     commutator_subgroup,
+    digits,
+    field_tables,
+    map_indices,
     power_subgroup,
+    subspace_subgroup,
+    undigits,
 )
 
 
@@ -68,9 +73,11 @@ class QuotientSpace:
 
     The complement basis is canonical: the rows of W reduced modulo V and
     re-echelonized, so two runs always agree.  Quotient coordinates are
-    field element indices relative to that basis."""
+    field element indices relative to that basis.  On W the projection is
+    linear: matrix (dim A x dim W/V) holds sub.reduce(e_t) read off at the
+    complement pivots, for use on whole arrays of vectors."""
 
-    __slots__ = ("algebra", "sub", "sup", "rows", "pivots")
+    __slots__ = ("algebra", "sub", "sup", "rows", "pivots", "matrix")
 
     def __init__(self, algebra, sub, sup):
         if not sup.contains_subspace(sub):
@@ -85,6 +92,10 @@ class QuotientSpace:
         self.sup = sup
         self.rows = rows
         self.pivots = pivots
+        self.matrix = np.array(
+            [[sub.reduce(e)[p] for p in pivots] for e in algebra.basis()],
+            dtype=np.int64,
+        ).reshape(algebra.dim, len(pivots))
 
     @property
     def dim(self):
@@ -102,65 +113,19 @@ class QuotientSpace:
 
     def rep(self, coords):
         """The canonical coset representative with these quotient coordinates."""
+        ops = self.algebra.ring.linalg_ops()
         return AlgebraElement(
-            self.algebra, _combine(coords, self.rows, self.algebra.ring, self.algebra.dim)
+            self.algebra, linalg.combine(coords, self.rows, ops, self.algebra.dim)
         )
 
     def all_coords(self):
         q = self.algebra.ring.field.q
-        return list(itertools.product(range(q), repeat=self.dim))
-
-
-def _combine(coeffs, rows, ring, width):
-    # sum of coeffs[i] * rows[i], coordinate-wise over the ring
-    out = [ring.zero] * width
-    for c, row in zip(coeffs, rows):
-        if ring.is_zero(c):
-            continue
-        for t, r in enumerate(row):
-            if not ring.is_zero(r):
-                out[t] = ring.add(out[t], ring.mul(c, r))
-    return tuple(out)
-
-
-def _power_cached(group, m):
-    cache = getattr(group, "_power_subgroup_cache", None)
-    if cache is None:
-        cache = group._power_subgroup_cache = {}
-    sub = cache.get(m)
-    if sub is None:
-        sub = cache[m] = power_subgroup(group, m)
-    return sub
-
-
-def _subgroup_cached(group, space):
-    cache = getattr(group, "_subgroup_cache", None)
-    if cache is None:
-        cache = group._subgroup_cache = {}
-    sub = cache.get(space.rows)
-    if sub is None:
-        sub = cache[space.rows] = Subgroup.from_subspace(group, space)
-    return sub
+        points = digits(np.arange(q ** self.dim), q, self.dim)
+        return [tuple(c) for c in points.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # scalar level and the commutator pairing
-
-
-def _scalar_values_invariant(group, indices, zeta):
-    """zeta(g h g^-1) = zeta(h) for every g in the group and h in indices."""
-    T, inv = group.table, group.group.inv
-    garr = np.arange(group.order)
-    for h in indices:
-        h = int(h)
-        vh = zeta.get(h)
-        if vh is None:
-            raise ValueError(f"character value missing at index {h}")
-        conj = T[T[garr, h], inv]
-        for c in np.unique(conj):
-            if zeta.get(int(c)) != vh:
-                g = int(garr[conj == c][0])
-                raise NotInvariant((g, h))
 
 
 def minimal_scalar_level(chi):
@@ -169,22 +134,15 @@ def minimal_scalar_level(chi):
 
     m = 1 exactly when chi is linear, and m always exists because 1 + A^n is
     trivial at the nilpotency index n.  Conjugation invariance of zeta is
-    checked exhaustively before returning."""
+    not checked here: commutator_pairing (through quotient_character) checks
+    that zeta is constant on the cosets of K = (1+A, 1+A^m), and that implies
+    it, since g h g^-1 = (g h g^-1 h^-1) h with the first factor in K."""
     group = chi.group
     for m in range(1, group.algebra.nilpotency_index + 1):
-        S = _power_cached(group, m)
-        zeta = scalar_character_on(chi, S)
+        zeta = scalar_character_on(chi, power_subgroup(group, m))
         if zeta is not None:
-            _scalar_values_invariant(group, S.indices, zeta)
             return m, zeta
     raise RuntimeError("no scalar level found")  # unreachable: 1 + A^n = {1}
-
-
-def _coord_ids(coords, q):
-    """Positions of coordinate vectors (along the last axis) in the order of
-    QuotientSpace.all_coords."""
-    coords = np.asarray(coords, dtype=np.int64)
-    return coords @ q ** np.arange(coords.shape[-1] - 1, -1, -1)
 
 
 def quotient_pairing(group, m):
@@ -215,13 +173,13 @@ def quotient_pairing(group, m):
     field = group.field
     q = field.q
     T, inv = group.table, group.group.inv
-    Sm = _power_cached(group, m)
+    Sm = power_subgroup(group, m)
     whole = Subgroup(group, np.arange(group.order), verify=False)
     K = commutator_subgroup(whole, Sm)
     if not Sm.mask[K.indices].all():
         raise VerificationFailed("level-quotient", witness=m)
-    Hm, emb, amb_to_sub = Sm.std_group
-    Q, proj, _ = Hm.group.quotient([amb_to_sub[int(k)] for k in K.indices])
+    Hm, emb, sub_of = Sm.std_group
+    Q, proj, _ = Hm.group.quotient(sub_of[K.indices])
     to_q = np.full(group.order, -1, dtype=np.int64)
     to_q[emb] = proj
     gens = sorted({int(proj[g]) for g in Hm.generator_indices()})
@@ -229,15 +187,13 @@ def quotient_pairing(group, m):
     dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
     cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
     xs, ys = dom.all_coords(), cod.all_coords()
-    xid = _coord_ids(
-        [dom.project(group.coords_of_index(g)) for g in range(group.order)], q
-    )
+    garr = np.arange(group.order)
+    xid = map_indices(field, garr, dom.matrix)
     present, first, block = np.unique(xid, return_index=True, return_inverse=True)
     values = np.full((len(xs), len(ys)), -1, dtype=np.int64)
     filled_by = {}
-    garr = np.arange(group.order)
-    for h in _power_cached(group, m - 1).indices.tolist():
-        y = int(_coord_ids(cod.project(group.coords_of_index(h)), q))
+    hs = power_subgroup(group, m - 1).indices
+    for h, y in zip(hs.tolist(), map_indices(field, hs, cod.matrix).tolist()):
         qv = to_q[T[T[T[garr, h], inv], inv[h]]]  # (g h g^-1) h^-1 for every g
         if (qv < 0).any():
             g = int(np.nonzero(qv < 0)[0][0])
@@ -260,13 +216,12 @@ def quotient_pairing(group, m):
         i, j = missing[0]
         raise VerificationFailed("pairing-coverage", witness=(xs[i], ys[j]))
 
-    add_t = np.array([[field.add_idx(a, b) for b in range(q)] for a in range(q)])
-    mul_t = np.array([[field.mul_idx(a, b) for b in range(q)] for a in range(q)])
+    add_t, mul_t = field_tables(field)
     X = np.array(xs, dtype=np.int64)
     Y = np.array(ys, dtype=np.int64)
     QT = Q.table
-    xsum = _coord_ids(add_t[X[:, None], X[None, :]], q)
-    ysum = _coord_ids(add_t[Y[:, None], Y[None, :]], q)
+    xsum = undigits(add_t[X[:, None], X[None, :]], q)
+    ysum = undigits(add_t[Y[:, None], Y[None, :]], q)
     for i, row in enumerate(values):
         bad = np.argwhere(values[xsum[i]] != QT[row, values])
         if len(bad):
@@ -277,8 +232,8 @@ def quotient_pairing(group, m):
             s, t = bad[0]
             raise NotBilinear(("additive-in-y", xs[i], ys[s], ys[t]))
     lam = np.arange(q)[:, None, None]
-    xscale = _coord_ids(mul_t[lam, X[None]], q)
-    yscale = _coord_ids(mul_t[lam, Y[None]], q)
+    xscale = undigits(mul_t[lam, X[None]], q)
+    yscale = undigits(mul_t[lam, Y[None]], q)
     for t in range(q):
         bad = np.argwhere(values[xscale[t]] != values[:, yscale[t]])
         if len(bad):
@@ -395,14 +350,8 @@ class PhiMap:
 
     def apply(self, xc):
         """Functional coordinates of the image of dom coordinates xc."""
-        field = self.pairing.group.field
-        out = []
-        for j in range(self.pairing.cod.dim):
-            s = 0
-            for xi, row in zip(xc, self.rows):
-                s = field.add_idx(s, field.mul_idx(xi, row[j]))
-            out.append(s)
-        return tuple(out)
+        ops = self.pairing.group.algebra.ring.linalg_ops()
+        return linalg.combine(xc, self.rows, ops, self.pairing.cod.dim)
 
 
 def phi_map(pairing, psi=None):
@@ -443,25 +392,18 @@ def phi_map(pairing, psi=None):
         rows.append(tuple(row))
     phi = PhiMap(pairing, tuple(rows), psi_values)
 
+    ops = pairing.group.algebra.ring.linalg_ops()
+    ys = pairing.cod.all_coords()
     for xc in pairing.dom.all_coords():
-        fx = phi.apply(xc)
-        for yc in pairing.cod.all_coords():
-            t = 0
-            for a, b in zip(fx, yc):
-                t = field.add_idx(t, mul(a, b))
+        for yc, t in zip(ys, _matvec(ys, phi.apply(xc), ops)):
             if pairing.values[(xc, yc)] != psi_values[t]:
                 raise NotLinear((xc, yc))
     return phi
 
 
-def _matvec(rows, v, field):
-    out = []
-    for row in rows:
-        s = 0
-        for r, c in zip(row, v):
-            s = field.add_idx(s, field.mul_idx(r, c))
-        out.append(s)
-    return tuple(out)
+def _matvec(rows, v, ops):
+    # the matrix-vector product rows . v, as a combination of the columns
+    return linalg.combine(v, tuple(zip(*rows)), ops, len(rows))
 
 
 def choose_line(phi):
@@ -471,12 +413,14 @@ def choose_line(phi):
     Candidates are scanned with the pivot position first and the remaining
     free coordinates counting up, so the first valid normalized vector wins;
     the condition is simply Phi . v != 0."""
-    field = phi.pairing.group.field
+    ring = phi.pairing.group.algebra.ring
+    q, ops = ring.field.q, ring.linalg_ops()
     dy = phi.pairing.cod.dim
     for pivot in range(dy):
-        for combo in itertools.product(range(field.q), repeat=dy - pivot - 1):
-            v = (0,) * pivot + (1,) + combo
-            if any(_matvec(phi.rows, v, field)):
+        free = dy - pivot - 1
+        for combo in digits(np.arange(q ** free), q, free).tolist():
+            v = (0,) * pivot + (1,) + tuple(combo)
+            if any(_matvec(phi.rows, v, ops)):
                 return v
     raise NoLineFound(phi.rows)
 
@@ -491,10 +435,9 @@ def build_ideals(phi, line):
     pairing = phi.pairing
     group = pairing.group
     A = group.algebra
-    field = group.field
     ops = A.ring.linalg_ops()
 
-    w = _matvec(phi.rows, line, field)
+    w = _matvec(phi.rows, line, ops)
     if not any(w):
         raise ValueError("the line must pair nontrivially with some x")
     kernel = linalg.nullspace([w], pairing.dom.dim, ops)
@@ -528,9 +471,9 @@ def extension_set(group, U, m, zeta, A1):
     nonempty, it forms a single orbit under conjugation by 1 + A, and the
     stabilizer of each member is exactly 1 + A1.  The precondition that zeta
     kills every commutator of 1 + U is checked first."""
-    SU = _subgroup_cached(group, U)
-    Sm = _power_cached(group, m)
-    SA1 = _subgroup_cached(group, A1)
+    SU = subspace_subgroup(group, U)
+    Sm = power_subgroup(group, m)
+    SA1 = subspace_subgroup(group, A1)
     T, inv = group.table, group.group.inv
 
     for c in group.group.commutator_values(SU.indices, SU.indices):
@@ -538,9 +481,7 @@ def extension_set(group, U, m, zeta, A1):
         if not Sm.mask[c] or zeta[c] != 1:
             raise VerificationFailed("extension-precondition", witness=c)
 
-    Ug, emb, _ = SU.std_group
-    sub_of = np.full(group.order, -1, dtype=np.int64)
-    sub_of[emb] = np.arange(Ug.order)
+    Ug, emb, sub_of = SU.std_group
     exts = [
         lin
         for lin in linear_characters(Ug)
@@ -567,9 +508,9 @@ def extension_set(group, U, m, zeta, A1):
         g, i = (int(t[0]) for t in np.nonzero(P < 0))
         raise VerificationFailed("extension-conjugation-closure", witness=(g, i))
 
-    orbit = {tuple(int(x) for x in ext_vecs[0][P[g]]) for g in range(group.order)}
-    ext_set = {tuple(int(x) for x in v) for v in ext_vecs}
-    if orbit != ext_set:
+    orbit = np.unique(ext_vecs[0][P], axis=0)
+    ext_set = np.unique(np.array(ext_vecs), axis=0)
+    if not np.array_equal(orbit, ext_set):
         raise MultipleOrbits((len(orbit), len(ext_set)))
 
     for t, vec in enumerate(ext_vecs):
@@ -648,7 +589,7 @@ class MonomialDatum:
         """Induce alpha from 1 + B straight up to the top group."""
         if not self.chain:
             return self.alpha
-        SB = _subgroup_cached(self.group, self.chain[-1])
+        SB = subspace_subgroup(self.group, self.chain[-1])
         HB, embB, _ = SB.std_group
         vmap = {
             int(a): self.alpha.value_at_index(i)
@@ -709,7 +650,7 @@ def gutkin_decompose(chi):
     if chi.inner(chi) != 1:
         raise ValueError("only irreducible characters have monomial certificates")
 
-    ring = G.algebra.ring
+    ops = G.algebra.ring.linalg_ops()
     steps = []
     chain = []
     cur_G, cur_chi = G, chi
@@ -730,7 +671,7 @@ def gutkin_decompose(chi):
             )
         )
 
-        SA1 = _subgroup_cached(cur_G, A1)
+        SA1 = subspace_subgroup(cur_G, A1)
         H, emb, _ = SA1.std_group
         res = restrict(cur_chi, SA1)
         rho = None
@@ -748,11 +689,11 @@ def gutkin_decompose(chi):
         chain.append(
             Subspace.from_vectors(
                 G.algebra,
-                [_combine(r, basis_rows, ring, G.algebra.dim) for r in A1.rows],
+                [linalg.combine(r, basis_rows, ops, G.algebra.dim) for r in A1.rows],
             )
         )
         basis_rows = [
-            _combine(r, basis_rows, ring, G.algebra.dim)
+            linalg.combine(r, basis_rows, ops, G.algebra.dim)
             for r in H.algebra.embed_rows
         ]
         emb_to_top = emb_to_top[emb]
@@ -857,7 +798,7 @@ def _form_radical(algebra, f, space):
         for x in els
     ]
     null = linalg.nullspace(rows, len(els), ring.linalg_ops())
-    return [_combine(c, space.rows, ring, algebra.dim) for c in null]
+    return [linalg.combine(c, space.rows, ring.linalg_ops(), algebra.dim) for c in null]
 
 
 def _is_polarization(algebra, f, space, target):

@@ -84,17 +84,19 @@ def in_rowspace(vec, rows, pivots, ops):
     return all(ops.is_zero(c) for c in reduce_vector(vec, rows, pivots, ops))
 
 
-def coords_in_rowspace(vec, rows, pivots, ops):
-    """Coefficients of vec in an RREF basis, or None if vec is outside it."""
-    coeffs = tuple(vec[p] for p in pivots)
-    if not rows:
-        return coeffs if all(ops.is_zero(c) for c in vec) else None
-    n = len(vec)
-    acc = [ops.zero] * n
+def combine(coeffs, rows, ops, width):
+    """sum of coeffs[i] * rows[i], coordinate-wise, as a tuple of length width."""
+    acc = [ops.zero] * width
     for c, row in zip(coeffs, rows):
         if not ops.is_zero(c):
             acc = [ops.add(a, ops.mul(c, b)) for a, b in zip(acc, row)]
-    if tuple(acc) != tuple(vec):
+    return tuple(acc)
+
+
+def coords_in_rowspace(vec, rows, pivots, ops):
+    """Coefficients of vec in an RREF basis, or None if vec is outside it."""
+    coeffs = tuple(vec[p] for p in pivots)
+    if combine(coeffs, rows, ops, len(vec)) != tuple(vec):
         return None
     return coeffs
 

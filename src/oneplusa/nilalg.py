@@ -626,22 +626,6 @@ class Subspace:
         raw = self.algebra.ring.raw_vector
         return [AlgebraElement(self.algebra, raw(r)) for r in self.rows]
 
-    def points(self):
-        """All elements, smallest field scalars first, first row most significant."""
-        ring = self.algebra.ring
-        if ring.kind != "field":
-            raise TypeError("point enumeration needs a finite field")
-        q = ring.field.q
-        d = self.algebra.dim
-        for combo in itertools.product(range(q), repeat=self.dim):
-            coords = [ring.zero] * d
-            for c, row in zip(combo, self.rows):
-                if c:
-                    for t, r in enumerate(row):
-                        if not ring.is_zero(r):
-                            coords[t] = ring.add(coords[t], ring.mul(c, r))
-            yield AlgebraElement(self.algebra, tuple(coords))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -7,20 +7,74 @@ q^dim and we keep an explicit numpy multiplication table (for orders up to
 TABLE_CAP) that powers conjugacy classes, subgroup closures and the character
 machinery.  UnitElement itself is ring-agnostic and also serves the symbolic
 checks over Z and Z[lam].
+
+Element n of a group, subgroup or quotient has the base-q digits of n as its
+coordinates, first coordinate most significant.  Every move between them is
+GF(q)-linear on coordinates, so it is one array operation: digits/undigits
+convert between indices and coordinate arrays, and combine applies a matrix
+over GF(q) through the field's lookup tables.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded, NotASubgroup, NotNormal
-from .nilalg import Subspace, subalgebra_algebra
+from .exactfield import FIELD_TABLE_CAP
+from .nilalg import subalgebra_algebra
 
 DEFAULT_GROUP_CAP = 2 ** 20
 TABLE_CAP = 4096
+
+
+# ---------------------------------------------------------------------------
+# coordinates: base-q indices and GF(q)-linear maps on arrays
+
+
+def digits(n, q, width):
+    """Base-q digits of n (an int or an integer array), most significant
+    first, along a new last axis of length width."""
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.asarray(n, dtype=np.int64)[..., None] // powers % q
+
+
+def undigits(coords, q):
+    """Inverse of digits: the base-q value of each vector along the last axis."""
+    coords = np.asarray(coords, dtype=np.int64)
+    return coords @ q ** np.arange(coords.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def field_tables(field):
+    """The field's addition and multiplication tables on element indices, as
+    int16 numpy arrays (fields up to FIELD_TABLE_CAP)."""
+    field._ensure_tables()
+    return (
+        np.array(field._add_table, dtype=np.int16),
+        np.array(field._mul_table, dtype=np.int16),
+    )
+
+
+def combine(field, coeffs, rows):
+    """sum_i coeffs[..., i] * rows[i] over GF(q), on arrays of field element
+    indices; rows is a k x d matrix and the result has last axis d."""
+    add_t, mul_t = field_tables(field)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros(coeffs.shape[:-1] + rows.shape[1:], dtype=add_t.dtype)
+    for i, row in enumerate(rows):
+        out = add_t[out, mul_t[coeffs[..., i, None], row]]
+    return out
+
+
+def map_indices(field, indices, matrix):
+    """Base-q indices of c . matrix over GF(q), where c runs over the
+    coordinate vectors with the given base-q indices; matrix is k x d."""
+    q = field.q
+    return undigits(combine(field, digits(indices, q, len(matrix)), matrix), q)
 
 
 class UnitElement:
@@ -202,9 +256,12 @@ class UnitGroup:
         self.order = self.field.q ** algebra.dim
         if self.order > cap:
             raise CapExceeded(f"group order {self.order} exceeds cap {cap}")
-        self._powers = tuple(
-            self.field.q ** (algebra.dim - 1 - t) for t in range(algebra.dim)
-        )
+        if self.field.q > FIELD_TABLE_CAP:
+            raise CapExceeded(
+                f"field order {self.field.q} exceeds the field-table cap "
+                f"{FIELD_TABLE_CAP} for enumerated groups"
+            )
+        self._subgroups = {}  # subspace rows -> Subgroup, see subspace_subgroup
         self._table = None
         self._group = None
         self._classes = None
@@ -214,10 +271,16 @@ class UnitGroup:
     # -- index <-> element ----------------------------------------------------
 
     def coords_of_index(self, n):
-        return tuple((n // w) % self.field.q for w in self._powers)
+        return tuple(digits(n, self.field.q, self.algebra.dim).tolist())
 
     def index_of_coords(self, coords):
-        return sum(c * w for c, w in zip(coords, self._powers))
+        return int(undigits(coords, self.field.q))
+
+    def span_indices(self, rows):
+        """Index of sum_i c_i rows[i] for every c in GF(q)^k, in the base-q
+        order of c (first row most significant)."""
+        matrix = np.array(rows, dtype=np.int64).reshape(len(rows), self.algebra.dim)
+        return map_indices(self.field, np.arange(self.field.q ** len(rows)), matrix)
 
     def element(self, n):
         from .nilalg import AlgebraElement
@@ -244,14 +307,8 @@ class UnitGroup:
 
     def _build_table(self):
         N, d, q = self.order, self.algebra.dim, self.field.q
-        field = self.field
-        field._ensure_tables()
-        add_t = np.array(field._add_table, dtype=np.int16)
-        mul_t = np.array(field._mul_table, dtype=np.int16)
-        E = np.array(
-            list(itertools.product(range(q), repeat=d)), dtype=np.int16
-        ).reshape(N, d)
-        powers = np.array(self._powers, dtype=np.int64)
+        add_t, mul_t = field_tables(self.field)
+        E = digits(np.arange(N), q, d).astype(np.int16)
         table = np.empty((N, N), dtype=np.int32)
         block = max(1, (1 << 22) // max(1, N * d))
         for start in range(0, N, block):
@@ -262,7 +319,7 @@ class UnitGroup:
                 for k, c in entry:
                     term = prod if c == 1 else mul_t[prod, c]
                     Z[:, :, k] = add_t[Z[:, :, k], term]
-            table[start:start + len(X)] = Z.astype(np.int64) @ powers
+            table[start:start + len(X)] = undigits(Z, q)
         return table
 
     @property
@@ -383,7 +440,6 @@ class Subgroup:
     @staticmethod
     def from_subspace(group, subspace, verify_closed=True):
         """1 + B for a multiplicatively closed subspace B."""
-        alg = group.algebra
         if verify_closed:
             els = subspace.row_elements()
             for x in els:
@@ -393,8 +449,9 @@ class Subgroup:
                             f"subspace not multiplicatively closed: "
                             f"({x.render()})({y.render()})"
                         )
-        idx = sorted(group.index_of_coords(p.coords) for p in subspace.points())
-        return Subgroup(group, idx, subspace=subspace, verify=False)
+        return Subgroup(
+            group, group.span_indices(subspace.rows), subspace=subspace, verify=False
+        )
 
     @property
     def order(self):
@@ -417,28 +474,20 @@ class Subgroup:
 
     @property
     def std_group(self):
-        """(H as its own UnitGroup, emb, amb_to_sub): emb[i] is the ambient
-        index of the i-th element of the standalone group."""
+        """(H as its own UnitGroup, emb, sub_of): emb[i] is the ambient
+        index of the i-th element of the standalone group, and sub_of is its
+        inverse as an array over the ambient group, -1 off H."""
         if self._std is None:
             if self.subspace is None:
                 raise ValueError("no subspace attached to this subgroup")
             sub_alg = subalgebra_algebra(self.group.algebra, self.subspace)
             H = UnitGroup(sub_alg)
-            rows = sub_alg.embed_rows
-            ring = self.group.algebra.ring
-            emb = np.empty(H.order, dtype=np.int64)
-            for n in range(H.order):
-                bc = H.coords_of_index(n)
-                coords = [ring.zero] * self.group.algebra.dim
-                for c, row in zip(bc, rows):
-                    if c:
-                        for t, r in enumerate(row):
-                            if not ring.is_zero(r):
-                                coords[t] = ring.add(coords[t], ring.mul(c, r))
-                emb[n] = self.group.index_of_coords(coords)
-            amb_to_sub = {int(a): i for i, a in enumerate(emb)}
-            assert sorted(amb_to_sub) == self.indices.tolist()
-            self._std = (H, emb, amb_to_sub)
+            emb = self.group.span_indices(sub_alg.embed_rows)
+            if not np.array_equal(np.sort(emb), self.indices):
+                raise NotASubgroup("the standalone copy does not enumerate H")
+            sub_of = np.full(self.group.order, -1, dtype=np.int64)
+            sub_of[emb] = np.arange(H.order)
+            self._std = (H, emb, sub_of)
         return self._std
 
 
@@ -469,9 +518,19 @@ def commutator_subgroup(left, right=None):
     return Subgroup(group, group.group.subgroup_closure(vals), verify=False)
 
 
+def subspace_subgroup(group, space, verify_closed=True):
+    """1 + space as a Subgroup of group, built once per group and subspace."""
+    sub = group._subgroups.get(space.rows)
+    if sub is None:
+        sub = Subgroup.from_subspace(group, space, verify_closed=verify_closed)
+        group._subgroups[space.rows] = sub
+    return sub
+
+
 def power_subgroup(group, m):
     """1 + A^m; A^m is an ideal, so this is a normal subgroup."""
-    return Subgroup.from_subspace(group, group.algebra.power_subspace(m), verify_closed=False)
+    space = group.algebra.power_subspace(m)
+    return subspace_subgroup(group, space, verify_closed=False)
 
 
 def quotient_group(group, ideal):
@@ -482,10 +541,10 @@ def quotient_group(group, ideal):
 
     Qalg, project, _ = quotient_algebra(group.algebra, ideal)
     Q = UnitGroup(Qalg)
-    proj = np.empty(group.order, dtype=np.int64)
-    for n in range(group.order):
-        proj[n] = Q.index_of_coords(project(group.coords_of_index(n)))
-    return Q, proj
+    basis = group.algebra.basis()
+    matrix = np.array([project(e) for e in basis], dtype=np.int64)
+    matrix = matrix.reshape(len(basis), Qalg.dim)
+    return Q, map_indices(group.field, np.arange(group.order), matrix)
 
 
 def check_commutator_theorem(algebra, m, n, cap=DEFAULT_GROUP_CAP):

@@ -163,6 +163,20 @@ def test_cap_error_exits_two(capsys):
     assert "error" in err
 
 
+def test_field_table_cap_exits_two(capsys):
+    # GF(1024) is past the field-table cap, although |1+A| = 1024 is small
+    code, out, err = run(capsys, "chartable", "ul(2,1024)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "field-table cap" in err
+    assert "Traceback" not in err
+    # commands that build no group still work on such fields
+    code, out, _ = run(capsys, "show", "ul(2,1024)")
+    assert code == 0 and "GF(1024)" in out
+    code, out, _ = run(capsys, "verify", "ul(2,1024)", "--suite", "polarize")
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_non_nilpotent_file_exits_two(tmp_path, capsys):
     code, out, _ = run(capsys, "show", "ul(3,2)", "--format", "json")
     data = json.loads(out)["algebra"]

@@ -8,7 +8,6 @@ from oneplusa.errors import CapExceeded, DivisionByZero, NotPrime
 from oneplusa.exactfield import (
     Cyclotomic,
     FiniteField,
-    additive_character,
     cyclotomic_polynomial,
     euler_phi,
     field_from_descriptor,
@@ -238,19 +237,3 @@ def test_embed_vec_roundtrip():
     assert back == z3
     with pytest.raises(ValueError):
         z3.embed_vec(8)
-
-
-def test_additive_characters():
-    for f in (gf(2), gf(3), gf(2, 2), gf(3, 2)):
-        chars = [additive_character(f, a) for a in f.elements]
-        tables = [tuple(psi(x) for x in f.elements) for psi in chars]
-        # distinct characters: the field is its own dual
-        assert len(set(tables)) == f.q
-        for a, psi in zip(f.elements, chars):
-            total = sum((psi(x) for x in f.elements), Cyclotomic.rational(0))
-            expected = f.q if a == f.zero else 0
-            assert total == Cyclotomic.rational(expected)
-        # multiplicativity psi(x+y) = psi(x)psi(y)
-        psi = additive_character(f)
-        for x, y in itertools.product(f.elements, repeat=2):
-            assert psi(x + y) == psi(x) * psi(y)

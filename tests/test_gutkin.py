@@ -37,6 +37,7 @@ from oneplusa.gutkin import (
     standard_additive_character,
     verify_gutkin_all,
 )
+from oneplusa import linalg
 from oneplusa.linalg import rref
 from oneplusa.nilalg import (
     Algebra,
@@ -46,7 +47,7 @@ from oneplusa.nilalg import (
     is_subalgebra,
     strictly_upper_triangular,
 )
-from oneplusa.unitgroup import Subgroup, UnitGroup, power_subgroup
+from oneplusa.unitgroup import Subgroup, UnitGroup, map_indices, power_subgroup
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -287,6 +288,50 @@ def test_pairing_scalar_swap_beyond_prime_field():
             lx = tuple(F.mul_idx(lam, c) for c in x)
             ly = tuple(F.mul_idx(lam, c) for c in y)
             assert pairing.value(lx, y) == pairing.value(x, ly)
+
+
+def test_additive_characters():
+    # psi_a(t) = psi(a t) with psi the standard character: a -> psi_a
+    # identifies the field with its own dual
+    for q in (2, 3, 4, 9):
+        f = gf(q)
+        std = standard_additive_character(f)
+        tables = [tuple(std(f.mul_idx(a, t)) for t in range(q)) for a in range(q)]
+        assert len(set(tables)) == q  # distinct characters
+        for a, row in enumerate(tables):  # orthogonality to the trivial one
+            total = sum(row, Cyclotomic.rational(0))
+            assert total == Cyclotomic.rational(q if a == 0 else 0)
+        for row in tables:  # psi_a(x + y) = psi_a(x) psi_a(y)
+            for x, y in itertools.product(range(q), repeat=2):
+                assert row[f.add_idx(x, y)] == row[x] * row[y]
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_coordinate_arrays_match_ring_arithmetic(q):
+    # the array layer (span_indices behind from_subspace and std_group, the
+    # QuotientSpace matrix) against scalar ring arithmetic at every element,
+    # over fields where multiplication is not reduction mod p
+    A = strictly_upper_triangular(3, gf(q))
+    G = UnitGroup(A)
+    ops = A.ring.linalg_ops()
+    g = G.field.gen.index
+    twisted = Subspace.from_vectors(A, [(1, g, 0), (0, 0, 1)])  # e12 + x e23, e13
+    for space in (twisted, A.power_subspace(2), A.power_subspace(1)):
+        H = Subgroup.from_subspace(G, space)
+        Hg, emb, sub_of = H.std_group
+        for n in range(Hg.order):
+            want = linalg.combine(Hg.coords_of_index(n), space.rows, ops, A.dim)
+            assert G.coords_of_index(int(emb[n])) == want
+        assert sorted(emb.tolist()) == H.indices.tolist()
+        assert sub_of[emb].tolist() == list(range(Hg.order))
+        assert int((sub_of >= 0).sum()) == Hg.order
+    for low, high in ((2, 1), (3, 2), (3, 1)):
+        W = power_subgroup(G, high)
+        Qs = QuotientSpace(A, A.power_subspace(low), A.power_subspace(high))
+        points = Qs.all_coords()
+        ids = map_indices(G.field, W.indices, Qs.matrix)
+        for n, t in zip(W.indices.tolist(), ids.tolist()):
+            assert points[t] == Qs.project(G.coords_of_index(n))
 
 
 # -- failure paths -------------------------------------------------------------

@@ -169,16 +169,6 @@ def test_subspace_basics():
     assert S.contains(A.from_labels({"e12": 2, "e13": 1}))
     assert not S.contains(A.basis_element(1))
     assert S.coords_of(A.from_labels({"e12": 1})) == (1, 0)
-    pts = list(Subspace.from_vectors(A, [A.basis_element(0)]).points())
-    assert len(pts) == 3
-    assert pts[0].is_zero() and pts[1] == A.basis_element(0)
-
-
-def test_points_order_first_row_most_significant():
-    A = strictly_upper_triangular(3, gf(2))
-    S = Subspace.unit(A, [0, 2])
-    coords = [p.coords for p in S.points()]
-    assert coords == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
 
 
 def test_closures_and_ideals():

@@ -185,13 +185,32 @@ def test_subgroup_not_closed_detected():
 def test_std_group_embedding():
     G = ul(4, 2)
     H = power_subgroup(G, 2)
-    Hg, emb, amb_to_sub = H.std_group
+    Hg, emb, sub_of = H.std_group
     assert Hg.order == H.order == 8
     for a in range(Hg.order):
         for b in range(Hg.order):
             assert int(emb[Hg.table[a, b]]) == G.mul(int(emb[a]), int(emb[b]))
     assert all(H.contains_index(int(x)) for x in emb)
-    assert amb_to_sub[int(emb[3])] == 3
+    assert sub_of[int(emb[3])] == 3
+    assert (sub_of[~H.mask] == -1).all()
+
+
+def test_points_order_first_row_most_significant():
+    # from_subspace and std_group enumerate 1+B in the base-q order of the
+    # coefficients on the rows of B, first row most significant
+    G = ul(3, 2)
+    H = Subgroup.from_subspace(G, Subspace.unit(G.algebra, [0, 2]))
+    _, emb, _ = H.std_group
+    coords = [G.coords_of_index(int(n)) for n in emb]
+    assert coords == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
+    assert H.indices.tolist() == sorted(emb.tolist())
+    G = ul(4, 3)
+    A = G.algebra
+    H = Subgroup.from_subspace(G, Subspace.from_vectors(A, [A.basis_element(0)]))
+    _, emb, _ = H.std_group
+    assert [G.coords_of_index(int(n)) for n in emb] == [
+        (c, 0, 0, 0, 0, 0) for c in range(3)
+    ]
 
 
 def test_quotient_by_center():

@@ -9,6 +9,14 @@ and the actual character values are recovered from the mod-ell data by a
 discrete Fourier transform over power maps.  Everything after recovery is
 verified by exact orthogonality over Q(zeta_e).
 
+Class functions are integer arrays: every group here is a p-group, so the
+exponent e is a prime power and every character value lies in Z[zeta_e].
+A ClassFunction stores one row of power-basis coefficients per class, and
+inner products, induction, restriction and orthogonality are exact int64
+contractions behind an explicit overflow guard (RuntimeError), with no
+floats.  Cyclotomic objects appear only at the edges: reports, parsing and
+tests read them through a lazy cache keyed by coefficient row.
+
 This module deliberately knows nothing about the monomial-certificate
 machinery; it is the independent reference the certificates are checked
 against.
@@ -19,11 +27,18 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import VerificationFailed
-from .exactfield import CYC_ZERO, Cyclotomic, euler_phi, is_prime, prime_factors
+from .exactfield import (
+    Cyclotomic,
+    _zeta_power_vectors,
+    euler_phi,
+    is_prime,
+    prime_factors,
+)
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell (small matrices, numpy int64)
@@ -159,55 +174,182 @@ def _choose_prime(order, exponent):
 
 
 # ---------------------------------------------------------------------------
+# class functions as integer arrays over Z[zeta_e]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _guard(what, *factors):
+    """Raise RuntimeError unless the product of the factors, each taken as
+    at least 1, fits in int64.  Callers pass bounds (max-abs entries, term
+    counts) whose product bounds every intermediate of their contraction,
+    so a passing guard means the int64 result is exact."""
+    bound = 1
+    for f in factors:
+        bound *= max(1, int(f))
+    if bound > _INT64_MAX:
+        raise RuntimeError(f"int64 overflow guard in {what}: bound {bound} > {_INT64_MAX}")
+
+
+def _maxabs(a):
+    return int(np.abs(a).max()) if a.size else 0
+
+
+class _PowerBasis:
+    """The power basis 1, zeta, ..., zeta^(phi-1) of Q(zeta_e), e a prime
+    power or 1, as fixed integer arrays: zeta[t] is the row of zeta^t,
+    prod[u, v] the row of zeta^(u+v) and herm[u, v] the row of
+    zeta^u * conj(zeta^v) = zeta^(u-v).  Integer because the cyclotomic
+    polynomial is monic.  Also holds the one cache of Cyclotomic values,
+    keyed by coefficient row."""
+
+    def __init__(self, e):
+        if len(prime_factors(e)) > 1:
+            raise RuntimeError(f"class functions need a prime-power exponent, got {e}")
+        self.e = e
+        self.phi = euler_phi(e)
+        self.zeta = np.array(_zeta_power_vectors(e), dtype=np.int64)
+        u = np.arange(self.phi)
+        self.prod = self.zeta[(u[:, None] + u[None, :]) % e]
+        self.herm = self.zeta[(u[:, None] - u[None, :]) % e]
+        self.zmax = _maxabs(self.zeta)
+        self._values = {}
+
+    def value(self, row, denom=1):
+        """The Cyclotomic with coefficient row / denom."""
+        if denom != 1:
+            if (row % denom).any():
+                return Cyclotomic.from_terms(
+                    self.e, {j: Fraction(int(c), denom) for j, c in enumerate(row) if c}
+                )
+            row = row // denom
+        key = row.tobytes()
+        val = self._values.get(key)
+        if val is None:
+            val = Cyclotomic.from_terms(self.e, {j: int(c) for j, c in enumerate(row) if c})
+            self._values[key] = val
+        return val
+
+    def row(self, value):
+        """Coefficient row of a Cyclotomic (or rational) value; values outside
+        Z[zeta_e] raise VerificationFailed."""
+        if not isinstance(value, Cyclotomic):
+            value = Cyclotomic.rational(value)
+        if self.e % value.order == 0:
+            vec = value.embed_vec(self.e)
+            if all(f.denominator == 1 for f in vec):
+                return np.array([int(f) for f in vec], dtype=np.int64)
+        raise VerificationFailed("value-integrality", witness=(str(value), self.e))
+
+    def embed(self, coeffs, sub_e):
+        """Rows over Q(zeta_sub_e), sub_e | e, written in this basis.  Since
+        zeta_sub_e = zeta_e^(e/sub_e), for prime powers the power basis of
+        the subfield is the stride-(e/sub_e) part of this one."""
+        out = np.zeros((len(coeffs), self.phi), dtype=np.int64)
+        out[:, :: self.e // sub_e] = coeffs
+        return out
+
+    def descend(self, coeffs, sub_e, what):
+        """Inverse of embed, for rows that must lie in Q(zeta_sub_e); a
+        nonzero off-stride coefficient raises VerificationFailed."""
+        stride = self.e // sub_e
+        off = np.ones(self.phi, dtype=bool)
+        off[::stride] = False
+        bad = np.nonzero(coeffs[:, off].any(axis=1))[0]
+        if len(bad):
+            raise VerificationFailed(what, witness=(int(bad[0]), sub_e))
+        return np.ascontiguousarray(coeffs[:, ::stride])
+
+
+@lru_cache(maxsize=None)
+def _power_basis(e):
+    return _PowerBasis(e)
 
 
 class ClassFunction:
-    """Exact class function on a UnitGroup, one Cyclotomic value per class
-    in the group's class order."""
+    """Exact class function on a UnitGroup.  coeffs is a read-only int64
+    array of shape (r, phi(e)), e = group.exponent(): row k is the value on
+    class k (in the group's class order) in the power basis of Q(zeta_e).
+    Every group here is a p-group, so e is a prime power and every
+    character value lies in Z[zeta_e]; values outside it are rejected.
+    The Cyclotomic values are built lazily, for reports and tests."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "coeffs", "_values")
 
     def __init__(self, group, values):
+        values = tuple(values)
+        basis = _power_basis(group.exponent())
+        coeffs = np.zeros((len(values), basis.phi), dtype=np.int64)
+        for k, v in enumerate(values):
+            coeffs[k] = basis.row(v)
+        self._set(group, coeffs)
+
+    @classmethod
+    def _of(cls, group, coeffs):
+        """Wrap an int64 coefficient array in the group's power basis."""
+        self = object.__new__(cls)
+        self._set(group, coeffs)
+        return self
+
+    def _set(self, group, coeffs):
+        coeffs.flags.writeable = False
         self.group = group
-        self.values = tuple(values)
+        self.coeffs = coeffs
+        self._values = None
+
+    def _basis(self):
+        return _power_basis(self.group.exponent())
+
+    @property
+    def values(self):
+        if self._values is None:
+            basis = self._basis()
+            self._values = tuple(basis.value(row) for row in self.coeffs)
+        return self._values
 
     @property
     def degree(self):
-        return self.values[0]
+        return self._basis().value(self.coeffs[0])
 
     def degree_int(self):
-        return int(self.values[0].rational_value())
+        if self.coeffs[0, 1:].any():
+            raise ValueError(f"{self.degree} is not rational")
+        return int(self.coeffs[0, 0])
 
     def value_at_index(self, g):
         return self.values[int(self.group.class_of[g])]
 
     def __add__(self, other):
         self._check(other)
-        return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return ClassFunction(self.group, tuple(a - b for a, b in zip(self.values, other.values)))
+        _guard("class-function sum", _maxabs(self.coeffs) + _maxabs(other.coeffs))
+        return ClassFunction._of(self.group, self.coeffs + other.coeffs)
 
     def __mul__(self, other):
+        basis = self._basis()
         if isinstance(other, ClassFunction):
             self._check(other)
-            return ClassFunction(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
-        return ClassFunction(self.group, tuple(v * other for v in self.values))
+            rows = other.coeffs
+        else:
+            rows = np.broadcast_to(basis.row(other), self.coeffs.shape)
+        _guard("class-function product", _maxabs(self.coeffs), _maxabs(rows),
+               basis.phi ** 2, basis.zmax)
+        return ClassFunction._of(
+            self.group, np.einsum("ku,kv,uvw->kw", self.coeffs, rows, basis.prod)
+        )
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return ClassFunction(self.group, tuple(v.conj() for v in self.values))
-
     def inner(self, other):
-        """<self, other> = (1/|G|) sum n_k a_k conj(b_k), exact."""
+        """<self, other> = (1/|G|) sum n_k a_k conj(b_k), exact: one integer
+        contraction over classes and basis pairs, divided by |G| at the end."""
         self._check(other)
-        sizes = [len(c) for c in self.group.conjugacy_classes()]
-        total = CYC_ZERO
-        for n_k, a, b in zip(sizes, self.values, other.values):
-            total = total + a * b.conj() * n_k
-        return total * Fraction(1, self.group.order)
+        G = self.group
+        basis = self._basis()
+        _guard("inner product", G.order, _maxabs(self.coeffs), _maxabs(other.coeffs),
+               basis.phi ** 2, basis.zmax)
+        pair = (self.coeffs * G.class_sizes[:, None]).T @ other.coeffs
+        total = pair.reshape(-1) @ basis.herm.reshape(-1, basis.phi)
+        return basis.value(total, G.order)
 
     def is_irreducible(self):
         return self.inner(self) == 1
@@ -220,33 +362,33 @@ class ClassFunction:
         return (
             isinstance(other, ClassFunction)
             and other.group is self.group
-            and other.values == self.values
+            and np.array_equal(other.coeffs, self.coeffs)
         )
 
     def __hash__(self):
-        return hash((id(self.group), self.values))
+        return hash((id(self.group), self.coeffs.tobytes()))
 
     def sort_key(self):
-        e = self.group.exponent()
-        return (
-            self.degree.rational_value(),
-            tuple(v.embed_vec(e) for v in self.values),
-        )
+        # the degree, then the value rows class by class; row 0 starts with
+        # the degree, so the flattened array orders the same way
+        return tuple(self.coeffs.ravel().tolist())
 
     def __repr__(self):
         return f"ClassFunction({', '.join(str(v) for v in self.values)})"
 
 
 def trivial_character(group):
-    r = len(group.conjugacy_classes())
-    one = Cyclotomic.rational(1)
-    return ClassFunction(group, (one,) * r)
+    phi = _power_basis(group.exponent()).phi
+    coeffs = np.zeros((len(group.conjugacy_classes()), phi), dtype=np.int64)
+    coeffs[:, 0] = 1
+    return ClassFunction._of(group, coeffs)
 
 
 def regular_character(group):
-    r = len(group.conjugacy_classes())
-    vals = [Cyclotomic.rational(group.order)] + [CYC_ZERO] * (r - 1)
-    return ClassFunction(group, vals)
+    phi = _power_basis(group.exponent()).phi
+    coeffs = np.zeros((len(group.conjugacy_classes()), phi), dtype=np.int64)
+    coeffs[0, 0] = group.order
+    return ClassFunction._of(group, coeffs)
 
 
 class CharacterTable:
@@ -275,38 +417,13 @@ class CharacterTable:
             raise VerificationFailed("character-count", witness=(r, len(classes)))
         if sum(d * d for d in self.degrees) != G.order:
             raise VerificationFailed("degree-mass", witness=self.degrees)
-        e = G.exponent()
-        phi = euler_phi(e)
-        X = np.empty((r, r, phi), dtype=np.int64)
-        for s, ch in enumerate(self.chars):
-            for k, v in enumerate(ch.values):
-                vec = v.embed_vec(e)
-                if any(f.denominator != 1 for f in vec):
-                    raise VerificationFailed("value-integrality", witness=(s, k))
-                X[s, k] = [int(f) for f in vec]
-        # conjugation and multiplication in the power basis of Q(zeta_e);
-        # both have integer matrices because the cyclotomic modulus is monic
-        def _int_vec(c):
-            vec = c.embed_vec(e)
-            assert all(f.denominator == 1 for f in vec)
-            return [int(f) for f in vec]
-
-        conj_rows = np.array(
-            [_int_vec(Cyclotomic.zeta(e, (e - u) % e)) for u in range(phi)],
-            dtype=np.int64,
-        )
-        prod = np.array(
-            [
-                [_int_vec(Cyclotomic.zeta(e, u + v)) for v in range(phi)]
-                for u in range(phi)
-            ],
-            dtype=np.int64,
-        )
-        sizes = np.array([len(c) for c in classes], dtype=np.int64)
-        Xn = X * sizes[None, :, None]
-        Xc = np.einsum("tkv,vw->tkw", X, conj_rows)
-        pair = np.einsum("sku,tkv->stuv", Xn, Xc, optimize=True)
-        gram = np.einsum("stuv,uvw->stw", pair, prod)
+        basis = _power_basis(G.exponent())
+        phi = basis.phi
+        X = np.stack([ch.coeffs for ch in self.chars])
+        _guard("orthogonality", G.order, _maxabs(X) ** 2, phi ** 2, basis.zmax)
+        Xn = X * G.class_sizes[None, :, None]
+        pair = np.einsum("sku,tkv->stuv", Xn, X, optimize=True)
+        gram = pair.reshape(r, r, phi * phi) @ basis.herm.reshape(-1, phi)
         expect = np.zeros((r, r, phi), dtype=np.int64)
         expect[np.arange(r), np.arange(r), 0] = G.order
         if not (gram == expect).all():
@@ -356,7 +473,7 @@ def character_table(group):
 
     classes = group.conjugacy_classes()
     r = len(classes)
-    sizes = np.array([len(c) for c in classes], dtype=np.int64)
+    sizes = group.class_sizes
     reps = group.class_reps()
     T = group.table
     CL = group.class_of
@@ -379,7 +496,11 @@ def character_table(group):
         counts = np.zeros((r, r), dtype=np.int64)
         src = np.broadcast_to(CL[None, :], rows.shape)
         np.add.at(counts, (src.ravel(), CL[rows].ravel()), 1)
-        assert (counts % sizes[None, :] == 0).all()
+        bad = np.argwhere(counts % sizes[None, :] != 0)
+        if len(bad):
+            raise VerificationFailed(
+                "class-matrix-divisibility", witness=(i, *(int(x) for x in bad[0]))
+            )
         return (counts // sizes[None, :]).T % l
 
     # split the class algebra into common eigenlines over F_ell
@@ -409,7 +530,8 @@ def character_table(group):
             f"class algebra did not split over F_{l}; subspaces left: "
             f"{[b.shape[0] for b in live]}"
         )
-    assert len(done) == r
+    if len(done) != r:
+        raise RuntimeError(f"class algebra split into {len(done)} lines, expected {r}")
 
     # inverse-class pairing and power-map classes for the Fourier lift
     inv = group.group.inv
@@ -427,31 +549,31 @@ def character_table(group):
     e_inv = _inv_mod(e, l)
     n_inv = np.array([_inv_mod(int(n), l) for n in sizes], dtype=np.int64)
 
+    basis = _power_basis(e)
+    # every lift has entries in 0..d <= sqrt(|G|) summing over e powers
+    _guard("character lift", e, math.isqrt(group.order), basis.zmax)
     chars = []
-    value_cache = {}
     for w in done:
         w = (w * _inv_mod(int(w[0]), l)) % l  # omega_0 = 1
         denom = int((w * w[inv_class] % l * n_inv % l).sum() % l)
         dd = (group.order * _inv_mod(denom, l)) % l
         roots = [t for t in range(1, (l + 1) // 2) if (t * t - dd) % l == 0]
-        assert len(roots) == 1, f"degree square {dd} has {len(roots)} small roots"
+        if len(roots) != 1:
+            raise VerificationFailed("degree-root", witness=(dd, roots))
         d = roots[0]
         chibar = (d * w % l) * n_inv % l
         P = chibar[cls_pow]
         M = (P @ W) % l * e_inv % l
         if int(M.max()) > d:
             raise RuntimeError("character lift left the expected range")
-        assert (M.sum(axis=1) == d).all()
-        assert ((M @ np.array(w0_pow, dtype=np.int64)) % l == chibar).all()
-        values = []
-        for k in range(r):
-            key = tuple(int(x) for x in M[k])
-            val = value_cache.get(key)
-            if val is None:
-                val = Cyclotomic.from_terms(e, {j: int(m) for j, m in enumerate(M[k]) if m})
-                value_cache[key] = val
-            values.append(val)
-        chars.append(ClassFunction(group, values))
+        bad = np.nonzero(M.sum(axis=1) != d)[0]
+        if len(bad):
+            raise VerificationFailed("lift-row-sum", witness=(d, int(bad[0])))
+        bad = np.nonzero((M @ np.array(w0_pow, dtype=np.int64)) % l != chibar)[0]
+        if len(bad):
+            raise VerificationFailed("lift-consistency", witness=(d, int(bad[0])))
+        # row k: sum_j M[k, j] zeta^j in the power basis
+        chars.append(ClassFunction._of(group, M @ basis.zeta))
 
     chars.sort(key=lambda c: c.sort_key())
     table = CharacterTable(
@@ -473,7 +595,9 @@ def _cyclic_decomposition(Q):
     table: every element is uniquely prod_i g_i^(a_i)."""
     if Q.order == 1:
         return [], [], np.zeros((1, 0), dtype=np.int64)
-    assert Q.is_abelian()
+    if not Q.is_abelian():
+        x, y = (int(t) for t in np.argwhere(Q.table != Q.table.T)[0])
+        raise VerificationFailed("abelian-quotient", witness=(x, y))
     orders = [Q.order_of(x) for x in range(Q.order)]
     m = max(orders)
     g = orders.index(m)
@@ -483,16 +607,19 @@ def _cyclic_decomposition(Q):
         powers[x] = t
         x = int(Q.table[x, g])
     C = Q.subgroup_closure([g])
-    assert len(C) == m
+    if len(C) != m:
+        raise VerificationFailed("cyclic-closure", witness=(g, m, len(C)))
     Q2, proj2, reps2 = Q.quotient(C)
     gens2, orders2, exps2 = _cyclic_decomposition(Q2)
     lifted = []
     for gi, mi in zip(gens2, orders2):
         h = int(reps2[gi])
         t = powers[Q.power_of(h, mi)]
-        assert t % mi == 0, "maximal-order peeling broke divisibility"
+        if t % mi:
+            raise VerificationFailed("peeling-divisibility", witness=(h, mi, t))
         h = int(Q.table[h, Q.power_of(g, (-(t // mi)) % m)])
-        assert Q.order_of(h) == mi
+        if Q.order_of(h) != mi:
+            raise VerificationFailed("peeling-order", witness=(h, mi, Q.order_of(h)))
         lifted.append(h)
     gens = [g] + lifted
     orders_out = [m] + list(orders2)
@@ -502,13 +629,15 @@ def _cyclic_decomposition(Q):
         y = x
         for h, a, mi in zip(lifted, rest, orders2):
             y = int(Q.table[y, Q.power_of(h, (-int(a)) % mi)])
-        assert y in powers, "coordinate peeling left the cyclic part"
+        if y not in powers:
+            raise VerificationFailed("peeling-cyclic-part", witness=(x, y))
         exps[x] = [powers[y]] + [int(a) for a in rest]
         # reconstruction check: the coordinates really multiply back to x
         z = Q.power_of(g, int(exps[x, 0]))
         for h, a in zip(lifted, exps[x, 1:]):
             z = int(Q.table[z, Q.power_of(h, int(a))])
-        assert z == x
+        if z != x:
+            raise VerificationFailed("peeling-reconstruction", witness=(x, z))
     return gens, orders_out, exps
 
 
@@ -519,18 +648,20 @@ def linear_characters(group):
     Q, proj, _ = Tg.quotient(K)
     gens, orders, exps = _cyclic_decomposition(Q)
     E = math.lcm(1, *orders) if orders else 1
-    classes = group.conjugacy_classes()
-    rep_q = [int(proj[int(c[0])]) for c in classes]
+    basis = _power_basis(group.exponent())
+    if basis.e % E:
+        raise VerificationFailed("abelianization-exponent", witness=(E, basis.e))
+    rep_exps = exps[proj[group.class_reps()]]
     chars = []
     for tup in itertools.product(*(range(m) for m in orders)):
-        weights = [tup_i * (E // m) for tup_i, m in zip(tup, orders)]
-        values = []
-        for k in rep_q:
-            t = sum(w * int(a) for w, a in zip(weights, exps[k])) % E
-            values.append(Cyclotomic.zeta(E, t))
-        chars.append(ClassFunction(group, values))
-    assert len(chars) == Q.order
-    assert len(set(chars)) == Q.order
+        weights = np.array([tup_i * (E // m) for tup_i, m in zip(tup, orders)], dtype=np.int64)
+        # the value on class k is zeta_E^t = zeta_e^(t e/E)
+        t = (rep_exps @ weights) % E
+        chars.append(ClassFunction._of(group, basis.zeta[t * (basis.e // E)]))
+    if len(chars) != Q.order:
+        raise VerificationFailed("linear-count", witness=(len(chars), Q.order))
+    if len(set(chars)) != Q.order:
+        raise VerificationFailed("linear-distinct", witness=(len(set(chars)), Q.order))
     return chars
 
 
@@ -545,15 +676,16 @@ def induce(rho, H):
     Hg, emb, _ = H.std_group
     if rho.group is not Hg:
         raise TypeError("character does not live on the subgroup's standalone copy")
-    classes = G.conjugacy_classes()
-    sums = [CYC_ZERO] * len(classes)
-    for a in range(Hg.order):
-        k = int(G.class_of[int(emb[a])])
-        sums[k] = sums[k] + rho.values[int(Hg.class_of[a])]
-    values = [
-        s * Fraction(G.order, H.order * len(c)) for s, c in zip(sums, classes)
-    ]
-    return ClassFunction(G, values)
+    basis = _power_basis(G.exponent())
+    _guard("induction", Hg.order, _maxabs(rho.coeffs), G.order)
+    sums = np.zeros((len(G.class_sizes), rho.coeffs.shape[1]), dtype=np.int64)
+    np.add.at(sums, G.class_of[emb], rho.coeffs[Hg.class_of])
+    num = basis.embed(sums, Hg.exponent()) * G.order
+    den = (H.order * G.class_sizes)[:, None]
+    bad = np.nonzero((num % den).any(axis=1))[0]
+    if len(bad):
+        raise VerificationFailed("induced-integrality", witness=int(bad[0]))
+    return ClassFunction._of(G, num // den)
 
 
 def restrict(chi, H):
@@ -562,9 +694,9 @@ def restrict(chi, H):
     if chi.group is not G:
         raise TypeError("character lives on a different group")
     Hg, emb, _ = H.std_group
-    return ClassFunction(
-        Hg,
-        tuple(chi.value_at_index(int(emb[int(c[0])])) for c in Hg.conjugacy_classes()),
+    rows = chi.coeffs[G.class_of[emb[Hg.class_reps()]]]
+    return ClassFunction._of(
+        Hg, chi._basis().descend(rows, Hg.exponent(), "restriction-field")
     )
 
 
@@ -585,6 +717,9 @@ def mackey_irreducible(rho, H):
         return by_inner
     Hg, emb, sub_of = H.std_group
     T, inv = G.table, G.group.inv
+    # one id per distinct value row of rho, read on every element of H
+    _, vid = np.unique(rho.coeffs, axis=0, return_inverse=True)
+    on_h = vid.reshape(-1)[Hg.class_of]
     seen = np.zeros(G.order, dtype=bool)
     seen[H.indices] = True
     moved_everywhere = True
@@ -592,15 +727,8 @@ def mackey_irreducible(rho, H):
         if seen[g]:
             continue
         seen[T[g, H.indices]] = True  # one representative per coset is enough
-        gi = int(inv[g])
-        moves = False
-        for a in range(Hg.order):
-            h_amb = int(emb[a])
-            conj_amb = int(T[T[gi, h_amb], g])
-            if rho.values[int(Hg.class_of[sub_of[conj_amb]])] != rho.values[int(Hg.class_of[a])]:
-                moves = True
-                break
-        if not moves:
+        conj = sub_of[T[T[int(inv[g]), emb], g]]  # g^-1 h g for every h in H
+        if (on_h[conj] == on_h).all():
             moved_everywhere = False
             break
     if by_inner != moved_everywhere:
@@ -615,14 +743,20 @@ def scalar_character_on(chi, H):
     """If chi is a multiple of a single linear character on the subgroup H,
     return {ambient index: value}; otherwise None."""
     d = chi.degree_int()
-    out = {}
-    scale = Fraction(1, d)
-    for n in H.indices:
-        v = chi.value_at_index(int(n)) * scale
-        if v * v.conj() != 1:
-            return None
-        out[int(n)] = v
-    return out
+    basis = chi._basis()
+    G = chi.group
+    cls = G.class_of[H.indices]
+    ks = np.unique(cls)
+    rows = chi.coeffs[ks]
+    # |chi(h)|^2 = d^2 on every class that meets H
+    _guard("scalar test", _maxabs(rows) ** 2, basis.phi ** 2, basis.zmax)
+    norms = np.einsum("ku,kv,uvw->kw", rows, rows, basis.herm)
+    expect = np.zeros(basis.phi, dtype=np.int64)
+    expect[0] = d * d
+    if not (norms == expect).all():
+        return None
+    scaled = {int(k): basis.value(row, d) for k, row in zip(ks, rows)}
+    return {n: scaled[k] for n, k in zip(H.indices.tolist(), cls.tolist())}
 
 
 def scalar_on(chi, H):

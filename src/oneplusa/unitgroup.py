@@ -266,6 +266,8 @@ class UnitGroup:
         self._group = None
         self._classes = None
         self._class_of = None
+        self._class_sizes = None
+        self._exponent = None
         self._generators = None
 
     # -- index <-> element ----------------------------------------------------
@@ -391,6 +393,7 @@ class UnitGroup:
             self._class_of = np.empty(self.order, dtype=np.int64)
             for t, c in enumerate(classes):
                 self._class_of[c] = t
+            self._class_sizes = np.array([len(c) for c in classes], dtype=np.int64)
         return self._classes
 
     @property
@@ -398,14 +401,21 @@ class UnitGroup:
         self.conjugacy_classes()
         return self._class_of
 
+    @property
+    def class_sizes(self):
+        self.conjugacy_classes()
+        return self._class_sizes
+
     def class_reps(self):
         return [int(c[0]) for c in self.conjugacy_classes()]
 
     def exponent(self):
-        e = 1
-        for r in self.class_reps():
-            e = math.lcm(e, self.group.order_of(r))
-        return e
+        if self._exponent is None:
+            e = 1
+            for r in self.class_reps():
+                e = math.lcm(e, self.group.order_of(r))
+            self._exponent = e
+        return self._exponent
 
     def center_indices(self):
         return np.array(

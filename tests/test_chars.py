@@ -30,6 +30,7 @@ from oneplusa.chars import (
     scalar_on,
     trivial_character,
 )
+from oneplusa.errors import VerificationFailed
 from oneplusa.exactfield import Cyclotomic, gf
 from oneplusa.nilalg import free_nilpotent, strictly_upper_triangular, FieldRing, Subspace
 from oneplusa.unitgroup import Subgroup, UnitGroup, power_subgroup
@@ -284,6 +285,106 @@ def test_mackey_criteria_agree_on_normal_subgroups():
     Hg, _, _ = H.std_group
     for rho in linear_characters(Hg):
         mackey_irreducible(rho, H)  # raises if the two criteria disagree
+
+
+# -- the array path against the per-value Cyclotomic formulas ------------------
+
+
+def ref_inner(G, a_vals, b_vals):
+    total = Cyclotomic.rational(0)
+    for c, x, y in zip(G.conjugacy_classes(), a_vals, b_vals):
+        total = total + x * y.conj() * len(c)
+    return total * Fraction(1, G.order)
+
+
+def ref_induce(rho, H):
+    G = H.group
+    Hg, emb, _ = H.std_group
+    classes = G.conjugacy_classes()
+    sums = [Cyclotomic.rational(0)] * len(classes)
+    for a in range(Hg.order):
+        k = int(G.class_of[int(emb[a])])
+        sums[k] = sums[k] + rho.values[int(Hg.class_of[a])]
+    return tuple(s * Fraction(G.order, H.order * len(c)) for s, c in zip(sums, classes))
+
+
+def ref_restrict(chi, H):
+    Hg, emb, _ = H.std_group
+    return tuple(chi.value_at_index(int(emb[int(c[0])])) for c in Hg.conjugacy_classes())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ul_group(3, 4),
+        lambda: free_group(2, 2, 3),
+        lambda: ul_group(4, 2),
+        # cyclic-by-cyclic groups of exponent 9 and 8, whose subgroups of
+        # exponent 3 and 4 restrict through a stride that is not trivial
+        lambda: free_group(3, 1, 4),
+        lambda: free_group(2, 1, 5),
+    ],
+    ids=["ul(3,4)", "free(2,2,3)", "ul(4,2)", "free(3,1,4)", "free(2,1,5)"],
+)
+def test_array_path_matches_cyclotomic_formulas(make):
+    G = make()
+    A = G.algebra
+    chars = character_table(G).chars
+    e = G.exponent()
+    # every ordered pair, the second twisted by a root of unity so that the
+    # products are not all real
+    for i, a in enumerate(chars):
+        for j, b in enumerate(chars):
+            z = Cyclotomic.zeta(e, i + 2 * j)
+            assert a.inner(b * z) == ref_inner(G, a.values, [v * z for v in b.values])
+    # 1 + A^m down to the trivial group, through smaller exponents, and
+    # 1 + (span{b_0} + A^2), whose embedding is not the identity on indices
+    top = [A.basis_element(0)]
+    top += [A.basis_element(i) for i, d in enumerate(A.graded_degrees) if d >= 2]
+    subgroups = [power_subgroup(G, m) for m in range(1, A.nilpotency_index + 1)]
+    subgroups.append(Subgroup.from_subspace(G, Subspace.from_vectors(A, top)))
+    exponents = set()
+    for H in subgroups:
+        Hg, _, _ = H.std_group
+        exponents.add(Hg.exponent())
+        for chi in chars:
+            assert restrict(chi, H).values == ref_restrict(chi, H)
+        for rho in character_table(Hg).chars:
+            assert rho.inner(rho) == ref_inner(Hg, rho.values, rho.values)
+            assert induce(rho, H).values == ref_induce(rho, H)
+    assert 1 in exponents and len(exponents) > 2
+
+
+def test_inner_overflow_guard():
+    G = ul_group(3, 2)
+    r = len(G.conjugacy_classes())
+    big = ClassFunction(G, [Cyclotomic.rational(2 ** 40)] * r)
+    with pytest.raises(RuntimeError, match="overflow guard"):
+        big.inner(big)
+    # just inside the bound the contraction is still exact
+    near = ClassFunction(G, [Cyclotomic.zeta(4) * 2 ** 27] * r)
+    assert near.inner(near) == ref_inner(G, near.values, near.values) == 2 ** 54
+
+
+def test_restrict_rejects_values_outside_the_subfield():
+    G = ul_group(3, 4)
+    Z = power_subgroup(G, 2)
+    Hg, _, _ = Z.std_group
+    assert (G.exponent(), Hg.exponent()) == (4, 2)
+    f = ClassFunction(G, [Cyclotomic.zeta(4)] * len(G.conjugacy_classes()))
+    with pytest.raises(VerificationFailed) as err:
+        restrict(f, Z)
+    assert err.value.stage == "restriction-field"
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), Cyclotomic.zeta(3), Cyclotomic.zeta(8)], ids=str
+)
+def test_class_function_values_must_lie_in_the_ring(value):
+    G = ul_group(3, 2)  # exponent 4: values live in Z[i]
+    with pytest.raises(VerificationFailed) as err:
+        ClassFunction(G, [value] * len(G.conjugacy_classes()))
+    assert err.value.stage == "value-integrality"
 
 
 # -- serialization ---------------------------------------------------------------

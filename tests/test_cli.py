@@ -151,6 +151,24 @@ def test_identities_suite_reports_pairing_failure(monkeypatch, capsys):
     assert "falsified" in err and "pairing-bilinear" in err
 
 
+def test_decompose_overflow_guard_is_not_a_usage_error(monkeypatch, capsys):
+    # the int64 guard raises RuntimeError, which the CLI must not report as
+    # a usage error (exit 2): it surfaces as a traceback
+    from oneplusa import chars
+
+    real = chars.ClassFunction.inner
+
+    def guarded(self, other):
+        if self.group.algebra.dim < 3:  # the constituent scan on 1 + A_1
+            chars._guard("inner product", 2 ** 40, 2 ** 40)
+        return real(self, other)
+
+    monkeypatch.setattr(chars.ClassFunction, "inner", guarded)
+    with pytest.raises(RuntimeError, match="overflow guard"):
+        cli.main(["decompose", "ul(3,2)"])
+    assert "error:" not in capsys.readouterr().err
+
+
 def test_unknown_target_exits_two(capsys):
     code, _, err = run(capsys, "show", "nope(9,9)")
     assert code == 2

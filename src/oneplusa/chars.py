@@ -6,8 +6,11 @@ omega_k = n_k chi(g_k) / chi(1) are simultaneous eigenvectors of the class
 multiplication matrices; over F_ell with ell = 1 mod exponent(G) and
 ell > 2 sqrt(|G|) the eigenspaces split the class algebra into r lines,
 and the actual character values are recovered from the mod-ell data by a
-discrete Fourier transform over power maps.  Everything after recovery is
-verified by exact orthogonality over Q(zeta_e).
+discrete Fourier transform over power maps.  The split visits the class
+matrices in order with every live eigenspace stacked into one product;
+the products run through float64 BLAS on integers mod ell, exact under a
+checked bound (k (ell-1)^2 < 2^53, RuntimeError otherwise).  Everything
+after recovery is verified by exact orthogonality over Q(zeta_e).
 
 Class functions are integer arrays: every group here is a p-group, so the
 exponent e is a prime power and every character value lies in Z[zeta_e].
@@ -41,47 +44,70 @@ from .exactfield import (
 )
 
 # ---------------------------------------------------------------------------
-# dense linear algebra mod ell (small matrices, numpy int64)
+# dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
+# products through float64 BLAS under a checked exactness bound
+
+_FLOAT_EXACT = 2 ** 53  # float64 holds every integer below this exactly
 
 
 def _inv_mod(a, l):
     return pow(int(a), l - 2, l)
 
 
+def _matmul_mod(a, b, l):
+    """a @ b mod l as int64, computed in float64 through BLAS.  The operands
+    are reduced mod l, so every dot product is a sum of k terms below
+    (l-1)^2; while k (l-1)^2 < 2^53 all partial sums are exact integers.
+    Both operands are copied to C order: BLAS on a transposed operand can
+    be orders of magnitude slower at these sizes."""
+    k = a.shape[-1]
+    if k * (l - 1) ** 2 >= _FLOAT_EXACT:
+        raise RuntimeError(
+            f"float64 exactness guard in a mod-{l} product: "
+            f"{k} * {l - 1}^2 >= 2^53"
+        )
+    fa = np.ascontiguousarray(a % l, dtype=np.float64)
+    fb = np.ascontiguousarray(b % l, dtype=np.float64)
+    return (fa @ fb).astype(np.int64) % l
+
+
 def _rref_mod(M, l):
-    M = M.copy() % l
+    """Reduced row echelon form mod l and its pivot columns.  Each pivot
+    clears its column in every other row in one array update; only the
+    pivot row and column are reduced on the way, the rest once at the end.
+    Every update adds less than (l-1)^2 to an entry, hence the guard."""
+    M = M % l
     rows, cols = M.shape
+    _guard("row reduction mod ell", l + min(rows, cols) * (l - 1) ** 2)
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        col = M[r:, c] % l
+        nz = np.nonzero(col)[0]
         if len(nz) == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             M[[r, p]] = M[[p, r]]
-        M[r] = (M[r] * _inv_mod(M[r, c], l)) % l
-        other = np.nonzero(M[:, c])[0]
-        for t in other:
-            if t != r:
-                M[t] = (M[t] - M[t, c] * M[r]) % l
+        M[r, c:] = (M[r, c:] % l) * _inv_mod(col[nz[0]], l) % l
+        f = M[:, c] % l
+        f[r] = 0
+        M[:, c:] -= f[:, None] * M[r, c:]
         pivots.append(c)
         r += 1
-    return M[:r], pivots
+    return M[:r] % l, pivots
 
 
 def _nullspace_mod(M, l):
     """Rows spanning {v : M v = 0 mod l}."""
     R, pivots = _rref_mod(M, l)
     cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.setdiff1d(np.arange(cols), pivots)
     out = np.zeros((len(free), cols), dtype=np.int64)
-    for t, f in enumerate(free):
-        out[t, f] = 1
-        for rr, pc in enumerate(pivots):
-            out[t, pc] = (-R[rr, f]) % l
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = (-R[:, free].T) % l
     return out
 
 
@@ -171,6 +197,55 @@ def _choose_prime(order, exponent):
         if is_prime(l) and order % l != 0:
             return l
         l += exponent
+
+
+def _split_class_algebra(matrices, r, l):
+    """Split F_ell^r into common left eigenlines of the class matrices,
+    taken in order (each transposed: N[k, j] = a_ijk), and return one
+    vector per line.  A live block is a subspace in reduced row echelon
+    form, invariant under every matrix seen so far; each matrix restricts
+    to R on it, and the eigenspaces of R become the next blocks.  All live
+    blocks meet a matrix in one stacked product.  A block on which R is
+    scalar is kept as it is; every block is still checked to be invariant
+    (RuntimeError otherwise: the matrices do not commute)."""
+    live = [np.eye(r, dtype=np.int64)]
+    done = []
+    for N in matrices:
+        if not live:
+            break
+        SN = _matmul_mod(np.concatenate(live), N, l)
+        nxt = []
+        start = 0
+        for B in live:
+            BN = SN[start:start + len(B)]
+            start += len(B)
+            # B is in RREF, so the coordinates of BN in B are its pivot columns
+            R = BN[:, (B != 0).argmax(axis=1)]
+            lam = int(R[0, 0])
+            eye = np.eye(len(B), dtype=np.int64)
+            if (R == lam * eye).all():
+                if not (BN == (lam * B) % l).all():
+                    raise RuntimeError("class-matrix restriction left the subspace")
+                nxt.append(B)
+                continue
+            if not (_matmul_mod(R, B, l) == BN).all():
+                raise RuntimeError("class-matrix restriction left the subspace")
+            for lam in _eigenvalues_mod(R, l):
+                K = _nullspace_mod((R.T - lam * eye) % l, l)
+                rows, _ = _rref_mod(_matmul_mod(K, B, l), l)
+                if rows.shape[0] == 1:
+                    done.append(rows[0])
+                elif rows.shape[0] > 1:
+                    nxt.append(rows)
+        live = nxt
+    if live:
+        raise RuntimeError(
+            f"class algebra did not split over F_{l}; subspaces left: "
+            f"{[b.shape[0] for b in live]}"
+        )
+    if len(done) != r:
+        raise RuntimeError(f"class algebra split into {len(done)} lines, expected {r}")
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +513,11 @@ class CharacterTable:
     def to_json(self):
         G = self.group
         classes = G.conjugacy_classes()
+        # one JSON value per distinct coefficient row, shared by its cells
+        X = np.stack([ch.coeffs for ch in self.chars])
+        rows, ids = np.unique(X.reshape(-1, X.shape[2]), axis=0, return_inverse=True)
+        basis = _power_basis(G.exponent())
+        cells = [basis.value(row).to_json() for row in rows]
         return {
             "group_order": G.order,
             "field": G.field.descriptor(),
@@ -447,7 +527,7 @@ class CharacterTable:
             "class_reps": [list(G.coords_of_index(int(c[0]))) for c in classes],
             "exponent": G.exponent(),
             "degrees": self.degrees,
-            "values": [[v.to_json() for v in ch.values] for ch in self.chars],
+            "values": [[cells[t] for t in row] for row in ids.reshape(X.shape[:2]).tolist()],
             "oracle": self.meta,
         }
 
@@ -503,35 +583,7 @@ def character_table(group):
             )
         return (counts // sizes[None, :]).T % l
 
-    # split the class algebra into common eigenlines over F_ell
-    live = [np.eye(r, dtype=np.int64)]
-    done = []
-    for i in range(1, r):
-        if not live:
-            break
-        N = class_matrix_T(i)
-        nxt = []
-        for B in live:
-            BN = (B @ N) % l
-            pivots = [int(np.nonzero(row)[0][0]) for row in B]
-            R = BN[:, pivots]
-            if not ((R @ B) % l == BN).all():
-                raise RuntimeError("class-matrix restriction left the subspace")
-            for lam in _eigenvalues_mod(R, l):
-                K = _nullspace_mod((R.T - lam * np.eye(R.shape[0], dtype=np.int64)) % l, l)
-                rows, _ = _rref_mod((K @ B) % l, l)
-                if rows.shape[0] == 1:
-                    done.append(rows[0])
-                elif rows.shape[0] > 1:
-                    nxt.append(rows)
-        live = nxt
-    if live:
-        raise RuntimeError(
-            f"class algebra did not split over F_{l}; subspaces left: "
-            f"{[b.shape[0] for b in live]}"
-        )
-    if len(done) != r:
-        raise RuntimeError(f"class algebra split into {len(done)} lines, expected {r}")
+    done = _split_class_algebra((class_matrix_T(i) for i in range(1, r)), r, l)
 
     # inverse-class pairing and power-map classes for the Fourier lift
     inv = group.group.inv

@@ -239,6 +239,7 @@ class FiniteField:
         self._add_table = None
         self._mul_table = None
         self._inv_table = None
+        self._neg_table = None
 
     # -- index-level arithmetic (used by the algebra layer) -----------------
 
@@ -276,6 +277,7 @@ class FiniteField:
         for i in range(1, q):
             inv[i] = self._pow_idx(i, q - 2)
         self._inv_table = inv
+        self._neg_table = [self._neg_by_coeffs(i) for i in range(q)]
 
     def add_idx(self, i, j):
         self._ensure_tables()
@@ -285,10 +287,15 @@ class FiniteField:
         s = tuple((a + b) % p for a, b in zip(self._coeffs(i), self._coeffs(j)))
         return self._index_of(s)
 
-    def neg_idx(self, i):
+    def _neg_by_coeffs(self, i):
         p = self.p
-        s = tuple((-a) % p for a in self._coeffs(i))
-        return self._index_of(s)
+        return self._index_of(tuple((-a) % p for a in self._coeffs(i)))
+
+    def neg_idx(self, i):
+        self._ensure_tables()
+        if self._neg_table is not None:
+            return self._neg_table[i]
+        return self._neg_by_coeffs(i)
 
     def sub_idx(self, i, j):
         return self.add_idx(i, self.neg_idx(j))

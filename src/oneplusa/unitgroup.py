@@ -179,22 +179,19 @@ class FiniteGroupTable:
         return bool((self.table == self.table.T).all())
 
     def subgroup_closure(self, gens):
-        """Sorted indices of the subgroup generated by gens."""
-        members = {0}
-        members.update(int(g) for g in gens)
-        frontier = sorted(members)
-        while frontier:
-            base = np.fromiter(members, dtype=np.int64)
-            f = np.asarray(frontier, dtype=np.int64)
-            prods = np.unique(
-                np.concatenate([
-                    self.table[np.ix_(base, f)].ravel(),
-                    self.table[np.ix_(f, base)].ravel(),
-                ])
-            )
-            frontier = [int(x) for x in prods if x not in members]
-            members.update(frontier)
-        return np.array(sorted(members), dtype=np.int64)
+        """Sorted indices of the subgroup generated by gens: breadth-first
+        right multiplication by the generators, starting at the identity.
+        In a finite group the products of generators already form the
+        subgroup, so inverses and left products are never needed."""
+        gens = np.unique(np.fromiter(gens, dtype=np.int64))
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while len(frontier):
+            prods = np.unique(self.table[np.ix_(frontier, gens)])
+            frontier = prods[~seen[prods]]
+            seen[frontier] = True
+        return np.nonzero(seen)[0]
 
     def commutator_values(self, left=None, right=None):
         """Unique values of [x, y] = x^-1 y^-1 x y for x in left, y in right."""

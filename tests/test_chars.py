@@ -7,6 +7,7 @@ on the 8-element group U(3, 2) (dihedral of order 8).
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,10 @@ from oneplusa.chars import (
     _eigenvalues_mod,
     _hessenberg_mod,
     _choose_prime,
+    _matmul_mod,
+    _nullspace_mod,
+    _rref_mod,
+    _split_class_algebra,
     character_table,
     frobenius_reciprocity_holds,
     induce,
@@ -75,6 +80,94 @@ def test_hessenberg_similarity():
         dM = _det_mod_bruteforce((M - lam * np.eye(6, dtype=np.int64)) % l, l)
         dH = _det_mod_bruteforce((H - lam * np.eye(6, dtype=np.int64)) % l, l)
         assert dM == dH
+
+
+def _rref_reference(M, l):
+    # textbook Gauss-Jordan on Python ints
+    M = [[int(x) % l for x in row] for row in M]
+    rows, cols = len(M), len(M[0]) if M else 0
+    pivots, r = [], 0
+    for c in range(cols):
+        p = next((t for t in range(r, rows) if M[t][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        inv = pow(M[r][c], l - 2, l)
+        M[r] = [x * inv % l for x in M[r]]
+        for t in range(rows):
+            if t != r and M[t][c]:
+                f = M[t][c]
+                M[t] = [(x - f * y) % l for x, y in zip(M[t], M[r])]
+        pivots.append(c)
+        r += 1
+    return M[:r], pivots
+
+
+def test_rref_and_nullspace_match_reference():
+    rng = np.random.default_rng(5)
+    for l in (5, 61, 193):
+        for rows, cols, rank in [(1, 1, 0), (4, 7, 2), (7, 4, 3), (12, 12, 12), (30, 20, 9)]:
+            M = (rng.integers(0, l, size=(rows, rank))
+                 @ rng.integers(0, l, size=(rank, cols))) % l
+            M[:, rng.integers(0, cols)] = 0  # a column with no pivot
+            R, pivots = _rref_mod(M, l)
+            want, want_pivots = _rref_reference(M, l)
+            assert pivots == want_pivots
+            assert R.tolist() == want
+            K = _nullspace_mod(M, l)
+            assert K.shape == (cols - len(pivots), cols)
+            assert not ((M @ K.T) % l).any()
+            assert len(_rref_mod(K, l)[1]) == K.shape[0]
+
+
+def test_matmul_mod_is_the_exact_product():
+    rng = np.random.default_rng(3)
+    for l in (2, 61, 1201, 2 ** 20 + 7):
+        a = rng.integers(0, l, size=(9, 13))
+        b = rng.integers(0, l, size=(13, 6))
+        want = (a.astype(object) @ b.astype(object)) % l
+        for x in (a, np.asfortranarray(a), a - l):
+            for y in (b, np.asfortranarray(b), b.T.copy().T):
+                got = _matmul_mod(x, y, l)
+                assert got.dtype == np.int64
+                assert (got == want).all()
+    # the largest entries a k = 3 product may hold: 3 (l-1)^2 < 2^53
+    l = math.isqrt(2 ** 53 // 3)
+    a = np.full((2, 3), l - 1, dtype=np.int64)
+    assert (_matmul_mod(a, a.T, l) == (3 * (l - 1) ** 2) % l).all()
+
+
+def test_matmul_mod_exactness_guard():
+    l = 2 ** 26 + 1  # (l-1)^2 = 2^52
+    one = np.ones((1, 1), dtype=np.int64)
+    assert _matmul_mod(one, one, l)[0, 0] == 1  # k = 1: 2^52 < 2^53
+    two = np.ones((1, 2), dtype=np.int64)
+    with pytest.raises(RuntimeError, match="exactness"):
+        _matmul_mod(two, two.T, l)  # k = 2: 2^53 is not below the bound
+    with pytest.raises(RuntimeError, match="exactness"):
+        _matmul_mod(np.ones((1, 3)), np.ones((3, 1)), l)
+
+
+def test_split_rejects_non_commuting_matrices():
+    l = 5
+    # the first matrix leaves the block span{e0, e1} live and splits off e2
+    first = np.diag([1, 1, 2])
+    # scalar on the block's pivot columns but moving e0 out of the block:
+    # caught by the fast path's elementwise invariance check
+    scalar_but_not_invariant = np.eye(3, dtype=np.int64)
+    scalar_but_not_invariant[0, 2] = 1
+    # not scalar on the block, and e0 N leaves the block too: caught by the
+    # general path's R B == B N check
+    general = np.array([[1, 1, 1], [0, 2, 0], [0, 0, 3]])
+    for second in (scalar_but_not_invariant, general):
+        assert (first @ second != second @ first).any()
+        with pytest.raises(RuntimeError, match="left the subspace"):
+            _split_class_algebra(iter([first, second]), 3, l)
+    # commuting matrices: one line per common eigenvector
+    lines = _split_class_algebra(iter([first, np.diag([1, 3, 3])]), 3, l)
+    assert sorted(tuple(v.tolist()) for v in lines) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    with pytest.raises(RuntimeError, match="did not split"):
+        _split_class_algebra(iter([first]), 3, l)
 
 
 def test_prime_choice():

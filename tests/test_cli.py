@@ -1,5 +1,6 @@
 """Command-line behavior: targets, formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -62,6 +63,31 @@ def test_chartable_json(capsys):
     tab = json.loads(out)
     assert sorted(tab["degrees"]) == [1] * 9 + [3, 3]
     assert tab["group_order"] == 27
+
+
+# sha256 of `--no-gutkin chartable NAME` (JSON) for the catalog targets
+CHARTABLE_SHA256 = {
+    "ul(3,2)": "43181cbb79246129ae20577ab3ec3f7224d7f688f6784d69d193dc0f3d05f680",
+    "ul(3,3)": "6f1f595faa9db0791a939845f1ba0a6afd62179ffe17441fd8471446428a6ed4",
+    "ul(3,4)": "30e33baf7b7bc04d5e93970ab97000581d49982ded6a3ea4ecaf7771e582ddf8",
+    "ul(4,2)": "88da84d2dfc678cbe77b9c0931e0e1165612ccd42156ee0a08844b0478a881c3",
+    "free(2,2,3)": "0bcbe029ec969deb2b0d691ef8d01a4087fe8aaff3f57b37fa24827787965499",
+    "free(3,2,3)": "367128e8a4184a205fe5aa86859882e5d2e608afeace9e7c622bb8161c3cb819",
+}
+
+
+def test_chartable_pins_cover_the_catalog():
+    from oneplusa.catalog import BUILTIN
+
+    small = {e.name for e in BUILTIN if e.summary()["group_order"] <= 729}
+    assert small == set(CHARTABLE_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTABLE_SHA256))
+def test_chartable_report_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "--no-gutkin", "chartable", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[name]
 
 
 def test_chartable_csv(capsys):

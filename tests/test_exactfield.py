@@ -95,6 +95,20 @@ def test_field_order_cap():
         FiniteField(2, 17)
 
 
+@pytest.mark.parametrize("q", [2, 4, 9, 25, 3 ** 7])
+def test_negation_and_subtraction_match_coefficients(q):
+    # tabled fields read negation from a table; past FIELD_TABLE_CAP
+    # (3^7 here) it is computed from the coefficients
+    F = gf(q)
+    p = F.p
+    for x in F.elements if q < 100 else F.elements[::97]:
+        neg = tuple((-a) % p for a in x.coeffs)
+        assert F.elements[F.neg_idx(x.index)].coeffs == neg
+        for y in F.elements if q < 100 else F.elements[::89]:
+            diff = tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
+            assert F.elements[F.sub_idx(x.index, y.index)].coeffs == diff
+
+
 def test_frobenius_is_additive():
     for f in (gf(2, 2), gf(2, 3), gf(3, 2), gf(2, 4), gf(3, 4)):
         p = f.p

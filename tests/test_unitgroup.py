@@ -233,6 +233,30 @@ def test_subgroup_closure_small():
     assert K.order == 8  # e12, e23 generate everything
 
 
+def _fixed_point_closure(T, gens):
+    members = {0, *gens}
+    while True:
+        grown = {int(T[x, y]) for x in members for y in members} | members
+        if grown == members:
+            return sorted(members)
+        members = grown
+
+
+@pytest.mark.parametrize("group", [
+    lambda: ul(3, 4),
+    lambda: UnitGroup(free_nilpotent(FieldRing(gf(2)), 2, 3)),
+])
+def test_subgroup_closure_matches_fixed_point(group):
+    G = group()
+    T = G.table
+    rng = np.random.default_rng(11)
+    for size in (0, 1, 1, 2, 2, 3, 4):
+        gens = [int(g) for g in rng.choice(G.order, size=size, replace=False)]
+        got = G.group.subgroup_closure(gens)
+        assert got.dtype == np.int64
+        assert got.tolist() == _fixed_point_closure(T, gens)
+
+
 def test_unit_elements_over_integers():
     J = free_nilpotent(Z_RING, 2, 4)
     x1, x2 = J.basis_element(0), J.basis_element(1)

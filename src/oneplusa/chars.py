@@ -20,6 +20,11 @@ contractions behind an explicit overflow guard (RuntimeError), with no
 floats.  Cyclotomic objects appear only at the edges: reports, parsing and
 tests read them through a lazy cache keyed by coefficient row.
 
+A linear character of a subgroup H, as the descent consumes it, is an int64
+array of exponents t mod e (value zeta_e^t, e the ambient exponent), one per
+ambient index and -1 off H; only scalar_character_on and linear_exponents
+produce it, through one row-to-exponent lookup in the power basis.
+
 This module deliberately knows nothing about the monomial-certificate
 machinery; it is the independent reference the certificates are checked
 against.
@@ -335,6 +340,15 @@ class _PowerBasis:
             raise VerificationFailed(what, witness=(int(bad[0]), sub_e))
         return np.ascontiguousarray(coeffs[:, ::stride])
 
+    def exponents(self, rows, what, scale=1):
+        """The exponents t with row = scale * zeta^t, one per row; a row that
+        is not scale times a root of unity raises VerificationFailed."""
+        hit = (rows[:, None, :] == scale * self.zeta[None, :, :]).all(axis=2)
+        bad = np.nonzero(~hit.any(axis=1))[0]
+        if len(bad):
+            raise VerificationFailed(what, witness=(int(bad[0]), scale))
+        return hit.argmax(axis=1)
+
 
 @lru_cache(maxsize=None)
 def _power_basis(e):
@@ -548,7 +562,7 @@ class CharacterTable:
 
 def character_table(group):
     """The full table of irreducible complex characters, exact values."""
-    if getattr(group, "_char_table", None) is not None:
+    if group._char_table is not None:
         return group._char_table
 
     classes = group.conjugacy_classes()
@@ -717,6 +731,20 @@ def linear_characters(group):
     return chars
 
 
+def linear_exponents(H):
+    """Every linear character of the subgroup H, in linear_characters
+    order, as one row of exponents t mod e = exponent of the ambient group
+    (value zeta_e^t) per character, over the ambient indices, -1 off H."""
+    Hg, emb, _ = H.std_group
+    basis = _power_basis(H.group.exponent())
+    lins = linear_characters(Hg)
+    rows = basis.embed(np.concatenate([lin.coeffs for lin in lins]), Hg.exponent())
+    on_class = basis.exponents(rows, "linear-root-of-unity").reshape(len(lins), -1)
+    out = np.full((len(lins), H.group.order), -1, dtype=np.int64)
+    out[:, emb] = on_class[:, Hg.class_of]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # induction / restriction through a subgroup with a standalone copy
 
@@ -793,7 +821,8 @@ def mackey_irreducible(rho, H):
 
 def scalar_character_on(chi, H):
     """If chi is a multiple of a single linear character on the subgroup H,
-    return {ambient index: value}; otherwise None."""
+    return that character as exponents t mod e (value zeta_e^t) over the
+    ambient indices, -1 off H; otherwise None."""
     d = chi.degree_int()
     basis = chi._basis()
     G = chi.group
@@ -807,9 +836,8 @@ def scalar_character_on(chi, H):
     expect[0] = d * d
     if not (norms == expect).all():
         return None
-    scaled = {int(k): basis.value(row, d) for k, row in zip(ks, rows)}
-    return {n: scaled[k] for n, k in zip(H.indices.tolist(), cls.tolist())}
-
-
-def scalar_on(chi, H):
-    return scalar_character_on(chi, H) is not None
+    on_class = np.empty(len(G.class_sizes), dtype=np.int64)
+    on_class[ks] = basis.exponents(rows, "scalar-root-of-unity", scale=d)
+    out = np.full(G.order, -1, dtype=np.int64)
+    out[H.indices] = on_class[cls]
+    return out

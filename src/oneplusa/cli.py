@@ -13,7 +13,7 @@ import random
 import sys
 
 from .catalog import BUILTIN, resolve, slug
-from .chars import character_table, linear_characters
+from .chars import character_table, linear_exponents
 from .errors import (
     CapExceeded,
     DivisionByZero,
@@ -188,12 +188,8 @@ def _suite_identities(A, args):
     G = unit_group_of(A, args.cap)
     pairing = []
     for m in range(2, A.nilpotency_index + 1):
-        Hm, emb, _ = power_subgroup(G, m).std_group
         invariant = 0
-        for lin in linear_characters(Hm):
-            zeta = {
-                int(emb[i]): lin.value_at_index(i) for i in range(Hm.order)
-            }
+        for zeta in linear_exponents(power_subgroup(G, m)):
             try:
                 finite_pairing_check(A, m, zeta, cap=args.cap)
                 invariant += 1

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .errors import CapExceeded, DivisionByZero, NotPrime
+from .errors import CapExceeded, DivisionByZero, NotPrime, VerificationFailed
 
 FIELD_ORDER_CAP = 2 ** 16
 FIELD_TABLE_CAP = 512  # build q x q lookup tables only for small fields
@@ -334,10 +334,6 @@ class FiniteField:
             raise ValueError(f"need {self.k} coefficients")
         return self.elements[self._index_of(coeffs)]
 
-    def from_int(self, n):
-        # integers act through the prime field
-        return self.elements[n % self.p]
-
     def descriptor(self):
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
@@ -391,7 +387,8 @@ def trace(a):
     for _ in range(f.k - 1):
         t = t ** f.p
         s = s + t
-    assert all(c == 0 for c in s.coeffs[1:]), "trace landed outside the prime field"
+    if any(s.coeffs[1:]):
+        raise VerificationFailed("trace-prime-field", witness=(a.index, s.coeffs))
     return s.coeffs[0]
 
 
@@ -429,7 +426,8 @@ def cyclotomic_polynomial(n):
                     rem[shift + i] -= factor * dv
                 while rem and rem[-1] == 0:
                     rem.pop()
-            assert not rem
+            if rem:
+                raise VerificationFailed("cyclotomic-division", witness=(n, d))
             num = quot
     return tuple(num)
 
@@ -518,7 +516,8 @@ def _descend_once(order, vec):
         ]
         target = tuple(Fraction(v) for v in vec)
         sol = linalg.solve_combination(basis_rows, target, linalg.rational_ops())
-        assert sol is not None, "Galois-fixed element must lie in the subfield"
+        if sol is None:
+            raise VerificationFailed("galois-fixed-subfield", witness=(order, d, tuple(vec)))
         return (d, [_num(c) for c in sol])
     return None
 
@@ -567,14 +566,6 @@ class Cyclotomic:
 
     def is_zero(self):
         return self.order == 1 and self.coeffs[0] == 0
-
-    def is_rational(self):
-        return self.order == 1
-
-    def rational_value(self):
-        if self.order != 1:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.coeffs[0])
 
     def _terms(self):
         return {e: c for e, c in enumerate(self.coeffs) if c != 0}
@@ -677,11 +668,6 @@ class Cyclotomic:
     def __hash__(self):
         return hash((self.order, tuple(Fraction(c) for c in self.coeffs)))
 
-    def sort_key(self, n=None):
-        """Total order key; comparable across values embedded in Q(zeta_n)."""
-        n = n or self.order
-        return self.embed_vec(n)
-
     # -- rendering ---------------------------------------------------------------
 
     def __str__(self):
@@ -717,7 +703,3 @@ class Cyclotomic:
 @lru_cache(maxsize=None)
 def _zeta_cached(order, power):
     return Cyclotomic.from_terms(order, {power: 1})
-
-
-CYC_ZERO = Cyclotomic(1, (0,))
-CYC_ONE = Cyclotomic(1, (1,))

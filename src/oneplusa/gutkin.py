@@ -15,6 +15,11 @@ then only has to be checked to be a character of Q.  Violations surface as
 VerificationFailed with a witness, so the module doubles as a falsification
 harness for the theorem it implements.
 
+Linear characters (zeta, its extensions to 1 + U, the pairing values, the
+additive character psi) are int64 exponent arrays in the chars format:
+t stands for zeta_e^t (zeta_p^t for psi), compared and multiplied mod e.
+Cyclotomic values are built only in GutkinStep.to_json and PairingTable.value.
+
 find_polarization is the companion construction for linear functionals: a
 subalgebra isotropic for the commutator form f(xy - yx), of dimension
 dim A - rank/2.
@@ -31,7 +36,7 @@ from .chars import (
     ClassFunction,
     character_table,
     induce,
-    linear_characters,
+    linear_exponents,
     mackey_irreducible,
     restrict,
     scalar_character_on,
@@ -54,6 +59,7 @@ from .unitgroup import (
     DEFAULT_GROUP_CAP,
     Subgroup,
     UnitGroup,
+    combine,
     commutator_subgroup,
     digits,
     field_tables,
@@ -130,7 +136,8 @@ class QuotientSpace:
 
 def minimal_scalar_level(chi):
     """Smallest m >= 1 such that chi acts by scalars on 1 + A^m, together
-    with the central character zeta as {group index: value}.
+    with the central character zeta as exponents mod e over the group
+    indices (see scalar_character_on).
 
     m = 1 exactly when chi is linear, and m always exists because 1 + A^n is
     trivial at the nilpotency index n.  Conjugation invariance of zeta is
@@ -163,9 +170,7 @@ def quotient_pairing(group, m):
     all_coords order)."""
     if m < 2:
         raise ValueError("the pairing needs m >= 2")
-    cache = getattr(group, "_quotient_pairing_cache", None)
-    if cache is None:
-        cache = group._quotient_pairing_cache = {}
+    cache = group._quotient_pairings
     if m in cache:
         return cache[m]
 
@@ -253,53 +258,58 @@ def quotient_pairing(group, m):
 
 
 def quotient_character(group, m, zeta):
-    """zeta, given on 1+A^m as {group index: value}, as a list over the
-    indices of Q = (1+A^m)/(1+A, 1+A^m), after checking that it is a
-    character of Q: constant on the cosets of (1+A, 1+A^m) (for a character
-    of 1+A^m, exactly conjugation invariance), zeta(1) = 1, and
+    """zeta, given on 1+A^m as exponents mod e = group.exponent() over the
+    ambient indices, as an array over the indices of
+    Q = (1+A^m)/(1+A, 1+A^m), after checking that it is a character of Q:
+    constant on the cosets of (1+A, 1+A^m) (for a character of 1+A^m,
+    exactly conjugation invariance), zeta(1) = 1, and
     zeta(a g) = zeta(a) zeta(g) for every a in Q and every g in a generating
     set of Q, which is enough in a finite group."""
     data = quotient_pairing(group, m)
-    to_q = data["to_q"]
-    n = data["Q"].order
-    vals, where = [None] * n, [None] * n
-    for s in data["Sm"].indices.tolist():
-        t = int(to_q[s])
-        if where[t] is None:
-            vals[t], where[t] = zeta[s], s
-        elif zeta[s] != vals[t]:
-            raise NotInvariant((where[t], s))
-    if vals[0] != 1:
+    e = group.exponent()
+    s = data["Sm"].indices
+    z = zeta[s]
+    t = data["to_q"][s]
+    _, first = np.unique(t, return_index=True)  # Q index -> first s in its coset
+    vals, where = z[first], s[first]
+    bad = np.nonzero(z != vals[t])[0]
+    if len(bad):
+        raise NotInvariant((int(where[t[bad[0]]]), int(s[bad[0]])))
+    if vals[0] != 0:
         raise VerificationFailed("zeta-identity", witness=0)
-    QT = data["Q"].table
-    for a in range(n):
-        for g in data["gens"]:
-            if vals[int(QT[a, g])] != vals[a] * vals[g]:
-                raise VerificationFailed(
-                    "zeta-multiplicative", witness=(where[a], where[g])
-                )
+    gens = np.array(data["gens"], dtype=np.int64)
+    prods = vals[data["Q"].table[:, gens]]
+    bad = np.argwhere(prods != (vals[:, None] + vals[gens][None, :]) % e)
+    if len(bad):
+        a, g = bad[0]
+        raise VerificationFailed(
+            "zeta-multiplicative", witness=(int(where[a]), int(where[gens[g]]))
+        )
     return vals
 
 
 class PairingTable:
     """Exhaustive table of the commutator pairing.
 
-    values[(xc, yc)] = zeta of the group commutator (1+x)(1+y)(1+x)^-1(1+y)^-1
-    where xc are the coordinates of x in A/A^2 and yc those of y in
-    A^(m-1)/A^m.  Built by commutator_pairing."""
+    values[i * len(ys) + j] = t with zeta_e^t = zeta of the group commutator
+    (1+x)(1+y)(1+x)^-1(1+y)^-1, where x has the i-th coordinates of A/A^2
+    and y the j-th of A^(m-1)/A^m (all_coords order) and e is the group
+    exponent.  value() renders one entry as a Cyclotomic.  Built by
+    commutator_pairing."""
 
-    __slots__ = ("group", "m", "zeta", "dom", "cod", "values")
+    __slots__ = ("group", "m", "dom", "cod", "values")
 
-    def __init__(self, group, m, zeta, dom, cod, values):
+    def __init__(self, group, m, dom, cod, values):
         self.group = group
         self.m = m
-        self.zeta = zeta
         self.dom = dom
         self.cod = cod
         self.values = values
 
     def value(self, xc, yc):
-        return self.values[(tuple(xc), tuple(yc))]
+        q = self.group.field.q
+        t = self.values[int(undigits(xc, q)) * q ** self.cod.dim + int(undigits(yc, q))]
+        return Cyclotomic.zeta(self.group.exponent(), int(t))
 
 
 def commutator_pairing(group, m, zeta):
@@ -310,13 +320,8 @@ def commutator_pairing(group, m, zeta):
     homomorphism."""
     data = quotient_pairing(group, m)
     zq = quotient_character(group, m, zeta)
-    xs, ys = data["dom"].all_coords(), data["cod"].all_coords()
-    values = {
-        (x, y): zq[t]
-        for x, row in zip(xs, data["values"].tolist())
-        for y, t in zip(ys, row)
-    }
-    return PairingTable(group, m, zeta, data["dom"], data["cod"], values)
+    values = zq[data["values"]].ravel()
+    return PairingTable(group, m, data["dom"], data["cod"], values)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +329,9 @@ def commutator_pairing(group, m, zeta):
 
 
 def standard_additive_character(field):
-    """t -> zeta_p^(trace of t): the fixed nontrivial character of (F_q, +)."""
-
-    def psi(t):
-        return Cyclotomic.zeta(field.p, trace(field.elements[t]))
-
-    return psi
+    """t -> zeta_p^(trace of t), the fixed nontrivial character of (F_q, +),
+    as the array of its exponents mod p over the field element indices."""
+    return np.array([trace(x) for x in field.elements], dtype=np.int64)
 
 
 class PhiMap:
@@ -338,72 +340,66 @@ class PhiMap:
     pairing value at (x, y) = psi(sum_ij x_i rows[i][j] y_j).  Entries are
     field element indices in the quotient bases."""
 
-    __slots__ = ("pairing", "rows", "psi_values")
+    __slots__ = ("pairing", "rows")
 
-    def __init__(self, pairing, rows, psi_values):
+    def __init__(self, pairing, rows):
         self.pairing = pairing
         self.rows = rows
-        self.psi_values = psi_values
 
     def is_zero(self):
         return all(all(c == 0 for c in row) for row in self.rows)
-
-    def apply(self, xc):
-        """Functional coordinates of the image of dom coordinates xc."""
-        ops = self.pairing.group.algebra.ring.linalg_ops()
-        return linalg.combine(xc, self.rows, ops, self.pairing.cod.dim)
 
 
 def phi_map(pairing, psi=None):
     """Solve for the matrix of the induced linear map from the pairing table.
 
     Characters of (A^(m-1)/A^m, +) are identified with F_q-linear
-    functionals through psi (default: trace composed with the canonical p-th
-    root of unity); each matrix entry is pinned down by scanning the scalar
+    functionals through psi, given as exponents mod p over the field
+    element indices (default: trace composed with the canonical p-th root
+    of unity); each matrix entry is pinned down by scanning the scalar
     multiples of one basis vector, and the finished matrix is then verified
     against the whole table.  A failure of either step raises NotLinear."""
     field = pairing.group.field
     q = field.q
     if psi is None:
         psi = standard_additive_character(field)
-    psi_values = tuple(psi(t) for t in range(q))
-    if all(v == 1 for v in psi_values):
+    psi = np.asarray(psi, dtype=np.int64)
+    if not (psi % field.p).any():
         raise ValueError("the additive character must be nontrivial")
+    # zeta_p^s = zeta_e^(s e/p): psi in the exponents of the pairing values
+    e = pairing.group.exponent()
+    psi_e = psi * (e // field.p) % e
 
-    mul = field.mul_idx
+    _, mul_t = field_tables(field)
     dx, dy = pairing.dom.dim, pairing.cod.dim
-    rows = []
-    for i in range(dx):
-        ei = tuple(1 if t == i else 0 for t in range(dx))
-        row = []
-        for j in range(dy):
-            matches = [
-                t
-                for t in range(q)
-                if all(
-                    pairing.values[(ei, tuple(c if s == j else 0 for s in range(dy)))]
-                    == psi_values[mul(c, t)]
-                    for c in range(q)
-                )
-            ]
-            if len(matches) != 1:
-                raise NotLinear((i, j, matches))
-            row.append(matches[0])
-        rows.append(tuple(row))
-    phi = PhiMap(pairing, tuple(rows), psi_values)
+    V = pairing.values.reshape(q ** dx, q ** dy)
+    # V at (e_i, c e_j) for every i, c, j against psi(c t) for every c, t
+    unit_x = q ** np.arange(dx - 1, -1, -1)
+    unit_y = q ** np.arange(dy - 1, -1, -1)
+    c = np.arange(q)
+    at = V[unit_x[:, None, None], c[None, :, None] * unit_y[None, None, :]]
+    match = (at[:, :, :, None] == psi_e[mul_t[c]][None, :, None, :]).all(axis=1)
+    bad = np.argwhere(match.sum(axis=2) != 1)
+    if len(bad):
+        i, j = (int(x) for x in bad[0])
+        raise NotLinear((i, j, np.nonzero(match[i, j])[0].tolist()))
+    R = match.argmax(axis=2)
+    phi = PhiMap(pairing, tuple(tuple(r) for r in R.tolist()))
 
-    ops = pairing.group.algebra.ring.linalg_ops()
-    ys = pairing.cod.all_coords()
-    for xc in pairing.dom.all_coords():
-        for yc, t in zip(ys, _matvec(ys, phi.apply(xc), ops)):
-            if pairing.values[(xc, yc)] != psi_values[t]:
-                raise NotLinear((xc, yc))
+    # x^T R y over GF(q) at every point of the table
+    X = digits(np.arange(q ** dx), q, dx)
+    Y = digits(np.arange(q ** dy), q, dy)
+    xRy = combine(field, Y, combine(field, X, R).T).T
+    bad = np.argwhere(V != psi_e[xRy])
+    if len(bad):
+        i, j = bad[0]
+        raise NotLinear((pairing.dom.all_coords()[i], pairing.cod.all_coords()[j]))
     return phi
 
 
-def _matvec(rows, v, ops):
-    # the matrix-vector product rows . v, as a combination of the columns
-    return linalg.combine(v, tuple(zip(*rows)), ops, len(rows))
+def _line_image(phi, lines):
+    # Phi . v over GF(q) for each candidate direction v (the last axis)
+    return combine(phi.pairing.group.field, lines, np.array(phi.rows).T)
 
 
 def choose_line(phi):
@@ -413,15 +409,16 @@ def choose_line(phi):
     Candidates are scanned with the pivot position first and the remaining
     free coordinates counting up, so the first valid normalized vector wins;
     the condition is simply Phi . v != 0."""
-    ring = phi.pairing.group.algebra.ring
-    q, ops = ring.field.q, ring.linalg_ops()
+    q = phi.pairing.group.field.q
     dy = phi.pairing.cod.dim
     for pivot in range(dy):
         free = dy - pivot - 1
-        for combo in digits(np.arange(q ** free), q, free).tolist():
-            v = (0,) * pivot + (1,) + tuple(combo)
-            if any(_matvec(phi.rows, v, ops)):
-                return v
+        cands = np.zeros((q ** free, dy), dtype=np.int64)
+        cands[:, pivot] = 1
+        cands[:, pivot + 1:] = digits(np.arange(q ** free), q, free)
+        hit = np.nonzero(_line_image(phi, cands).any(axis=1))[0]
+        if len(hit):
+            return tuple(cands[hit[0]].tolist())
     raise NoLineFound(phi.rows)
 
 
@@ -437,7 +434,7 @@ def build_ideals(phi, line):
     A = group.algebra
     ops = A.ring.linalg_ops()
 
-    w = _matvec(phi.rows, line, ops)
+    w = tuple(_line_image(phi, line).tolist())
     if not any(w):
         raise ValueError("the line must pair nontrivially with some x")
     kernel = linalg.nullspace([w], pairing.dom.dim, ops)
@@ -466,41 +463,29 @@ def build_ideals(phi, line):
 def extension_set(group, U, m, zeta, A1):
     """All linear characters of 1 + U restricting to zeta on 1 + A^m.
 
-    Returns them as {ambient index: value} maps in a deterministic order,
-    after checking the three parts of the extension lemma: the set is
-    nonempty, it forms a single orbit under conjugation by 1 + A, and the
-    stabilizer of each member is exactly 1 + A1.  The precondition that zeta
-    kills every commutator of 1 + U is checked first."""
+    Returns them as rows of exponents mod e over the ambient indices (-1 off
+    1 + U, as zeta is given), in linear_exponents order, after checking the
+    three parts of the extension lemma: the set is nonempty, it forms a
+    single orbit under conjugation by 1 + A, and the stabilizer of each
+    member is exactly 1 + A1.  The precondition that zeta kills every
+    commutator of 1 + U is checked first."""
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
     SA1 = subspace_subgroup(group, A1)
     T, inv = group.table, group.group.inv
 
-    for c in group.group.commutator_values(SU.indices, SU.indices):
-        c = int(c)
-        if not Sm.mask[c] or zeta[c] != 1:
-            raise VerificationFailed("extension-precondition", witness=c)
+    cs = group.group.commutator_values(SU.indices, SU.indices)
+    bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
+    if len(bad):
+        raise VerificationFailed("extension-precondition", witness=int(bad[0]))
 
-    Ug, emb, sub_of = SU.std_group
-    exts = [
-        lin
-        for lin in linear_characters(Ug)
-        if all(
-            lin.value_at_index(int(sub_of[int(s)])) == zeta[int(s)]
-            for s in Sm.indices
-        )
-    ]
-    if not exts:
+    lins = linear_exponents(SU)
+    exts = lins[(lins[:, Sm.indices] == zeta[Sm.indices]).all(axis=1)]
+    if not len(exts):
         raise EmptyExtensionSet((m, U.rows))
 
-    vid = {}
-    ext_vecs = []
-    for lin in exts:
-        vec = np.empty(Ug.order, dtype=np.int64)
-        for n in range(Ug.order):
-            vec[n] = vid.setdefault(lin.value_at_index(n), len(vid))
-        ext_vecs.append(vec)
-
+    _, emb, sub_of = SU.std_group
+    ext_vecs = exts[:, emb]
     garr = np.arange(group.order)
     inner = T[T[garr[:, None], emb[None, :]], inv[garr][:, None]]  # g (1+u) g^-1
     P = sub_of[inner]
@@ -509,7 +494,7 @@ def extension_set(group, U, m, zeta, A1):
         raise VerificationFailed("extension-conjugation-closure", witness=(g, i))
 
     orbit = np.unique(ext_vecs[0][P], axis=0)
-    ext_set = np.unique(np.array(ext_vecs), axis=0)
+    ext_set = np.unique(ext_vecs, axis=0)
     if not np.array_equal(orbit, ext_set):
         raise MultipleOrbits((len(orbit), len(ext_set)))
 
@@ -519,10 +504,7 @@ def extension_set(group, U, m, zeta, A1):
             g = int(np.nonzero(stab != SA1.mask)[0][0])
             raise WrongStabilizer((t, g))
 
-    return [
-        {int(emb[i]): lin.value_at_index(i) for i in range(Ug.order)}
-        for lin in exts
-    ]
+    return exts
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +532,21 @@ class GutkinStep:
         self.num_extensions = num_extensions
 
     def to_json(self):
+        e = self.pairing.group.exponent()
+
+        def render(exps):
+            return [[k, Cyclotomic.zeta(e, t).to_json()]
+                    for k, t in enumerate(exps.tolist()) if t >= 0]
+
         return {
             "dim": self.dim,
             "m": self.m,
-            "zeta": [[k, self.zeta[k].to_json()] for k in sorted(self.zeta)],
+            "zeta": render(self.zeta),
             "phi": [list(r) for r in self.phi.rows],
             "line": list(self.line),
             "a1": [[int(c) for c in r] for r in self.a1.rows],
             "u": [[int(c) for c in r] for r in self.u.rows],
-            "chi_u": [[k, self.chi_u[k].to_json()] for k in sorted(self.chi_u)],
+            "chi_u": render(self.chi_u),
             "extensions": self.num_extensions,
         }
 
@@ -591,15 +579,11 @@ class MonomialDatum:
             return self.alpha
         SB = subspace_subgroup(self.group, self.chain[-1])
         HB, embB, _ = SB.std_group
-        vmap = {
-            int(a): self.alpha.value_at_index(i)
-            for i, a in enumerate(self.emb_to_top)
-        }
-        rho = ClassFunction(
-            HB,
-            tuple(vmap[int(embB[int(c[0])])] for c in HB.conjugacy_classes()),
-        )
-        return induce(rho, SB)
+        # HB and the bottom group both enumerate 1 + B, possibly in different orders
+        bottom_of = np.full(self.group.order, -1, dtype=np.int64)
+        bottom_of[self.emb_to_top] = np.arange(len(self.emb_to_top))
+        alpha_class = self.bottom_group.class_of[bottom_of[embB[HB.class_reps()]]]
+        return induce(ClassFunction._of(HB, self.alpha.coeffs[alpha_class]), SB)
 
     def verify(self):
         """Degree formula and one-shot induction from the bottom, both exact."""
@@ -853,7 +837,8 @@ def find_polarization(algebra, f):
         tuple(_bracket_value(algebra, f, x, y) for y in basis) for x in basis
     ]
     rank = len(linalg.rref(gram, ops)[0])
-    assert rank % 2 == 0, "the commutator form must have even rank"
+    if rank % 2:
+        raise VerificationFailed("form-rank-even", witness=(f, rank))
     target = algebra.dim - rank // 2
 
     vecs = []

@@ -7,10 +7,11 @@ all word degrees <= m.  Over a finite field the same statements are checked
 by brute force at the level of the quotient Q = (1+A^m)/(1+A, 1+A^m), with
 no character theory involved: the pairing is scanned and checked once per
 group and level (gutkin.quotient_pairing), and each zeta is only checked to
-be a character of Q.  The explorer at the bottom measures whether the
-derived-subgroup intersection (1+J, 1+J) with 1+J^k collapses to
-(1+J, 1+J^(k-1)) over finite fields, where the characteristic-zero argument
-is unavailable; it reports orders and takes no side.
+be a character of Q, given as exponents mod e (the chars format for linear
+characters, no Cyclotomic values).  The explorer at the bottom measures
+whether the derived-subgroup intersection (1+J, 1+J) with 1+J^k collapses
+to (1+J, 1+J^(k-1)) over finite fields, where the characteristic-zero
+argument is unavailable; it reports orders and takes no side.
 """
 
 from .errors import VerificationFailed
@@ -145,8 +146,9 @@ def finite_pairing_check(algebra, m, zeta, cap=DEFAULT_GROUP_CAP):
     """Brute-force check, independent of any character table, that the
     commutator map factors through (A/A^2) x (A^(m-1)/A^m) into the finite
     quotient Q = (1+A^m)/(1+A, 1+A^m) and is bilinear there (verified once
-    per group and level by quotient_pairing); then that zeta is a character
-    of Q, which for a character of 1+A^m is exactly conjugation invariance."""
+    per group and level by quotient_pairing); then that zeta (exponents mod
+    e, as from chars.linear_exponents) is a character of Q, which for a
+    character of 1+A^m is exactly conjugation invariance."""
     quotient_character(unit_group_of(algebra, cap), m, zeta)
     return True
 

@@ -383,6 +383,7 @@ class Algebra:
         self.graded_degrees = tuple(graded_degrees) if graded_degrees else None
         self._nilindex = nilindex
         self._powers = None
+        self._unit_group = None  # see unitgroup.unit_group_of
         self._unit = [
             tuple(ring.one if t == i else ring.zero for t in range(dim))
             for i in range(dim)

@@ -17,7 +17,6 @@ over GF(q) through the field's lookup tables.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -170,9 +169,12 @@ class FiniteGroupTable:
         return n
 
     def exponent(self):
-        e = 1
-        for x in range(self.order):
-            e = math.lcm(e, self.order_of(x))
+        """The least e with x^e = 1 for every x, found by powering all
+        elements at once until they reach the identity together."""
+        g = np.arange(self.order)
+        x, e = g, 1
+        while x.any():
+            x, e = self.table[x, g], e + 1
         return e
 
     def is_abelian(self):
@@ -266,6 +268,8 @@ class UnitGroup:
         self._class_sizes = None
         self._exponent = None
         self._generators = None
+        self._char_table = None  # see chars.character_table
+        self._quotient_pairings = {}  # level m -> tables, see gutkin.quotient_pairing
 
     # -- index <-> element ----------------------------------------------------
 
@@ -408,10 +412,7 @@ class UnitGroup:
 
     def exponent(self):
         if self._exponent is None:
-            e = 1
-            for r in self.class_reps():
-                e = math.lcm(e, self.group.order_of(r))
-            self._exponent = e
+            self._exponent = self.group.exponent()
         return self._exponent
 
     def center_indices(self):
@@ -500,10 +501,9 @@ class Subgroup:
 
 def unit_group_of(algebra, cap=DEFAULT_GROUP_CAP):
     """The unit group of algebra, built once and kept on the algebra."""
-    G = getattr(algebra, "_unit_group", None)
-    if G is None:
-        G = algebra._unit_group = UnitGroup(algebra, cap=cap)
-    return G
+    if algebra._unit_group is None:
+        algebra._unit_group = UnitGroup(algebra, cap=cap)
+    return algebra._unit_group
 
 
 def subgroup_closure(group, indices):

@@ -31,8 +31,9 @@ from oneplusa.chars import (
     mackey_irreducible,
     regular_character,
     restrict,
+    _power_basis,
+    linear_exponents,
     scalar_character_on,
-    scalar_on,
     trivial_character,
 )
 from oneplusa.errors import VerificationFailed
@@ -357,18 +358,78 @@ def test_induced_inner_product_counts_constituents():
 
 
 def test_scalar_on_center():
-    G = ul_group(3, 2)
+    G = ul_group(3, 2)  # exponent 4
     tab = character_table(G)
     chi = tab.chars[-1]
     Z = power_subgroup(G, 2)
-    vals = scalar_character_on(chi, Z)
-    assert vals is not None and scalar_on(chi, Z)
-    assert vals[0] == 1
-    nz = [n for n in vals if n != 0][0]
-    assert vals[nz] == -1
+    exps = scalar_character_on(chi, Z)
+    assert exps is not None
+    # exponents mod 4 on 1 and 1+e13: zeta_4^0 = 1, zeta_4^2 = -1; -1 off Z
+    assert exps.tolist() == [0, 2] + [-1] * 6
     # the degree-2 character is not scalar on the full group
     full = Subgroup(G, np.arange(G.order), verify=False)
     assert scalar_character_on(chi, full) is None
+
+
+@pytest.mark.parametrize("make", [lambda: ul_group(3, 2), lambda: ul_group(3, 3),
+                                  lambda: free_group(2, 1, 5)],
+                         ids=["ul(3,2)", "ul(3,3)", "free(2,1,5)"])
+def test_scalar_exponents_give_the_values(make):
+    # chi(h) = deg chi * zeta_e^t(h) wherever chi is scalar on 1 + A^m
+    G = make()
+    e = G.exponent()
+    for chi in character_table(G).chars:
+        d = chi.degree_int()
+        for m in range(1, G.algebra.nilpotency_index + 1):
+            S = power_subgroup(G, m)
+            exps = scalar_character_on(chi, S)
+            if exps is None:
+                continue
+            assert (exps[~S.mask] == -1).all()
+            for h in S.indices.tolist():
+                assert Cyclotomic.zeta(e, int(exps[h])) * d == chi.value_at_index(h)
+
+
+def test_scalar_test_rejects_a_norm_that_is_no_root_of_unity():
+    # |3 + 4i|^2 = 5^2, but (3 + 4i)/5 is not a root of unity
+    G = ul_group(3, 2)
+    vals = [5, 3 + 4 * Cyclotomic.zeta(4), 5, 5, 5]
+    with pytest.raises(VerificationFailed) as err:
+        scalar_character_on(ClassFunction(G, vals), power_subgroup(G, 2))
+    assert err.value.stage == "scalar-root-of-unity"
+
+
+@pytest.mark.parametrize("e", [2, 4, 8, 9, 27])
+def test_row_to_exponent_lookup(e):
+    basis = _power_basis(e)
+    rows = np.stack([basis.row(Cyclotomic.zeta(e, t)) for t in range(e)])
+    assert basis.exponents(rows, "lookup").tolist() == list(range(e))
+    assert basis.exponents(3 * rows, "lookup", scale=3).tolist() == list(range(e))
+    for bad in (2, 1 + Cyclotomic.zeta(e)):  # 1 + zeta_4 at e = 4, 0 at e = 2
+        with pytest.raises(VerificationFailed) as err:
+            basis.exponents(np.stack([rows[1], basis.row(bad)]), "lookup")
+        assert (err.value.stage, err.value.witness) == ("lookup", (1, 1))
+    with pytest.raises(VerificationFailed):
+        basis.exponents(rows, "lookup", scale=2)
+
+
+@pytest.mark.parametrize("make", [lambda: ul_group(4, 2), lambda: free_group(2, 1, 5)],
+                         ids=["ul(4,2)", "free(2,1,5)"])
+def test_linear_exponents_match_linear_characters(make):
+    # the subgroup exponent is below the ambient one, so the exponents are
+    # rescaled from zeta_(e_H) to zeta_e
+    G = make()
+    e = G.exponent()
+    for m in (1, 2):
+        H = power_subgroup(G, m)
+        Hg, emb, _ = H.std_group
+        lins = linear_characters(Hg)
+        exps = linear_exponents(H)
+        assert exps.shape == (len(lins), G.order)
+        for lin, row in zip(lins, exps):
+            assert (row[~H.mask] == -1).all()
+            for i in range(Hg.order):
+                assert Cyclotomic.zeta(e, int(row[emb[i]])) == lin.value_at_index(i)
 
 
 def test_mackey_criteria_agree_on_normal_subgroups():

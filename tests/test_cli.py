@@ -90,6 +90,26 @@ def test_chartable_report_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[name]
 
 
+# sha256 of `decompose NAME` (JSON) for the catalog targets with a descent
+# of a few seconds at most, plus the two larger benchmark groups
+DECOMPOSE_SHA256 = {
+    "ul(3,2)": "03d2bf78f854e3031a702d1435dd08fbd7f14a9127f8bbe177ed940beab594e6",
+    "ul(3,3)": "628d596ee71d4df72dc1c704fc07d9e17f76bc99035751532270def777c12656",
+    "ul(3,4)": "ffa0c7a331799f92b20b9534ad658f7c5eb4576f01953166eca933b9320a5f80",
+    "ul(4,2)": "f2bf4c1469b596870a91da1011f192c1f614879840bc461f617166219cf62cf2",
+    "free(2,2,3)": "c05b0b4a84c8640264a3671fcfd470ee1449b7ed6f28ceefede89cb56fc49865",
+    "ul(3,8)": "249533b8194866ee6c1d059fa8596b035c208164a5229147b38f75d59632c5e8",
+    "ul(4,3)": "90c8865f261fb2ff255fb711f7216024cce9904179e754910920776f17c41356",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_SHA256))
+def test_decompose_report_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "decompose", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_SHA256[name]
+
+
 def test_chartable_csv(capsys):
     code, out, _ = run(capsys, "chartable", "ul(3,2)", "--format", "csv")
     assert code == 0

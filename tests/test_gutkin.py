@@ -12,17 +12,20 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from oneplusa.chars import character_table, induce, restrict, ClassFunction
 from oneplusa.errors import (
     NoLineFound,
+    NotLinear,
     NotInvariant,
     SearchExhausted,
     VerificationFailed,
 )
 from oneplusa.exactfield import Cyclotomic, gf
 from oneplusa.gutkin import (
+    PairingTable,
     QuotientSpace,
     _all_subspaces,
     _bracket_value,
@@ -89,8 +92,10 @@ def test_u32_scalar_level():
     assert chi.degree_int() == 2
     m, zeta = minimal_scalar_level(chi)
     assert m == 2
-    # 1 + A^2 = {1, 1+e13}; the central character sends 1+e13 to -1
-    assert zeta == {0: ONE, 1: MINUS_ONE}
+    # 1 + A^2 = {1, 1+e13}; the central character sends 1+e13 to
+    # -1 = zeta_4^2 (the group exponent is 4), and is -1 off 1 + A^2
+    assert G.exponent() == 4
+    assert zeta.tolist() == [0, 2, -1, -1, -1, -1, -1, -1]
 
 
 def test_u32_scalar_level_of_linear_character():
@@ -98,7 +103,7 @@ def test_u32_scalar_level_of_linear_character():
     tab = character_table(G)
     m, zeta = minimal_scalar_level(tab.chars[0])
     assert m == 1
-    assert len(zeta) == G.order
+    assert len(zeta) == G.order and (zeta >= 0).all()
 
 
 def test_u32_pairing_table():
@@ -143,14 +148,16 @@ def test_u32_extension_set():
     A1, U = build_ideals(phi, choose_line(phi))
     exts = extension_set(G, U, m, zeta, A1)
     assert len(exts) == 2
-    # indices in 1+U: 0 = identity, 1 = 1+e13, 4 = 1+e12, 5 = 1+e12+e13
-    assert exts[0] == {0: ONE, 1: MINUS_ONE, 4: ONE, 5: MINUS_ONE}
-    assert exts[1] == {0: ONE, 1: MINUS_ONE, 4: MINUS_ONE, 5: ONE}
+    # indices in 1+U: 0 = identity, 1 = 1+e13, 4 = 1+e12, 5 = 1+e12+e13;
+    # exponents mod 4, so 2 stands for -1, and -1 marks indices off 1+U
+    assert exts[0].tolist() == [0, 2, -1, -1, 0, 2, -1, -1]
+    assert exts[1].tolist() == [0, 2, -1, -1, 2, 0, -1, -1]
     # conjugating by 1+e23 swaps the two extensions
     g = G.index_of_coords((0, 1, 0))
     T = G.table
-    conj = {h: exts[0][int(T[T[g, h], G.inv(g)])] for h in exts[0]}
-    assert conj == exts[1]
+    on_u = [0, 1, 4, 5]
+    conj = [exts[0][int(T[T[g, h], G.inv(g)])] for h in on_u]
+    assert conj == exts[1][on_u].tolist()
 
 
 def test_u32_full_certificate():
@@ -263,7 +270,7 @@ def test_changing_psi_moves_phi_but_not_the_ideals():
     pairing = commutator_pairing(G, m, zeta)
     phi1 = phi_map(pairing)
     std = standard_additive_character(G.field)
-    phi2 = phi_map(pairing, lambda t: std(G.field.mul_idx(2, t)))
+    phi2 = phi_map(pairing, [std[G.field.mul_idx(2, t)] for t in range(G.field.q)])
     assert phi1.rows == ((0, 1), (2, 0))
     assert phi2.rows == ((0, 2), (1, 0))
     line1, line2 = choose_line(phi1), choose_line(phi2)
@@ -272,6 +279,28 @@ def test_changing_psi_moves_phi_but_not_the_ideals():
     A1b, Ub = build_ideals(phi2, line2)
     assert A1a.rows == A1b.rows
     assert Ua.rows == Ub.rows
+
+
+def test_phi_map_rejects_a_table_that_is_not_linear():
+    G = ul_group(3, 3)
+    m, zeta = minimal_scalar_level(character_table(G).chars[-1])
+    good = commutator_pairing(G, m, zeta)
+    e = G.exponent()
+
+    def moved(x, y):  # the table with the value at (x, y) changed
+        values = good.values.copy()
+        t = G.index_of_coords(x) * 9 + G.index_of_coords(y)  # row-major, q^2 columns
+        values[t] = (values[t] + 1) % e
+        return PairingTable(G, m, good.dom, good.cod, values)
+
+    # a point off the basis lines passes the solve and fails the full check
+    with pytest.raises(NotLinear) as err:
+        phi_map(moved((1, 1), (1, 1)))
+    assert err.value.witness == ((1, 1), (1, 1))
+    # a point (e_1, c e_2) that pins entry (0, 1) leaves it without a solution
+    with pytest.raises(NotLinear) as err:
+        phi_map(moved((1, 0), (0, 1)))
+    assert err.value.witness == (0, 1, [])
 
 
 def test_pairing_scalar_swap_beyond_prime_field():
@@ -292,18 +321,20 @@ def test_pairing_scalar_swap_beyond_prime_field():
 
 def test_additive_characters():
     # psi_a(t) = psi(a t) with psi the standard character: a -> psi_a
-    # identifies the field with its own dual
+    # identifies the field with its own dual; values are zeta_p^(exponent)
     for q in (2, 3, 4, 9):
         f = gf(q)
+        p = f.p
         std = standard_additive_character(f)
-        tables = [tuple(std(f.mul_idx(a, t)) for t in range(q)) for a in range(q)]
+        assert ((std >= 0) & (std < p)).all()
+        tables = [tuple(int(std[f.mul_idx(a, t)]) for t in range(q)) for a in range(q)]
         assert len(set(tables)) == q  # distinct characters
         for a, row in enumerate(tables):  # orthogonality to the trivial one
-            total = sum(row, Cyclotomic.rational(0))
+            total = sum((Cyclotomic.zeta(p, t) for t in row), Cyclotomic.rational(0))
             assert total == Cyclotomic.rational(q if a == 0 else 0)
         for row in tables:  # psi_a(x + y) = psi_a(x) psi_a(y)
             for x, y in itertools.product(range(q), repeat=2):
-                assert row[f.add_idx(x, y)] == row[x] * row[y]
+                assert row[f.add_idx(x, y)] == (row[x] + row[y]) % p
 
 
 @pytest.mark.parametrize("q", [4, 9])
@@ -342,20 +373,30 @@ def test_non_invariant_zeta_is_rejected():
     # genuine character of it, but conjugation by 1+e34 sends 1+e13 to
     # 1+e13+e14 and breaks invariance
     G = ul_group(4, 2)
-    S2 = power_subgroup(G, 2)
-    zeta = {}
-    for s in S2.indices:
-        c = G.coords_of_index(int(s))
-        zeta[int(s)] = MINUS_ONE if c[5] else ONE
+    assert G.exponent() == 4  # -1 = zeta_4^2
+    zeta = np.full(G.order, -1)
+    for s in power_subgroup(G, 2).indices.tolist():
+        zeta[s] = 2 if G.coords_of_index(s)[5] else 0
     with pytest.raises(NotInvariant):
         commutator_pairing(G, 2, zeta)
 
 
+def test_extension_set_needs_zeta_to_kill_the_commutators_of_1_plus_u():
+    # with U = A, the commutator 1+e13 of 1+U is where zeta is -1
+    G = ul_group(3, 2)
+    A = G.algebra
+    zeta = np.array([0, 2, -1, -1, -1, -1, -1, -1])
+    A1 = Subspace.from_vectors(A, [(1, 0, 0), (0, 0, 1)])
+    with pytest.raises(VerificationFailed) as err:
+        extension_set(G, A.power_subspace(1), 2, zeta, A1)
+    assert (err.value.stage, err.value.witness) == ("extension-precondition", 1)
+
+
 def test_trivial_zeta_gives_zero_matrix_and_no_line():
     G = ul_group(3, 2)
-    zeta = {0: ONE, 1: ONE}
+    zeta = np.array([0, 0, -1, -1, -1, -1, -1, -1])  # trivial on 1 + A^2
     pairing = commutator_pairing(G, 2, zeta)
-    assert all(v == ONE for v in pairing.values.values())
+    assert len(pairing.values) == 16 and (pairing.values == 0).all()
     phi = phi_map(pairing)
     assert phi.is_zero()
     with pytest.raises(NoLineFound):

@@ -6,12 +6,13 @@ claimed membership degree, so a wrong implementation would show up as a
 nonzero low-degree word, not as a vacuous pass.
 """
 
+import numpy as np
 import pytest
 
-from oneplusa.chars import linear_characters
+from oneplusa.chars import linear_exponents
 from oneplusa.errors import CapExceeded, NotInvariant, VerificationFailed
-from oneplusa.exactfield import Cyclotomic, gf
-from oneplusa.gutkin import commutator_pairing, quotient_pairing
+from oneplusa.exactfield import gf
+from oneplusa.gutkin import commutator_pairing, quotient_character, quotient_pairing
 from oneplusa.identities import (
     additivity_defect,
     additivity_defect_check,
@@ -30,9 +31,6 @@ from oneplusa.nilalg import (
     strictly_upper_triangular,
 )
 from oneplusa.unitgroup import UnitGroup, power_subgroup, unit, unit_group_of
-
-ONE = Cyclotomic.rational(1)
-MINUS_ONE = Cyclotomic.rational(-1)
 
 
 # -- the collapsed commutator --------------------------------------------------
@@ -152,10 +150,21 @@ def test_scaling_defect_specializes_to_identity():
 # -- finite pairing at the quotient level ---------------------------------------
 
 
+def _exponents(G, values):
+    """zeta in the exponent format: {group index: +1 or -1} as exponents
+    mod the group exponent e (-1 = zeta_e^(e/2)), -1 off the given indices."""
+    e = G.exponent()
+    out = np.full(G.order, -1, dtype=np.int64)
+    for n, v in values.items():
+        out[n] = 0 if v == 1 else e // 2
+    return out
+
+
 def test_finite_pairing_heisenberg():
     A = strictly_upper_triangular(3, gf(2))
-    assert finite_pairing_check(A, 2, {0: ONE, 1: MINUS_ONE})
-    assert finite_pairing_check(A, 2, {0: ONE, 1: ONE})
+    G = unit_group_of(A)
+    assert finite_pairing_check(A, 2, _exponents(G, {0: 1, 1: -1}))
+    assert finite_pairing_check(A, 2, _exponents(G, {0: 1, 1: 1}))
     # here (1+A, 1+A^2) is trivial, so Q is all of 1+A^2
     data = quotient_pairing(unit_group_of(A), 2)
     assert data["Q"].order == data["Sm"].order == 2
@@ -175,10 +184,8 @@ def test_finite_pairing_every_invariant_zeta():
         data = quotient_pairing(G, m)
         Q = data["Q"]
         assert len(Q.subgroup_closure(data["gens"])) == Q.order
-        Hm, emb, _ = power_subgroup(G, m).std_group
         checked = 0
-        for lin in linear_characters(Hm):
-            zeta = {int(emb[i]): lin.value_at_index(i) for i in range(Hm.order)}
+        for zeta in linear_exponents(power_subgroup(G, m)):
             try:
                 assert finite_pairing_check(A, m, zeta)
                 checked += 1
@@ -193,10 +200,8 @@ def test_finite_pairing_counts_invariant_characters_u42():
     A = strictly_upper_triangular(4, gf(2))
     G = UnitGroup(A)
     A._unit_group = G
-    Hm, emb, _ = power_subgroup(G, 2).std_group
     good = bad = 0
-    for lin in linear_characters(Hm):
-        zeta = {int(emb[i]): lin.value_at_index(i) for i in range(Hm.order)}
+    for zeta in linear_exponents(power_subgroup(G, 2)):
         try:
             finite_pairing_check(A, 2, zeta)
             good += 1
@@ -212,9 +217,9 @@ def test_finite_pairing_on_quotient_algebra():
     assert A.dim == 6
     G = UnitGroup(A)
     A._unit_group = G
-    Hm, emb, _ = power_subgroup(G, 2).std_group
-    for lin in linear_characters(Hm):
-        zeta = {int(emb[i]): lin.value_at_index(i) for i in range(Hm.order)}
+    zetas = linear_exponents(power_subgroup(G, 2))
+    assert len(zetas) == 16  # 1 + A^2 is elementary abelian of order 16
+    for zeta in zetas:
         assert finite_pairing_check(A, 2, zeta)
 
 
@@ -225,19 +230,20 @@ def _free_223_non_character():
     # is -1 too; the pairing scan never evaluates zeta there.
     A = free_nilpotent(FieldRing(gf(2)), 2, 3)
     G = unit_group_of(A)
-    zeta = {}
-    for s in power_subgroup(G, 2).indices:
-        c = G.coords_of_index(int(s))
-        zeta[int(s)] = MINUS_ONE if c[3] or c == (0, 0, 1, 0, 0, 0) else ONE
-    assert zeta[G.index_of_coords((0, 0, 0, 1, 1, 0))] == MINUS_ONE
-    return A, zeta
+    signs = {}
+    for s in power_subgroup(G, 2).indices.tolist():
+        c = G.coords_of_index(s)
+        signs[s] = -1 if c[3] or c == (0, 0, 1, 0, 0, 0) else 1
+    assert signs[G.index_of_coords((0, 0, 0, 1, 1, 0))] == -1
+    return A, _exponents(G, signs)
 
 
 def test_finite_pairing_rejects_non_character():
     heisenberg = strictly_upper_triangular(3, gf(2))
     cases = [
         # not multiplicative: the value at 1 must be 1
-        (heisenberg, {0: MINUS_ONE, 1: ONE}, "zeta-identity"),
+        (heisenberg, _exponents(unit_group_of(heisenberg), {0: -1, 1: 1}),
+         "zeta-identity"),
         _free_223_non_character() + ("zeta-multiplicative",),
     ]
     for A, bad, stage in cases:
@@ -248,6 +254,67 @@ def test_finite_pairing_rejects_non_character():
         with pytest.raises(VerificationFailed) as err:
             commutator_pairing(unit_group_of(A), 2, bad)
         assert err.value.stage == stage
+
+
+def _loop_quotient_character(G, m, zeta):
+    # the element-by-element checks of quotient_character, as a reference
+    data = quotient_pairing(G, m)
+    e, to_q, n = G.exponent(), data["to_q"], data["Q"].order
+    vals, where = [None] * n, [None] * n
+    for s in data["Sm"].indices.tolist():
+        t = int(to_q[s])
+        if where[t] is None:
+            vals[t], where[t] = int(zeta[s]), s
+        elif zeta[s] != vals[t]:
+            raise NotInvariant((where[t], s))
+    if vals[0] != 0:
+        raise VerificationFailed("zeta-identity", witness=0)
+    QT = data["Q"].table
+    for a in range(n):
+        for g in data["gens"]:
+            if vals[int(QT[a, g])] != (vals[a] + vals[g]) % e:
+                raise VerificationFailed("zeta-multiplicative", witness=(where[a], where[g]))
+    return vals
+
+
+def _outcome(check, *args):
+    try:
+        return list(check(*args))
+    except VerificationFailed as err:
+        return (err.stage, err.witness)
+
+
+def test_quotient_character_matches_the_loop_reference():
+    # every linear character of 1 + A^m, then each with one value moved or
+    # dropped, and with its values moved on one whole coset of
+    # (1+A, 1+A^m): same result, or same failing stage and witness
+    rng = np.random.default_rng(5)
+    cases = [
+        (strictly_upper_triangular(4, gf(2)), 2),
+        (strictly_upper_triangular(4, gf(2)), 3),
+        (strictly_upper_triangular(3, gf(3)), 2),
+        (free_nilpotent(FieldRing(gf(2)), 2, 3), 2),
+        (strictly_upper_triangular(4, gf(3)), 2),
+    ]
+    outcomes = set()
+    for A, m in cases:
+        G = UnitGroup(A)
+        e = G.exponent()
+        S = power_subgroup(G, m)
+        to_q = quotient_pairing(G, m)["to_q"]
+        for zeta in linear_exponents(S):
+            shifted, dropped, coset = zeta.copy(), zeta.copy(), zeta.copy()
+            s, t = (int(x) for x in rng.choice(S.indices, 2))
+            shifted[s] = (shifted[s] + 1) % e
+            dropped[t] = -1
+            on = to_q == rng.integers(1, to_q.max() + 1)
+            coset[on] = (coset[on] + 1) % e
+            for z in (zeta, shifted, dropped, coset):
+                got = _outcome(quotient_character, G, m, z)
+                assert got == _outcome(_loop_quotient_character, G, m, z)
+                outcomes.add(got[0] if isinstance(got, tuple) else "character")
+    assert outcomes == {"character", "conjugation-invariance", "zeta-identity",
+                        "zeta-multiplicative"}
 
 
 # -- the derived-intersection explorer ------------------------------------------

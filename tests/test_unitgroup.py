@@ -225,6 +225,21 @@ def test_quotient_by_center():
         G.group.quotient([0, G.index_of_coords((1, 0, 0))])  # {1,1+e12} is not normal
 
 
+@pytest.mark.parametrize(
+    "make,expected",
+    [(lambda: ul(3, 2), 4), (lambda: ul(3, 3), 3), (lambda: ul(4, 2), 4),
+     (lambda: UnitGroup(free_nilpotent(FieldRing(gf(2)), 1, 5)), 8)],
+    ids=["ul(3,2)", "ul(3,3)", "ul(4,2)", "free(2,1,5)"],
+)
+def test_exponent_is_the_lcm_of_element_orders(make, expected):
+    G = make()
+    lcm = 1
+    for x in range(G.order):
+        lcm = np.lcm(lcm, G.group.order_of(x))
+    assert G.exponent() == lcm == expected
+    assert G.group.exponent() == lcm
+
+
 def test_subgroup_closure_small():
     G = ul(3, 2)
     H = subgroup_closure(G, [G.index_of_coords((1, 0, 0))])

@@ -161,30 +161,6 @@ def _eigenvalues_mod(M, l):
     return [int(x) for x in np.nonzero(D[n] == 0)[0]]
 
 
-def _det_mod_bruteforce(M, l):
-    # reference determinant by permutation expansion, for cross-checks
-    n = M.shape[0]
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for s in range(n):
-            if not seen[s]:
-                length = 0
-                t = s
-                while not seen[t]:
-                    seen[t] = True
-                    t = perm[t]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        term = sign
-        for s in range(n):
-            term = term * int(M[s, perm[s]])
-        total += term
-    return total % l
-
-
 def _primitive_root(l):
     fac = prime_factors(l - 1)
     for r0 in range(2, l):
@@ -440,9 +416,6 @@ class ClassFunction:
         total = pair.reshape(-1) @ basis.herm.reshape(-1, basis.phi)
         return basis.value(total, G.order)
 
-    def is_irreducible(self):
-        return self.inner(self) == 1
-
     def _check(self, other):
         if other.group is not self.group:
             raise TypeError("class functions on different groups")
@@ -470,13 +443,6 @@ def trivial_character(group):
     phi = _power_basis(group.exponent()).phi
     coeffs = np.zeros((len(group.conjugacy_classes()), phi), dtype=np.int64)
     coeffs[:, 0] = 1
-    return ClassFunction._of(group, coeffs)
-
-
-def regular_character(group):
-    phi = _power_basis(group.exponent()).phi
-    coeffs = np.zeros((len(group.conjugacy_classes()), phi), dtype=np.int64)
-    coeffs[0, 0] = group.order
     return ClassFunction._of(group, coeffs)
 
 
@@ -780,8 +746,33 @@ def restrict(chi, H):
     )
 
 
-def frobenius_reciprocity_holds(rho, H, chi):
-    return induce(rho, H).inner(chi) == rho.inner(restrict(chi, H))
+def clifford_parts(psi, normal, lams, e):
+    """The parts rho_l(h) = |N|^-1 sum over n in N of conj(l(n)) psi(h n) of
+    a class function psi on a group H, one per linear character l of a
+    subgroup N.  normal holds the indices of N in H, and lams one row of
+    exponents mod e (value zeta_e^t, e a multiple of the exponent of H) per
+    l, over those indices.  For N normal and every l invariant in H, rho_l
+    is the character of the l-isotypic part of psi (Clifford), so it is a
+    class function and is read at the class representatives of H.  An
+    exponent that is no multiple of e / exp(H) (a value outside Z[zeta] of
+    H) and a sum that |N| does not divide raise VerificationFailed."""
+    H = psi.group
+    basis = psi._basis()
+    stride = e // basis.e
+    bad = np.argwhere(lams % stride)
+    if len(bad):
+        raise VerificationFailed("clifford-exponent", witness=tuple(bad[0].tolist()))
+    t = lams // stride
+    terms = psi.coeffs[H.class_of[H.table[np.ix_(H.class_reps(), normal)]]]
+    # conj(zeta^t) zeta^u = zeta^(u-t): row u of the power basis, rotated
+    u = np.arange(basis.phi)
+    rot = basis.zeta[(u[None, None, :] - t[:, :, None]) % basis.e]
+    _guard("Clifford projection", len(normal), _maxabs(psi.coeffs), basis.phi, basis.zmax)
+    sums = np.einsum("knu,lnuw->lkw", terms, rot)
+    bad = np.argwhere(sums % len(normal))
+    if len(bad):
+        raise VerificationFailed("clifford-integrality", witness=tuple(bad[0][:2].tolist()))
+    return [ClassFunction._of(H, s) for s in sums // len(normal)]
 
 
 def mackey_irreducible(rho, H):

@@ -17,10 +17,7 @@ from .chars import character_table, linear_exponents
 from .errors import (
     CapExceeded,
     DivisionByZero,
-    NotAssociative,
-    NotNilpotent,
     NotInvariant,
-    NotPrime,
     SearchExhausted,
     VerificationFailed,
 )
@@ -33,17 +30,24 @@ from .unitgroup import (
     unit_group_of,
 )
 
-USAGE_ERRORS = (
-    CapExceeded,
-    DivisionByZero,
-    NotAssociative,
-    NotNilpotent,
-    NotPrime,
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
+
+class UsageError(Exception):
+    """A target, algebra file or field size that cannot be used."""
+
+
+def _usage(build, *args):
+    """build(*args) for a function that parses a target or a field size:
+    what it raises on bad input (ValueError with its subclasses NotPrime,
+    NotAssociative, NotNilpotent and JSONDecodeError, KeyError, OSError,
+    DivisionByZero) becomes a UsageError, exit 2.  The same errors raised
+    later, inside a computation, are bugs and pass through."""
+    try:
+        return build(*args)
+    except (ValueError, KeyError, OSError, DivisionByZero) as e:
+        raise UsageError(e) from e
+
+
+USAGE_ERRORS = (UsageError, CapExceeded)
 
 
 def _emit(args, payload, name, kind, text=None):
@@ -79,7 +83,7 @@ def cmd_catalog(args):
 
 
 def cmd_show(args):
-    A = resolve(args.target)
+    A = _usage(resolve, args.target)
     q = A.ring.field.q
     info = {
         "target": args.target,
@@ -100,7 +104,7 @@ def cmd_show(args):
 
 
 def cmd_chartable(args):
-    A = resolve(args.target)
+    A = _usage(resolve, args.target)
     tab = character_table(unit_group_of(A, args.cap))
     if args.format == "csv":
         _emit(args, None, args.target, "chartable", text=tab.to_csv())
@@ -112,7 +116,7 @@ def cmd_chartable(args):
 def cmd_decompose(args):
     from .gutkin import gutkin_decompose
 
-    A = resolve(args.target)
+    A = _usage(resolve, args.target)
     G = unit_group_of(A, args.cap)
     tab = character_table(G)
     certs = [gutkin_decompose(chi).to_json() for chi in tab.chars]
@@ -243,7 +247,7 @@ SUITES = {
 
 
 def cmd_verify(args):
-    A = resolve(args.target)
+    A = _usage(resolve, args.target)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     report = {"target": args.target, "suites": {}}
     for name in names:
@@ -257,7 +261,7 @@ def cmd_halasi(args):
     from .identities import halasi_explore
 
     report = halasi_explore(
-        gf(args.q), args.gens, args.nil_index, args.k, cap=args.cap
+        _usage(gf, args.q), args.gens, args.nil_index, args.k, cap=args.cap
     )
     _emit(args, report, f"free({args.q},{args.gens},{args.nil_index})-k{args.k}",
           "halasi")

@@ -8,7 +8,10 @@ it relies on along the way: the minimal scalar level, conjugation invariance
 of the central character, the commutator pairing on (A/A^2) x (A^(m-1)/A^m)
 with all three of its bilinearity laws, the ideals cut out by the induced
 linear map, and the extension lemma for 1 + U (nonempty, a single
-conjugation orbit, stabilizer exactly 1 + A_1).  The pairing is scanned and
+conjugation orbit, stabilizer exactly 1 + A_1).  The extension lemma makes
+the next character a Clifford projection: the part of chi on 1 + A_1 that
+lies over one extension, read off chi's own values with no character table
+of 1 + A_1 (clifford_constituent).  The pairing is scanned and
 checked once per group and level, with values in the finite quotient
 Q = (1+A^m)/(1+A, 1+A^m) and no character involved; each central character
 then only has to be checked to be a character of Q.  Violations surface as
@@ -35,6 +38,7 @@ from . import linalg
 from .chars import (
     ClassFunction,
     character_table,
+    clifford_parts,
     induce,
     linear_exponents,
     mackey_irreducible,
@@ -622,14 +626,38 @@ class MonomialDatum:
         }
 
 
+def clifford_constituent(chi, SA1, SU, exts):
+    """The constituent rho of chi restricted to H = 1 + A1 that induces chi,
+    by Clifford projection onto the extensions exts of zeta to N = 1 + U.
+
+    N is normal (U is an ideal), exts is a single orbit under 1 + A and H
+    is the stabilizer of each member (extension_set), so Res_H chi is the
+    sum of its exts-parts, each irreducible, and each induces chi.  rho is
+    the part with the least sort_key: the first constituent in table order.
+    <rho, rho> = 1 and rho(1) > 0 are checked (VerificationFailed)."""
+    _, _, sub_of = SA1.std_group
+    parts = clifford_parts(
+        restrict(chi, SA1), sub_of[SU.indices], exts[:, SU.indices],
+        chi.group.exponent(),
+    )
+    rho = min(parts, key=ClassFunction.sort_key)
+    norm = rho.inner(rho)
+    if norm != 1:
+        raise VerificationFailed("constituent-irreducible", witness=str(norm))
+    if rho.coeffs[0, 1:].any() or rho.coeffs[0, 0] <= 0:
+        raise VerificationFailed("constituent-degree", witness=str(rho.degree))
+    return rho
+
+
 def gutkin_decompose(chi):
     """Produce and verify the monomial certificate for an irreducible chi.
 
     Linear characters return immediately with B = A.  Otherwise one descent
     step is run (scalar level, pairing, linear map, line, ideals, extension
-    checks), the restriction to 1 + A_1 is split against the recursively
-    computed character table, and the first constituent rho in table order
-    is checked to induce back to chi irreducibly before recursing on it."""
+    checks), the constituent rho of the restriction to 1 + A_1 is projected
+    out by Clifford theory (clifford_constituent), and rho is checked to
+    induce back to chi irreducibly before recursing on it.  No character
+    table is computed on the way down."""
     G = chi.group
     if chi.inner(chi) != 1:
         raise ValueError("only irreducible characters have monomial certificates")
@@ -657,14 +685,7 @@ def gutkin_decompose(chi):
 
         SA1 = subspace_subgroup(cur_G, A1)
         H, emb, _ = SA1.std_group
-        res = restrict(cur_chi, SA1)
-        rho = None
-        for cand in character_table(H).chars:
-            if res.inner(cand) != 0:
-                rho = cand
-                break
-        if rho is None:
-            raise VerificationFailed("restriction-constituent", witness=None)
+        rho = clifford_constituent(cur_chi, SA1, subspace_subgroup(cur_G, U), exts)
         if not mackey_irreducible(rho, SA1):
             raise VerificationFailed("induced-irreducibility", witness=A1.rows)
         if induce(rho, SA1) != cur_chi:

@@ -10,7 +10,6 @@ no unit; nilpotency means some power A^n vanishes.  Everything downstream
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 
 from . import linalg
@@ -542,9 +541,6 @@ class Algebra:
             },
         }
 
-    def canonical_key(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
     @staticmethod
     def from_json(data, check=True):
         ring_d = data["ring"]
@@ -708,23 +704,6 @@ def subalgebra_closure(algebra, vectors):
     while True:
         els = span.row_elements()
         prods = [(x * y).coords for x in els for y in els]
-        bigger = span.sum_with(Subspace.from_vectors(algebra, prods))
-        if bigger.dim == span.dim:
-            return span
-        span = bigger
-
-
-def ideal_closure(algebra, vectors):
-    """Smallest two-sided ideal containing the vectors."""
-    span = Subspace.from_vectors(algebra, vectors)
-    basis = algebra.basis()
-    while True:
-        els = span.row_elements()
-        prods = []
-        for x in els:
-            for e in basis:
-                prods.append((x * e).coords)
-                prods.append((e * x).coords)
         bigger = span.sum_with(Subspace.from_vectors(algebra, prods))
         if bigger.dim == span.dim:
             return span

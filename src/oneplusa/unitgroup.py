@@ -332,12 +332,6 @@ class UnitGroup:
             self._group = FiniteGroupTable(self.table)
         return self._group
 
-    def mul(self, x, y):
-        return int(self.table[x, y])
-
-    def inv(self, x):
-        return int(self.group.inv[x])
-
     # -- generators ---------------------------------------------------------------
 
     def generator_indices(self):
@@ -464,9 +458,6 @@ class Subgroup:
     @property
     def order(self):
         return len(self.indices)
-
-    def contains_index(self, n):
-        return bool(self.mask[n])
 
     def elements(self):
         return [self.group.element(int(n)) for n in self.indices]

@@ -16,7 +16,6 @@ import pytest
 from oneplusa.chars import (
     CharacterTable,
     ClassFunction,
-    _det_mod_bruteforce,
     _eigenvalues_mod,
     _hessenberg_mod,
     _choose_prime,
@@ -25,11 +24,10 @@ from oneplusa.chars import (
     _rref_mod,
     _split_class_algebra,
     character_table,
-    frobenius_reciprocity_holds,
+    clifford_parts,
     induce,
     linear_characters,
     mackey_irreducible,
-    regular_character,
     restrict,
     _power_basis,
     linear_exponents,
@@ -51,6 +49,30 @@ def free_group(q, gens, idx):
 
 
 # -- mod-ell eigenvalue helpers ----------------------------------------------
+
+
+def _det_mod_bruteforce(M, l):
+    # reference determinant by permutation expansion
+    n = M.shape[0]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for s in range(n):
+            if not seen[s]:
+                length = 0
+                t = s
+                while not seen[t]:
+                    seen[t] = True
+                    t = perm[t]
+                    length += 1
+                if length % 2 == 0:
+                    sign = -sign
+        term = sign
+        for s in range(n):
+            term = term * int(M[s, perm[s]])
+        total += term
+    return total % l
 
 
 def test_hessenberg_preserves_charpoly_roots():
@@ -213,13 +235,13 @@ def test_ul32_inner_products():
     for a, b in itertools.combinations_with_replacement(tab.chars, 2):
         want = 1 if a is b else 0
         assert a.inner(b) == want
-    assert all(ch.is_irreducible() for ch in tab.chars)
 
 
 def test_regular_character_decomposition():
     G = ul_group(3, 2)
     tab = character_table(G)
-    reg = regular_character(G)
+    # the regular character: |G| at the identity class, 0 elsewhere
+    reg = ClassFunction(G, [G.order] + [0] * (len(tab) - 1))
     for ch in tab.chars:
         assert reg.inner(ch) == ch.degree
     # reg = sum of deg * chi
@@ -339,7 +361,7 @@ def test_frobenius_reciprocity():
     rhos = linear_characters(Hg)
     for rho in rhos[:4]:
         for chi in tab.chars[:4] + tab.chars[-2:]:
-            assert frobenius_reciprocity_holds(rho, H, chi)
+            assert induce(rho, H).inner(chi) == rho.inner(restrict(chi, H))
 
 
 def test_induced_inner_product_counts_constituents():
@@ -355,6 +377,37 @@ def test_induced_inner_product_counts_constituents():
     for ch in tab.chars[:4]:
         acc = ch if acc is None else acc + ch
     assert ind == acc
+
+
+@pytest.mark.parametrize("make", [lambda: ul_group(3, 3), lambda: ul_group(4, 2)])
+def test_clifford_parts_over_the_center(make):
+    # Z = 1 + A^(n-1) is central and acts on chi by chi(1) l_chi, so the part
+    # over l_chi is chi itself and every other part is zero
+    G = make()
+    Z = power_subgroup(G, G.algebra.nilpotency_index - 1)
+    lams = linear_exponents(Z)[:, Z.indices]
+    for chi in character_table(G).chars:
+        own = (lams == scalar_character_on(chi, Z)[Z.indices]).all(axis=1)
+        assert own.sum() == 1
+        parts = clifford_parts(chi, Z.indices, lams, G.exponent())
+        for is_own, part in zip(own, parts):
+            assert part == chi if is_own else not part.coeffs.any()
+
+
+def test_clifford_parts_reject_values_outside_the_ring():
+    G = ul_group(3, 2)  # exponent 4; Z = {1, 1 + e13}
+    Z = power_subgroup(G, 2)
+    chi = character_table(G).chars[-1]  # chi(1 + e13) = -2
+    # exponents mod 8 are read mod 4: 4 is -1, but 1 is zeta_8
+    assert clifford_parts(chi, Z.indices, np.array([[0, 4]]), 8)[0] == chi
+    with pytest.raises(VerificationFailed) as err:
+        clifford_parts(chi, Z.indices, np.array([[0, 4], [0, 1]]), 8)
+    assert (err.value.stage, err.value.witness) == ("clifford-exponent", (1, 1))
+    # 1 at the identity and 0 elsewhere: the trivial part is 1/2 there
+    delta = ClassFunction(G, [1, 0, 0, 0, 0])
+    with pytest.raises(VerificationFailed) as err:
+        clifford_parts(delta, Z.indices, np.array([[0, 0]]), 4)
+    assert (err.value.stage, err.value.witness) == ("clifford-integrality", (0, 0))
 
 
 def test_scalar_on_center():

@@ -46,7 +46,8 @@ def test_show_json_round_trips(capsys):
     assert code == 0
     info = json.loads(out)
     A = Algebra.from_json(info["algebra"])
-    assert A.canonical_key() == json.dumps(info["algebra"], sort_keys=True)
+    key = json.dumps(A.to_json(), sort_keys=True)
+    assert key == json.dumps(info["algebra"], sort_keys=True)
     assert info["group_order"] == 8
 
 
@@ -54,7 +55,8 @@ def test_catalog_entries_rebuild_identically():
     from oneplusa.catalog import BUILTIN
 
     for entry in BUILTIN:
-        assert entry.construct().canonical_key() == entry.construct().canonical_key()
+        first, second = entry.construct().to_json(), entry.construct().to_json()
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 def test_chartable_json(capsys):
@@ -205,7 +207,7 @@ def test_decompose_overflow_guard_is_not_a_usage_error(monkeypatch, capsys):
     real = chars.ClassFunction.inner
 
     def guarded(self, other):
-        if self.group.algebra.dim < 3:  # the constituent scan on 1 + A_1
+        if self.group.algebra.dim < 3:  # <rho, rho> = 1 for rho on 1 + A_1
             chars._guard("inner product", 2 ** 40, 2 ** 40)
         return real(self, other)
 
@@ -213,6 +215,42 @@ def test_decompose_overflow_guard_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="overflow guard"):
         cli.main(["decompose", "ul(3,2)"])
     assert "error:" not in capsys.readouterr().err
+
+
+def test_value_error_in_the_descent_is_not_a_usage_error(monkeypatch, capsys):
+    # only parsing the target may exit 2; a ValueError from inside the
+    # computation is a bug and must surface as a traceback
+    from oneplusa import gutkin
+
+    def broken(pairing, psi=None):
+        raise ValueError("synthetic internal error")
+
+    monkeypatch.setattr(gutkin, "phi_map", broken)
+    with pytest.raises(ValueError, match="synthetic internal error"):
+        cli.main(["decompose", "ul(3,2)"])
+    assert "error:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,order",
+    [(["decompose", "ul(4,3)"], 729), (["verify", "ul(4,2)", "--suite", "gutkin"], 64)],
+)
+def test_descent_builds_only_the_top_character_table(monkeypatch, capsys, argv, order):
+    from oneplusa import chars, gutkin  # noqa: F401  (bound before patching)
+
+    real = chars.character_table
+    groups = []
+
+    def counting(group):
+        groups.append(group)
+        return real(group)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("oneplusa") and getattr(module, "character_table", None) is real:
+            monkeypatch.setattr(module, "character_table", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert [G.order for G in groups] == [order]
 
 
 def test_unknown_target_exits_two(capsys):

@@ -15,7 +15,15 @@ import random
 import numpy as np
 import pytest
 
-from oneplusa.chars import character_table, induce, restrict, ClassFunction
+from oneplusa import gutkin
+from oneplusa.catalog import resolve
+from oneplusa.chars import (
+    ClassFunction,
+    character_table,
+    induce,
+    linear_exponents,
+    restrict,
+)
 from oneplusa.errors import (
     NoLineFound,
     NotLinear,
@@ -31,6 +39,7 @@ from oneplusa.gutkin import (
     _bracket_value,
     build_ideals,
     choose_line,
+    clifford_constituent,
     commutator_pairing,
     extension_set,
     find_polarization,
@@ -50,7 +59,13 @@ from oneplusa.nilalg import (
     is_subalgebra,
     strictly_upper_triangular,
 )
-from oneplusa.unitgroup import Subgroup, UnitGroup, map_indices, power_subgroup
+from oneplusa.unitgroup import (
+    Subgroup,
+    UnitGroup,
+    map_indices,
+    power_subgroup,
+    subspace_subgroup,
+)
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -156,7 +171,7 @@ def test_u32_extension_set():
     g = G.index_of_coords((0, 1, 0))
     T = G.table
     on_u = [0, 1, 4, 5]
-    conj = [exts[0][int(T[T[g, h], G.inv(g)])] for h in on_u]
+    conj = [exts[0][int(T[T[g, h], G.group.inv[g]])] for h in on_u]
     assert conj == exts[1][on_u].tolist()
 
 
@@ -410,6 +425,76 @@ def test_decompose_rejects_reducible_input():
     doubled = ClassFunction(G, tuple(v + v for v in chi.values))
     with pytest.raises(ValueError):
         gutkin_decompose(doubled)
+
+
+# -- the constituent pick by Clifford projection ------------------------------
+
+
+def _first_step(chi):
+    # 1 + A1, 1 + U and the extensions of zeta for the first descent step
+    G = chi.group
+    m, zeta = minimal_scalar_level(chi)
+    phi = phi_map(commutator_pairing(G, m, zeta))
+    A1, U = build_ideals(phi, choose_line(phi))
+    exts = extension_set(G, U, m, zeta, A1)
+    return subspace_subgroup(G, A1), subspace_subgroup(G, U), exts
+
+
+def _table_scan_pick(chi, SA1):
+    # the reference pick: restrict, then take the first constituent in the
+    # character table of 1 + A1
+    res = restrict(chi, SA1)
+    Hg = SA1.std_group[0]
+    return next(cand for cand in character_table(Hg).chars if res.inner(cand) != 0)
+
+
+@pytest.mark.parametrize(
+    "target,steps",
+    [("ul(4,2)", 10), ("free(2,2,3)", 8), ("ul(3,4)", 3), ("ul(4,3)", 36)],
+)
+def test_clifford_pick_matches_the_table_scan(monkeypatch, target, steps):
+    picks = []
+    real = gutkin.clifford_constituent
+
+    def recording(chi, SA1, SU, exts):
+        rho = real(chi, SA1, SU, exts)
+        picks.append((chi, SA1, rho))
+        return rho
+
+    monkeypatch.setattr(gutkin, "clifford_constituent", recording)
+    G = UnitGroup(resolve(target))
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    assert len(picks) == steps
+    for chi, SA1, rho in picks:
+        assert rho == _table_scan_pick(chi, SA1)
+
+
+def test_clifford_pick_rejects_a_reducible_class_function():
+    chi = character_table(ul_group(3, 2)).chars[-1]
+    SA1, SU, exts = _first_step(chi)
+    with pytest.raises(VerificationFailed) as err:
+        clifford_constituent(chi + chi, SA1, SU, exts)
+    assert (err.value.stage, err.value.witness) == ("constituent-irreducible", "4")
+
+
+def test_clifford_pick_rejects_a_character_outside_the_orbit():
+    chi = character_table(ul_group(3, 2)).chars[-1]
+    SA1, SU, exts = _first_step(chi)
+    lins = linear_exponents(SU)
+    outside = lins[~(lins[:, None, :] == exts[None, :, :]).all(axis=2).any(axis=1)]
+    assert len(outside) == 2
+    with pytest.raises(VerificationFailed) as err:
+        clifford_constituent(chi, SA1, SU, outside)  # every part is zero
+    assert (err.value.stage, err.value.witness) == ("constituent-irreducible", "0")
+
+
+def test_clifford_pick_rejects_a_negative_degree():
+    chi = character_table(ul_group(3, 2)).chars[-1]
+    SA1, SU, exts = _first_step(chi)
+    with pytest.raises(VerificationFailed) as err:
+        clifford_constituent(chi * -1, SA1, SU, exts)
+    assert (err.value.stage, err.value.witness) == ("constituent-degree", "-1")
 
 
 # -- whole-table sweeps --------------------------------------------------------

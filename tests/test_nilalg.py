@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -12,7 +13,6 @@ from oneplusa.nilalg import (
     Poly,
     Subspace,
     free_nilpotent,
-    ideal_closure,
     is_ideal,
     is_subalgebra,
     quotient_algebra,
@@ -176,10 +176,15 @@ def test_closures_and_ideals():
     grown = subalgebra_closure(A, [A.basis_element(0), A.basis_element(1)])
     assert grown.dim == 3  # e12, e23 and their product e13
     assert is_subalgebra(A, grown)
-    ide = ideal_closure(A, [A.basis_element(0)])
-    assert ide.pivots == (0, 3, 5)  # e12, e13, e14
+    # the ideal generated by e12 is span{e12, e13, e14}: an ideal, and no
+    # proper subspace of it that contains e12 is one
+    e12, e13, e14 = (A.from_labels({x: 1}) for x in ("e12", "e13", "e14"))
+    ide = Subspace.from_vectors(A, [e12, e13, e14])
+    assert ide.pivots == (0, 3, 5)
     assert is_ideal(A, ide)
-    assert not is_ideal(A, Subspace.from_vectors(A, [A.basis_element(0)]))
+    assert not is_ideal(A, Subspace.from_vectors(A, [e12]))
+    for v in (e13, e14, e13 + e14):
+        assert not is_ideal(A, Subspace.from_vectors(A, [e12, v]))
 
 
 def test_quotient_algebra():
@@ -209,7 +214,8 @@ def test_json_roundtrip_and_key():
     A = strictly_upper_triangular(3, gf(4))
     data = A.to_json()
     B = Algebra.from_json(data)
-    assert B.canonical_key() == A.canonical_key()
+    key = json.dumps(B.to_json(), sort_keys=True)
+    assert key == json.dumps(data, sort_keys=True)
     assert B.labels == A.labels
     assert B.mul_coords(B._unit[0], B._unit[1]) == A.mul_coords(A._unit[0], A._unit[1])
 

@@ -50,6 +50,20 @@ def _usage(build, *args):
 USAGE_ERRORS = (UsageError, CapExceeded)
 
 
+def _int_at_least(low):
+    """argparse type for an integer >= low, so a bad count exits 2 while
+    the command line is parsed."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _emit(args, payload, name, kind, text=None):
     """Write a report to --out DIR or stdout.  JSON payloads are rendered
     canonically; text is used as-is for csv."""
@@ -317,10 +331,11 @@ def _build_parser():
                         help="orders of the derived-intersection comparison "
                         "in a free algebra over a finite field")
     sc.add_argument("q", type=int, help="field size")
-    sc.add_argument("gens", type=int, help="number of generators")
-    sc.add_argument("nil_index", type=int,
+    sc.add_argument("gens", type=_int_at_least(0), help="number of generators")
+    sc.add_argument("nil_index", type=_int_at_least(1),
                     help="products of this many factors vanish")
-    sc.add_argument("k", type=int, help="filtration level to compare at")
+    sc.add_argument("k", type=_int_at_least(2),
+                    help="filtration level to compare at (at least 2)")
     sc.set_defaults(func=cmd_halasi)
     return p
 

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic: finite fields GF(p^k) and cyclotomic numbers.
 
 Field elements are polynomials over Z/p modulo a deterministic irreducible
-modulus, so GF(p^k) is reproducible across runs.  Character values live in
-Q(zeta_N) with exact rational coordinates in the power basis
-1, zeta, ..., zeta^(phi(N)-1), stored at the smallest possible order, so
-equality is structural and hashing is safe.
+modulus, so GF(p^k) is reproducible across runs.  Character values of the
+p-groups 1+A live in Q(zeta_{p^k}), p^k the group exponent, with exact
+rational coordinates in the power basis 1, zeta, ..., zeta^(phi(p^k)-1),
+stored at the smallest possible order, so equality is structural and
+hashing is safe.  Only order 1 and prime-power orders are supported; a
+composite order (zeta_6, or zeta_3 * zeta_4) raises ValueError.
 """
 
 from __future__ import annotations
@@ -408,28 +410,22 @@ def field_ops(field):
 # cyclotomic numbers
 
 
+def _prime_of(n):
+    """The prime p of a prime power n = p^k, k >= 1."""
+    ps = prime_factors(n)
+    if len(ps) != 1:
+        raise ValueError(f"cyclotomic order {n} is not 1 or a prime power")
+    return ps[0]
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """Coefficients (ascending) of the n-th cyclotomic polynomial over Z."""
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, exact integer division
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = list(cyclotomic_polynomial(d))
-            quot = [0] * (len(num) - len(den) + 1)
-            rem = list(num)
-            while len(rem) >= len(den):
-                shift = len(rem) - len(den)
-                factor = rem[-1]  # denominators are monic
-                quot[shift] = factor
-                for i, dv in enumerate(den):
-                    rem[shift + i] -= factor * dv
-                while rem and rem[-1] == 0:
-                    rem.pop()
-            if rem:
-                raise VerificationFailed("cyclotomic-division", witness=(n, d))
-            num = quot
-    return tuple(num)
+    """Coefficients (ascending) of the n-th cyclotomic polynomial over Z, for
+    n = 1 or a prime power: Phi_{p^k}(x) = Phi_p(x^(p^(k-1)))."""
+    if n == 1:
+        return (-1, 1)
+    step = n // _prime_of(n)
+    return tuple(int(e % step == 0) for e in range(n - step + 1))
 
 
 @lru_cache(maxsize=None)
@@ -462,76 +458,30 @@ def _num(x):
 
 def _reduce_terms(order, terms):
     """Map {exponent: coefficient} into the power basis of Q(zeta_order)."""
-    phi = euler_phi(order)
-    vec = [0] * max(1, phi)
-    rows = _zeta_power_vectors(order) if order > 1 else None
+    rows = _zeta_power_vectors(order)
+    vec = [0] * len(rows[0])
     for e, c in terms.items():
-        if c == 0:
-            continue
-        e %= order
-        if order == 1 or e == 0:
-            vec[0] += c
-        elif e < phi:
-            vec[e] += c
-        else:
-            for i, r in enumerate(rows[e]):
+        if c:
+            for i, r in enumerate(rows[e % order]):
                 if r:
                     vec[i] += c * r
     return [_num(v) for v in vec]
 
 
-def _descend_once(order, vec):
-    """One conductor-descent step, or None if vec needs the full order."""
-    if order == 1:
-        return None
-    if all(v == 0 for v in vec):
-        return (1, [0])
-    for r in sorted(set(prime_factors(order))):
-        d = order // r
-        phi_d = euler_phi(d)
-        # prime powers: membership in Q(zeta_d) is visible on basis support
-        if len(set(prime_factors(order))) == 1:
-            if all(c == 0 for e, c in enumerate(vec) if e % r != 0):
-                if d == 1:
-                    return (1, [vec[0]])
-                new = [vec[r * j] if r * j < len(vec) else 0 for j in range(phi_d)]
-                return (d, new)
-            continue
-        # general case: fixed by Gal(Q(zeta_order)/Q(zeta_d)), then solve
-        fixed = True
-        terms = {e: c for e, c in enumerate(vec) if c != 0}
-        for s in range(1 + d, order, d):
-            if math.gcd(s, order) != 1:
-                continue
-            moved = _reduce_terms(order, {(e * s) % order: c for e, c in terms.items()})
-            if moved != list(vec):
-                fixed = False
-                break
-        if not fixed:
-            continue
-        ratio = order // d
-        basis_rows = [
-            tuple(Fraction(v) for v in _reduce_terms(order, {ratio * i: 1}))
-            for i in range(phi_d)
-        ]
-        target = tuple(Fraction(v) for v in vec)
-        sol = linalg.solve_combination(basis_rows, target, linalg.rational_ops())
-        if sol is None:
-            raise VerificationFailed("galois-fixed-subfield", witness=(order, d, tuple(vec)))
-        return (d, [_num(c) for c in sol])
-    return None
-
-
 def _canonical(order, vec):
-    while True:
-        step = _descend_once(order, vec)
-        if step is None:
-            return order, tuple(_num(v) for v in vec)
-        order, vec = step
+    """The least order holding vec: in the power basis of Q(zeta_{p^k}), the
+    subfield Q(zeta_{p^(k-1)}) is the span of the powers of zeta^p."""
+    if order > 1:
+        p = _prime_of(order)
+        while order > 1 and not any(c for e, c in enumerate(vec) if e % p):
+            order //= p
+            vec = vec[::p]
+    return order, tuple(vec)
 
 
 class Cyclotomic:
-    """An element of some Q(zeta_N), stored at its minimal (conductor) order."""
+    """An element of some Q(zeta_{p^k}), stored at its minimal (conductor)
+    order p^j, j <= k."""
 
     __slots__ = ("order", "coeffs")
 
@@ -544,9 +494,9 @@ class Cyclotomic:
 
     @staticmethod
     def from_terms(order, terms):
-        vec = _reduce_terms(order, terms)
-        o, v = _canonical(order, vec)
-        return Cyclotomic(o, v)
+        """sum of c * zeta_order^e over terms {e: c}; order is 1 or a prime
+        power, anything else raises ValueError."""
+        return Cyclotomic(*_canonical(order, _reduce_terms(order, terms)))
 
     @staticmethod
     def rational(v):

@@ -101,44 +101,6 @@ def coords_in_rowspace(vec, rows, pivots, ops):
     return coeffs
 
 
-def solve_combination(vectors, target, ops):
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None.
-
-    Not restricted to RREF input; does its own elimination with bookkeeping.
-    """
-    vecs = [list(v) for v in vectors]
-    m = len(vecs)
-    combos = [[ops.one if i == j else ops.zero for j in range(m)] for i in range(m)]
-    t = list(target)
-    tc = [ops.zero] * m
-    ncols = len(t)
-    used = [False] * m
-    for col in range(ncols):
-        piv = None
-        for r in range(m):
-            if not used[r] and not ops.is_zero(vecs[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        scale = ops.inv(vecs[piv][col])
-        vecs[piv] = [ops.mul(scale, v) for v in vecs[piv]]
-        combos[piv] = [ops.mul(scale, v) for v in combos[piv]]
-        for r in range(m):
-            if r != piv and not ops.is_zero(vecs[r][col]):
-                f = vecs[r][col]
-                vecs[r] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(vecs[r], vecs[piv])]
-                combos[r] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(combos[r], combos[piv])]
-        if not ops.is_zero(t[col]):
-            f = t[col]
-            t = [ops.sub(a, ops.mul(f, b)) for a, b in zip(t, vecs[piv])]
-            tc = [ops.add(a, ops.mul(f, b)) for a, b in zip(tc, combos[piv])]
-    if any(not ops.is_zero(v) for v in t):
-        return None
-    return tuple(tc)
-
-
 def nullspace(rows, ncols, ops):
     """Canonical RREF basis of {x : M x = 0} where rows are the rows of M."""
     red, pivots = rref(rows, ops)

@@ -293,9 +293,6 @@ class UnitGroup:
     def index_of(self, u):
         return self.index_of_coords(u.a.coords)
 
-    def elements(self):
-        return (self.element(n) for n in range(self.order))
-
     # -- multiplication table ----------------------------------------------------
 
     @property
@@ -458,9 +455,6 @@ class Subgroup:
     @property
     def order(self):
         return len(self.indices)
-
-    def elements(self):
-        return [self.group.element(int(n)) for n in self.indices]
 
     def is_normal(self):
         T = self.group.table

@@ -317,6 +317,20 @@ def test_halasi_explore(capsys):
     assert (r["lhs_order"], r["rhs_order"], r["equal"]) == (2, 2, True)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("2", "2", "3", "1"), ("2", "-1", "3", "2"), ("2", "2", "0", "2")],
+    ids=["k=1", "gens=-1", "nil_index=0"],
+)
+def test_halasi_explore_bad_counts_exit_two(args, capsys):
+    # k < 2, gens < 0 and nil_index < 1 are rejected while parsing, before
+    # any group is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["halasi-explore", *args])
+    assert exc.value.code == 2
+    assert "is below" in capsys.readouterr().err
+
+
 def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "oneplusa.cli", "catalog"],

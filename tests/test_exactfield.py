@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,10 +142,32 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
+    assert cyclotomic_polynomial(25) == tuple(int(e % 5 == 0) for e in range(21))
     assert euler_phi(12) == 4
+    assert euler_phi(27) == 18
+    for n in (6, 12, 15, 0):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(n)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 3, 9, 27, 5, 25, 7])
+def test_cyclotomic_polynomials_factor_x_n_minus_1(n):
+    # x^n - 1 is the product of Phi_d over the divisors d of n
+    prod = [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            prod = _poly_mul(prod, cyclotomic_polynomial(d))
+    assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 def test_zeta_relations():
@@ -160,19 +183,62 @@ def test_zeta_relations():
 
 
 def test_conductor_descent():
-    # values created at order 12 land at their true minimal order
-    z12 = Cyclotomic.zeta(12)
-    assert (z12 ** 4).order == 3
-    assert z12 ** 4 == Cyclotomic.zeta(3)
-    assert (z12 ** 3).order == 4
-    assert z12 ** 3 == Cyclotomic.zeta(4)
-    assert (z12 ** 6).order == 1
-    assert z12 ** 6 == -1
-    # even order over an odd conductor collapses: zeta6 = 1 + zeta3
-    z6 = Cyclotomic.zeta(6)
-    assert z6.order == 3
-    assert z6 == Cyclotomic.rational(1) + Cyclotomic.zeta(3)
+    # values created at order 27 or 16 land at their true minimal order
+    z27 = Cyclotomic.zeta(27)
+    assert (z27 ** 3).order == 9
+    assert z27 ** 3 == Cyclotomic.zeta(9)
+    assert (z27 ** 9).order == 3
+    assert z27 ** 9 == Cyclotomic.zeta(3)
+    assert (z27 ** 27).order == 1
+    # zeta9^3 + zeta9^6 = zeta3 + zeta3^2 = -1
+    v = Cyclotomic.zeta(9, 3) + Cyclotomic.zeta(9, 6)
+    assert v.order == 1 and v == -1
+    z16 = Cyclotomic.zeta(16)
+    assert (z16 ** 2).order == 8
+    assert (z16 ** 4).order == 4
+    assert z16 ** 4 == Cyclotomic.zeta(4)
+    assert (z16 ** 8).order == 1
+    assert z16 ** 8 == -1
+    # zeta16^6 + zeta16^10 = zeta8^3 + zeta8^5 = -(zeta8 + zeta8^7) = -sqrt(2)
+    v = Cyclotomic.zeta(16, 6) + Cyclotomic.zeta(16, 10)
+    assert v.order == 8 and v == -(Cyclotomic.zeta(8) + Cyclotomic.zeta(8, 7))
     assert Cyclotomic.zeta(2) == Cyclotomic.rational(-1)
+    assert Cyclotomic.from_terms(25, {5: 0, 7: Fraction(0)}).order == 1
+
+
+def solve_combination(vectors, target, ops):
+    """Coefficients c with sum(c_i * vectors[i]) == target, or None, by
+    elimination with bookkeeping; the reference for the membership oracle."""
+    vecs = [list(v) for v in vectors]
+    m = len(vecs)
+    combos = [[ops.one if i == j else ops.zero for j in range(m)] for i in range(m)]
+    t = list(target)
+    tc = [ops.zero] * m
+    used = [False] * m
+    for col in range(len(t)):
+        piv = None
+        for r in range(m):
+            if not used[r] and not ops.is_zero(vecs[r][col]):
+                piv = r
+                break
+        if piv is None:
+            continue
+        used[piv] = True
+        scale = ops.inv(vecs[piv][col])
+        vecs[piv] = [ops.mul(scale, v) for v in vecs[piv]]
+        combos[piv] = [ops.mul(scale, v) for v in combos[piv]]
+        for r in range(m):
+            if r != piv and not ops.is_zero(vecs[r][col]):
+                f = vecs[r][col]
+                vecs[r] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(vecs[r], vecs[piv])]
+                combos[r] = [ops.sub(a, ops.mul(f, b)) for a, b in zip(combos[r], combos[piv])]
+        if not ops.is_zero(t[col]):
+            f = t[col]
+            t = [ops.sub(a, ops.mul(f, b)) for a, b in zip(t, vecs[piv])]
+            tc = [ops.add(a, ops.mul(f, b)) for a, b in zip(tc, combos[piv])]
+    if any(not ops.is_zero(v) for v in t):
+        return None
+    return tuple(tc)
 
 
 def _membership_conductor(value, ambient):
@@ -184,31 +250,61 @@ def _membership_conductor(value, ambient):
             Cyclotomic.from_terms(ambient, {step * i: 1}).embed_vec(ambient)
             for i in range(euler_phi(d))
         ]
-        if linalg.solve_combination(rows, target, linalg.rational_ops()) is not None:
+        if solve_combination(rows, target, linalg.rational_ops()) is not None:
             return d
     raise AssertionError
 
 
 def test_descent_matches_membership_oracle():
     samples = [
-        Cyclotomic.zeta(12, 2) + Cyclotomic.zeta(12, 10),
-        Cyclotomic.zeta(12) - Cyclotomic.zeta(12, 5),
-        Cyclotomic.zeta(8) + Cyclotomic.zeta(8, 7),
-        Cyclotomic.zeta(9, 3),
-        Cyclotomic.zeta(15, 5) + Cyclotomic.zeta(15, 10),
-        Cyclotomic.zeta(12, 3) * 2 - 1,
-        Cyclotomic.rational(Fraction(3, 7)) * Cyclotomic.zeta(6),
+        (Cyclotomic.zeta(9, 2) + Cyclotomic.zeta(9, 7), 27),
+        (Cyclotomic.zeta(9, 3) - Cyclotomic.zeta(9, 6), 27),
+        (Cyclotomic.zeta(8) + Cyclotomic.zeta(8, 7), 16),
+        (Cyclotomic.zeta(9, 3), 27),
+        (Cyclotomic.zeta(25, 5) + Cyclotomic.zeta(25, 10), 25),
+        (Cyclotomic.zeta(16, 4) * 2 - 1, 16),
+        (Cyclotomic.rational(Fraction(3, 7)) * Cyclotomic.zeta(27, 18), 27),
+        (Cyclotomic.rational(Fraction(-2, 3)), 9),
     ]
-    for v in samples:
-        assert v.order == _membership_conductor(v, 24 if v.order % 8 == 0 else v.order * 2)
+    # seeded random values with support on a sub-stride, so most descend
+    rng = random.Random(0)
+    for ambient in (8, 16, 9, 27, 25, 7):
+        for _ in range(6):
+            step = rng.choice([d for d in range(1, ambient + 1) if ambient % d == 0])
+            terms = {step * rng.randrange(ambient // step): rng.randint(-3, 3)
+                     for _ in range(rng.randint(1, 4))}
+            samples.append((Cyclotomic.from_terms(ambient, terms), ambient))
+    orders = set()
+    for v, ambient in samples:
+        assert v.order == _membership_conductor(v, ambient)
+        orders.add(v.order)
+    assert orders >= {1, 3, 4, 8, 9, 25, 27}
+
+
+def test_composite_orders_are_rejected():
+    for make in (
+        lambda: Cyclotomic.zeta(6),
+        lambda: Cyclotomic.zeta(12),
+        lambda: Cyclotomic.zeta(3) * Cyclotomic.zeta(4),
+        lambda: Cyclotomic.zeta(3) + Cyclotomic.zeta(4),
+        lambda: Cyclotomic.from_terms(15, {}),
+        lambda: Cyclotomic.from_json({"order": 6, "coeffs": {"1": "1"}}),
+        lambda: Cyclotomic.zeta(3).embed_vec(12),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_cross_order_arithmetic():
-    z3, z4 = Cyclotomic.zeta(3), Cyclotomic.zeta(4)
-    prod = z3 * z4
-    assert prod.order == 12
-    assert prod == Cyclotomic.zeta(12, 7)  # zeta12^4 * zeta12^3
-    assert (z3 + z4) - z4 == z3
+    z3, z9 = Cyclotomic.zeta(3), Cyclotomic.zeta(9)
+    prod = z3 * z9
+    assert prod.order == 9
+    assert prod == Cyclotomic.zeta(9, 4)  # zeta9^3 * zeta9
+    z4, z8 = Cyclotomic.zeta(4), Cyclotomic.zeta(8)
+    assert z4 * z8 == Cyclotomic.zeta(8, 3)
+    assert (z4 * z8.conj()).order == 8
+    assert (z3 + z9) - z9 == z3
+    assert (z4 + z8) - z8 == z4
     assert (Cyclotomic.rational(1) + z3) * (Cyclotomic.rational(1) + z3 ** 2) == 1
 
 
@@ -221,10 +317,10 @@ def test_fraction_coefficients():
 
 
 def test_hash_and_set_semantics():
-    a = Cyclotomic.zeta(6) ** 3
+    a = Cyclotomic.zeta(8) ** 4
     b = Cyclotomic.rational(-1)
     assert a == b and hash(a) == hash(b)
-    vals = {Cyclotomic.zeta(3), Cyclotomic.zeta(6, 2), Cyclotomic.zeta(12, 4)}
+    vals = {Cyclotomic.zeta(3), Cyclotomic.zeta(9, 3), Cyclotomic.zeta(27, 9)}
     assert len(vals) == 1
 
 
@@ -246,8 +342,9 @@ def test_rendering():
 
 def test_embed_vec_roundtrip():
     z3 = Cyclotomic.zeta(3)
-    vec = z3.embed_vec(12)
-    back = Cyclotomic.from_terms(12, {e: c for e, c in enumerate(vec)})
+    vec = z3.embed_vec(27)
+    assert vec == tuple(Fraction(int(e == 9)) for e in range(18))
+    back = Cyclotomic.from_terms(27, {e: c for e, c in enumerate(vec)})
     assert back == z3
     with pytest.raises(ValueError):
         z3.embed_vec(8)

@@ -1,9 +1,12 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oneplusa"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "oneplusa"
 
 
 def test_no_assert_statements():
@@ -17,3 +20,23 @@ def test_no_assert_statements():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
     assert len(list(SRC.glob("*.py"))) >= 10
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps every (module, attribute) of its SPANS and
+    # COUNTS by name, looked up as vars(owner)[last]; each must stay callable
+    tracer = runpy.run_path(str(ROOT / "perfbench" / "tracer.py"))
+    entries = [(m, a) for m, a, _, _ in tracer["SPANS"]]
+    entries += [(m, a) for m, a, _ in tracer["COUNTS"]]
+    missing = []
+    for module, attr in entries:
+        owner = importlib.import_module(f"{tracer['PACKAGE']}.{module}")
+        *path, last = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        value = vars(owner).get(last)
+        fn = value.fget if isinstance(value, property) else value
+        if not callable(fn):
+            missing.append(f"{module}.{attr}")
+    assert not missing, missing
+    assert ("exactfield", "Cyclotomic.__mul__") in entries

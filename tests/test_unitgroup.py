@@ -83,6 +83,23 @@ def test_ul33_classes():
     assert G.center_indices().tolist() == [0, 1, 2]
 
 
+# class numbers of U_n(q), the unitriangular n x n group, from the literature
+# (Vera-Lopez & Arregi 2003, LAA 370; Pak & Soffer, arXiv:1507.00411); an
+# oracle independent of the class enumeration
+CLASS_NUMBERS = {
+    3: lambda q: q ** 2 + q - 1,
+    4: lambda q: 2 * q ** 3 + q ** 2 - 2 * q,
+    5: lambda q: 5 * q ** 4 - 5 * q ** 2 + 1,
+}
+
+
+@pytest.mark.parametrize(
+    "n,q", [(3, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(4, 2), (4, 3), (5, 2)]
+)
+def test_class_numbers_match_the_literature(n, q):
+    assert len(ul(n, q).conjugacy_classes()) == CLASS_NUMBERS[n](q)
+
+
 def test_class_of_partitions():
     for G in (ul(3, 2), ul(3, 4), ul(4, 2)):
         classes = G.conjugacy_classes()

@@ -47,6 +47,7 @@ from .exactfield import (
     is_prime,
     prime_factors,
 )
+from .unitgroup import commutator_subgroup, power_subgroup
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
@@ -534,8 +535,8 @@ def character_table(group):
     classes = group.conjugacy_classes()
     r = len(classes)
     sizes = group.class_sizes
-    reps = group.class_reps()
-    T = group.table
+    reps = np.array(group.class_reps(), dtype=np.int64)
+    elements = np.arange(group.order)
     CL = group.class_of
     e = group.exponent()
 
@@ -552,7 +553,7 @@ def character_table(group):
     def class_matrix_T(i):
         # N[k, j] = a_ijk: pairs (x, y) in C_i x C_j with xy a fixed member
         # of C_k; computed as a product-class histogram divided by |C_k|
-        rows = T[classes[i]]
+        rows = group.mul(classes[i][:, None], elements[None, :])
         counts = np.zeros((r, r), dtype=np.int64)
         src = np.broadcast_to(CL[None, :], rows.shape)
         np.add.at(counts, (src.ravel(), CL[rows].ravel()), 1)
@@ -566,14 +567,12 @@ def character_table(group):
     done = _split_class_algebra((class_matrix_T(i) for i in range(1, r)), r, l)
 
     # inverse-class pairing and power-map classes for the Fourier lift
-    inv = group.group.inv
-    inv_class = np.array([int(CL[inv[g]]) for g in reps], dtype=np.int64)
+    inv_class = CL[group.inv[reps]]
     cls_pow = np.empty((r, e), dtype=np.int64)
-    for k, g in enumerate(reps):
-        x = 0
-        for s in range(e):
-            cls_pow[k, s] = CL[x]
-            x = int(T[x, g])
+    x = np.zeros(r, dtype=np.int64)
+    for s in range(e):
+        cls_pow[:, s] = CL[x]
+        x = group.mul(x, reps)
     w0_pow = [pow(w0, t, l) for t in range(e)]
     W = np.array(
         [[w0_pow[(-s * j) % e] for j in range(e)] for s in range(e)], dtype=np.int64
@@ -627,9 +626,10 @@ def _cyclic_decomposition(Q):
     table: every element is uniquely prod_i g_i^(a_i)."""
     if Q.order == 1:
         return [], [], np.zeros((1, 0), dtype=np.int64)
-    if not Q.is_abelian():
-        x, y = (int(t) for t in np.argwhere(Q.table != Q.table.T)[0])
-        raise VerificationFailed("abelian-quotient", witness=(x, y))
+    qgens = np.asarray(Q.generator_indices(), dtype=np.int64)
+    bad = np.argwhere(Q.comm(qgens[:, None], qgens[None, :]))
+    if len(bad):
+        raise VerificationFailed("abelian-quotient", witness=tuple(qgens[bad[0]].tolist()))
     orders = [Q.order_of(x) for x in range(Q.order)]
     m = max(orders)
     g = orders.index(m)
@@ -637,7 +637,7 @@ def _cyclic_decomposition(Q):
     x = 0
     for t in range(m):
         powers[x] = t
-        x = int(Q.table[x, g])
+        x = int(Q.mul(x, g))
     C = Q.subgroup_closure([g])
     if len(C) != m:
         raise VerificationFailed("cyclic-closure", witness=(g, m, len(C)))
@@ -649,7 +649,7 @@ def _cyclic_decomposition(Q):
         t = powers[Q.power_of(h, mi)]
         if t % mi:
             raise VerificationFailed("peeling-divisibility", witness=(h, mi, t))
-        h = int(Q.table[h, Q.power_of(g, (-(t // mi)) % m)])
+        h = int(Q.mul(h, Q.power_of(g, (-(t // mi)) % m)))
         if Q.order_of(h) != mi:
             raise VerificationFailed("peeling-order", witness=(h, mi, Q.order_of(h)))
         lifted.append(h)
@@ -660,14 +660,14 @@ def _cyclic_decomposition(Q):
         rest = exps2[proj2[x]]
         y = x
         for h, a, mi in zip(lifted, rest, orders2):
-            y = int(Q.table[y, Q.power_of(h, (-int(a)) % mi)])
+            y = int(Q.mul(y, Q.power_of(h, (-int(a)) % mi)))
         if y not in powers:
             raise VerificationFailed("peeling-cyclic-part", witness=(x, y))
         exps[x] = [powers[y]] + [int(a) for a in rest]
         # reconstruction check: the coordinates really multiply back to x
         z = Q.power_of(g, int(exps[x, 0]))
         for h, a in zip(lifted, exps[x, 1:]):
-            z = int(Q.table[z, Q.power_of(h, int(a))])
+            z = int(Q.mul(z, Q.power_of(h, int(a))))
         if z != x:
             raise VerificationFailed("peeling-reconstruction", witness=(x, z))
     return gens, orders_out, exps
@@ -675,9 +675,8 @@ def _cyclic_decomposition(Q):
 
 def linear_characters(group):
     """All degree-1 characters, via G / (G, G)."""
-    Tg = group.group
-    K = Tg.commutator_subgroup()
-    Q, proj, _ = Tg.quotient(K)
+    whole = power_subgroup(group, 1)
+    Q, proj, _ = group.quotient(commutator_subgroup(whole, whole).indices)
     gens, orders, exps = _cyclic_decomposition(Q)
     E = math.lcm(1, *orders) if orders else 1
     basis = _power_basis(group.exponent())
@@ -763,7 +762,8 @@ def clifford_parts(psi, normal, lams, e):
     if len(bad):
         raise VerificationFailed("clifford-exponent", witness=tuple(bad[0].tolist()))
     t = lams // stride
-    terms = psi.coeffs[H.class_of[H.table[np.ix_(H.class_reps(), normal)]]]
+    reps = np.array(H.class_reps(), dtype=np.int64)
+    terms = psi.coeffs[H.class_of[H.mul(reps[:, None], normal[None, :])]]
     # conj(zeta^t) zeta^u = zeta^(u-t): row u of the power basis, rotated
     u = np.arange(basis.phi)
     rot = basis.zeta[(u[None, None, :] - t[:, :, None]) % basis.e]
@@ -783,11 +783,10 @@ def mackey_irreducible(rho, H):
     G = H.group
     ind = induce(rho, H)
     by_inner = ind.inner(ind) == 1
-    if not H.is_normal() or rho.inner(rho) != 1:
+    if not G.is_normal(H.indices) or rho.inner(rho) != 1:
         # the inertia criterion below needs rho irreducible and H normal
         return by_inner
     Hg, emb, sub_of = H.std_group
-    T, inv = G.table, G.group.inv
     # one id per distinct value row of rho, read on every element of H
     _, vid = np.unique(rho.coeffs, axis=0, return_inverse=True)
     on_h = vid.reshape(-1)[Hg.class_of]
@@ -797,8 +796,8 @@ def mackey_irreducible(rho, H):
     for g in range(G.order):
         if seen[g]:
             continue
-        seen[T[g, H.indices]] = True  # one representative per coset is enough
-        conj = sub_of[T[T[int(inv[g]), emb], g]]  # g^-1 h g for every h in H
+        seen[G.mul(g, H.indices)] = True  # one representative per coset is enough
+        conj = sub_of[G.conj(emb, g)]
         if (on_h[conj] == on_h).all():
             moved_everywhere = False
             break

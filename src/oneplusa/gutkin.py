@@ -61,7 +61,6 @@ from .exactfield import Cyclotomic, FieldElement, trace
 from .nilalg import AlgebraElement, Subspace, is_ideal, is_subalgebra
 from .unitgroup import (
     DEFAULT_GROUP_CAP,
-    Subgroup,
     UnitGroup,
     combine,
     commutator_subgroup,
@@ -168,8 +167,8 @@ def quotient_pairing(group, m):
     C(lam*x, y) = C(x, lam*y)) are then checked on Q's multiplication table.
 
     Returns a dict with the quotient spaces dom and cod, Sm = 1+A^m, the
-    FiniteGroupTable Q (identity 0), to_q (ambient index -> Q index, -1 off
-    1+A^m), gens (the Q indices of the generators of 1+A^m) and values (Q
+    FiniteGroupTable Q (identity 0; its generators are the images of those
+    of 1+A^m), to_q (ambient index -> Q index, -1 off 1+A^m) and values (Q
     indices, one row per dom point and one column per cod point, in
     all_coords order)."""
     if m < 2:
@@ -181,17 +180,14 @@ def quotient_pairing(group, m):
     A = group.algebra
     field = group.field
     q = field.q
-    T, inv = group.table, group.group.inv
     Sm = power_subgroup(group, m)
-    whole = Subgroup(group, np.arange(group.order), verify=False)
-    K = commutator_subgroup(whole, Sm)
+    K = commutator_subgroup(power_subgroup(group, 1), Sm)
     if not Sm.mask[K.indices].all():
         raise VerificationFailed("level-quotient", witness=m)
     Hm, emb, sub_of = Sm.std_group
-    Q, proj, _ = Hm.group.quotient(sub_of[K.indices])
+    Q, proj, _ = Hm.quotient(sub_of[K.indices])
     to_q = np.full(group.order, -1, dtype=np.int64)
     to_q[emb] = proj
-    gens = sorted({int(proj[g]) for g in Hm.generator_indices()})
 
     dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
     cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
@@ -203,7 +199,7 @@ def quotient_pairing(group, m):
     filled_by = {}
     hs = power_subgroup(group, m - 1).indices
     for h, y in zip(hs.tolist(), map_indices(field, hs, cod.matrix).tolist()):
-        qv = to_q[T[T[T[garr, h], inv], inv[h]]]  # (g h g^-1) h^-1 for every g
+        qv = to_q[group.comm(garr, h)]
         if (qv < 0).any():
             g = int(np.nonzero(qv < 0)[0][0])
             raise VerificationFailed("pairing-level-containment", witness=(g, h))
@@ -228,15 +224,14 @@ def quotient_pairing(group, m):
     add_t, mul_t = field_tables(field)
     X = np.array(xs, dtype=np.int64)
     Y = np.array(ys, dtype=np.int64)
-    QT = Q.table
     xsum = undigits(add_t[X[:, None], X[None, :]], q)
     ysum = undigits(add_t[Y[:, None], Y[None, :]], q)
     for i, row in enumerate(values):
-        bad = np.argwhere(values[xsum[i]] != QT[row, values])
+        bad = np.argwhere(values[xsum[i]] != Q.mul(row, values))
         if len(bad):
             j, t = bad[0]
             raise NotBilinear(("additive-in-x", xs[i], xs[j], ys[t]))
-        bad = np.argwhere(row[ysum] != QT[row[:, None], row[None, :]])
+        bad = np.argwhere(row[ysum] != Q.mul(row[:, None], row[None, :]))
         if len(bad):
             s, t = bad[0]
             raise NotBilinear(("additive-in-y", xs[i], ys[s], ys[t]))
@@ -255,7 +250,6 @@ def quotient_pairing(group, m):
         "Sm": Sm,
         "Q": Q,
         "to_q": to_q,
-        "gens": gens,
         "values": values,
     }
     return cache[m]
@@ -281,8 +275,9 @@ def quotient_character(group, m, zeta):
         raise NotInvariant((int(where[t[bad[0]]]), int(s[bad[0]])))
     if vals[0] != 0:
         raise VerificationFailed("zeta-identity", witness=0)
-    gens = np.array(data["gens"], dtype=np.int64)
-    prods = vals[data["Q"].table[:, gens]]
+    Q = data["Q"]
+    gens = np.array(Q.generator_indices(), dtype=np.int64)
+    prods = vals[Q.mul(np.arange(Q.order)[:, None], gens[None, :])]
     bad = np.argwhere(prods != (vals[:, None] + vals[gens][None, :]) % e)
     if len(bad):
         a, g = bad[0]
@@ -476,9 +471,7 @@ def extension_set(group, U, m, zeta, A1):
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
     SA1 = subspace_subgroup(group, A1)
-    T, inv = group.table, group.group.inv
-
-    cs = group.group.commutator_values(SU.indices, SU.indices)
+    cs = group.commutator_values(SU.indices, SU.indices)
     bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
     if len(bad):
         raise VerificationFailed("extension-precondition", witness=int(bad[0]))
@@ -491,8 +484,7 @@ def extension_set(group, U, m, zeta, A1):
     _, emb, sub_of = SU.std_group
     ext_vecs = exts[:, emb]
     garr = np.arange(group.order)
-    inner = T[T[garr[:, None], emb[None, :]], inv[garr][:, None]]  # g (1+u) g^-1
-    P = sub_of[inner]
+    P = sub_of[group.conj(emb[None, :], garr[:, None])]  # row g: g^-1 (1+u) g
     if (P < 0).any():
         g, i = (int(t[0]) for t in np.nonzero(P < 0))
         raise VerificationFailed("extension-conjugation-closure", witness=(g, i))

@@ -165,8 +165,8 @@ def halasi_explore(field, num_gens, n, k, cap=DEFAULT_GROUP_CAP):
         raise ValueError("the comparison needs k >= 2")
     J = free_nilpotent(FieldRing(field), num_gens, n)
     G = unit_group_of(J, cap)
-    whole = Subgroup.from_subspace(G, J.power_subspace(1))
-    derived = commutator_subgroup(G)
+    whole = power_subgroup(G, 1)
+    derived = commutator_subgroup(whole, whole)
     Sk = power_subgroup(G, k)
     lhs_idx = sorted(
         set(int(x) for x in derived.indices)

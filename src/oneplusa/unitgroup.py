@@ -4,9 +4,12 @@ Group elements are formal expressions 1 + a with a in A, multiplied by
 (1+x)(1+y) = 1 + (x + y + xy); nilpotency makes every such element invertible
 via the geometric series.  Over a finite field the group is finite of order
 q^dim and we keep an explicit numpy multiplication table (for orders up to
-TABLE_CAP) that powers conjugacy classes, subgroup closures and the character
-machinery.  UnitElement itself is ring-agnostic and also serves the symbolic
-checks over Z and Z[lam].
+TABLE_CAP).  UnitGroup is a FiniteGroupTable, and that class's index API,
+mul, inv, conj and comm on index arrays, is the one place that knows the
+table: conjugacy classes, subgroup closures, quotients, the character
+machinery and the descent all multiply through it, so the table can later
+give way to coordinate arithmetic.  UnitElement itself is ring-agnostic and
+also serves the symbolic checks over Z and Z[lam].
 
 Element n of a group, subgroup or quotient has the base-q digits of n as its
 coordinates, first coordinate most significant.  Every move between them is
@@ -104,29 +107,6 @@ class UnitElement:
             total = total + term
         return UnitElement(total)
 
-    def commutator(self, other):
-        return self.inverse() * other.inverse() * self * other
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = UnitElement(self.algebra.zero())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def order(self):
-        n = 1
-        u = self
-        while not u.a.is_zero():
-            u = u * self
-            n += 1
-        return n
-
     def is_identity(self):
         return self.a.is_zero()
 
@@ -146,106 +126,125 @@ def unit(a):
 
 
 class FiniteGroupTable:
-    """A bare finite group: an n x n multiplication table over 0..n-1 with
-    identity 0.  Everything here is index arithmetic on numpy arrays."""
+    """A finite group on the indices 0..n-1 with identity 0, given by its
+    n x n multiplication table and a generating set.
 
-    def __init__(self, table):
+    mul, inv, conj and comm are the index API: they take index arrays (or
+    ints) and broadcast like numpy indexing, and they are the only code that
+    reads the table.  Everything else here, and every other module, does its
+    group arithmetic through them."""
+
+    def __init__(self, table, generators):
         self.table = table
         self.order = table.shape[0]
         self._inv = None
+        self._exponent = None
+        self._generators = generators
+
+    def mul(self, x, y):
+        """x y."""
+        return self.table[x, y]
 
     @property
     def inv(self):
+        """inv[x] = x^-1, as an array over the indices: row x of the table
+        is a permutation, and x^-1 is where it holds the identity 0."""
         if self._inv is None:
-            self._inv = np.nonzero(self.table == 0)[1].astype(self.table.dtype)
+            self._inv = self.table.argmin(axis=1).astype(self.table.dtype)
         return self._inv
+
+    def conj(self, x, g):
+        """g^-1 x g."""
+        return self.mul(self.mul(self.inv[g], x), g)
+
+    def comm(self, x, y):
+        """x y x^-1 y^-1, the commutator in the order of identities.beta."""
+        return self.mul(x, self.mul(y, self.mul(self.inv[x], self.inv[y])))
+
+    def generator_indices(self):
+        """Indices of a generating set."""
+        return self._generators
 
     def order_of(self, x):
         n = 1
         y = x
         while y != 0:
-            y = int(self.table[y, x])
+            y = int(self.mul(y, x))
             n += 1
         return n
 
     def exponent(self):
         """The least e with x^e = 1 for every x, found by powering all
         elements at once until they reach the identity together."""
-        g = np.arange(self.order)
-        x, e = g, 1
-        while x.any():
-            x, e = self.table[x, g], e + 1
-        return e
-
-    def is_abelian(self):
-        return bool((self.table == self.table.T).all())
+        if self._exponent is None:
+            g = np.arange(self.order)
+            x, e = g, 1
+            while x.any():
+                x, e = self.mul(x, g), e + 1
+            self._exponent = e
+        return self._exponent
 
     def subgroup_closure(self, gens):
         """Sorted indices of the subgroup generated by gens: breadth-first
         right multiplication by the generators, starting at the identity.
         In a finite group the products of generators already form the
         subgroup, so inverses and left products are never needed."""
-        gens = np.unique(np.fromiter(gens, dtype=np.int64))
+        gens = np.fromiter(gens, dtype=np.int64)
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
         frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
-            prods = np.unique(self.table[np.ix_(frontier, gens)])
+            prods = np.unique(self.mul(frontier[:, None], gens[None, :]))
             frontier = prods[~seen[prods]]
             seen[frontier] = True
         return np.nonzero(seen)[0]
 
-    def commutator_values(self, left=None, right=None):
-        """Unique values of [x, y] = x^-1 y^-1 x y for x in left, y in right."""
-        T, inv = self.table, self.inv
-        left = np.arange(self.order) if left is None else np.asarray(left)
-        right = np.arange(self.order) if right is None else np.asarray(right)
+    def commutator_values(self, left, right):
+        """Unique values of comm(x, y) for x in left, y in right, one row of
+        products per x.  For subgroups this is also the set of x^-1 y^-1 x y."""
+        right = np.asarray(right)
         out = set()
-        rinv = inv[right]
-        for x in left:
-            v = T[T[T[inv[x], rinv], x], right]
-            out.update(np.unique(v).tolist())
+        for x in np.asarray(left).tolist():
+            out.update(np.unique(self.comm(x, right)).tolist())
         return np.array(sorted(out), dtype=np.int64)
 
-    def commutator_subgroup(self):
-        return self.subgroup_closure(self.commutator_values())
-
     def is_normal(self, indices):
+        """Is the subgroup with these indices normal?  Conjugating by the
+        generators is enough: each maps the finite subgroup into itself,
+        hence onto itself."""
+        indices = np.asarray(indices, dtype=np.int64)
         mask = np.zeros(self.order, dtype=bool)
         mask[indices] = True
-        T, inv = self.table, self.inv
-        g = np.arange(self.order)
-        for n in indices:
-            if not mask[T[T[inv, int(n)], g]].all():
-                return False
-        return True
+        return all(mask[self.conj(indices, g)].all() for g in self.generator_indices())
 
     def quotient(self, normal_indices):
         """Quotient group, the projection array (old index -> new index), and
-        the coset representatives (minimal member of each coset)."""
-        narr = np.asarray(sorted(int(x) for x in normal_indices), dtype=np.int64)
+        the coset representatives (minimal member of each coset).  The
+        quotient's generators are the images of this group's."""
+        narr = np.unique(np.asarray(normal_indices, dtype=np.int64))
         if not self.is_normal(narr):
             raise NotNormal("quotient by a non-normal subgroup")
-        rep = self.table[:, narr].min(axis=1)
+        rep = self.mul(np.arange(self.order)[:, None], narr[None, :]).min(axis=1)
         reps = np.unique(rep)
-        qindex = {int(r): t for t, r in enumerate(reps)}
-        proj = np.array([qindex[int(rep[x])] for x in range(self.order)], dtype=np.int64)
-        qtable = proj[self.table[np.ix_(reps, reps)]]
-        return FiniteGroupTable(qtable), proj, reps
+        proj = np.searchsorted(reps, rep)
+        qtable = proj[self.mul(reps[:, None], reps[None, :])]
+        gens = np.unique(proj[self.generator_indices()]).tolist()
+        return FiniteGroupTable(qtable, gens), proj, reps
 
     def power_of(self, x, n):
         y = 0
         b = x
         while n:
             if n & 1:
-                y = int(self.table[y, b])
-            b = int(self.table[b, b])
+                y = int(self.mul(y, b))
+            b = int(self.mul(b, b))
             n >>= 1
         return y
 
 
-class UnitGroup:
-    """The full unit group 1 + A over a finite field."""
+class UnitGroup(FiniteGroupTable):
+    """The full unit group 1 + A over a finite field, with the index API of
+    FiniteGroupTable; the table is built on first use, up to TABLE_CAP."""
 
     def __init__(self, algebra, cap=DEFAULT_GROUP_CAP):
         if algebra.ring.kind != "field":
@@ -261,13 +260,14 @@ class UnitGroup:
                 f"{FIELD_TABLE_CAP} for enumerated groups"
             )
         self._subgroups = {}  # subspace rows -> Subgroup, see subspace_subgroup
+        # the FiniteGroupTable state, all computed on first use
         self._table = None
-        self._group = None
+        self._inv = None
+        self._exponent = None
+        self._generators = None
         self._classes = None
         self._class_of = None
         self._class_sizes = None
-        self._exponent = None
-        self._generators = None
         self._char_table = None  # see chars.character_table
         self._quotient_pairings = {}  # level m -> tables, see gutkin.quotient_pairing
 
@@ -322,13 +322,6 @@ class UnitGroup:
             table[start:start + len(X)] = undigits(Z, q)
         return table
 
-    @property
-    def group(self):
-        """The multiplication table as a bare FiniteGroupTable (identity 0)."""
-        if self._group is None:
-            self._group = FiniteGroupTable(self.table)
-        return self._group
-
     # -- generators ---------------------------------------------------------------
 
     def generator_indices(self):
@@ -344,7 +337,7 @@ class UnitGroup:
                     gens.append(self.index_of_coords(coords))
                 x = x * self.field.gen
             if self.order <= TABLE_CAP:
-                closure = self.group.subgroup_closure(gens)
+                closure = self.subgroup_closure(gens)
                 if len(closure) != self.order:
                     raise NotASubgroup(
                         f"generators span {len(closure)} of {self.order} elements"
@@ -355,37 +348,31 @@ class UnitGroup:
     # -- conjugacy ------------------------------------------------------------------
 
     def conjugacy_classes(self):
-        """Sorted index arrays, ordered by (size, smallest member)."""
+        """Sorted index arrays, ordered by (size, smallest member).  Every
+        element is labelled by the least member of its class, found by
+        min-label propagation along conjugation by each generator."""
         if self._classes is None:
-            T = self.table
-            inv = self.group.inv
-            gens = self.generator_indices()
-            ginv = [int(inv[g]) for g in gens]
-            seen = np.zeros(self.order, dtype=bool)
-            classes = []
-            for x0 in range(self.order):
-                if seen[x0]:
-                    continue
-                seen[x0] = True
-                orbit = [x0]
-                frontier = [x0]
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for g, gi in zip(gens, ginv):
-                            y = int(T[T[gi, x], g])
-                            if not seen[y]:
-                                seen[y] = True
-                                orbit.append(y)
-                                nxt.append(y)
-                    frontier = nxt
-                classes.append(np.array(sorted(orbit), dtype=np.int64))
-            classes.sort(key=lambda c: (len(c), int(c[0])))
-            self._classes = classes
-            self._class_of = np.empty(self.order, dtype=np.int64)
-            for t, c in enumerate(classes):
-                self._class_of[c] = t
-            self._class_sizes = np.array([len(c) for c in classes], dtype=np.int64)
+            x = np.arange(self.order)
+            moves = [self.conj(x, g) for g in self.generator_indices()]
+            label = x
+            while True:
+                new = label
+                for move in moves:
+                    new = np.minimum(new, new[move])
+                new = new[new]
+                if np.array_equal(new, label):
+                    break
+                label = new
+            firsts, which, sizes = np.unique(
+                label, return_inverse=True, return_counts=True
+            )
+            order = np.lexsort((firsts, sizes))
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            self._class_of = rank[which]
+            self._class_sizes = sizes[order]
+            members = np.argsort(self._class_of, kind="stable")
+            self._classes = np.split(members, np.cumsum(self._class_sizes)[:-1])
         return self._classes
 
     @property
@@ -400,11 +387,6 @@ class UnitGroup:
 
     def class_reps(self):
         return [int(c[0]) for c in self.conjugacy_classes()]
-
-    def exponent(self):
-        if self._exponent is None:
-            self._exponent = self.group.exponent()
-        return self._exponent
 
     def center_indices(self):
         return np.array(
@@ -430,8 +412,7 @@ class Subgroup:
         if not self.mask[0]:
             raise NotASubgroup("missing identity")
         if verify:
-            T = group.table
-            prods = T[np.ix_(self.indices, self.indices)]
+            prods = group.mul(self.indices[:, None], self.indices[None, :])
             if not self.mask[prods].all():
                 raise NotASubgroup("not closed under multiplication")
         self._std = None
@@ -455,15 +436,6 @@ class Subgroup:
     @property
     def order(self):
         return len(self.indices)
-
-    def is_normal(self):
-        T = self.group.table
-        inv = self.group.group.inv
-        for g in self.group.generator_indices():
-            gi = int(inv[g])
-            if not self.mask[T[T[gi, self.indices], g]].all():
-                return False
-        return True
 
     @property
     def std_group(self):
@@ -492,22 +464,17 @@ def unit_group_of(algebra, cap=DEFAULT_GROUP_CAP):
 
 
 def subgroup_closure(group, indices):
-    return Subgroup(group, group.group.subgroup_closure(indices), verify=False)
+    return Subgroup(group, group.subgroup_closure(indices), verify=False)
 
 
-def commutator_subgroup(left, right=None):
-    """Commutator subgroup (S1, S2): closure of all pairwise commutators.
-    Pass a UnitGroup for (G, G), or two Subgroups of the same ambient group."""
-    if right is None:
-        group = left.group if isinstance(left, Subgroup) else left
-        li = left.indices if isinstance(left, Subgroup) else None
-        vals = group.group.commutator_values(li, li)
-    else:
-        if left.group is not right.group:
-            raise TypeError("subgroups of different ambient groups")
-        group = left.group
-        vals = group.group.commutator_values(left.indices, right.indices)
-    return Subgroup(group, group.group.subgroup_closure(vals), verify=False)
+def commutator_subgroup(left, right):
+    """Commutator subgroup (S1, S2) of two Subgroups of the same ambient
+    group: the closure of all pairwise commutators."""
+    if left.group is not right.group:
+        raise TypeError("subgroups of different ambient groups")
+    group = left.group
+    vals = group.commutator_values(left.indices, right.indices)
+    return Subgroup(group, group.subgroup_closure(vals), verify=False)
 
 
 def subspace_subgroup(group, space, verify_closed=True):
@@ -544,9 +511,8 @@ def check_commutator_theorem(algebra, m, n, cap=DEFAULT_GROUP_CAP):
     are computed as full subgroup closures of the pairwise commutators.
     Returns (True, None) or (False, witness index outside the right side)."""
     G = algebra if isinstance(algebra, UnitGroup) else UnitGroup(algebra, cap=cap)
-    full = Subgroup(G, np.arange(G.order), verify=False)
     lhs = commutator_subgroup(power_subgroup(G, m), power_subgroup(G, n))
-    rhs = commutator_subgroup(full, power_subgroup(G, m + n - 1))
+    rhs = commutator_subgroup(power_subgroup(G, 1), power_subgroup(G, m + n - 1))
     outside = lhs.indices[~rhs.mask[lhs.indices]]
     if len(outside):
         return False, int(outside[0])

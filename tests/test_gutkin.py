@@ -169,10 +169,8 @@ def test_u32_extension_set():
     assert exts[1].tolist() == [0, 2, -1, -1, 2, 0, -1, -1]
     # conjugating by 1+e23 swaps the two extensions
     g = G.index_of_coords((0, 1, 0))
-    T = G.table
-    on_u = [0, 1, 4, 5]
-    conj = [exts[0][int(T[T[g, h], G.group.inv[g]])] for h in on_u]
-    assert conj == exts[1][on_u].tolist()
+    on_u = np.array([0, 1, 4, 5])
+    assert exts[0][G.conj(on_u, g)].tolist() == exts[1][on_u].tolist()
 
 
 def test_u32_full_certificate():

@@ -183,7 +183,7 @@ def test_finite_pairing_every_invariant_zeta():
         # a character of Q is checked on a generating set of Q only
         data = quotient_pairing(G, m)
         Q = data["Q"]
-        assert len(Q.subgroup_closure(data["gens"])) == Q.order
+        assert len(Q.subgroup_closure(Q.generator_indices())) == Q.order
         checked = 0
         for zeta in linear_exponents(power_subgroup(G, m)):
             try:
@@ -271,7 +271,7 @@ def _loop_quotient_character(G, m, zeta):
         raise VerificationFailed("zeta-identity", witness=0)
     QT = data["Q"].table
     for a in range(n):
-        for g in data["gens"]:
+        for g in data["Q"].generator_indices():
             if vals[int(QT[a, g])] != (vals[a] + vals[g]) % e:
                 raise VerificationFailed("zeta-multiplicative", witness=(where[a], where[g]))
     return vals

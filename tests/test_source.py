@@ -5,6 +5,8 @@ import importlib
 import runpy
 from pathlib import Path
 
+from oneplusa.unitgroup import UnitGroup
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "oneplusa"
 
@@ -40,3 +42,24 @@ def test_traced_names_resolve():
             missing.append(f"{module}.{attr}")
     assert not missing, missing
     assert ("exactfield", "Cyclotomic.__mul__") in entries
+
+
+def test_only_unitgroup_reads_the_table():
+    # the group index API (mul, inv, conj, comm in unitgroup) is the one
+    # place that knows the Cayley table, so it can be swapped for coordinate
+    # arithmetic; a unit group is itself that API, with no .group wrapper
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr == "table" and path.name != "unitgroup.py":
+                found.append(f"{path.name}:{node.lineno} .table")
+            inner = node.value
+            if node.attr == "group" and (
+                isinstance(inner, ast.Name) and inner.id == "group"
+                or isinstance(inner, ast.Attribute) and inner.attr == "group"
+            ):
+                found.append(f"{path.name}:{node.lineno} group.group")
+    assert not found, found
+    assert not hasattr(UnitGroup, "group")

@@ -3,6 +3,7 @@ import pytest
 
 from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
 from oneplusa.exactfield import gf
+from oneplusa.identities import beta
 from oneplusa.nilalg import (
     FieldRing,
     Subspace,
@@ -53,17 +54,27 @@ def test_table_is_a_group_exhaustively():
         left = T[T[:, :, None], np.arange(n)[None, None, :]]
         right = T[np.arange(n)[:, None, None], T[None, :, :]]
         assert (left == right).all()
-        inv = G.group.inv
-        assert (T[np.arange(n), inv] == 0).all()
+        assert (T[np.arange(n), G.inv] == 0).all()
 
 
 def test_table_matches_element_arithmetic():
-    G = ul(3, 3)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b = (int(x) for x in rng.integers(0, G.order, size=2))
-        u = G.element(a) * G.element(b)
-        assert G.index_of(u) == G.table[a, b]
+    # the index API on index arrays against UnitElement arithmetic, on every
+    # pair of elements: mul, inv, conj(a, g) = g^-1 a g, and comm against
+    # identities.beta
+    for G in (ul(3, 3), ul(4, 2), UnitGroup(free_nilpotent(FieldRing(gf(2)), 2, 3))):
+        x = np.arange(G.order)
+        els = [G.element(a) for a in x]
+        invs = [u.inverse() for u in els]
+        assert G.inv.tolist() == [G.index_of(v) for v in invs]
+        mul = G.mul(x[:, None], x[None, :])
+        conj = G.conj(x[:, None], x[None, :])
+        comm = G.comm(x[:, None], x[None, :])
+        for a, u in enumerate(els):
+            for b, v in enumerate(els):
+                uv = u * v
+                assert mul[a, b] == G.index_of(uv)
+                assert conj[a, b] == G.index_of(invs[b] * uv)
+                assert comm[a, b] == G.index_of(beta(u, v))
 
 
 def test_ul32_classes():
@@ -107,17 +118,16 @@ def test_class_of_partitions():
         for t, c in enumerate(classes):
             assert (G.class_of[c] == t).all()
         # closed under conjugation by a non-generator sample
-        T, inv = G.table, G.group.inv
         g = G.order - 1
         for c in classes:
-            assert set(T[T[int(inv[g]), c], g].tolist()) == set(c.tolist())
+            assert set(G.conj(c, g).tolist()) == set(c.tolist())
 
 
 def test_generators_generate():
     for G in (ul(3, 2), ul(3, 4), ul(4, 3)):
         gens = G.generator_indices()
         assert len(gens) == G.field.k * G.algebra.dim
-        assert len(G.group.subgroup_closure(gens)) == G.order
+        assert len(G.subgroup_closure(gens)) == G.order
 
 
 def test_power_subgroups_normal_lagrange():
@@ -125,7 +135,7 @@ def test_power_subgroups_normal_lagrange():
     for m in (1, 2, 3):
         H = power_subgroup(G, m)
         assert G.order % H.order == 0
-        assert H.is_normal()
+        assert G.is_normal(H.indices)
     assert power_subgroup(G, 2).order == 8
     assert power_subgroup(G, 3).order == 2
     assert power_subgroup(G, 4).order == 1
@@ -133,7 +143,8 @@ def test_power_subgroups_normal_lagrange():
 
 def test_commutator_subgroup_ul4():
     G = ul(4, 2)
-    D = commutator_subgroup(G)
+    whole = power_subgroup(G, 1)
+    D = commutator_subgroup(whole, whole)
     P = power_subgroup(G, 2)
     assert D.order == 8
     assert D.indices.tolist() == P.indices.tolist()
@@ -141,14 +152,16 @@ def test_commutator_subgroup_ul4():
 
 def test_commutator_subgroup_heisenberg():
     G = ul(3, 3)
-    D = commutator_subgroup(G)
+    whole = power_subgroup(G, 1)
+    D = commutator_subgroup(whole, whole)
     assert D.order == 3
     assert D.indices.tolist() == [0, 1, 2]
 
 
 def test_commutator_of_two_subgroups():
     G = ul(4, 2)
-    whole = Subgroup.from_subspace(G, G.algebra.power_subspace(1))
+    whole = power_subgroup(G, 1)
+    assert whole.indices.tolist() == list(range(G.order))
     S2 = power_subgroup(G, 2)
     S3 = power_subgroup(G, 3)
     C = commutator_subgroup(whole, S2)
@@ -168,7 +181,8 @@ def test_quotient_group_is_a_homomorphic_image():
     for x in range(G.order):
         row_ok = (proj[T[x]] == QT[proj[x]][proj]).all()
         assert row_ok
-    assert Q.group.is_abelian()
+    x = np.arange(Q.order)
+    assert not Q.comm(x[:, None], x[None, :]).any()  # abelian
 
 
 def test_commutator_theorem_all_levels():
@@ -233,13 +247,21 @@ def test_points_order_first_row_most_significant():
 def test_quotient_by_center():
     G = ul(3, 2)
     Z = power_subgroup(G, 2)
-    Q, proj, reps = G.group.quotient(Z.indices)
+    Q, proj, reps = G.quotient(Z.indices)
     assert Q.order == 4
-    assert Q.is_abelian()
+    x = np.arange(Q.order)
+    assert not Q.comm(x[:, None], x[None, :]).any()  # abelian
     assert Q.exponent() == 2
     assert proj[0] == 0 and reps[0] == 0
+    # the quotient is generated by the images of G's generators
+    assert Q.generator_indices() == sorted({int(proj[g]) for g in G.generator_indices()})
+    assert len(Q.subgroup_closure(Q.generator_indices())) == Q.order
+    # {1, 1+e12} is not normal: 1+e23 conjugates 1+e12 to 1+e12+e13
+    H = [0, G.index_of_coords((1, 0, 0))]
+    assert G.conj(H[1], G.index_of_coords((0, 1, 0))) == G.index_of_coords((1, 0, 1))
+    assert not G.is_normal(H)
     with pytest.raises(NotNormal):
-        G.group.quotient([0, G.index_of_coords((1, 0, 0))])  # {1,1+e12} is not normal
+        G.quotient(H)
 
 
 @pytest.mark.parametrize(
@@ -252,9 +274,8 @@ def test_exponent_is_the_lcm_of_element_orders(make, expected):
     G = make()
     lcm = 1
     for x in range(G.order):
-        lcm = np.lcm(lcm, G.group.order_of(x))
+        lcm = np.lcm(lcm, G.order_of(x))
     assert G.exponent() == lcm == expected
-    assert G.group.exponent() == lcm
 
 
 def test_subgroup_closure_small():
@@ -284,7 +305,7 @@ def test_subgroup_closure_matches_fixed_point(group):
     rng = np.random.default_rng(11)
     for size in (0, 1, 1, 2, 2, 3, 4):
         gens = [int(g) for g in rng.choice(G.order, size=size, replace=False)]
-        got = G.group.subgroup_closure(gens)
+        got = G.subgroup_closure(gens)
         assert got.dtype == np.int64
         assert got.tolist() == _fixed_point_closure(T, gens)
 
@@ -295,9 +316,11 @@ def test_unit_elements_over_integers():
     u, v = unit(x1), unit(x2)
     assert (u * u.inverse()).is_identity()
     assert (u.inverse() * u).is_identity()
-    c = u.commutator(v)
-    # defining relation u v = v u [u, v]
+    c = beta(u.inverse(), v.inverse())
+    assert c == u.inverse() * v.inverse() * u * v
+    # defining relation u v = v u [u, v], and u v = beta(u, v) v u
     assert (v * u) * c == u * v
+    assert beta(u, v) * (v * u) == u * v
     # leading term of the commutator is the ring bracket x1 x2 - x2 x1
     bracket = x1 * x2 - x2 * x1
     diff = c.a - bracket
@@ -311,10 +334,11 @@ def test_unit_elements_over_integers():
 def test_unit_element_powers_and_order():
     G = ul(3, 2)
     u = unit(G.algebra.from_labels({"e12": 1, "e23": 1}))
-    assert (u ** 2).a.coords == (0, 0, 1)  # (1+a)^2 = 1 + e13
-    assert (u ** 4).is_identity()
-    assert u.order() == 4
-    assert (u ** -1) == u.inverse()
+    u2 = u * u
+    assert u2.a.coords == (0, 0, 1)  # (1+a)^2 = 1 + e13
+    assert not (u2 * u).is_identity()
+    assert (u2 * u2).is_identity()  # u has order 4
+    assert u2 * u == u.inverse()
 
 
 def test_commutator_containment_small():

@@ -22,8 +22,9 @@ tests read them through a lazy cache keyed by coefficient row.
 
 A linear character of a subgroup H, as the descent consumes it, is an int64
 array of exponents t mod e (value zeta_e^t, e the ambient exponent), one per
-ambient index and -1 off H; only scalar_character_on and linear_exponents
-produce it, through one row-to-exponent lookup in the power basis.
+ambient index and -1 off H, never a ClassFunction: linear_characters lists
+them all from H/(H, H) in place, scalar_character_on reads off the one chi is
+a multiple of.
 
 This module deliberately knows nothing about the monomial-certificate
 machinery; it is the independent reference the certificates are checked
@@ -47,7 +48,7 @@ from .exactfield import (
     is_prime,
     prime_factors,
 )
-from .unitgroup import commutator_subgroup, power_subgroup
+from .unitgroup import commutator_subgroup
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
@@ -457,12 +458,6 @@ class CharacterTable:
     def degrees(self):
         return [c.degree_int() for c in self.chars]
 
-    def __len__(self):
-        return len(self.chars)
-
-    def __iter__(self):
-        return iter(self.chars)
-
     def validate(self):
         """Exact first-orthogonality over Q(zeta_e) for every pair of rows,
         plus the degree mass formula.  Raises VerificationFailed."""
@@ -673,40 +668,30 @@ def _cyclic_decomposition(Q):
     return gens, orders_out, exps
 
 
-def linear_characters(group):
-    """All degree-1 characters, via G / (G, G)."""
-    whole = power_subgroup(group, 1)
-    Q, proj, _ = group.quotient(commutator_subgroup(whole, whole).indices)
-    gens, orders, exps = _cyclic_decomposition(Q)
-    E = math.lcm(1, *orders) if orders else 1
-    basis = _power_basis(group.exponent())
-    if basis.e % E:
-        raise VerificationFailed("abelianization-exponent", witness=(E, basis.e))
-    rep_exps = exps[proj[group.class_reps()]]
-    chars = []
-    for tup in itertools.product(*(range(m) for m in orders)):
-        weights = np.array([tup_i * (E // m) for tup_i, m in zip(tup, orders)], dtype=np.int64)
-        # the value on class k is zeta_E^t = zeta_e^(t e/E)
-        t = (rep_exps @ weights) % E
-        chars.append(ClassFunction._of(group, basis.zeta[t * (basis.e // E)]))
-    if len(chars) != Q.order:
-        raise VerificationFailed("linear-count", witness=(len(chars), Q.order))
-    if len(set(chars)) != Q.order:
-        raise VerificationFailed("linear-distinct", witness=(len(set(chars)), Q.order))
-    return chars
-
-
-def linear_exponents(H):
-    """Every linear character of the subgroup H, in linear_characters
-    order, as one row of exponents t mod e = exponent of the ambient group
-    (value zeta_e^t) per character, over the ambient indices, -1 off H."""
-    Hg, emb, _ = H.std_group
-    basis = _power_basis(H.group.exponent())
-    lins = linear_characters(Hg)
-    rows = basis.embed(np.concatenate([lin.coeffs for lin in lins]), Hg.exponent())
-    on_class = basis.exponents(rows, "linear-root-of-unity").reshape(len(lins), -1)
-    out = np.full((len(lins), H.group.order), -1, dtype=np.int64)
-    out[:, emb] = on_class[:, Hg.class_of]
+def linear_characters(H):
+    """Every linear character of the Subgroup H = 1 + B (all of G is
+    power_subgroup(G, 1)) from H/(H, H) on ambient indices: one int64 row
+    per character, t mod e = exp(G) (value zeta_e^t) on H and -1 off it, in
+    itertools.product order over the cyclic decomposition of H/(H, H)."""
+    G = H.group
+    Q, proj, _ = H.quotient(commutator_subgroup(H, H).indices)
+    _, orders, exps = _cyclic_decomposition(Q)
+    E = math.lcm(1, *orders)
+    e = G.exponent()
+    if e % E:
+        raise VerificationFailed("abelianization-exponent", witness=(E, e))
+    count = math.prod(orders)
+    if count != Q.order:
+        raise VerificationFailed("linear-count", witness=(count, Q.order))
+    tuples = np.array(list(itertools.product(*(range(m) for m in orders))), dtype=np.int64)
+    weights = tuples.reshape(count, len(orders)) * (E // np.array(orders, dtype=np.int64))
+    # the value at h is zeta_E^t = zeta_e^(t e/E)
+    on_h = (weights @ exps[proj[H.indices]].T) % E * (e // E)
+    distinct = len({row.tobytes() for row in on_h})
+    if distinct != Q.order:
+        raise VerificationFailed("linear-distinct", witness=(distinct, Q.order))
+    out = np.full((count, G.order), -1, dtype=np.int64)
+    out[:, H.indices] = on_h
     return out
 
 

@@ -13,7 +13,7 @@ import random
 import sys
 
 from .catalog import BUILTIN, resolve, slug
-from .chars import character_table, linear_exponents
+from .chars import character_table, linear_characters
 from .errors import (
     CapExceeded,
     DivisionByZero,
@@ -149,7 +149,7 @@ def cmd_decompose(args):
 def _suite_gutkin(A, args):
     from .gutkin import verify_gutkin_all
 
-    report = verify_gutkin_all(A, cap=args.cap)
+    report = verify_gutkin_all(unit_group_of(A, args.cap))
     report["passed"] = report["verified"] == report["characters"]
     return report
 
@@ -207,7 +207,7 @@ def _suite_identities(A, args):
     pairing = []
     for m in range(2, A.nilpotency_index + 1):
         invariant = 0
-        for zeta in linear_exponents(power_subgroup(G, m)):
+        for zeta in linear_characters(power_subgroup(G, m)):
             try:
                 finite_pairing_check(A, m, zeta, cap=args.cap)
                 invariant += 1

@@ -40,7 +40,7 @@ from .chars import (
     character_table,
     clifford_parts,
     induce,
-    linear_exponents,
+    linear_characters,
     mackey_irreducible,
     restrict,
     scalar_character_on,
@@ -60,8 +60,6 @@ from .errors import (
 from .exactfield import Cyclotomic, FieldElement, trace
 from .nilalg import AlgebraElement, Subspace, is_ideal, is_subalgebra
 from .unitgroup import (
-    DEFAULT_GROUP_CAP,
-    UnitGroup,
     combine,
     commutator_subgroup,
     digits,
@@ -184,10 +182,7 @@ def quotient_pairing(group, m):
     K = commutator_subgroup(power_subgroup(group, 1), Sm)
     if not Sm.mask[K.indices].all():
         raise VerificationFailed("level-quotient", witness=m)
-    Hm, emb, sub_of = Sm.std_group
-    Q, proj, _ = Hm.quotient(sub_of[K.indices])
-    to_q = np.full(group.order, -1, dtype=np.int64)
-    to_q[emb] = proj
+    Q, to_q, _ = Sm.quotient(K.indices)
 
     dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
     cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
@@ -345,9 +340,6 @@ class PhiMap:
         self.pairing = pairing
         self.rows = rows
 
-    def is_zero(self):
-        return all(all(c == 0 for c in row) for row in self.rows)
-
 
 def phi_map(pairing, psi=None):
     """Solve for the matrix of the induced linear map from the pairing table.
@@ -463,7 +455,7 @@ def extension_set(group, U, m, zeta, A1):
     """All linear characters of 1 + U restricting to zeta on 1 + A^m.
 
     Returns them as rows of exponents mod e over the ambient indices (-1 off
-    1 + U, as zeta is given), in linear_exponents order, after checking the
+    1 + U, as zeta is given), in linear_characters order, after checking the
     three parts of the extension lemma: the set is nonempty, it forms a
     single orbit under conjugation by 1 + A, and the stabilizer of each
     member is exactly 1 + A1.  The precondition that zeta kills every
@@ -476,26 +468,25 @@ def extension_set(group, U, m, zeta, A1):
     if len(bad):
         raise VerificationFailed("extension-precondition", witness=int(bad[0]))
 
-    lins = linear_exponents(SU)
+    lins = linear_characters(SU)
     exts = lins[(lins[:, Sm.indices] == zeta[Sm.indices]).all(axis=1)]
     if not len(exts):
         raise EmptyExtensionSet((m, U.rows))
 
-    _, emb, sub_of = SU.std_group
-    ext_vecs = exts[:, emb]
+    u = SU.indices
     garr = np.arange(group.order)
-    P = sub_of[group.conj(emb[None, :], garr[:, None])]  # row g: g^-1 (1+u) g
-    if (P < 0).any():
-        g, i = (int(t[0]) for t in np.nonzero(P < 0))
+    P = group.conj(u[None, :], garr[:, None])  # row g: g^-1 (1+u) g
+    if not SU.mask[P].all():
+        g, i = (int(t[0]) for t in np.nonzero(~SU.mask[P]))
         raise VerificationFailed("extension-conjugation-closure", witness=(g, i))
 
-    orbit = np.unique(ext_vecs[0][P], axis=0)
-    ext_set = np.unique(ext_vecs, axis=0)
+    orbit = np.unique(exts[0][P], axis=0)
+    ext_set = np.unique(exts[:, u], axis=0)
     if not np.array_equal(orbit, ext_set):
         raise MultipleOrbits((len(orbit), len(ext_set)))
 
-    for t, vec in enumerate(ext_vecs):
-        stab = (vec[P] == vec[None, :]).all(axis=1)
+    for t, vec in enumerate(exts):
+        stab = (vec[P] == vec[u][None, :]).all(axis=1)
         if not (stab == SA1.mask).all():
             g = int(np.nonzero(stab != SA1.mask)[0][0])
             raise WrongStabilizer((t, g))
@@ -701,11 +692,11 @@ def gutkin_decompose(chi):
     return datum
 
 
-def verify_gutkin_all(algebra, cap=DEFAULT_GROUP_CAP):
-    """Run gutkin_decompose on every irreducible character of 1 + A, using
-    the independent table oracle, and return a JSON-able report.  Every
-    degree must come out as a power of q; any falsified step raises."""
-    G = algebra if isinstance(algebra, UnitGroup) else UnitGroup(algebra, cap=cap)
+def verify_gutkin_all(G):
+    """Run gutkin_decompose on every irreducible character of the unit group
+    G = 1 + A, using the independent table oracle, and return a JSON-able
+    report.  Every degree must come out as a power of q; any falsified step
+    raises."""
     q = G.field.q
     entries = []
     for t, chi in enumerate(character_table(G).chars):

@@ -208,28 +208,23 @@ class FiniteGroupTable:
             out.update(np.unique(self.comm(x, right)).tolist())
         return np.array(sorted(out), dtype=np.int64)
 
-    def is_normal(self, indices):
-        """Is the subgroup with these indices normal?  Conjugating by the
-        generators is enough: each maps the finite subgroup into itself,
-        hence onto itself."""
+    def is_normal(self, indices, gens=None):
+        """Is the subgroup with these indices normalized by the generators
+        gens (default: this group's)?  Conjugating by generators is enough:
+        each maps the finite subgroup into itself, hence onto itself."""
         indices = np.asarray(indices, dtype=np.int64)
         mask = np.zeros(self.order, dtype=bool)
         mask[indices] = True
-        return all(mask[self.conj(indices, g)].all() for g in self.generator_indices())
+        gens = self.generator_indices() if gens is None else gens
+        return all(mask[self.conj(indices, g)].all() for g in gens)
 
     def quotient(self, normal_indices):
         """Quotient group, the projection array (old index -> new index), and
-        the coset representatives (minimal member of each coset).  The
+        the coset representatives (least member of each coset).  The
         quotient's generators are the images of this group's."""
-        narr = np.unique(np.asarray(normal_indices, dtype=np.int64))
-        if not self.is_normal(narr):
-            raise NotNormal("quotient by a non-normal subgroup")
-        rep = self.mul(np.arange(self.order)[:, None], narr[None, :]).min(axis=1)
-        reps = np.unique(rep)
-        proj = np.searchsorted(reps, rep)
-        qtable = proj[self.mul(reps[:, None], reps[None, :])]
-        gens = np.unique(proj[self.generator_indices()]).tolist()
-        return FiniteGroupTable(qtable, gens), proj, reps
+        return _quotient(
+            self, np.arange(self.order), self.generator_indices(), normal_indices
+        )
 
     def power_of(self, x, n):
         y = 0
@@ -240,6 +235,42 @@ class FiniteGroupTable:
             b = int(self.mul(b, b))
             n >>= 1
         return y
+
+
+def _quotient(group, members, gens, normal_indices):
+    """H/K for the subgroup H of group with sorted indices members and
+    generators gens, and a normal subgroup K of H.  Each coset is
+    represented by its least member, proj runs over the ambient indices
+    (-1 off H), and the quotient's generators are the images of gens."""
+    narr = np.unique(np.asarray(normal_indices, dtype=np.int64))
+    if not (np.isin(narr, members).all() and group.is_normal(narr, gens)):
+        raise NotNormal("quotient by a non-normal subgroup")
+    rep = group.mul(members[:, None], narr[None, :]).min(axis=1)
+    reps = np.unique(rep)
+    proj = np.full(group.order, -1, dtype=np.int64)
+    proj[members] = np.searchsorted(reps, rep)
+    qtable = proj[group.mul(reps[:, None], reps[None, :])]
+    qgens = np.unique(proj[gens]).tolist()
+    return FiniteGroupTable(qtable, qgens), proj, reps
+
+
+def _span_generators(group, rows, members):
+    """1 + x^t r for x^t (t < k) over the polynomial basis of GF(p^k) and r
+    over rows, which span B: generators of 1 + B, whose sorted indices
+    members must be their closure (NotASubgroup) when the table exists."""
+    field, n = group.field, len(rows)
+    xs, x = [], field.one
+    for _ in range(field.k):
+        xs.append(x.index)
+        x = x * field.gen
+    coeffs = np.outer(xs, field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)).ravel()
+    matrix = np.array(rows, dtype=np.int64).reshape(n, group.algebra.dim)
+    gens = map_indices(field, coeffs, matrix).tolist()
+    if group.order <= TABLE_CAP:
+        closure = group.subgroup_closure(gens)
+        if not np.array_equal(closure, members):
+            raise NotASubgroup(f"generators span {len(closure)} of {len(members)} elements")
+    return gens
 
 
 class UnitGroup(FiniteGroupTable):
@@ -319,30 +350,20 @@ class UnitGroup(FiniteGroupTable):
                 for k, c in entry:
                     term = prod if c == 1 else mul_t[prod, c]
                     Z[:, :, k] = add_t[Z[:, :, k], term]
-            table[start:start + len(X)] = undigits(Z, q)
+            acc = table[start:start + len(X)]
+            acc[:] = 0
+            for k in range(d):  # base-q values in int32, all below N <= TABLE_CAP
+                acc *= q
+                acc += Z[:, :, k]
         return table
 
     # -- generators ---------------------------------------------------------------
 
     def generator_indices(self):
-        """1 + c*e_i for c running over the polynomial basis of the field.
-        These generate the whole group (checked by closure once)."""
+        """1 + x^t e_i: _span_generators on the basis of A."""
         if self._generators is None:
-            gens = []
-            x = self.field.one
-            for t in range(self.field.k):
-                for i in range(self.algebra.dim):
-                    coords = [0] * self.algebra.dim
-                    coords[i] = x.index
-                    gens.append(self.index_of_coords(coords))
-                x = x * self.field.gen
-            if self.order <= TABLE_CAP:
-                closure = self.subgroup_closure(gens)
-                if len(closure) != self.order:
-                    raise NotASubgroup(
-                        f"generators span {len(closure)} of {self.order} elements"
-                    )
-            self._generators = gens
+            eye = np.eye(self.algebra.dim, dtype=np.int64)
+            self._generators = _span_generators(self, eye, np.arange(self.order))
         return self._generators
 
     # -- conjugacy ------------------------------------------------------------------
@@ -388,20 +409,15 @@ class UnitGroup(FiniteGroupTable):
     def class_reps(self):
         return [int(c[0]) for c in self.conjugacy_classes()]
 
-    def center_indices(self):
-        return np.array(
-            sorted(int(c[0]) for c in self.conjugacy_classes() if len(c) == 1),
-            dtype=np.int64,
-        )
-
     def __repr__(self):
         return f"UnitGroup(order={self.order}, dim={self.algebra.dim}, {self.field!r})"
 
 
 class Subgroup:
-    """Subgroup given by its sorted element indices; optionally attached to the
-    subspace B with H = 1 + B, which provides a standalone copy of H as the
-    unit group of B with an embedding back into the ambient group."""
+    """Subgroup given by its sorted ambient indices; optionally attached to
+    the subspace B with H = 1 + B, which gives it generators and quotients
+    in place, on ambient indices, and (std_group) a standalone copy of H as
+    the unit group of B, for the descent's 1 + A1 and 1 + B only."""
 
     def __init__(self, group, indices, subspace=None, verify=True):
         self.group = group
@@ -415,6 +431,7 @@ class Subgroup:
             prods = group.mul(self.indices[:, None], self.indices[None, :])
             if not self.mask[prods].all():
                 raise NotASubgroup("not closed under multiplication")
+        self._generators = None
         self._std = None
 
     @staticmethod
@@ -437,15 +454,29 @@ class Subgroup:
     def order(self):
         return len(self.indices)
 
+    def _subspace(self):
+        if self.subspace is None:
+            raise ValueError("no subspace attached to this subgroup")
+        return self.subspace
+
+    def generator_indices(self):
+        """Ambient indices of _span_generators on the rows of B."""
+        if self._generators is None:
+            rows = self._subspace().rows
+            self._generators = _span_generators(self.group, rows, self.indices)
+        return self._generators
+
+    def quotient(self, normal_indices):
+        """H/K on ambient indices, as FiniteGroupTable.quotient (see _quotient)."""
+        return _quotient(self.group, self.indices, self.generator_indices(), normal_indices)
+
     @property
     def std_group(self):
         """(H as its own UnitGroup, emb, sub_of): emb[i] is the ambient
         index of the i-th element of the standalone group, and sub_of is its
         inverse as an array over the ambient group, -1 off H."""
         if self._std is None:
-            if self.subspace is None:
-                raise ValueError("no subspace attached to this subgroup")
-            sub_alg = subalgebra_algebra(self.group.algebra, self.subspace)
+            sub_alg = subalgebra_algebra(self.group.algebra, self._subspace())
             H = UnitGroup(sub_alg)
             emb = self.group.span_indices(sub_alg.embed_rows)
             if not np.array_equal(np.sort(emb), self.indices):
@@ -492,25 +523,10 @@ def power_subgroup(group, m):
     return subspace_subgroup(group, space, verify_closed=False)
 
 
-def quotient_group(group, ideal):
-    """(1+A)/(1+I) realized as the unit group of A/I, plus the projection
-    array sending ambient indices to quotient indices (a homomorphism with
-    kernel 1+I)."""
-    from .nilalg import quotient_algebra
-
-    Qalg, project, _ = quotient_algebra(group.algebra, ideal)
-    Q = UnitGroup(Qalg)
-    basis = group.algebra.basis()
-    matrix = np.array([project(e) for e in basis], dtype=np.int64)
-    matrix = matrix.reshape(len(basis), Qalg.dim)
-    return Q, map_indices(group.field, np.arange(group.order), matrix)
-
-
-def check_commutator_theorem(algebra, m, n, cap=DEFAULT_GROUP_CAP):
-    """Does (1 + A^m, 1 + A^n) lie inside (1 + A, 1 + A^(m+n-1))?  Both sides
-    are computed as full subgroup closures of the pairwise commutators.
-    Returns (True, None) or (False, witness index outside the right side)."""
-    G = algebra if isinstance(algebra, UnitGroup) else UnitGroup(algebra, cap=cap)
+def check_commutator_theorem(G, m, n):
+    """Does (1 + A^m, 1 + A^n) lie inside (1 + A, 1 + A^(m+n-1)) in G = 1 + A?
+    Both sides are computed as full subgroup closures of the pairwise
+    commutators.  Returns (True, None) or (False, witness outside the right)."""
     lhs = commutator_subgroup(power_subgroup(G, m), power_subgroup(G, n))
     rhs = commutator_subgroup(power_subgroup(G, 1), power_subgroup(G, m + n - 1))
     outside = lhs.indices[~rhs.mask[lhs.indices]]

@@ -30,7 +30,6 @@ from oneplusa.chars import (
     mackey_irreducible,
     restrict,
     _power_basis,
-    linear_exponents,
     scalar_character_on,
     trivial_character,
 )
@@ -46,6 +45,22 @@ def ul_group(n, q):
 
 def free_group(q, gens, idx):
     return UnitGroup(free_nilpotent(FieldRing(gf(q)), gens, idx))
+
+
+def linear_class_functions(H):
+    # linear_characters(H) as ClassFunctions: on the ambient group when H is
+    # all of it, else on the standalone copy of H
+    G = H.group
+    e = G.exponent()
+    if H.order == G.order:
+        on, emb = G, np.arange(G.order)
+    else:
+        on, emb, _ = H.std_group
+    reps = emb[on.class_reps()]
+    return [
+        ClassFunction(on, [Cyclotomic.zeta(e, int(t)) for t in row[reps]])
+        for row in linear_characters(H)
+    ]
 
 
 # -- mod-ell eigenvalue helpers ----------------------------------------------
@@ -241,7 +256,7 @@ def test_regular_character_decomposition():
     G = ul_group(3, 2)
     tab = character_table(G)
     # the regular character: |G| at the identity class, 0 elsewhere
-    reg = ClassFunction(G, [G.order] + [0] * (len(tab) - 1))
+    reg = ClassFunction(G, [G.order] + [0] * (len(tab.chars) - 1))
     for ch in tab.chars:
         assert reg.inner(ch) == ch.degree
     # reg = sum of deg * chi
@@ -301,7 +316,7 @@ def test_free323_table_shape():
 @pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2)])
 def test_linear_characters_match_table(n, q):
     G = ul_group(n, q)
-    lin = linear_characters(G)
+    lin = linear_class_functions(power_subgroup(G, 1))
     tab = character_table(G)
     from_table = {ch.values for ch in tab.chars if ch.degree == 1}
     assert {ch.values for ch in lin} == from_table
@@ -310,11 +325,11 @@ def test_linear_characters_match_table(n, q):
 
 def test_linear_characters_are_homomorphisms():
     G = ul_group(3, 3)
-    for ch in linear_characters(G):
-        for x in range(0, G.order, 5):
-            for y in range(1, G.order, 7):
-                xy = int(G.table[x, y])
-                assert ch.value_at_index(xy) == ch.value_at_index(x) * ch.value_at_index(y)
+    e = G.exponent()
+    x = np.arange(0, G.order, 5)[:, None]
+    y = np.arange(1, G.order, 7)[None, :]
+    for row in linear_characters(power_subgroup(G, 1)):
+        assert (row[G.mul(x, y)] == (row[x] + row[y]) % e).all()
 
 
 # -- induction and restriction --------------------------------------------------
@@ -339,8 +354,7 @@ def test_induce_from_index_two():
     S = Subspace.from_vectors(A, [A.basis_element(0), A.basis_element(2)])
     H = Subgroup.from_subspace(G, S)
     assert H.order == 4
-    Hg, emb, _ = H.std_group
-    lin = linear_characters(Hg)
+    lin = linear_class_functions(H)
     tab = character_table(G)
     got_irreducible = 0
     for rho in lin:
@@ -356,9 +370,8 @@ def test_induce_from_index_two():
 def test_frobenius_reciprocity():
     G = ul_group(3, 3)
     H = power_subgroup(G, 2)
-    Hg, _, _ = H.std_group
     tab = character_table(G)
-    rhos = linear_characters(Hg)
+    rhos = linear_class_functions(H)
     for rho in rhos[:4]:
         for chi in tab.chars[:4] + tab.chars[-2:]:
             assert induce(rho, H).inner(chi) == rho.inner(restrict(chi, H))
@@ -385,7 +398,7 @@ def test_clifford_parts_over_the_center(make):
     # over l_chi is chi itself and every other part is zero
     G = make()
     Z = power_subgroup(G, G.algebra.nilpotency_index - 1)
-    lams = linear_exponents(Z)[:, Z.indices]
+    lams = linear_characters(Z)[:, Z.indices]
     for chi in character_table(G).chars:
         own = (lams == scalar_character_on(chi, Z)[Z.indices]).all(axis=1)
         assert own.sum() == 1
@@ -468,29 +481,40 @@ def test_row_to_exponent_lookup(e):
 
 @pytest.mark.parametrize("make", [lambda: ul_group(4, 2), lambda: free_group(2, 1, 5)],
                          ids=["ul(4,2)", "free(2,1,5)"])
-def test_linear_exponents_match_linear_characters(make):
-    # the subgroup exponent is below the ambient one, so the exponents are
-    # rescaled from zeta_(e_H) to zeta_e
+def test_linear_characters_match_the_subgroup_table(make):
+    # the rows of linear_characters(H), computed in place on ambient indices,
+    # are the degree-1 rows of the character table of H's standalone copy,
+    # rescaled from zeta_(e_H) to zeta_e of the ambient group
     G = make()
     e = G.exponent()
-    for m in (1, 2):
-        H = power_subgroup(G, m)
+    A = G.algebra
+    twisted = Subspace.from_vectors(
+        A, [A.basis_element(0)] + [A.basis_element(i) for i, d in
+                                   enumerate(A.graded_degrees) if d >= 2]
+    )
+    subgroups = [power_subgroup(G, m) for m in range(1, A.nilpotency_index + 1)]
+    subgroups.append(Subgroup.from_subspace(G, twisted))
+    for H in subgroups:
         Hg, emb, _ = H.std_group
-        lins = linear_characters(Hg)
-        exps = linear_exponents(H)
-        assert exps.shape == (len(lins), G.order)
-        for lin, row in zip(lins, exps):
-            assert (row[~H.mask] == -1).all()
-            for i in range(Hg.order):
-                assert Cyclotomic.zeta(e, int(row[emb[i]])) == lin.value_at_index(i)
+        basis = _power_basis(Hg.exponent())
+        want = set()
+        for ch in character_table(Hg).chars:
+            if ch.degree_int() != 1:
+                continue
+            t = basis.exponents(ch.coeffs, "linear-root-of-unity") * (e // basis.e)
+            row = np.full(G.order, -1, dtype=np.int64)
+            row[emb] = t[Hg.class_of]
+            want.add(row.tobytes())
+        rows = linear_characters(H)
+        assert rows.dtype == np.int64 and rows.shape == (len(want), G.order)
+        assert {row.tobytes() for row in rows} == want
 
 
 def test_mackey_criteria_agree_on_normal_subgroups():
     G = ul_group(3, 3)
     H = power_subgroup(G, 2)
     assert G.is_normal(H.indices)
-    Hg, _, _ = H.std_group
-    for rho in linear_characters(Hg):
+    for rho in linear_class_functions(H):
         mackey_irreducible(rho, H)  # raises if the two criteria disagree
 
 

@@ -253,6 +253,44 @@ def test_descent_builds_only_the_top_character_table(monkeypatch, capsys, argv, 
     assert [G.order for G in groups] == [order]
 
 
+def _count_unit_groups(monkeypatch):
+    # the orders of the UnitGroups built from here on, in order
+    from oneplusa.unitgroup import UnitGroup
+
+    real = UnitGroup.__init__
+    orders = []
+
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        orders.append(self.order)
+
+    monkeypatch.setattr(UnitGroup, "__init__", counting)
+    return orders
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    # the top group, a copy of each of the 4 distinct 1 + A1 the descents
+    # pass through (subgroups are memoised per group) and of the 2 distinct
+    # bottoms 1 + B not among them; the pairing quotient and the linear
+    # characters of 1 + A^m and 1 + U build no unit group
+    [(["decompose", "ul(4,3)"], 7),
+     (["verify", "free(3,2,3)", "--suite", "identities"], 1)],
+)
+def test_unit_groups_built(monkeypatch, capsys, argv, built):
+    orders = _count_unit_groups(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(orders) == built
+
+
+def test_verify_all_builds_the_top_group_once(monkeypatch, capsys):
+    orders = _count_unit_groups(monkeypatch)
+    code, _, _ = run(capsys, "verify", "ul(4,2)", "--suite", "all")
+    assert code == 0
+    assert orders.count(64) == 1
+
+
 def test_unknown_target_exits_two(capsys):
     code, _, err = run(capsys, "show", "nope(9,9)")
     assert code == 2

@@ -21,7 +21,7 @@ from oneplusa.chars import (
     ClassFunction,
     character_table,
     induce,
-    linear_exponents,
+    linear_characters,
     restrict,
 )
 from oneplusa.errors import (
@@ -62,6 +62,7 @@ from oneplusa.nilalg import (
 from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
+    commutator_subgroup,
     map_indices,
     power_subgroup,
     subspace_subgroup,
@@ -378,6 +379,49 @@ def test_coordinate_arrays_match_ring_arithmetic(q):
             assert points[t] == Qs.project(G.coords_of_index(n))
 
 
+# -- subgroups in place against their standalone copies -----------------------
+
+
+@pytest.mark.parametrize("target", ["ul(3,3)", "ul(4,2)", "free(2,2,3)"])
+def test_subgroups_in_place_match_their_standalone_copies(monkeypatch, target):
+    # generators and quotients of 1 + A^m and of every 1 + U met in the
+    # descent, on ambient indices, against the old route through the
+    # standalone copy read back through emb
+    met = []
+    real = gutkin.extension_set
+
+    def recording(group, U, m, zeta, A1):
+        met.append((group, U))
+        return real(group, U, m, zeta, A1)
+
+    monkeypatch.setattr(gutkin, "extension_set", recording)
+    G = UnitGroup(resolve(target))
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    assert met
+    cases = []
+    for group in {id(g): g for g, _ in [(G, None)] + met}.values():
+        whole = power_subgroup(group, 1)
+        for m in range(1, group.algebra.nilpotency_index + 1):
+            S = power_subgroup(group, m)
+            cases += [(S, commutator_subgroup(whole, S)), (S, commutator_subgroup(S, S))]
+    for group, U in met:
+        SU = subspace_subgroup(group, U)
+        cases.append((SU, commutator_subgroup(SU, SU)))
+    for H, K in cases:
+        Hg, emb, sub_of = H.std_group
+        gens = H.generator_indices()
+        assert gens == emb[Hg.generator_indices()].tolist()
+        assert np.array_equal(H.group.subgroup_closure(gens), H.indices)
+        Q, proj, reps = H.quotient(K.indices)
+        Qc, proj_c, reps_c = Hg.quotient(sub_of[K.indices])
+        assert np.array_equal(Q.table, Qc.table)
+        assert np.array_equal(proj[emb], proj_c)
+        assert (proj[~H.mask] == -1).all()
+        assert np.array_equal(reps, emb[reps_c])
+        assert Q.generator_indices() == Qc.generator_indices()
+
+
 # -- failure paths -------------------------------------------------------------
 
 
@@ -411,7 +455,7 @@ def test_trivial_zeta_gives_zero_matrix_and_no_line():
     pairing = commutator_pairing(G, 2, zeta)
     assert len(pairing.values) == 16 and (pairing.values == 0).all()
     phi = phi_map(pairing)
-    assert phi.is_zero()
+    assert not any(any(row) for row in phi.rows)
     with pytest.raises(NoLineFound):
         choose_line(phi)
 
@@ -479,7 +523,7 @@ def test_clifford_pick_rejects_a_reducible_class_function():
 def test_clifford_pick_rejects_a_character_outside_the_orbit():
     chi = character_table(ul_group(3, 2)).chars[-1]
     SA1, SU, exts = _first_step(chi)
-    lins = linear_exponents(SU)
+    lins = linear_characters(SU)
     outside = lins[~(lins[:, None, :] == exts[None, :, :]).all(axis=2).any(axis=1)]
     assert len(outside) == 2
     with pytest.raises(VerificationFailed) as err:
@@ -504,7 +548,7 @@ def test_clifford_pick_rejects_a_negative_degree():
 )
 def test_verify_all_upper_triangular(n, q, expected):
     A = strictly_upper_triangular(n, gf(q))
-    report = verify_gutkin_all(A)
+    report = verify_gutkin_all(UnitGroup(A))
     assert report["characters"] == expected
     assert report["verified"] == expected
     for entry in report["entries"]:
@@ -513,7 +557,7 @@ def test_verify_all_upper_triangular(n, q, expected):
 
 def test_verify_all_free_algebra():
     A = free_nilpotent(FieldRing(gf(2)), 2, 3)
-    report = verify_gutkin_all(A)
+    report = verify_gutkin_all(UnitGroup(A))
     assert report["characters"] == 40
     assert report["verified"] == 40
     degs = sorted(e["degree"] for e in report["entries"])

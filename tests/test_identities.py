@@ -9,7 +9,7 @@ nonzero low-degree word, not as a vacuous pass.
 import numpy as np
 import pytest
 
-from oneplusa.chars import linear_exponents
+from oneplusa.chars import linear_characters
 from oneplusa.errors import CapExceeded, NotInvariant, VerificationFailed
 from oneplusa.exactfield import gf
 from oneplusa.gutkin import commutator_pairing, quotient_character, quotient_pairing
@@ -185,7 +185,7 @@ def test_finite_pairing_every_invariant_zeta():
         Q = data["Q"]
         assert len(Q.subgroup_closure(Q.generator_indices())) == Q.order
         checked = 0
-        for zeta in linear_exponents(power_subgroup(G, m)):
+        for zeta in linear_characters(power_subgroup(G, m)):
             try:
                 assert finite_pairing_check(A, m, zeta)
                 checked += 1
@@ -201,7 +201,7 @@ def test_finite_pairing_counts_invariant_characters_u42():
     G = UnitGroup(A)
     A._unit_group = G
     good = bad = 0
-    for zeta in linear_exponents(power_subgroup(G, 2)):
+    for zeta in linear_characters(power_subgroup(G, 2)):
         try:
             finite_pairing_check(A, 2, zeta)
             good += 1
@@ -217,7 +217,7 @@ def test_finite_pairing_on_quotient_algebra():
     assert A.dim == 6
     G = UnitGroup(A)
     A._unit_group = G
-    zetas = linear_exponents(power_subgroup(G, 2))
+    zetas = linear_characters(power_subgroup(G, 2))
     assert len(zetas) == 16  # 1 + A^2 is elementary abelian of order 16
     for zeta in zetas:
         assert finite_pairing_check(A, 2, zeta)
@@ -302,7 +302,7 @@ def test_quotient_character_matches_the_loop_reference():
         e = G.exponent()
         S = power_subgroup(G, m)
         to_q = quotient_pairing(G, m)["to_q"]
-        for zeta in linear_exponents(S):
+        for zeta in linear_characters(S):
             shifted, dropped, coset = zeta.copy(), zeta.copy(), zeta.copy()
             s, t = (int(x) for x in rng.choice(S.indices, 2))
             shifted[s] = (shifted[s] + 1) % e

@@ -17,7 +17,6 @@ from oneplusa.unitgroup import (
     check_commutator_theorem,
     commutator_subgroup,
     power_subgroup,
-    quotient_group,
     subgroup_closure,
     unit,
 )
@@ -82,7 +81,8 @@ def test_ul32_classes():
     sizes = [len(c) for c in G.conjugacy_classes()]
     assert sizes == [1, 1, 2, 2, 2]
     assert G.exponent() == 4
-    assert sorted(G.center_indices().tolist()) == [0, 1]  # 1 and 1 + e13
+    # the center is the set of singleton classes: 1 and 1 + e13
+    assert sorted(int(c[0]) for c in G.conjugacy_classes() if len(c) == 1) == [0, 1]
 
 
 def test_ul33_classes():
@@ -91,7 +91,7 @@ def test_ul33_classes():
     assert sizes == [1, 1, 1] + [3] * 8
     assert G.exponent() == 3
     # the three singletons are the center 1 + A^2 = {1, 1+e13, 1+2e13}
-    assert G.center_indices().tolist() == [0, 1, 2]
+    assert sorted(int(c[0]) for c in G.conjugacy_classes() if len(c) == 1) == [0, 1, 2]
 
 
 # class numbers of U_n(q), the unitriangular n x n group, from the literature
@@ -175,7 +175,7 @@ def test_commutator_of_two_subgroups():
 
 def test_quotient_group_is_a_homomorphic_image():
     G = ul(4, 2)
-    Q, proj = quotient_group(G, G.algebra.power_subspace(2))
+    Q, proj, _ = G.quotient(power_subgroup(G, 2).indices)
     assert Q.order == 2 ** 3  # dim A/A^2 = 3
     T, QT = G.table, Q.table
     for x in range(G.order):
@@ -191,10 +191,11 @@ def test_commutator_theorem_all_levels():
         strictly_upper_triangular(3, gf(3)),
         free_nilpotent(FieldRing(gf(2)), 2, 3),
     ):
+        G = UnitGroup(alg)
         top = alg.nilpotency_index
         for m in range(1, top + 1):
             for n in range(1, top + 1):
-                ok, witness = check_commutator_theorem(alg, m, n)
+                ok, witness = check_commutator_theorem(G, m, n)
                 assert ok, (m, n, witness)
 
 
@@ -224,6 +225,25 @@ def test_std_group_embedding():
     assert H.mask[emb].all()
     assert sub_of[int(emb[3])] == 3
     assert (sub_of[~H.mask] == -1).all()
+
+
+def test_generators_scale_each_row_by_the_field_basis():
+    # 1 + x^t r for x^t over the polynomial basis of GF(4) (outer) and r over
+    # the rows (inner): the basis of A for the whole group, B's rows for 1 + B
+    A = strictly_upper_triangular(3, gf(4))
+    G = UnitGroup(A)
+    F = G.field
+    B = Subspace.from_vectors(A, [(1, F.gen.index, 0), (0, 0, 1)])
+    H = Subgroup.from_subspace(G, B)
+    for gens, rows in ((G.generator_indices(), np.eye(3, dtype=int).tolist()),
+                       (H.generator_indices(), B.rows)):
+        want = [G.index_of_coords([F.mul_idx(x, c) for c in row])
+                for x in (F.one.index, F.gen.index) for row in rows]
+        assert gens == want
+    # a subspace whose span is not the subgroup's index set fails the closure
+    bad = Subgroup(G, power_subgroup(G, 2).indices, subspace=A.power_subspace(1))
+    with pytest.raises(NotASubgroup):
+        bad.generator_indices()
 
 
 def test_points_order_first_row_most_significant():

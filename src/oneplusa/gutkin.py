@@ -8,11 +8,12 @@ it relies on along the way: the minimal scalar level, conjugation invariance
 of the central character, the commutator pairing on (A/A^2) x (A^(m-1)/A^m)
 with all three of its bilinearity laws, the ideals cut out by the induced
 linear map, and the extension lemma for 1 + U (nonempty, a single
-conjugation orbit, stabilizer exactly 1 + A_1).  The extension lemma makes
-the next character a Clifford projection: the part of chi on 1 + A_1 that
-lies over one extension, read off chi's own values with no character table
-of 1 + A_1 (clifford_constituent).  The pairing is scanned and
-checked once per group and level, with values in the finite quotient
+conjugation orbit, stabilizer exactly 1 + A_1), checked on the generator
+columns of 1 + U, which fix a linear character of it (extension_set).  The
+extension lemma makes the next character a Clifford projection: the part of
+chi on 1 + A_1 that lies over one extension, read off chi's own values with
+no character table of 1 + A_1 (clifford_constituent).  The pairing is
+scanned and checked once per group and level, with values in the finite quotient
 Q = (1+A^m)/(1+A, 1+A^m) and no character involved; each central character
 then only has to be checked to be a character of Q.  Violations surface as
 VerificationFailed with a witness, so the module doubles as a falsification
@@ -448,7 +449,7 @@ def build_ideals(phi, line):
 
 
 # ---------------------------------------------------------------------------
-# the extension lemma, checked exhaustively
+# the extension lemma, checked on generator columns
 
 
 def extension_set(group, U, m, zeta, A1):
@@ -459,11 +460,31 @@ def extension_set(group, U, m, zeta, A1):
     three parts of the extension lemma: the set is nonempty, it forms a
     single orbit under conjugation by 1 + A, and the stabilizer of each
     member is exactly 1 + A1.  The precondition that zeta kills every
-    commutator of 1 + U is checked first."""
+    commutator of 1 + U is checked first.
+
+    These checks run on the generator columns gens = SU.generator_indices(),
+    which generate 1 + U (_span_generators checks their closure); only the
+    match with zeta reads every column of 1 + A^m:
+    - Precondition: only commutators of pairs of generators are formed.
+      (1+U, 1+U) is the normal closure in 1 + U of those commutators, and
+      ker zeta is normal in 1 + A: commutator_pairing, through
+      quotient_character, has checked that zeta is multiplicative and
+      constant on the cosets of (1+A, 1+A^m), which together make zeta
+      1+A-invariant.  So if zeta kills the generator commutators, it kills
+      all of (1+U, 1+U).
+    - Closure of 1 + U under conjugation: each generator s of 1 + U is
+      conjugated by each generator g of 1 + A, as in
+      FiniteGroupTable.is_normal; the witness is the pair (g, s).
+    - Orbit, extension set and stabilizer: a linear character lambda of
+      1 + U is fixed by its values on gens, and its conjugate by g takes
+      the value lambda(g^-1 s g) at s.  So row g of P = g^-1 gens g gives
+      the conjugate by g, and g stabilizes lambda exactly when
+      lambda[P[g]] == lambda[gens]."""
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
     SA1 = subspace_subgroup(group, A1)
-    cs = group.commutator_values(SU.indices, SU.indices)
+    gens = np.array(SU.generator_indices(), dtype=np.int64)
+    cs = group.commutator_values(gens, gens)
     bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
     if len(bad):
         raise VerificationFailed("extension-precondition", witness=int(bad[0]))
@@ -473,20 +494,22 @@ def extension_set(group, U, m, zeta, A1):
     if not len(exts):
         raise EmptyExtensionSet((m, U.rows))
 
-    u = SU.indices
-    garr = np.arange(group.order)
-    P = group.conj(u[None, :], garr[:, None])  # row g: g^-1 (1+u) g
-    if not SU.mask[P].all():
-        g, i = (int(t[0]) for t in np.nonzero(~SU.mask[P]))
-        raise VerificationFailed("extension-conjugation-closure", witness=(g, i))
+    ggens = np.array(group.generator_indices(), dtype=np.int64)
+    outside = np.argwhere(~SU.mask[group.conj(gens[None, :], ggens[:, None])])
+    if len(outside):
+        i, j = outside[0]
+        raise VerificationFailed(
+            "extension-conjugation-closure", witness=(int(ggens[i]), int(gens[j]))
+        )
 
+    P = group.conj(gens[None, :], np.arange(group.order)[:, None])  # g^-1 gens g
     orbit = np.unique(exts[0][P], axis=0)
-    ext_set = np.unique(exts[:, u], axis=0)
+    ext_set = np.unique(exts[:, gens], axis=0)
     if not np.array_equal(orbit, ext_set):
         raise MultipleOrbits((len(orbit), len(ext_set)))
 
     for t, vec in enumerate(exts):
-        stab = (vec[P] == vec[u][None, :]).all(axis=1)
+        stab = (vec[P] == vec[gens][None, :]).all(axis=1)
         if not (stab == SA1.mask).all():
             g = int(np.nonzero(stab != SA1.mask)[0][0])
             raise WrongStabilizer((t, g))

@@ -25,11 +25,14 @@ from oneplusa.chars import (
     restrict,
 )
 from oneplusa.errors import (
+    EmptyExtensionSet,
+    MultipleOrbits,
     NoLineFound,
     NotLinear,
     NotInvariant,
     SearchExhausted,
     VerificationFailed,
+    WrongStabilizer,
 )
 from oneplusa.exactfield import Cyclotomic, gf
 from oneplusa.gutkin import (
@@ -537,6 +540,140 @@ def test_clifford_pick_rejects_a_negative_degree():
     with pytest.raises(VerificationFailed) as err:
         clifford_constituent(chi * -1, SA1, SU, exts)
     assert (err.value.stage, err.value.witness) == ("constituent-degree", "-1")
+
+
+# -- the extension lemma on generator columns ---------------------------------
+
+
+def _full_column_extension_set(group, U, m, zeta, A1):
+    # the reference: every check of extension_set run on all of 1 + U, with
+    # the |1+U|^2 commutator scan and the |G| x |1+U| conjugate rows
+    SU = subspace_subgroup(group, U)
+    Sm = power_subgroup(group, m)
+    SA1 = subspace_subgroup(group, A1)
+    cs = group.commutator_values(SU.indices, SU.indices)
+    bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
+    if len(bad):
+        raise VerificationFailed("extension-precondition", witness=int(bad[0]))
+
+    lins = linear_characters(SU)
+    exts = lins[(lins[:, Sm.indices] == zeta[Sm.indices]).all(axis=1)]
+    if not len(exts):
+        raise EmptyExtensionSet((m, U.rows))
+
+    u = SU.indices
+    garr = np.arange(group.order)
+    P = group.conj(u[None, :], garr[:, None])  # row g: g^-1 (1+u) g
+    if not SU.mask[P].all():
+        g, i = (int(t[0]) for t in np.nonzero(~SU.mask[P]))
+        raise VerificationFailed("extension-conjugation-closure", witness=(g, i))
+
+    orbit = np.unique(exts[0][P], axis=0)
+    ext_set = np.unique(exts[:, u], axis=0)
+    if not np.array_equal(orbit, ext_set):
+        raise MultipleOrbits((len(orbit), len(ext_set)))
+
+    for t, vec in enumerate(exts):
+        stab = (vec[P] == vec[u][None, :]).all(axis=1)
+        if not (stab == SA1.mask).all():
+            g = int(np.nonzero(stab != SA1.mask)[0][0])
+            raise WrongStabilizer((t, g))
+
+    return exts
+
+
+def _reversed_basis(A):
+    # A with its basis listed backwards: the rows of a U that contains A^m
+    # then start at the central basis vectors, so the last generators of
+    # 1 + U are the ones the extensions differ on, not central ones
+    n = A.dim - 1
+    sc = {
+        (n - i, n - j): tuple((n - k, c) for k, c in entry)
+        for (i, j), entry in A.sc.items()
+    }
+    return Algebra(
+        A.ring, A.dim, sc, labels=A.labels[::-1],
+        graded_degrees=A.graded_degrees[::-1], nilindex=A.nilpotency_index,
+    )
+
+
+@pytest.mark.parametrize(
+    "target,reverse,steps",
+    [
+        ("ul(3,3)", False, 2), ("ul(4,2)", False, 10), ("free(2,2,3)", False, 8),
+        ("ul(4,3)", False, 36), ("ul(3,4)", True, 3), ("ul(4,2)", True, 10),
+    ],
+)
+def test_extension_set_matches_the_full_column_checks(
+    monkeypatch, target, reverse, steps
+):
+    calls = []
+    real = gutkin.extension_set
+
+    def recording(group, U, m, zeta, A1):
+        exts = real(group, U, m, zeta, A1)
+        calls.append((group, U, m, zeta, A1, exts))
+        return exts
+
+    monkeypatch.setattr(gutkin, "extension_set", recording)
+    A = resolve(target)
+    G = UnitGroup(_reversed_basis(A) if reverse else A)
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    assert len(calls) == steps
+    for group, U, m, zeta, A1, exts in calls:
+        assert np.array_equal(exts, _full_column_extension_set(group, U, m, zeta, A1))
+
+
+def _both_fail(args, error):
+    # the generator-column checks and the reference fail with the same name;
+    # returns the generator-column failure for its witness
+    with pytest.raises(error) as ref:
+        _full_column_extension_set(*args)
+    with pytest.raises(error) as err:
+        extension_set(*args)
+    assert err.value.stage == ref.value.stage
+    return err.value
+
+
+def test_extension_set_rejects_a_u_that_is_not_an_ideal():
+    # U = span{e12, e14} is an abelian subalgebra containing A^3 = span{e14}
+    # but no ideal: 1+e23 conjugates 1+e12 to 1+e12+e13
+    G = ul_group(4, 2)
+    A = G.algebra
+    U = Subspace.from_vectors(A, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)])
+    zeta = np.full(G.order, -1)
+    zeta[power_subgroup(G, 3).indices] = 0
+    err = _both_fail((G, U, 3, zeta, A.power_subspace(1)), VerificationFailed)
+    assert err.stage == "extension-conjugation-closure"
+    g, s = err.witness
+    assert g in G.generator_indices()
+    assert s in subspace_subgroup(G, U).generator_indices()
+    assert not subspace_subgroup(G, U).mask[G.conj(s, g)]
+
+
+def test_extension_set_rejects_invariant_extensions():
+    # U = A^2 + span{e12} in ul(3,2) and zeta trivial on 1+A^2: both
+    # extensions (trivial, and -1 on the e12 coefficient) are fixed by 1+A
+    G = ul_group(3, 2)
+    A = G.algebra
+    U = Subspace.from_vectors(A, [(1, 0, 0), (0, 0, 1)])
+    zeta = np.array([0, 0, -1, -1, -1, -1, -1, -1])
+    err = _both_fail((G, U, 2, zeta, U), MultipleOrbits)
+    assert err.witness == (1, 2)
+
+
+def test_extension_set_rejects_a_wrong_stabilizer():
+    # the first step of the degree-2 character of ul(3,2) with A1 replaced by
+    # A: 1+e23 swaps the two extensions, so it is outside every stabilizer
+    G = ul_group(3, 2)
+    m, zeta = minimal_scalar_level(character_table(G).chars[-1])
+    phi = phi_map(commutator_pairing(G, m, zeta))
+    A1, U = build_ideals(phi, choose_line(phi))
+    assert A1.dim == 2
+    err = _both_fail((G, U, m, zeta, G.algebra.power_subspace(1)), WrongStabilizer)
+    t, g = err.witness
+    assert t == 0 and not subspace_subgroup(G, A1).mask[g]
 
 
 # -- whole-table sweeps --------------------------------------------------------

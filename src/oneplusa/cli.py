@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .catalog import BUILTIN, resolve, slug
 from .chars import character_table, linear_characters
@@ -48,6 +49,7 @@ def _usage(build, *args):
 
 
 USAGE_ERRORS = (UsageError, CapExceeded)
+JSON_BATCH = 4096  # pieces of a JSON report joined per write
 
 
 def _int_at_least(low):
@@ -64,23 +66,128 @@ def _int_at_least(low):
     return parse
 
 
+def _scalar(o):
+    """A JSON scalar as json.dumps renders it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return json.dumps(o)
+    raise TypeError(
+        f"Object of type {o.__class__.__name__} is not JSON serializable"
+    )
+
+
+def _key(k):
+    """A dict key as json.dumps renders it: non-string scalars are quoted."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring_ascii(_scalar(k))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+    )
+
+
+def _shared_containers(obj):
+    """ids of the lists, tuples and dicts reached more than once in obj."""
+    seen, shared = set(), set()
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if not isinstance(o, (list, tuple, dict)):
+            continue
+        if id(o) in seen:
+            shared.add(id(o))
+        else:
+            seen.add(id(o))
+            stack.extend(o.values() if isinstance(o, dict) else o)
+    return shared
+
+
+def _write_json(obj, write):
+    """Write json.dumps(obj, sort_keys=True, indent=2) through write, byte
+    for byte, without the pure-Python encoder that indent selects in the
+    standard library, and in batches of about JSON_BATCH pieces rather than
+    as one string.  A first pass finds the containers reached more than once
+    (a character table shares one dict per distinct value among its cells);
+    each of them is rendered once per depth and its text reused."""
+    shared = _shared_containers(obj)
+    memo, active, out = {}, set(), []
+
+    def value(o, depth):
+        if not isinstance(o, (list, tuple, dict)):
+            out.append(_scalar(o))
+        elif id(o) not in shared:
+            container(o, depth)
+        else:
+            text = memo.get((id(o), depth))
+            if text is None:
+                if id(o) in active:
+                    raise ValueError("Circular reference detected")
+                active.add(id(o))
+                mark = len(out)
+                container(o, depth)
+                text = memo[id(o), depth] = "".join(out[mark:])
+                del out[mark:]
+                active.discard(id(o))
+            out.append(text)
+
+    def container(o, depth):
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        pad = "\n" + "  " * (depth + 1)
+        sep = pad
+        is_dict = isinstance(o, dict)
+        out.append("{" if is_dict else "[")
+        for item in sorted(o.items()) if is_dict else o:
+            if is_dict:
+                out.append(sep + _key(item[0]) + ": ")
+                value(item[1], depth + 1)
+            else:
+                out.append(sep)
+                value(item, depth + 1)
+            sep = "," + pad
+            if len(out) >= JSON_BATCH and not active:
+                write("".join(out))
+                out.clear()
+        out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
+
+    value(obj, 0)
+    write("".join(out))
+
+
 def _emit(args, payload, name, kind, text=None):
     """Write a report to --out DIR or stdout.  JSON payloads are rendered
-    canonically; text is used as-is for csv."""
-    if text is None:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        ext = "json"
-    else:
-        ext = "csv"
+    canonically, as json.dumps(payload, sort_keys=True, indent=2) + "\\n"
+    would render them; text is used as-is for csv."""
+    ext = "json" if text is None else "csv"
     out_dir = getattr(args, "out", None)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{slug(name)}.{kind}.{ext}")
         with open(path, "w") as fh:
-            fh.write(text)
+            _write_report(fh, payload, text)
         print(path)
     else:
-        sys.stdout.write(text)
+        _write_report(sys.stdout, payload, text)
+
+
+def _write_report(fh, payload, text):
+    """The JSON rendering of payload and a newline, or text, into fh."""
+    if text is None:
+        _write_json(payload, fh.write)
+        fh.write("\n")
+    else:
+        fh.write(text)
 
 
 def cmd_catalog(args):

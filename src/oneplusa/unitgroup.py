@@ -16,6 +16,13 @@ coordinates, first coordinate most significant.  Every move between them is
 GF(q)-linear on coordinates, so it is one array operation: digits/undigits
 convert between indices and coordinate arrays, and combine applies a matrix
 over GF(q) through the field's lookup tables.
+
+The table is built by digit arithmetic on indices, never by coordinates.
+FiniteField numbers GF(p^k) by the base-p digits of its coefficients, so an
+index is also the base-p number of the coordinates over GF(p): x + y is
+digit-wise addition mod p without carry (XOR when p = 2), and the bilinear
+xy is the sum over the left coordinates i of (x_i e_i) y, read from one
+small q x N table per i (UnitGroup._build_table).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .nilalg import subalgebra_algebra
 
 DEFAULT_GROUP_CAP = 2 ** 20
 TABLE_CAP = 4096
+TABLE_BLOCK = 1 << 16  # int32 entries per row block of the table build
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,63 @@ def map_indices(field, indices, matrix):
     coordinate vectors with the given base-q indices; matrix is k x d."""
     q = field.q
     return undigits(combine(field, digits(indices, q, len(matrix)), matrix), q)
+
+
+class _DigitAdder:
+    """Addition of group indices below n = p^w digit by digit mod p, without
+    carry, which is the index of the sum in GF(p)^w.  For p = 2 that is XOR
+    on whole indices.  Otherwise an index array is held as two parts, the
+    high and the low half of its base-p digits, and each half is added
+    through an int32 table of at most sqrt(n) x sqrt(n) entries.  The
+    second operand of add comes from split(..., scaled=True), so each table
+    is read at the sum of two arrays, with no division inside a loop."""
+
+    def __init__(self, p, n):
+        self.xor = p == 2
+        if self.xor:
+            return
+        width = 0
+        while p ** width < n:
+            width += 1
+        self.low = p ** (width // 2)
+        self.sizes = (n // self.low, self.low)
+        self.tables = []
+        for size in self.sizes:  # table[b * size + a] = digit-wise a + b
+            a = digits(np.arange(size), p, width)
+            table = undigits((a[:, None] + a[None, :]) % p, p)
+            self.tables.append(table.astype(np.int32).ravel())
+
+    def split(self, x, scaled=False):
+        """The parts of the index array x; scaled, each part is multiplied
+        by its table's row length, ready to be the second operand of add."""
+        if self.xor:
+            return [x]
+        parts = np.divmod(x, self.low)
+        if scaled:
+            return [part * size for part, size in zip(parts, self.sizes)]
+        return list(parts)
+
+    def add(self, parts, other):
+        """parts += other, in place; other is split(..., scaled=True)."""
+        if self.xor:
+            np.bitwise_xor(parts[0], other[0], out=parts[0])
+            return
+        for part, scaled, table in zip(parts, other, self.tables):
+            np.take(table, scaled + part, out=part)
+
+    def start(self, x, out):
+        """Parts holding the index column x on every column of out; for XOR
+        the one part is out itself."""
+        if self.xor:
+            out[:] = x
+            return [out]
+        return [np.repeat(part, out.shape[1], axis=1) for part in self.split(x)]
+
+    def join(self, parts, out):
+        """Write the indices the parts hold into out."""
+        if not self.xor:
+            np.multiply(parts[0], self.low, out=out)
+            out += parts[1]
 
 
 class UnitElement:
@@ -337,25 +402,57 @@ class UnitGroup(FiniteGroupTable):
         return self._table
 
     def _build_table(self):
+        """table[x, y] = index of (1+x)(1+y) = 1 + (x + y + xy), by digit
+        arithmetic on indices.  An index is the base-p number of the
+        coordinates over GF(p) (FiniteField numbers its elements by base-p
+        coefficient digits), so x + y is digit-wise addition mod p without
+        carry (_DigitAdder).  xy is bilinear: it is the sum over the left
+        coordinates i of (x_i e_i) y, and left[i][a, y] holds the index of
+        (a e_i) y for every a in GF(q).  Each row block of the table starts
+        from x + y and adds left[i][x_i] for every i; blocks hold about
+        TABLE_BLOCK int32 entries, so the build needs little beyond the
+        table itself."""
         N, d, q = self.order, self.algebra.dim, self.field.q
-        add_t, mul_t = field_tables(self.field)
-        E = digits(np.arange(N), q, d).astype(np.int16)
+        adder = _DigitAdder(self.field.p, N)
+        y = np.arange(N, dtype=np.int32)
+        ys = adder.split(y, scaled=True)
+        left = {
+            i: adder.split(rows, scaled=True)
+            for i, rows in self._left_products(y).items()
+        }
         table = np.empty((N, N), dtype=np.int32)
-        block = max(1, (1 << 22) // max(1, N * d))
+        block = max(1, TABLE_BLOCK // N)
         for start in range(0, N, block):
-            X = E[start:start + block]
-            Z = add_t[X[:, None, :], E[None, :, :]]
-            for (i, j), entry in self.algebra.sc.items():
-                prod = mul_t[X[:, None, i], E[None, :, j]]
-                for k, c in entry:
-                    term = prod if c == 1 else mul_t[prod, c]
-                    Z[:, :, k] = add_t[Z[:, :, k], term]
-            acc = table[start:start + len(X)]
-            acc[:] = 0
-            for k in range(d):  # base-q values in int32, all below N <= TABLE_CAP
-                acc *= q
-                acc += Z[:, :, k]
+            x = y[start:start + block, None]
+            acc = table[start:start + len(x)]
+            parts = adder.start(x, acc)
+            adder.add(parts, ys)
+            for i, rows in left.items():
+                xi = x[:, 0] // q ** (d - 1 - i) % q
+                adder.add(parts, [part[xi] for part in rows])
+            adder.join(parts, acc)
         return table
+
+    def _left_products(self, y):
+        """{i: R} over the coordinates i that occur on the left of a
+        structure constant, with R[a, y] = index of (a e_i) y (int32, q x N)
+        for the group indices y = 0..N-1."""
+        field, d = self.field, self.algebra.dim
+        add_t, mul_t = field_tables(field)
+        mats = {}
+        for (i, j), entry in self.algebra.sc.items():
+            m = mats.setdefault(i, np.zeros((d, d), dtype=np.int64))
+            for k, c in entry:  # row j of m: the coordinates of e_i e_j
+                m[j, k] = add_t[m[j, k], c]
+        coords = digits(y, field.q, d)
+        left = {}
+        for i, m in sorted(mats.items()):
+            prod = combine(field, coords, m)  # coordinates of e_i y
+            left[i] = np.array(
+                [undigits(mul_t[a][prod], field.q) for a in range(field.q)],
+                dtype=np.int32,
+            )
+        return left
 
     # -- generators ---------------------------------------------------------------
 
@@ -506,6 +603,21 @@ def commutator_subgroup(left, right):
     group = left.group
     vals = group.commutator_values(left.indices, right.indices)
     return Subgroup(group, group.subgroup_closure(vals), verify=False)
+
+
+def derived_subgroup(group, gens):
+    """Sorted indices of (H, H) for the subgroup H of group generated by
+    gens: the normal closure in H of the commutators of the generators.
+    Their closure K is widened by the conjugates of its generators under
+    gens until gens normalize it.  commutator_subgroup(H, H) finds the same
+    subgroup by an |H|^2 scan."""
+    gens = np.asarray(gens, dtype=np.int64)
+    kgens = group.commutator_values(gens, gens)
+    K = group.subgroup_closure(kgens)
+    while not group.is_normal(K, gens):
+        kgens = np.union1d(kgens, group.conj(kgens[:, None], gens[None, :]))
+        K = group.subgroup_closure(kgens)
+    return K
 
 
 def subspace_subgroup(group, space, verify_closed=True):

@@ -1,11 +1,14 @@
 """Command-line behavior: targets, formats, exit codes, reproducibility."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oneplusa import cli
 from oneplusa.errors import VerificationFailed
@@ -92,6 +95,23 @@ def test_chartable_report_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_SHA256[name]
 
 
+# sha256 of `--no-gutkin chartable NAME` (JSON) for the two 4096-element
+# benchmark groups, recorded before the Cayley table moved to digit
+# arithmetic; ul(4,4) also has an odd number of field bits per coordinate
+# pair, ul(3,16) the largest field
+CHARTABLE_LARGE_SHA256 = {
+    "ul(4,4)": "f8823e30a9cd68e270bfb5e1541c73d2920cb778bedd299db3ccb0cc59720b3a",
+    "ul(3,16)": "126a05a2bed06b321b20354f5b30ccb7e919f913b2ec75856f153e08dd4bf3e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTABLE_LARGE_SHA256))
+def test_large_chartable_report_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "--no-gutkin", "chartable", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_LARGE_SHA256[name]
+
+
 # sha256 of `decompose NAME` (JSON) for the catalog targets with a descent
 # of a few seconds at most, plus the larger benchmark groups ul(3,8), ul(4,3),
 # ul(5,2) and ul(4,4), whose descents the generator-column extension checks
@@ -132,6 +152,88 @@ def test_chartable_out_dir(tmp_path, capsys):
     path = tmp_path / "ul-3-2.chartable.json"
     assert path.exists()
     assert json.loads(path.read_text())["group_order"] == 8
+
+
+def _written(obj):
+    buf = io.StringIO()
+    cli._write_json(obj, buf.write)
+    return buf.getvalue()
+
+
+def _json_trees():
+    scalars = (
+        st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+        | st.floats() | st.text()
+    )
+
+    def extend(children):
+        return (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=4), children, max_size=4)
+            | st.dictionaries(st.integers(-3, 3), children, max_size=3)
+            | st.dictionaries(st.floats(allow_nan=False), children, max_size=2)
+            # one subtree shared at three depths
+            | children.map(lambda c: [c, {"again": c, "deeper": [c]}])
+        )
+
+    return st.recursive(scalars, extend, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_json_trees())
+@example({"\"q\"\\\n\t\x00\u00e9\u2603\U0001f600": ["", {}, [], (), -0.0, float("inf")]})
+@example([{1: None, -2: True, 3: False}, {2.5: "x", -1.0: "y"}, float("nan")])
+def test_json_writer_matches_json_dumps(tree):
+    want = json.dumps(tree, sort_keys=True, indent=2)
+    assert _written(tree) == want
+    batch = cli.JSON_BATCH
+    cli.JSON_BATCH = 1  # write after every item outside a shared container
+    try:
+        assert _written(tree) == want
+    finally:
+        cli.JSON_BATCH = batch
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    loop = []
+    loop.append({"back": loop})
+    for bad in (loop, {"x": {1, 2}}, {(1, 2): 0}):
+        with pytest.raises((ValueError, TypeError)) as want:
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(want.type):
+            _written(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--format", "json"],
+    ["show", "free(2,2,3)", "--format", "json"],
+    ["chartable", "ul(3,4)"],
+    ["decompose", "ul(4,2)"],
+    ["verify", "free(2,2,3)", "--suite", "all"],
+    ["halasi-explore", "2", "2", "3", "2"],
+])
+def test_json_writer_matches_json_dumps_on_every_report(monkeypatch, capsys, argv):
+    payloads = []
+    real = cli._write_json
+
+    def recording(obj, write):
+        payloads.append(obj)
+        real(obj, write)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+
+
+def test_json_writer_through_the_out_dir(tmp_path, capsys):
+    _, out, _ = run(capsys, "chartable", "ul(3,4)")
+    code, listed, _ = run(capsys, "chartable", "ul(3,4)", "--out", str(tmp_path))
+    path = tmp_path / "ul-3-4.chartable.json"
+    assert code == 0 and listed == f"{path}\n"
+    text = path.read_text()
+    assert text == out == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_decompose(capsys):

@@ -66,6 +66,7 @@ from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
     commutator_subgroup,
+    derived_subgroup,
     map_indices,
     power_subgroup,
     subspace_subgroup,
@@ -623,6 +624,39 @@ def test_extension_set_matches_the_full_column_checks(
     assert len(calls) == steps
     for group, U, m, zeta, A1, exts in calls:
         assert np.array_equal(exts, _full_column_extension_set(group, U, m, zeta, A1))
+
+
+@pytest.mark.parametrize("target", ["ul(4,2)", "free(2,2,3)", "ul(4,3)"])
+def test_derived_subgroup_matches_the_full_commutator_scan(monkeypatch, target):
+    # (H, H) as the normal closure of the generator commutators, against the
+    # |H|^2 scan, on every 1 + A^m and every 1 + U of the descent
+    seen = []
+    real = gutkin.extension_set
+
+    def recording(group, U, m, zeta, A1):
+        seen.append(subspace_subgroup(group, U))
+        return real(group, U, m, zeta, A1)
+
+    monkeypatch.setattr(gutkin, "extension_set", recording)
+    G = UnitGroup(resolve(target))
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    powers = [power_subgroup(G, m) for m in range(1, G.algebra.nilpotency_index + 1)]
+    assert len(seen) > len(powers)
+    for H in powers + seen:
+        want = commutator_subgroup(H, H).indices
+        assert np.array_equal(derived_subgroup(G, H.generator_indices()), want)
+
+
+def test_derived_subgroup_closes_under_conjugation():
+    # 1+e12, 1+e23, 1+e34 generate ul(4,2); their commutators 1+e13 and
+    # 1+e24 generate a subgroup of order 4 that 1+e34 does not normalize
+    # (it conjugates 1+e13 to 1+e13+e14), and the normal closure is 1 + A^2
+    G = ul_group(4, 2)
+    gens = [G.index_of_coords(G.algebra.basis_element(i).coords) for i in (0, 1, 2)]
+    comms = G.commutator_values(gens, gens)
+    assert len(G.subgroup_closure(comms)) == 4
+    assert derived_subgroup(G, gens).tolist() == power_subgroup(G, 2).indices.tolist()
 
 
 def _both_fail(args, error):

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
 from oneplusa.exactfield import gf
 from oneplusa.identities import beta
 from oneplusa.nilalg import (
+    Algebra,
     FieldRing,
     Subspace,
     Z_RING,
@@ -16,8 +20,12 @@ from oneplusa.unitgroup import (
     UnitGroup,
     check_commutator_theorem,
     commutator_subgroup,
+    digits,
+    field_tables,
+    map_indices,
     power_subgroup,
     subgroup_closure,
+    undigits,
     unit,
 )
 
@@ -381,3 +389,93 @@ def test_group_cap():
     assert big.order == 2 ** 14
     with pytest.raises(CapExceeded):
         _ = big.table
+
+
+def _reference_table(G):
+    # the coordinate build the digit arithmetic replaced: every coordinate of
+    # every pair through the 2-D field tables, one structure constant at a time
+    N, d, q = G.order, G.algebra.dim, G.field.q
+    add_t, mul_t = field_tables(G.field)
+    E = digits(np.arange(N), q, d).astype(np.int16)
+    table = np.empty((N, N), dtype=np.int32)
+    block = max(1, (1 << 22) // max(1, N * d))
+    for start in range(0, N, block):
+        X = E[start:start + block]
+        Z = add_t[X[:, None, :], E[None, :, :]]
+        for (i, j), entry in G.algebra.sc.items():
+            prod = mul_t[X[:, None, i], E[None, :, j]]
+            for k, c in entry:
+                term = prod if c == 1 else mul_t[prod, c]
+                Z[:, :, k] = add_t[Z[:, :, k], term]
+        acc = table[start:start + len(X)]
+        acc[:] = 0
+        for k in range(d):
+            acc *= q
+            acc += Z[:, :, k]
+    return table
+
+
+@pytest.mark.parametrize(
+    "target",
+    [e.name for e in BUILTIN]
+    + ["ul(3,5)", "ul(3,8)", "ul(3,9)", "ul(4,3)", "ul(5,2)", "ul(3,16)", "ul(4,4)"],
+)
+def test_table_matches_the_coordinate_build(target):
+    G = UnitGroup(resolve(target))
+    assert np.array_equal(G.table, _reference_table(G))
+
+
+def _random_basis(A, seed):
+    # A in the basis given by the rows of a random invertible matrix P over
+    # GF(q): f_i f_j = sum_k c_ijk f_k, with the coordinates of the product
+    # solved through the index permutation v -> v P
+    field, d = A.ring.field, A.dim
+    rng = np.random.default_rng(seed)
+    while True:
+        P = rng.integers(0, field.q, size=(d, d))
+        image = map_indices(field, np.arange(field.q ** d), P)
+        if len(np.unique(image)) == len(image):
+            break
+    solve = np.empty_like(image)
+    solve[image] = np.arange(len(image))
+    rows = [tuple(int(c) for c in row) for row in P]
+    sc = {}
+    for i in range(d):
+        for j in range(d):
+            w = A.mul_coords(rows[i], rows[j])
+            v = digits(solve[undigits(w, field.q)], field.q, d).tolist()
+            kept = tuple((k, c) for k, c in enumerate(v) if c)
+            if kept:
+                sc[(i, j)] = kept
+    return Algebra(A.ring, d, sc)
+
+
+@pytest.mark.parametrize("target,seeds", [
+    ("ul(4,2)", (1, 2, 3)), ("free(2,2,3)", (4, 5)), ("ul(3,3)", (6, 7)),
+    ("free(3,2,3)", (8,)), ("ul(3,4)", (9, 10, 11)), ("ul(3,9)", (12, 13)),
+])
+def test_table_matches_the_coordinate_build_in_random_bases(target, seeds):
+    # the catalog bases have structure constants 1 and one term per product;
+    # random bases give other constants and products with several terms
+    algebras = [_random_basis(resolve(target), seed) for seed in seeds]
+    entries = [entry for A in algebras for entry in A.sc.values()]
+    assert any(len(entry) > 1 for entry in entries)
+    if algebras[0].ring.field.q > 2:
+        assert any(c != 1 for entry in entries for _, c in entry)
+    for A in algebras:
+        G = UnitGroup(A)
+        assert np.array_equal(G.table, _reference_table(G))
+
+
+def test_table_build_needs_little_beyond_the_table():
+    # the row blocks keep the build's transients small: the coordinate build
+    # peaked about 17 MB over the 64 MB ul(4,4) table
+    G = UnitGroup(resolve("ul(4,4)"))
+    field_tables(G.field)
+    tracemalloc.start()
+    try:
+        table = G._build_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 4 * 2 ** 20

@@ -48,7 +48,7 @@ from .exactfield import (
     is_prime,
     prime_factors,
 )
-from .unitgroup import derived_subgroup
+from .unitgroup import commutator_subgroup
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
@@ -673,10 +673,10 @@ def linear_characters(H):
     power_subgroup(G, 1)) from H/(H, H) on ambient indices: one int64 row
     per character, t mod e = exp(G) (value zeta_e^t) on H and -1 off it, in
     itertools.product order over the cyclic decomposition of H/(H, H).
-    (H, H) is the normal closure of the commutators of H's generators
-    (unitgroup.derived_subgroup)."""
+    (H, H) is unitgroup.commutator_subgroup(H, H), the normal closure of the
+    commutators of H's generators."""
     G = H.group
-    Q, proj, _ = H.quotient(derived_subgroup(G, H.generator_indices()))
+    Q, proj, _ = H.quotient(commutator_subgroup(H, H).indices)
     _, orders, exps = _cyclic_decomposition(Q)
     E = math.lcm(1, *orders)
     e = G.exponent()

@@ -157,6 +157,8 @@ def minimal_scalar_level(chi):
 def quotient_pairing(group, m):
     """The commutator pairing (1+x, 1+y) -> (1+x)(1+y)(1+x)^-1(1+y)^-1 with
     values in Q = (1+A^m)/(1+A, 1+A^m), on (A/A^2) x (A^(m-1)/A^m).
+    (1+A, 1+A^m) is unitgroup.commutator_subgroup, the normal closure of the
+    commutators of the generators of 1+A with those of 1+A^m.
 
     Character-free, and computed and verified once per group and level: the
     scan over every g in 1+A and h in 1+A^(m-1) checks that each commutator

@@ -14,6 +14,8 @@ to (1+J, 1+J^(k-1)) over finite fields, where the characteristic-zero
 argument is unavailable; it reports orders and takes no side.
 """
 
+import numpy as np
+
 from .errors import VerificationFailed
 from .gutkin import quotient_character
 from .nilalg import (
@@ -169,17 +171,12 @@ def halasi_explore(field, num_gens, n, k, cap=DEFAULT_GROUP_CAP):
     whole = power_subgroup(G, 1)
     derived = commutator_subgroup(whole, whole)
     Sk = power_subgroup(G, k)
-    lhs_idx = sorted(
-        set(int(x) for x in derived.indices)
-        & set(int(x) for x in Sk.indices)
-    )
-    lhs = Subgroup(G, lhs_idx)
+    lhs = Subgroup(G, np.intersect1d(derived.indices, Sk.indices))
     rhs = commutator_subgroup(whole, power_subgroup(G, k - 1))
-    rhs_set = set(int(x) for x in rhs.indices)
-    if not rhs_set <= set(lhs_idx):
+    outside = np.setdiff1d(rhs.indices, lhs.indices)
+    if len(outside):
         raise VerificationFailed(
-            "derived-intersection-containment",
-            witness=sorted(rhs_set - set(lhs_idx))[:4],
+            "derived-intersection-containment", witness=outside[:4].tolist()
         )
     return {
         "field": field.q,

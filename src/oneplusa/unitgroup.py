@@ -265,13 +265,11 @@ class FiniteGroupTable:
         return np.nonzero(seen)[0]
 
     def commutator_values(self, left, right):
-        """Unique values of comm(x, y) for x in left, y in right, one row of
-        products per x.  For subgroups this is also the set of x^-1 y^-1 x y."""
-        right = np.asarray(right)
-        out = set()
-        for x in np.asarray(left).tolist():
-            out.update(np.unique(self.comm(x, right)).tolist())
-        return np.array(sorted(out), dtype=np.int64)
+        """Unique values of comm(x, y) for x in left, y in right, from one
+        broadcast |left| x |right| array; callers pass generators."""
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        return np.unique(self.comm(left[:, None], right[None, :])).astype(np.int64)
 
     def is_normal(self, indices, gens=None):
         """Is the subgroup with these indices normalized by the generators
@@ -596,28 +594,26 @@ def subgroup_closure(group, indices):
 
 
 def commutator_subgroup(left, right):
-    """Commutator subgroup (S1, S2) of two Subgroups of the same ambient
-    group: the closure of all pairwise commutators."""
+    """(M, N) for two Subgroups M, N of the same ambient group: the normal
+    closure in <M, N> of the commutators of their generators X, Y, which is
+    [<X>, <Y>] = <[X, Y]>^<X u Y> (Robinson, A Course in the Theory of
+    Groups, 5.1).  The closure K of comm(X, Y) is widened by the conjugates
+    of its generators under X u Y until X u Y normalize it.  K lies in
+    (M, N), because (M, N) is normalized by M and N.  Modulo K every
+    generator of M commutes with every generator of N, so M and N commute
+    and (M, N) lies in K."""
     if left.group is not right.group:
         raise TypeError("subgroups of different ambient groups")
     group = left.group
-    vals = group.commutator_values(left.indices, right.indices)
-    return Subgroup(group, group.subgroup_closure(vals), verify=False)
-
-
-def derived_subgroup(group, gens):
-    """Sorted indices of (H, H) for the subgroup H of group generated by
-    gens: the normal closure in H of the commutators of the generators.
-    Their closure K is widened by the conjugates of its generators under
-    gens until gens normalize it.  commutator_subgroup(H, H) finds the same
-    subgroup by an |H|^2 scan."""
-    gens = np.asarray(gens, dtype=np.int64)
-    kgens = group.commutator_values(gens, gens)
+    lg = np.asarray(left.generator_indices(), dtype=np.int64)
+    rg = np.asarray(right.generator_indices(), dtype=np.int64)
+    conjugators = np.union1d(lg, rg)
+    kgens = group.commutator_values(lg, rg)
     K = group.subgroup_closure(kgens)
-    while not group.is_normal(K, gens):
-        kgens = np.union1d(kgens, group.conj(kgens[:, None], gens[None, :]))
+    while not group.is_normal(K, conjugators):
+        kgens = np.union1d(kgens, group.conj(kgens[:, None], conjugators[None, :]))
         K = group.subgroup_closure(kgens)
-    return K
+    return Subgroup(group, K, verify=False)
 
 
 def subspace_subgroup(group, space, verify_closed=True):
@@ -637,8 +633,9 @@ def power_subgroup(group, m):
 
 def check_commutator_theorem(G, m, n):
     """Does (1 + A^m, 1 + A^n) lie inside (1 + A, 1 + A^(m+n-1)) in G = 1 + A?
-    Both sides are computed as full subgroup closures of the pairwise
-    commutators.  Returns (True, None) or (False, witness outside the right)."""
+    Both sides come from commutator_subgroup, the normal closures of the
+    commutators of the two sides' generators.  Returns (True, None) or
+    (False, witness outside the right)."""
     lhs = commutator_subgroup(power_subgroup(G, m), power_subgroup(G, n))
     rhs = commutator_subgroup(power_subgroup(G, 1), power_subgroup(G, m + n - 1))
     outside = lhs.indices[~rhs.mask[lhs.indices]]

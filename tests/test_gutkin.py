@@ -66,11 +66,11 @@ from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
     commutator_subgroup,
-    derived_subgroup,
     map_indices,
     power_subgroup,
     subspace_subgroup,
 )
+from test_unitgroup import _scan_commutator_subgroup
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -644,19 +644,23 @@ def test_derived_subgroup_matches_the_full_commutator_scan(monkeypatch, target):
     powers = [power_subgroup(G, m) for m in range(1, G.algebra.nilpotency_index + 1)]
     assert len(seen) > len(powers)
     for H in powers + seen:
-        want = commutator_subgroup(H, H).indices
-        assert np.array_equal(derived_subgroup(G, H.generator_indices()), want)
+        want = _scan_commutator_subgroup(H, H)
+        assert np.array_equal(commutator_subgroup(H, H).indices, want)
 
 
 def test_derived_subgroup_closes_under_conjugation():
-    # 1+e12, 1+e23, 1+e34 generate ul(4,2); their commutators 1+e13 and
-    # 1+e24 generate a subgroup of order 4 that 1+e34 does not normalize
+    # H = ul(4,2) presented by 1+e12, 1+e23, 1+e34: their commutators 1+e13
+    # and 1+e24 generate a subgroup of order 4 that 1+e34 does not normalize
     # (it conjugates 1+e13 to 1+e13+e14), and the normal closure is 1 + A^2
     G = ul_group(4, 2)
     gens = [G.index_of_coords(G.algebra.basis_element(i).coords) for i in (0, 1, 2)]
     comms = G.commutator_values(gens, gens)
     assert len(G.subgroup_closure(comms)) == 4
-    assert derived_subgroup(G, gens).tolist() == power_subgroup(G, 2).indices.tolist()
+    H = Subgroup(G, G.subgroup_closure(gens), verify=False)
+    H._generators = gens  # in place of the generators of a basis of A
+    want = _scan_commutator_subgroup(H, H)
+    assert want.tolist() == power_subgroup(G, 2).indices.tolist()
+    assert commutator_subgroup(H, H).indices.tolist() == want.tolist()
 
 
 def _both_fail(args, error):

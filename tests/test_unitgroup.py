@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oneplusa import cli
 from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
 from oneplusa.exactfield import gf
@@ -16,6 +17,7 @@ from oneplusa.nilalg import (
     strictly_upper_triangular,
 )
 from oneplusa.unitgroup import (
+    FiniteGroupTable,
     Subgroup,
     UnitGroup,
     check_commutator_theorem,
@@ -25,6 +27,7 @@ from oneplusa.unitgroup import (
     map_indices,
     power_subgroup,
     subgroup_closure,
+    subspace_subgroup,
     undigits,
     unit,
 )
@@ -179,6 +182,60 @@ def test_commutator_of_two_subgroups():
     H = ul(3, 2)
     with pytest.raises(TypeError):
         commutator_subgroup(whole, power_subgroup(H, 2))
+
+
+def _scan_commutator_subgroup(left, right):
+    # reference: the closure of comm(x, y) over all |M| x |N| pairs, one row
+    # of products per x
+    group = left.group
+    out = set()
+    for x in left.indices.tolist():
+        out.update(np.unique(group.comm(x, right.indices)).tolist())
+    return group.subgroup_closure(np.array(sorted(out), dtype=np.int64))
+
+
+def _span_subgroup(G, *labels):
+    A = G.algebra
+    space = Subspace.from_vectors(A, [A.from_labels({l: 1}) for l in labels])
+    return subspace_subgroup(G, space)
+
+
+@pytest.mark.parametrize("target,spans", [
+    # 1+e12, 1+e34 against 1+e23, 1+e45: their commutators close to order
+    # 16, the conjugates under the generators of one side only reach 32
+    ("ul(5,2)", [("e12", "e34"), ("e23", "e45")]),
+    ("ul(4,3)", []),
+    ("free(3,2,3)", []),
+    ("ul(3,4)", []),
+])
+def test_commutator_subgroup_matches_the_full_scan(target, spans):
+    G = UnitGroup(resolve(target))
+    top = G.algebra.nilpotency_index
+    subgroups = [power_subgroup(G, m) for m in range(1, top + 1)]
+    subgroups += [_span_subgroup(G, *labels) for labels in spans]
+    for M in subgroups:
+        for N in subgroups:
+            want = _scan_commutator_subgroup(M, N)
+            assert np.array_equal(commutator_subgroup(M, N).indices, want)
+    if spans:
+        assert commutator_subgroup(*subgroups[-2:]).order == 64
+
+
+def test_commutators_suite_forms_few_commutators(monkeypatch, capsys):
+    # (1+A^m, 1+A^n) comes from the commutators of generators; the scan of
+    # every |1+A^m| x |1+A^n| pair formed 2,435,577 here
+    formed = []
+    real = FiniteGroupTable.comm
+
+    def counting(self, x, y):
+        out = real(self, x, y)
+        formed.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(FiniteGroupTable, "comm", counting)
+    assert cli.main(["verify", "ul(5,2)", "--suite", "commutators"]) == 0
+    capsys.readouterr()
+    assert 0 < sum(formed) <= 10_000
 
 
 def test_quotient_group_is_a_homomorphic_image():

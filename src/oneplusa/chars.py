@@ -6,11 +6,17 @@ omega_k = n_k chi(g_k) / chi(1) are simultaneous eigenvectors of the class
 multiplication matrices; over F_ell with ell = 1 mod exponent(G) and
 ell > 2 sqrt(|G|) the eigenspaces split the class algebra into r lines,
 and the actual character values are recovered from the mod-ell data by a
-discrete Fourier transform over power maps.  The split visits the class
-matrices in order with every live eigenspace stacked into one product;
+discrete Fourier transform over power maps.  The split starts from one
+block per character of the center Z = Z(1+A), which acts on the classes by
+multiplication: on every block the class matrices of Z are scalars and
+those of a Z-orbit of classes are multiples of each other, so only one
+class matrix per non-central orbit is built, as a bincount histogram.  It
+visits them in order with every live eigenspace stacked into one product;
 the products run through float64 BLAS on integers mod ell, exact under a
 checked bound (k (ell-1)^2 < 2^53, RuntimeError otherwise).  Everything
-after recovery is verified by exact orthogonality over Q(zeta_e).
+after recovery is verified by exact orthogonality over Q(zeta_e), whose
+contraction over classes runs through float64 BLAS under a checked bound
+of the same kind.
 
 Class functions are integer arrays: every group here is a p-group, so the
 exponent e is a prime power and every character value lies in Z[zeta_e].
@@ -48,7 +54,8 @@ from .exactfield import (
     is_prime,
     prime_factors,
 )
-from .unitgroup import commutator_subgroup
+from .nilalg import Subspace
+from .unitgroup import Subgroup, commutator_subgroup
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
@@ -182,20 +189,27 @@ def _choose_prime(order, exponent):
         l += exponent
 
 
-def _split_class_algebra(matrices, r, l):
+def _split_class_algebra(matrices, blocks, l):
     """Split F_ell^r into common left eigenlines of the class matrices,
     taken in order (each transposed: N[k, j] = a_ijk), and return one
-    vector per line.  A live block is a subspace in reduced row echelon
-    form, invariant under every matrix seen so far; each matrix restricts
-    to R on it, and the eigenspaces of R become the next blocks.  All live
-    blocks meet a matrix in one stacked product.  A block on which R is
-    scalar is kept as it is; every block is still checked to be invariant
-    (RuntimeError otherwise: the matrices do not commute)."""
-    live = [np.eye(r, dtype=np.int64)]
-    done = []
-    for N in matrices:
-        if not live:
-            break
+    vector per line.  The split starts from blocks, subspaces of F_ell^r in
+    reduced row echelon form whose dimensions sum to r (RuntimeError
+    otherwise), each the span of the eigenlines it meets: all of F_ell^r
+    as one block, or _center_blocks; a one-row block is a line at once.  A
+    live block is a subspace in RREF, invariant under every matrix seen so
+    far; each matrix restricts to R on it, and the eigenspaces of R become
+    the next blocks.  All live blocks meet a matrix in one stacked product,
+    and a matrix is drawn from the iterable only while a block is live.  A
+    block on which R is scalar is kept as it is; every block is still
+    checked to be invariant (RuntimeError otherwise: the matrices do not
+    commute)."""
+    r = blocks[0].shape[1]
+    dims = [len(B) for B in blocks]
+    if sum(dims) != r:
+        raise RuntimeError(f"split seeded with blocks of dimensions {dims}, not summing to {r}")
+    live = [B for B in blocks if len(B) > 1]
+    done = [B[0] for B in blocks if len(B) == 1]
+    for N in matrices if live else ():
         SN = _matmul_mod(np.concatenate(live), N, l)
         nxt = []
         start = 0
@@ -221,6 +235,8 @@ def _split_class_algebra(matrices, r, l):
                 elif rows.shape[0] > 1:
                     nxt.append(rows)
         live = nxt
+        if not live:
+            break
     if live:
         raise RuntimeError(
             f"class algebra did not split over F_{l}; subspaces left: "
@@ -448,6 +464,24 @@ def trivial_character(group):
     return ClassFunction._of(group, coeffs)
 
 
+def _class_pairs(X, sizes):
+    """pair[s, t, u, v] = sum_k sizes[k] X[s, k, u] X[t, k, v] as int64, for
+    the coefficient rows X[s] of class functions: one r x r float64 BLAS
+    product per basis pair (u, v), all exact while k max|sizes X| max|X|
+    < 2^53 (RuntimeError otherwise), as every partial sum then is."""
+    r, k, phi = X.shape
+    bound = k * _maxabs(X * sizes[None, :, None]) * _maxabs(X)
+    if bound >= _FLOAT_EXACT:
+        raise RuntimeError(f"float64 exactness guard in orthogonality: bound {bound} >= 2^53")
+    right = [np.ascontiguousarray(X[:, :, v].T, dtype=np.float64) for v in range(phi)]
+    pair = np.empty((r, r, phi, phi), dtype=np.int64)
+    for u in range(phi):
+        left = np.ascontiguousarray(X[:, :, u] * sizes[None, :], dtype=np.float64)
+        for v, b in enumerate(right):
+            pair[:, :, u, v] = left @ b
+    return pair
+
+
 class CharacterTable:
     def __init__(self, group, chars, meta):
         self.group = group
@@ -460,7 +494,10 @@ class CharacterTable:
 
     def validate(self):
         """Exact first-orthogonality over Q(zeta_e) for every pair of rows,
-        plus the degree mass formula.  Raises VerificationFailed."""
+        plus the degree mass formula.  Raises VerificationFailed, with the
+        first failing pair (s, t) as the orthogonality witness; coefficients
+        too large for exact float64 products or int64 sums raise
+        RuntimeError."""
         G = self.group
         classes = G.conjugacy_classes()
         r = len(self.chars)
@@ -472,14 +509,12 @@ class CharacterTable:
         phi = basis.phi
         X = np.stack([ch.coeffs for ch in self.chars])
         _guard("orthogonality", G.order, _maxabs(X) ** 2, phi ** 2, basis.zmax)
-        Xn = X * G.class_sizes[None, :, None]
-        pair = np.einsum("sku,tkv->stuv", Xn, X, optimize=True)
+        pair = _class_pairs(X, G.class_sizes)
         gram = pair.reshape(r, r, phi * phi) @ basis.herm.reshape(-1, phi)
-        expect = np.zeros((r, r, phi), dtype=np.int64)
-        expect[np.arange(r), np.arange(r), 0] = G.order
-        if not (gram == expect).all():
-            bad = np.argwhere((gram != expect).any(axis=2))[0]
-            raise VerificationFailed("orthogonality", witness=tuple(int(x) for x in bad))
+        gram[np.arange(r), np.arange(r), 0] -= G.order
+        bad = np.argwhere(gram.any(axis=2))
+        if len(bad):
+            raise VerificationFailed("orthogonality", witness=tuple(int(x) for x in bad[0]))
         return {
             "irreducibles": r,
             "degree_mass": G.order,
@@ -522,16 +557,80 @@ class CharacterTable:
         return "\n".join(lines) + "\n"
 
 
+def _class_matrix_T(group, i, l):
+    """N[k, j] = a_ijk mod l: the pairs (x, y) in C_i x C_j with xy a fixed
+    member of C_k.  Computed as the histogram of (class of y, class of xy)
+    over x in C_i and every y, divided by |C_k|; the keys r * class(y) +
+    class(xy) are int32, as r^2 <= TABLE_CAP^2 < 2^31."""
+    classes = group.conjugacy_classes()
+    r = len(classes)
+    sizes = group.class_sizes
+    CL = group.class_of.astype(np.int32)
+    rows = group.mul(classes[i][:, None], np.arange(group.order)[None, :])
+    key = CL[rows] + r * CL
+    counts = np.bincount(key.ravel(), minlength=r * r).reshape(r, r)
+    bad = np.argwhere(counts % sizes[None, :] != 0)
+    if len(bad):
+        raise VerificationFailed(
+            "class-matrix-divisibility", witness=(i, *(int(x) for x in bad[0]))
+        )
+    return (counts // sizes[None, :]).T % l
+
+
+def _center_blocks(group, w0_pow):
+    """The blocks V_mu that seed the split, one per character mu of the
+    center Z = Z(1+A) = 1 + Z(A), and the least class of each Z-orbit of
+    classes, in increasing order.  Z is the classes of size 1, which the
+    class order puts first, so the first orbit is Z itself, with least
+    class 0; mu comes from linear_characters on Z, with mu(z) = w0_pow[t],
+    w0^t mod ell for the exponent t (w0 a primitive e-th root of unity).
+
+    Z acts on the classes by K_k -> z K_k = K_zk, and for every irreducible
+    chi with central character mu_chi, omega_chi(K_zk) = mu_chi(z)
+    omega_chi(K_k).  So on each Z-orbit of classes, with least class k,
+    the eigenline of chi is omega_chi(K_k) times the row v[class(z g_k)] =
+    mu_chi(z), which is well defined exactly when mu_chi is trivial on the
+    orbit's stabilizer (else omega_chi(K_k) = 0).  V_mu is spanned by those
+    rows, one per orbit where mu is well defined: it holds exactly the
+    eigenlines of the chi with mu_chi = mu; the rows have disjoint supports
+    and pivot entry 1, so it is in RREF.  An empty V_mu raises
+    RuntimeError (every character of Z lies under some chi).
+
+    The class matrix of K_zk is that of z times that of K_k, and the one of
+    z acts on V_mu as the scalar mu(z).  So on every V_mu the class
+    matrices of a Z-orbit are scalar multiples of each other, and those of
+    Z are scalars: the split needs one class matrix per non-central orbit,
+    at its least class, and none of Z."""
+    r = len(group.class_sizes)
+    nz = int(np.count_nonzero(group.class_sizes == 1))
+    reps = np.array(group.class_reps(), dtype=np.int64)
+    Z = reps[:nz]
+    space = Subspace.from_vectors(group.algebra, [group.coords_of_index(int(z)) for z in Z])
+    mus = linear_characters(Subgroup(group, Z, subspace=space, verify=False))[:, Z]
+    vals = w0_pow[mus]
+    act = group.class_of[group.mul(Z[:, None], reps[None, :])]
+    heads = np.nonzero(act.min(axis=0) == np.arange(r))[0]
+    rows = [[] for _ in mus]
+    for k in heads:
+        orbit = act[:, k]
+        V = np.zeros((len(mus), r), dtype=np.int64)
+        V[:, orbit] = vals
+        ok = np.nonzero((V[:, orbit] == vals).all(axis=1))[0]
+        for m, row in zip(ok, V[ok]):
+            rows[m].append(row)
+    if not all(rows):
+        raise RuntimeError("a character of the center has an empty block")
+    return [np.array(b) for b in rows], heads.tolist()
+
+
 def character_table(group):
     """The full table of irreducible complex characters, exact values."""
     if group._char_table is not None:
         return group._char_table
 
-    classes = group.conjugacy_classes()
-    r = len(classes)
+    r = len(group.conjugacy_classes())
     sizes = group.class_sizes
     reps = np.array(group.class_reps(), dtype=np.int64)
-    elements = np.arange(group.order)
     CL = group.class_of
     e = group.exponent()
 
@@ -544,22 +643,12 @@ def character_table(group):
     l = _choose_prime(group.order, e)
     r0 = _primitive_root(l)
     w0 = pow(r0, (l - 1) // e, l)
+    w0_pow = np.array([pow(w0, t, l) for t in range(e)], dtype=np.int64)
 
-    def class_matrix_T(i):
-        # N[k, j] = a_ijk: pairs (x, y) in C_i x C_j with xy a fixed member
-        # of C_k; computed as a product-class histogram divided by |C_k|
-        rows = group.mul(classes[i][:, None], elements[None, :])
-        counts = np.zeros((r, r), dtype=np.int64)
-        src = np.broadcast_to(CL[None, :], rows.shape)
-        np.add.at(counts, (src.ravel(), CL[rows].ravel()), 1)
-        bad = np.argwhere(counts % sizes[None, :] != 0)
-        if len(bad):
-            raise VerificationFailed(
-                "class-matrix-divisibility", witness=(i, *(int(x) for x in bad[0]))
-            )
-        return (counts // sizes[None, :]).T % l
-
-    done = _split_class_algebra((class_matrix_T(i) for i in range(1, r)), r, l)
+    # the center's characters split first (_center_blocks); then one class
+    # matrix per non-central Z-orbit of classes is enough
+    blocks, heads = _center_blocks(group, w0_pow)
+    done = _split_class_algebra((_class_matrix_T(group, k, l) for k in heads[1:]), blocks, l)
 
     # inverse-class pairing and power-map classes for the Fourier lift
     inv_class = CL[group.inv[reps]]
@@ -568,7 +657,6 @@ def character_table(group):
     for s in range(e):
         cls_pow[:, s] = CL[x]
         x = group.mul(x, reps)
-    w0_pow = [pow(w0, t, l) for t in range(e)]
     W = np.array(
         [[w0_pow[(-s * j) % e] for j in range(e)] for s in range(e)], dtype=np.int64
     )
@@ -595,7 +683,7 @@ def character_table(group):
         bad = np.nonzero(M.sum(axis=1) != d)[0]
         if len(bad):
             raise VerificationFailed("lift-row-sum", witness=(d, int(bad[0])))
-        bad = np.nonzero((M @ np.array(w0_pow, dtype=np.int64)) % l != chibar)[0]
+        bad = np.nonzero((M @ w0_pow) % l != chibar)[0]
         if len(bad):
             raise VerificationFailed("lift-consistency", witness=(d, int(bad[0])))
         # row k: sum_j M[k, j] zeta^j in the power basis

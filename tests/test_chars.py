@@ -13,14 +13,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oneplusa import chars
 from oneplusa.chars import (
     CharacterTable,
     ClassFunction,
+    _center_blocks,
+    _class_matrix_T,
     _eigenvalues_mod,
     _hessenberg_mod,
     _choose_prime,
     _matmul_mod,
     _nullspace_mod,
+    _primitive_root,
     _rref_mod,
     _split_class_algebra,
     character_table,
@@ -197,15 +201,133 @@ def test_split_rejects_non_commuting_matrices():
     # not scalar on the block, and e0 N leaves the block too: caught by the
     # general path's R B == B N check
     general = np.array([[1, 1, 1], [0, 2, 0], [0, 0, 3]])
+    whole = [np.eye(3, dtype=np.int64)]
     for second in (scalar_but_not_invariant, general):
         assert (first @ second != second @ first).any()
         with pytest.raises(RuntimeError, match="left the subspace"):
-            _split_class_algebra(iter([first, second]), 3, l)
+            _split_class_algebra(iter([first, second]), whole, l)
     # commuting matrices: one line per common eigenvector
-    lines = _split_class_algebra(iter([first, np.diag([1, 3, 3])]), 3, l)
+    lines = _split_class_algebra(iter([first, np.diag([1, 3, 3])]), whole, l)
     assert sorted(tuple(v.tolist()) for v in lines) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     with pytest.raises(RuntimeError, match="did not split"):
-        _split_class_algebra(iter([first]), 3, l)
+        _split_class_algebra(iter([first]), whole, l)
+
+
+def test_class_matrix_counts_pairs_onto_each_representative():
+    # a_ijk = #{(x, y) in C_i x C_j : xy = g_k}, straight from the definition;
+    # U(3, 3) has classes that are not their own inverses
+    G = ul_group(3, 3)
+    classes = G.conjugacy_classes()
+    reps = G.class_reps()
+    l = _choose_prime(G.order, G.exponent())
+    for i, Ci in enumerate(classes):
+        N = _class_matrix_T(G, i, l)
+        for j, Cj in enumerate(classes):
+            prods = G.mul(Ci[:, None], Cj[None, :])
+            assert [int(N[k, j]) for k in range(len(classes))] == [
+                int(np.count_nonzero(prods == g)) % l for g in reps
+            ]
+
+
+def _split_setup(G):
+    # r, |Z| (the classes of size 1), ell and the powers of the e-th root of
+    # unity w0 that the oracle uses for G
+    e = G.exponent()
+    l = _choose_prime(G.order, e)
+    w0 = pow(_primitive_root(l), (l - 1) // e, l)
+    w0_pow = np.array([pow(w0, t, l) for t in range(e)], dtype=np.int64)
+    return len(G.class_sizes), int((G.class_sizes == 1).sum()), l, w0_pow
+
+
+def _lines(lines):
+    return sorted(tuple(v.tolist()) for v in lines)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ul_group(3, 2),
+        lambda: ul_group(4, 3),
+        lambda: free_group(2, 2, 3),
+        lambda: ul_group(3, 4),
+        lambda: free_group(3, 2, 3),
+    ],
+    ids=["ul(3,2)", "ul(4,3)", "free(2,2,3)", "ul(3,4)", "free(3,2,3)"],
+)
+def test_center_presplit_matches_the_plain_split(make):
+    G = make()
+    r, nz, l, w0_pow = _split_setup(G)
+    identity = [np.eye(r, dtype=np.int64)]
+    plain = _split_class_algebra((_class_matrix_T(G, i, l) for i in range(1, r)), identity, l)
+    blocks, heads = _center_blocks(G, w0_pow)
+    # one block per character of the center, each in RREF with pivot 1 on
+    # the least class of each orbit it meets; Z itself is the orbit of 0
+    assert len(blocks) == nz
+    assert sum(len(B) for B in blocks) == r
+    assert heads[0] == 0 and all(k >= nz for k in heads[1:])
+    for B in blocks:
+        pivots = (B != 0).argmax(axis=1)
+        assert set(pivots.tolist()) <= set(heads)
+        assert (np.diff(pivots) > 0).all()
+        assert (B[:, pivots] == np.eye(len(B), dtype=np.int64)).all()
+    # every non-central class matrix, and only those of the orbit heads
+    for ks in (range(nz, r), heads[1:]):
+        pre = _split_class_algebra((_class_matrix_T(G, k, l) for k in ks), blocks, l)
+        assert _lines(pre) == _lines(plain)
+
+
+def _count_class_matrices(monkeypatch):
+    calls = []
+    build = chars._class_matrix_T
+
+    def counting(group, i, l):
+        calls.append(i)
+        return build(group, i, l)
+
+    monkeypatch.setattr(chars, "_class_matrix_T", counting)
+    return calls
+
+
+def test_abelian_group_needs_no_class_matrix(monkeypatch):
+    G = free_group(2, 2, 2)
+    r, nz, _, w0_pow = _split_setup(G)
+    assert nz == r == 4
+    blocks, heads = _center_blocks(G, w0_pow)
+    assert [len(B) for B in blocks] == [1] * r
+    assert heads == [0]
+    calls = _count_class_matrices(monkeypatch)
+    assert character_table(G).degrees == [1] * r
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: ul_group(4, 3), lambda: free_group(3, 2, 3)],
+    ids=["ul(4,3)", "free(3,2,3)"],
+)
+def test_split_builds_only_non_central_class_matrices(monkeypatch, make):
+    G = make()
+    r, nz, _, w0_pow = _split_setup(G)
+    assert nz > 1
+    _, heads = _center_blocks(G, w0_pow)
+    calls = _count_class_matrices(monkeypatch)
+    character_table(G)
+    # at most one class matrix per non-central Z-orbit, built once
+    assert 0 < len(calls) <= len(heads) - 1 < r - nz
+    assert set(calls) <= set(heads[1:])
+    assert len(set(calls)) == len(calls)
+
+
+def test_split_rejects_blocks_not_summing_to_r():
+    l = 5
+    eye = np.eye(3, dtype=np.int64)
+    with pytest.raises(RuntimeError, match="not summing to 3"):
+        _split_class_algebra(iter([]), [eye[:1], eye[1:2]], l)
+    with pytest.raises(RuntimeError, match="not summing to 3"):
+        _split_class_algebra(iter([]), [eye[:2], eye[1:]], l)
+    # one-row blocks are lines at once: no matrix is needed
+    assert _lines(_split_class_algebra(iter([]), [eye[:1], eye[1:2], eye[2:]], l)) == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0)
+    ]
 
 
 def test_prime_choice():
@@ -616,6 +738,64 @@ def test_class_function_values_must_lie_in_the_ring(value):
     with pytest.raises(VerificationFailed) as err:
         ClassFunction(G, [value] * len(G.conjugacy_classes()))
     assert err.value.stage == "value-integrality"
+
+
+# -- exact validation ------------------------------------------------------------
+
+
+def _table_of(tab, X):
+    # the table tab with the coefficient array X in place of its rows
+    G = tab.group
+    return CharacterTable(G, [ClassFunction._of(G, row.copy()) for row in X], tab.meta)
+
+
+def _coeffs(tab):
+    return np.stack([ch.coeffs for ch in tab.chars])
+
+
+def test_validate_rejects_a_perturbed_coefficient():
+    tab = character_table(ul_group(3, 3))
+    X = _coeffs(tab)
+    s, k = len(X) - 1, len(X[0]) - 1  # the last row, on a class off the identity
+    X[s, k, 0] += 1
+    # <chi_t, chi_s> moves by |C_k| chi_t(k) for every t, so the first
+    # failing pair is (t, s) for the least t with chi_t(k) != 0
+    t = int(np.nonzero(X[:, k].any(axis=1))[0][0])
+    assert t < s
+    with pytest.raises(VerificationFailed) as err:
+        _table_of(tab, X).validate()
+    assert err.value.stage == "orthogonality"
+    assert err.value.witness == (t, s)
+
+
+def test_validate_rejects_a_duplicated_row():
+    tab = character_table(ul_group(3, 3))
+    X = _coeffs(tab)
+    assert tab.degrees[:2] == [1, 1]
+    X[1] = X[0]  # the degree mass still holds
+    with pytest.raises(VerificationFailed) as err:
+        _table_of(tab, X).validate()
+    assert err.value.stage == "orthogonality"
+    assert err.value.witness == (0, 1)
+
+
+def test_validate_float64_exactness_guard():
+    G = ul_group(4, 2)
+    tab = character_table(G)
+    r = len(tab.chars)
+    k = int(np.nonzero(G.class_sizes == 2)[0][0])
+    X = _coeffs(tab)
+    # r * max|n_k X| * max|X| = 16 * 2^25 * 2^24 = 2^53: not below the bound
+    X[-1, k, 0] = 2 ** 24
+    Xn = X * G.class_sizes[None, :, None]
+    assert r * int(np.abs(Xn).max()) * int(np.abs(X).max()) == 2 ** 53
+    with pytest.raises(RuntimeError, match="float64 exactness guard in orthogonality"):
+        _table_of(tab, X).validate()
+    # just below it the products are exact, and the table is simply wrong
+    X[-1, k, 0] = 2 ** 24 - 1
+    with pytest.raises(VerificationFailed) as err:
+        _table_of(tab, X).validate()
+    assert err.value.stage == "orthogonality"
 
 
 # -- serialization ---------------------------------------------------------------

@@ -26,7 +26,10 @@ Cyclotomic values are built only in GutkinStep.to_json and PairingTable.value.
 
 find_polarization is the companion construction for linear functionals: a
 subalgebra isotropic for the commutator form f(xy - yx), of dimension
-dim A - rank/2.
+dim A - rank/2.  The form is one Gram matrix per functional, read off the
+structure constants; the flag candidate and its isotropy check are
+restrictions W G W^T of that matrix, with no algebra products beyond the
+closure check.
 """
 
 from __future__ import annotations
@@ -785,12 +788,38 @@ def _bracket_value(algebra, f, x, y):
     return _apply_functional(f, (x * y - y * x).coords, algebra.ring)
 
 
+def _gram(algebra, f):
+    """The matrix G[i][j] = f(e_i e_j - e_j e_i) of the commutator form, read
+    off the nonzero structure constants: e_i e_j = sum_k c_k e_k adds
+    v = sum_k f_k c_k to G[i][j] and subtracts it from G[j][i]."""
+    ring = algebra.ring
+    n = algebra.dim
+    G = [[ring.zero] * n for _ in range(n)]
+    for (i, j), entry in algebra.sc.items():
+        v = ring.zero
+        for k, c in entry:
+            if not ring.is_zero(f[k]):
+                v = ring.add(v, ring.mul(f[k], c))
+        if not ring.is_zero(v):
+            G[i][j] = ring.add(G[i][j], v)
+            G[j][i] = ring.sub(G[j][i], v)
+    return G
+
+
+def _restrict(G, rows, ops):
+    """The Gram matrix W G W^T of the form on the span of the rows of W."""
+    GW = [[_apply_functional(g, w, ops) for g in G] for w in rows]  # G w
+    return [[_apply_functional(v, gw, ops) for gw in GW] for v in rows]
+
+
 def _ideal_flag(algebra):
-    """A complete flag of two-sided ideals refining the power chain, built
-    deepest power first: anything between A^(k+1) and A^k is an ideal since
-    both A.A^k and A^k.A land in A^(k+1)."""
+    """Rows W of a complete flag of two-sided ideals refining the power
+    chain: span(W[:j]) is the j-th ideal.  Rows are taken deepest power
+    first, and anything between A^(k+1) and A^k is an ideal since both
+    A.A^k and A^k.A land in A^(k+1).  Each row lies outside the span of
+    the rows before it, so W[:j] is a basis of the j-th ideal, and the form
+    restricted there is the leading j x j block of W G W^T."""
     taken = []
-    spaces = []
     cur = Subspace.from_vectors(algebra, [])
     for k in range(algebra.nilpotency_index - 1, 0, -1):
         for row in algebra.power_subspace(k).rows:
@@ -798,31 +827,16 @@ def _ideal_flag(algebra):
                 continue
             taken.append(row)
             cur = Subspace.from_vectors(algebra, taken)
-            spaces.append(cur)
-    return spaces
+    return taken
 
 
-def _form_radical(algebra, f, space):
-    """Vectors spanning {x in V : f([x, y]) = 0 for all y in V}."""
-    els = space.row_elements()
-    ring = algebra.ring
-    rows = [
-        tuple(_bracket_value(algebra, f, x, y) for y in els)
-        for x in els
-    ]
-    null = linalg.nullspace(rows, len(els), ring.linalg_ops())
-    return [linalg.combine(c, space.rows, ring.linalg_ops(), algebra.dim) for c in null]
-
-
-def _is_polarization(algebra, f, space, target):
+def _is_polarization(algebra, G, space, target):
     if space.dim != target:
         return False
-    els = space.row_elements()
-    ring = algebra.ring
-    for x in els:
-        for y in els:
-            if not ring.is_zero(_bracket_value(algebra, f, x, y)):
-                return False
+    ops = algebra.ring.linalg_ops()
+    restricted = _restrict(G, space.rows, ops)
+    if not all(ops.is_zero(v) for row in restricted for v in row):
+        return False
     return is_subalgebra(algebra, space)
 
 
@@ -851,36 +865,43 @@ def find_polarization(algebra, f):
     """A subalgebra isotropic for the form (x, y) -> f(xy - yx), of the
     maximal possible dimension dim A - rank/2.
 
-    The candidate is the sum of the radicals of the form restricted along a
-    complete ideal flag refining the power chain; isotropy, multiplicative
-    closure and the dimension formula are all checked, and if any fails the
-    search falls back to full subspace enumeration (practical to dim 4)."""
+    The form is one Gram matrix G, read off the structure constants
+    (_gram).  The candidate is the sum of the radicals of the form restricted
+    to each ideal of a complete flag refining the power chain.  With W the
+    flag rows (_ideal_flag), M = W G W^T is computed once: span(W[:j]) is the
+    j-th flag ideal, so the radical there is the nullspace of M[:j, :j]
+    lifted through W[:j].  A radical is a subspace, whatever basis spans the
+    ideal, and Subspace.from_vectors returns the canonical RREF of the sum,
+    so the candidate does not depend on the basis used for each ideal.
+    Isotropy (W G W^T = 0 on the candidate's rows), multiplicative closure
+    and the dimension formula are all checked, and if any fails the search
+    falls back to full subspace enumeration (practical to dim 4)."""
     ring = algebra.ring
     if ring.kind != "field":
         raise TypeError("polarizations are computed over finite fields")
     f = _as_functional(algebra, f)
     ops = ring.linalg_ops()
 
-    basis = algebra.basis()
-    gram = [
-        tuple(_bracket_value(algebra, f, x, y) for y in basis) for x in basis
-    ]
-    rank = len(linalg.rref(gram, ops)[0])
+    G = _gram(algebra, f)
+    rank = len(linalg.rref(G, ops)[0])
     if rank % 2:
         raise VerificationFailed("form-rank-even", witness=(f, rank))
     target = algebra.dim - rank // 2
 
+    W = _ideal_flag(algebra)
+    M = _restrict(G, W, ops)
     vecs = []
-    for space in _ideal_flag(algebra):
-        vecs.extend(_form_radical(algebra, f, space))
+    for j in range(1, len(W) + 1):
+        null = linalg.nullspace([row[:j] for row in M[:j]], j, ops)
+        vecs.extend(linalg.combine(c, W[:j], ops, algebra.dim) for c in null)
     cand = Subspace.from_vectors(algebra, vecs)
-    if _is_polarization(algebra, f, cand, target):
+    if _is_polarization(algebra, G, cand, target):
         return cand
 
     if algebra.dim <= 4:
         for rows in _all_subspaces(algebra, target):
             cand = Subspace.from_vectors(algebra, rows)
-            if _is_polarization(algebra, f, cand, target):
+            if _is_polarization(algebra, G, cand, target):
                 return cand
     raise SearchExhausted(
         f"no isotropic subalgebra of dimension {target} found"

@@ -73,13 +73,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def subs(self, value):
-        """Evaluate at an integer value of lam."""
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
-
     def is_zero(self):
         return not self.coeffs
 
@@ -450,19 +443,6 @@ class Algebra:
 
     def zero(self):
         return AlgebraElement(self, tuple(self.ring.zero for _ in range(self.dim)))
-
-    def from_labels(self, terms):
-        coords = [self.ring.zero] * self.dim
-        pos = {lab: i for i, lab in enumerate(self.labels)}
-        for lab, c in terms.items():
-            coords[pos[lab]] = self.ring.coerce(c)
-        return AlgebraElement(self, tuple(coords))
-
-    def random_element(self, rng):
-        if self.ring.kind != "field":
-            raise TypeError("random elements only over finite fields")
-        q = self.ring.field.q
-        return AlgebraElement(self, tuple(rng.randrange(q) for _ in range(self.dim)))
 
     # -- nilpotency and power subspaces ---------------------------------------
 

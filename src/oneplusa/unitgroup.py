@@ -172,9 +172,6 @@ class UnitElement:
             total = total + term
         return UnitElement(total)
 
-    def is_identity(self):
-        return self.a.is_zero()
-
     def __eq__(self, other):
         return isinstance(other, UnitElement) and other.a == self.a
 
@@ -383,9 +380,6 @@ class UnitGroup(FiniteGroupTable):
         from .nilalg import AlgebraElement
 
         return UnitElement(AlgebraElement(self.algebra, self.coords_of_index(n)))
-
-    def index_of(self, u):
-        return self.index_of_coords(u.a.coords)
 
     # -- multiplication table ----------------------------------------------------
 

@@ -136,6 +136,23 @@ def test_decompose_report_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_SHA256[name]
 
 
+# sha256 of `verify NAME --suite polarize` (JSON, seed 0), recorded before
+# the commutator form became one Gram matrix per functional; GF(1024) in
+# ul(3,1024) is past the field-table cap and its form is nonzero
+POLARIZE_SHA256 = {
+    "ul(3,1024)": "810150d4795aad6815255f343a59751bd719f1822bdd17b78eaf20dfcfdc6354",
+    "ul(4,4)": "9c2359a494b1d11d7ed152e85c9f2d5018aaec6a640f66fe9755315c000ac4b9",
+    "free(3,2,3)": "5fb637a91e5ff066e71d797bd39dd5f4972e2986c05c37bf51f384e041da0c98",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLARIZE_SHA256))
+def test_polarize_report_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "verify", name, "--suite", "polarize")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POLARIZE_SHA256[name]
+
+
 def test_chartable_csv(capsys):
     code, out, _ = run(capsys, "chartable", "ul(3,2)", "--format", "csv")
     assert code == 0
@@ -277,6 +294,19 @@ def test_verify_seed_changes_sampling(capsys):
     )
     assert json.loads(first)["passed"] and json.loads(second)["passed"]
     assert first != second  # the seed is part of the report
+
+
+def test_polarize_rank_check_does_not_read_the_gram_matrix(monkeypatch, capsys):
+    # a zero Gram matrix makes find_polarization return all of A; the suite's
+    # own rank, from element brackets, must see the dimension is wrong
+    from oneplusa import gutkin
+
+    monkeypatch.setattr(
+        gutkin, "_gram", lambda A, f: [[0] * A.dim for _ in range(A.dim)]
+    )
+    code, out, err = run(capsys, "verify", "ul(3,2)", "--suite", "polarize")
+    assert code == 1 and out == ""
+    assert "polarization-dimension" in err
 
 
 def test_verify_exit_one_on_falsified(monkeypatch, capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oneplusa import gutkin
-from oneplusa.catalog import resolve
+from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.chars import (
     ClassFunction,
     character_table,
@@ -40,6 +40,8 @@ from oneplusa.gutkin import (
     QuotientSpace,
     _all_subspaces,
     _bracket_value,
+    _gram,
+    _is_polarization,
     build_ideals,
     choose_line,
     clifford_constituent,
@@ -844,6 +846,115 @@ def test_polarization_random_functionals():
             ]
             rank = len(rref(gram, ops)[0])
             assert B.dim == alg.dim - rank // 2
+
+
+# The reference is the per-pair construction: a Gram matrix of
+# _bracket_value products, the form radical on each flag ideal as a Subspace,
+# and element-wise isotropy.  find_polarization must agree row for row.
+
+
+def _reference_flag(alg):
+    taken, spaces = [], []
+    cur = Subspace.from_vectors(alg, [])
+    for k in range(alg.nilpotency_index - 1, 0, -1):
+        for row in alg.power_subspace(k).rows:
+            if cur.contains(row):
+                continue
+            taken.append(row)
+            cur = Subspace.from_vectors(alg, taken)
+            spaces.append(cur)
+    return spaces
+
+
+def _form_radical(alg, f, space):
+    """Vectors spanning {x in V : f([x, y]) = 0 for all y in V}."""
+    els = space.row_elements()
+    ops = alg.ring.linalg_ops()
+    rows = [tuple(_bracket_value(alg, f, x, y) for y in els) for x in els]
+    null = linalg.nullspace(rows, len(els), ops)
+    return [linalg.combine(c, space.rows, ops, alg.dim) for c in null]
+
+
+def _bracket_gram(alg, f):
+    basis = alg.basis()
+    return [[_bracket_value(alg, f, x, y) for y in basis] for x in basis]
+
+
+def _reference_polarization(alg, f):
+    rank = len(rref(_bracket_gram(alg, f), alg.ring.linalg_ops())[0])
+    target = alg.dim - rank // 2
+    vecs = []
+    for space in _reference_flag(alg):
+        vecs.extend(_form_radical(alg, f, space))
+    cand = Subspace.from_vectors(alg, vecs)
+    if cand.dim == target and _isotropic_subalgebra(alg, f, cand):
+        return cand
+    assert alg.dim <= 4
+    for rows in _all_subspaces(alg, target):
+        cand = Subspace.from_vectors(alg, rows)
+        if _isotropic_subalgebra(alg, f, cand):
+            return cand
+    raise AssertionError("no polarization")
+
+
+def _dim4_algebra():
+    # the non-graded algebra of test_polarization_matches_brute_force_dim4
+    return Algebra(FieldRing(gf(2)), 4, {(0, 1): ((2, 1),)})
+
+
+REFERENCE_ALGEBRAS = [e.name for e in BUILTIN] + ["dim4"]
+
+
+def _reference_algebra(name):
+    return _dim4_algebra() if name == "dim4" else resolve(name)
+
+
+@pytest.mark.parametrize("name", REFERENCE_ALGEBRAS)
+def test_polarization_matches_reference(name):
+    alg = _reference_algebra(name)
+    q = alg.ring.field.q
+    rng = random.Random(17)
+    for _ in range(50):
+        f = tuple(rng.randrange(q) for _ in range(alg.dim))
+        want = _reference_polarization(alg, f).rows
+        assert find_polarization(alg, f).rows == want, f
+
+
+@pytest.mark.parametrize(
+    "name", REFERENCE_ALGEBRAS + ["free(5,2,3)", "free(4,3,3)"]
+)
+def test_gram_matches_bracket_values(name):
+    alg = _reference_algebra(name)
+    if name.startswith("free"):  # e_i e_i != 0: G[i][i] must cancel to zero
+        assert any(i == j for i, j in alg.sc)
+    q = alg.ring.field.q
+    rng = random.Random(5)
+    for _ in range(10):
+        f = tuple(rng.randrange(q) for _ in range(alg.dim))
+        assert _gram(alg, f) == _bracket_gram(alg, f), f
+
+
+def test_is_polarization_matches_elementwise_check():
+    # on U(4, 2) with this functional, subspaces of the target dimension
+    # include isotropic non-subalgebras and non-isotropic subalgebras
+    alg = strictly_upper_triangular(4, gf(2))
+    f = (0, 0, 1, 0, 1, 1)
+    G = _gram(alg, f)
+    target = alg.dim - len(rref(G, alg.ring.linalg_ops())[0]) // 2
+    kinds = set()
+    for rows in _all_subspaces(alg, target):
+        S = Subspace.from_vectors(alg, rows)
+        els = S.row_elements()
+        iso = all(
+            alg.ring.is_zero(_bracket_value(alg, f, x, y))
+            for x in els
+            for y in els
+        )
+        sub = is_subalgebra(alg, S)
+        assert _is_polarization(alg, G, S, target) == (iso and sub), rows
+        kinds.add((iso, sub))
+    assert len(kinds) == 4
+    assert not _is_polarization(alg, G, Subspace.from_vectors(alg, []), target)
 
 
 def test_polarization_requires_a_field():

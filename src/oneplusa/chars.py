@@ -624,10 +624,12 @@ def _center_blocks(group, w0_pow):
 
 
 def character_table(group):
-    """The full table of irreducible complex characters, exact values."""
-    if group._char_table is not None:
-        return group._char_table
+    """The full table of irreducible complex characters, exact values,
+    computed once per group."""
+    return group.memo("character_table", lambda: _character_table(group))
 
+
+def _character_table(group):
     r = len(group.conjugacy_classes())
     sizes = group.class_sizes
     reps = np.array(group.class_reps(), dtype=np.int64)
@@ -637,7 +639,6 @@ def character_table(group):
     if group.order == 1:
         table = CharacterTable(group, [trivial_character(group)], {"mod_prime": None})
         table.validate()
-        group._char_table = table
         return table
 
     l = _choose_prime(group.order, e)
@@ -696,7 +697,6 @@ def character_table(group):
         {"mod_prime": l, "primitive_root": r0, "unity_root": w0, "exponent": e},
     )
     table.validate()
-    group._char_table = table
     return table
 
 

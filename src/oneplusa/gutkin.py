@@ -177,10 +177,10 @@ def quotient_pairing(group, m):
     all_coords order)."""
     if m < 2:
         raise ValueError("the pairing needs m >= 2")
-    cache = group._quotient_pairings
-    if m in cache:
-        return cache[m]
+    return group.memo(("quotient_pairing", m), lambda: _quotient_pairing(group, m))
 
+
+def _quotient_pairing(group, m):
     A = group.algebra
     field = group.field
     q = field.q
@@ -245,15 +245,7 @@ def quotient_pairing(group, m):
             i, j = bad[0]
             raise NotBilinear(("scalar-swap", t, xs[i], ys[j]))
 
-    cache[m] = {
-        "dom": dom,
-        "cod": cod,
-        "Sm": Sm,
-        "Q": Q,
-        "to_q": to_q,
-        "values": values,
-    }
-    return cache[m]
+    return {"dom": dom, "cod": cod, "Sm": Sm, "Q": Q, "to_q": to_q, "values": values}
 
 
 def quotient_character(group, m, zeta):
@@ -818,16 +810,19 @@ def _ideal_flag(algebra):
     first, and anything between A^(k+1) and A^k is an ideal since both
     A.A^k and A^k.A land in A^(k+1).  Each row lies outside the span of
     the rows before it, so W[:j] is a basis of the j-th ideal, and the form
-    restricted there is the leading j x j block of W G W^T."""
-    taken = []
-    cur = Subspace.from_vectors(algebra, [])
-    for k in range(algebra.nilpotency_index - 1, 0, -1):
-        for row in algebra.power_subspace(k).rows:
-            if cur.contains(row):
-                continue
-            taken.append(row)
-            cur = Subspace.from_vectors(algebra, taken)
-    return taken
+    restricted there is the leading j x j block of W G W^T.  Built once per
+    algebra."""
+    def build():
+        taken = []
+        cur = Subspace.from_vectors(algebra, [])
+        for k in range(algebra.nilpotency_index - 1, 0, -1):
+            for row in algebra.power_subspace(k).rows:
+                if cur.contains(row):
+                    continue
+                taken.append(row)
+                cur = Subspace.from_vectors(algebra, taken)
+        return taken
+    return algebra.memo("ideal_flag", build)
 
 
 def _is_polarization(algebra, G, space, target):

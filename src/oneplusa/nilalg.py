@@ -5,6 +5,10 @@ An algebra here is a free module of finite rank over a coefficient ring
 table sc[(i, j)] = ((k, c), ...) meaning e_i e_j = sum_k c * e_k.  There is
 no unit; nilpotency means some power A^n vanishes.  Everything downstream
 (unit groups, characters, monomial certificates) is built on this class.
+
+Derived state is cached in one place per owner: an Algebra, a group or a
+subgroup is a Memoized, and every value computed on first use lives in its
+memo(key, build), whichever module computes it.
 """
 
 from __future__ import annotations
@@ -351,7 +355,19 @@ class AlgebraElement:
         return f"<{self.render()}>"
 
 
-class Algebra:
+class Memoized:
+    """An owner of derived state, kept in one dict per object."""
+
+    def memo(self, key, build):
+        """The value stored under key, or else build() stored there; a
+        build that raises stores nothing, so the next call builds again."""
+        cache = vars(self).setdefault("_memo", {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
+
+class Algebra(Memoized):
     """Associative nilpotent algebra with a fixed basis.
 
     graded_degrees marks bases where e_i e_j is supported on degrees
@@ -373,9 +389,8 @@ class Algebra:
         if len(self.labels) != dim:
             raise ValueError("label count does not match dimension")
         self.graded_degrees = tuple(graded_degrees) if graded_degrees else None
-        self._nilindex = nilindex
-        self._powers = None
-        self._unit_group = None  # see unitgroup.unit_group_of
+        if nilindex is not None:
+            self.memo("nilindex", lambda: nilindex)
         self._unit = [
             tuple(ring.one if t == i else ring.zero for t in range(dim))
             for i in range(dim)
@@ -449,19 +464,16 @@ class Algebra:
     @property
     def nilpotency_index(self):
         """Smallest n with A^n = 0."""
-        if self._nilindex is None:
-            if self.ring.kind == "poly":
-                self._nilindex = self._nilindex_by_products()
-            else:
-                self._build_power_chain()
-        return self._nilindex
+        if self.ring.kind == "poly":
+            return self.memo("nilindex", self._nilindex_by_products)
+        return self.memo("nilindex", lambda: len(self.memo("powers", self._power_chain)))
 
-    def _build_power_chain(self):
-        if self._powers is None:
-            self._powers = [Subspace.unit(self, range(self.dim))]
+    def _power_chain(self):
+        """[A, A^2, ..., A^n = 0]."""
+        chain = [Subspace.unit(self, range(self.dim))]
         ops = self.ring.linalg_ops()
-        while self._powers[-1].dim > 0:
-            prev = self._powers[-1]
+        while chain[-1].dim > 0:
+            prev = chain[-1]
             vecs = []
             for row in prev.rows:
                 for j in range(self.dim):
@@ -473,9 +485,8 @@ class Algebra:
                 raise NotNilpotent(
                     f"power chain stalls at dimension {prev.dim}",
                 )
-            self._powers.append(nxt)
-        if self._nilindex is None:
-            self._nilindex = len(self._powers)
+            chain.append(nxt)
+        return chain
 
     def _nilindex_by_products(self):
         # track the set of nonzero left-normed basis products; over Z[lam]
@@ -501,10 +512,8 @@ class Algebra:
             raise ValueError("power must be >= 1")
         if self.graded_degrees is not None:
             return Subspace.unit(self, [i for i, d in enumerate(self.graded_degrees) if d >= m])
-        self._build_power_chain()
-        if m > len(self._powers):
-            return self._powers[-1]
-        return self._powers[m - 1]
+        chain = self.memo("powers", self._power_chain)
+        return chain[min(m, len(chain)) - 1]
 
     # -- serialization -----------------------------------------------------------
 

@@ -23,6 +23,10 @@ index is also the base-p number of the coordinates over GF(p): x + y is
 digit-wise addition mod p without carry (XOR when p = 2), and the bilinear
 xy is the sum over the left coordinates i of (x_i e_i) y, read from one
 small q x N table per i (UnitGroup._build_table).
+
+Groups and subgroups keep everything they compute on first use (the table,
+inverses, classes, generators, subgroups, and the character tables and
+pairings of the modules above) in their one memo, nilalg.Memoized.memo.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotASubgroup, NotNormal
 from .exactfield import FIELD_TABLE_CAP
-from .nilalg import subalgebra_algebra
+from .nilalg import Memoized, subalgebra_algebra
 
 DEFAULT_GROUP_CAP = 2 ** 20
 TABLE_CAP = 4096
@@ -187,7 +191,7 @@ def unit(a):
     return UnitElement(a)
 
 
-class FiniteGroupTable:
+class FiniteGroupTable(Memoized):
     """A finite group on the indices 0..n-1 with identity 0, given by its
     n x n multiplication table and a generating set.
 
@@ -199,8 +203,6 @@ class FiniteGroupTable:
     def __init__(self, table, generators):
         self.table = table
         self.order = table.shape[0]
-        self._inv = None
-        self._exponent = None
         self._generators = generators
 
     def mul(self, x, y):
@@ -211,9 +213,7 @@ class FiniteGroupTable:
     def inv(self):
         """inv[x] = x^-1, as an array over the indices: row x of the table
         is a permutation, and x^-1 is where it holds the identity 0."""
-        if self._inv is None:
-            self._inv = self.table.argmin(axis=1).astype(self.table.dtype)
-        return self._inv
+        return self.memo("inv", lambda: self.table.argmin(axis=1).astype(self.table.dtype))
 
     def conj(self, x, g):
         """g^-1 x g."""
@@ -238,13 +238,13 @@ class FiniteGroupTable:
     def exponent(self):
         """The least e with x^e = 1 for every x, found by powering all
         elements at once until they reach the identity together."""
-        if self._exponent is None:
+        def build():
             g = np.arange(self.order)
             x, e = g, 1
             while x.any():
                 x, e = self.mul(x, g), e + 1
-            self._exponent = e
-        return self._exponent
+            return e
+        return self.memo("exponent", build)
 
     def subgroup_closure(self, gens):
         """Sorted indices of the subgroup generated by gens: breadth-first
@@ -350,17 +350,6 @@ class UnitGroup(FiniteGroupTable):
                 f"field order {self.field.q} exceeds the field-table cap "
                 f"{FIELD_TABLE_CAP} for enumerated groups"
             )
-        self._subgroups = {}  # subspace rows -> Subgroup, see subspace_subgroup
-        # the FiniteGroupTable state, all computed on first use
-        self._table = None
-        self._inv = None
-        self._exponent = None
-        self._generators = None
-        self._classes = None
-        self._class_of = None
-        self._class_sizes = None
-        self._char_table = None  # see chars.character_table
-        self._quotient_pairings = {}  # level m -> tables, see gutkin.quotient_pairing
 
     # -- index <-> element ----------------------------------------------------
 
@@ -385,13 +374,9 @@ class UnitGroup(FiniteGroupTable):
 
     @property
     def table(self):
-        if self._table is None:
-            if self.order > TABLE_CAP:
-                raise CapExceeded(
-                    f"group order {self.order} exceeds table cap {TABLE_CAP}"
-                )
-            self._table = self._build_table()
-        return self._table
+        if self.order > TABLE_CAP:
+            raise CapExceeded(f"group order {self.order} exceeds table cap {TABLE_CAP}")
+        return self.memo("table", self._build_table)
 
     def _build_table(self):
         """table[x, y] = index of (1+x)(1+y) = 1 + (x + y + xy), by digit
@@ -450,50 +435,48 @@ class UnitGroup(FiniteGroupTable):
 
     def generator_indices(self):
         """1 + x^t e_i: _span_generators on the basis of A."""
-        if self._generators is None:
-            eye = np.eye(self.algebra.dim, dtype=np.int64)
-            self._generators = _span_generators(self, eye, np.arange(self.order))
-        return self._generators
+        return self.memo("generators", lambda: _span_generators(
+            self, np.eye(self.algebra.dim, dtype=np.int64), np.arange(self.order)))
 
     # -- conjugacy ------------------------------------------------------------------
 
     def conjugacy_classes(self):
         """Sorted index arrays, ordered by (size, smallest member).  Every
         element is labelled by the least member of its class, found by
-        min-label propagation along conjugation by each generator."""
-        if self._classes is None:
-            x = np.arange(self.order)
-            moves = [self.conj(x, g) for g in self.generator_indices()]
-            label = x
-            while True:
-                new = label
-                for move in moves:
-                    new = np.minimum(new, new[move])
-                new = new[new]
-                if np.array_equal(new, label):
-                    break
-                label = new
-            firsts, which, sizes = np.unique(
-                label, return_inverse=True, return_counts=True
-            )
-            order = np.lexsort((firsts, sizes))
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            self._class_of = rank[which]
-            self._class_sizes = sizes[order]
-            members = np.argsort(self._class_of, kind="stable")
-            self._classes = np.split(members, np.cumsum(self._class_sizes)[:-1])
-        return self._classes
+        min-label propagation along conjugation by each generator.  The
+        classes, class_of and class_sizes are one memo entry, and the two
+        properties read it through this method, so it is built here."""
+        return self.memo("classes", self._class_partition)[0]
+
+    def _class_partition(self):
+        x = np.arange(self.order)
+        moves = [self.conj(x, g) for g in self.generator_indices()]
+        label = x
+        while True:
+            new = label
+            for move in moves:
+                new = np.minimum(new, new[move])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        firsts, which, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        order = np.lexsort((firsts, sizes))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        class_of, class_sizes = rank[which], sizes[order]
+        members = np.argsort(class_of, kind="stable")
+        return np.split(members, np.cumsum(class_sizes)[:-1]), class_of, class_sizes
 
     @property
     def class_of(self):
         self.conjugacy_classes()
-        return self._class_of
+        return self.memo("classes", self._class_partition)[1]
 
     @property
     def class_sizes(self):
         self.conjugacy_classes()
-        return self._class_sizes
+        return self.memo("classes", self._class_partition)[2]
 
     def class_reps(self):
         return [int(c[0]) for c in self.conjugacy_classes()]
@@ -502,7 +485,7 @@ class UnitGroup(FiniteGroupTable):
         return f"UnitGroup(order={self.order}, dim={self.algebra.dim}, {self.field!r})"
 
 
-class Subgroup:
+class Subgroup(Memoized):
     """Subgroup given by its sorted ambient indices; optionally attached to
     the subspace B with H = 1 + B, which gives it generators and quotients
     in place, on ambient indices, and (std_group) a standalone copy of H as
@@ -520,8 +503,6 @@ class Subgroup:
             prods = group.mul(self.indices[:, None], self.indices[None, :])
             if not self.mask[prods].all():
                 raise NotASubgroup("not closed under multiplication")
-        self._generators = None
-        self._std = None
 
     @staticmethod
     def from_subspace(group, subspace, verify_closed=True):
@@ -550,10 +531,10 @@ class Subgroup:
 
     def generator_indices(self):
         """Ambient indices of _span_generators on the rows of B."""
-        if self._generators is None:
-            rows = self._subspace().rows
-            self._generators = _span_generators(self.group, rows, self.indices)
-        return self._generators
+        return self.memo(
+            "generators",
+            lambda: _span_generators(self.group, self._subspace().rows, self.indices),
+        )
 
     def quotient(self, normal_indices):
         """H/K on ambient indices, as FiniteGroupTable.quotient (see _quotient)."""
@@ -564,7 +545,7 @@ class Subgroup:
         """(H as its own UnitGroup, emb, sub_of): emb[i] is the ambient
         index of the i-th element of the standalone group, and sub_of is its
         inverse as an array over the ambient group, -1 off H."""
-        if self._std is None:
+        def build():
             sub_alg = subalgebra_algebra(self.group.algebra, self._subspace())
             H = UnitGroup(sub_alg)
             emb = self.group.span_indices(sub_alg.embed_rows)
@@ -572,15 +553,17 @@ class Subgroup:
                 raise NotASubgroup("the standalone copy does not enumerate H")
             sub_of = np.full(self.group.order, -1, dtype=np.int64)
             sub_of[emb] = np.arange(H.order)
-            self._std = (H, emb, sub_of)
-        return self._std
+            return H, emb, sub_of
+        return self.memo("std_group", build)
 
 
 def unit_group_of(algebra, cap=DEFAULT_GROUP_CAP):
-    """The unit group of algebra, built once and kept on the algebra."""
-    if algebra._unit_group is None:
-        algebra._unit_group = UnitGroup(algebra, cap=cap)
-    return algebra._unit_group
+    """The unit group of algebra, built once per algebra; cap is checked on
+    every call, whichever cap built the group."""
+    G = algebra.memo("unit_group", lambda: UnitGroup(algebra, cap=cap))
+    if G.order > cap:
+        raise CapExceeded(f"group order {G.order} exceeds cap {cap}")
+    return G
 
 
 def subgroup_closure(group, indices):
@@ -612,11 +595,10 @@ def commutator_subgroup(left, right):
 
 def subspace_subgroup(group, space, verify_closed=True):
     """1 + space as a Subgroup of group, built once per group and subspace."""
-    sub = group._subgroups.get(space.rows)
-    if sub is None:
-        sub = Subgroup.from_subspace(group, space, verify_closed=verify_closed)
-        group._subgroups[space.rows] = sub
-    return sub
+    return group.memo(
+        ("subgroup", space.rows),
+        lambda: Subgroup.from_subspace(group, space, verify_closed=verify_closed),
+    )
 
 
 def power_subgroup(group, m):

@@ -33,7 +33,7 @@ from oneplusa.identities import (
 )
 from oneplusa.linalg import rref
 from oneplusa.nilalg import Subspace, is_subalgebra, strictly_upper_triangular
-from oneplusa.unitgroup import UnitGroup, check_commutator_theorem
+from oneplusa.unitgroup import check_commutator_theorem, unit_group_of
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oneplusa"
 
@@ -48,11 +48,7 @@ def algebra_of(name):
 
 
 def group_of(name):
-    A = algebra_of(name)
-    G = getattr(A, "_unit_group", None)
-    if G is None:
-        G = A._unit_group = UnitGroup(A)
-    return G
+    return unit_group_of(algebra_of(name))
 
 
 def gutkin_report(name):

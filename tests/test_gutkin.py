@@ -650,7 +650,7 @@ def test_derived_subgroup_matches_the_full_commutator_scan(monkeypatch, target):
         assert np.array_equal(commutator_subgroup(H, H).indices, want)
 
 
-def test_derived_subgroup_closes_under_conjugation():
+def test_derived_subgroup_closes_under_conjugation(monkeypatch):
     # H = ul(4,2) presented by 1+e12, 1+e23, 1+e34: their commutators 1+e13
     # and 1+e24 generate a subgroup of order 4 that 1+e34 does not normalize
     # (it conjugates 1+e13 to 1+e13+e14), and the normal closure is 1 + A^2
@@ -659,7 +659,8 @@ def test_derived_subgroup_closes_under_conjugation():
     comms = G.commutator_values(gens, gens)
     assert len(G.subgroup_closure(comms)) == 4
     H = Subgroup(G, G.subgroup_closure(gens), verify=False)
-    H._generators = gens  # in place of the generators of a basis of A
+    # in place of the generators of a basis of A
+    monkeypatch.setattr(H, "generator_indices", lambda: gens)
     want = _scan_commutator_subgroup(H, H)
     assert want.tolist() == power_subgroup(G, 2).indices.tolist()
     assert commutator_subgroup(H, H).indices.tolist() == want.tolist()

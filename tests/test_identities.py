@@ -178,8 +178,7 @@ def test_finite_pairing_every_invariant_zeta():
         (free_nilpotent(FieldRing(gf(2)), 2, 3), 2),
     ]
     for A, m in cases:
-        G = UnitGroup(A)
-        A._unit_group = G
+        G = unit_group_of(A)
         # a character of Q is checked on a generating set of Q only
         data = quotient_pairing(G, m)
         Q = data["Q"]
@@ -198,8 +197,7 @@ def test_finite_pairing_counts_invariant_characters_u42():
     # (1+A, 1+A^2) = 1+A^3 has order 2, so exactly half of the eight
     # characters of 1+A^2 survive the invariance test
     A = strictly_upper_triangular(4, gf(2))
-    G = UnitGroup(A)
-    A._unit_group = G
+    G = unit_group_of(A)
     good = bad = 0
     for zeta in linear_characters(power_subgroup(G, 2)):
         try:
@@ -215,8 +213,7 @@ def test_finite_pairing_on_quotient_algebra():
     J = free_nilpotent(FieldRing(gf(2)), 2, 4)
     A, project, lift = quotient_algebra(J, J.power_subspace(3))
     assert A.dim == 6
-    G = UnitGroup(A)
-    A._unit_group = G
+    G = unit_group_of(A)
     zetas = linear_characters(power_subgroup(G, 2))
     assert len(zetas) == 16  # 1 + A^2 is elementary abelian of order 16
     for zeta in zetas:

@@ -63,3 +63,44 @@ def test_only_unitgroup_reads_the_table():
                 found.append(f"{path.name}:{node.lineno} group.group")
     assert not found, found
     assert not hasattr(UnitGroup, "group")
+
+
+def _assigned(node):
+    """The expressions an assignment statement stores into, with tuple
+    targets unpacked."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    out = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        else:
+            out.append(target)
+    return out
+
+
+def test_one_cache_policy():
+    # derived state lives in its owner's memo (nilalg.Memoized.memo): no
+    # module assigns to a private attribute of anything but self, or to an
+    # item of one, and memo is defined exactly once
+    found, memos = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "memo":
+                memos.append(f"{path.name}:{node.lineno}")
+            for target in _assigned(node):
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if not isinstance(target, ast.Attribute):
+                    continue
+                private = target.attr.startswith("_") and not target.attr.startswith("__")
+                on_self = isinstance(target.value, ast.Name) and target.value.id == "self"
+                if private and not on_self:
+                    found.append(f"{path.name}:{node.lineno} .{target.attr}")
+    assert not found, found
+    assert len(memos) == 1, memos

@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oneplusa import cli
+from oneplusa import chars, cli, gutkin, unitgroup
 from oneplusa.catalog import BUILTIN, resolve
+from oneplusa.chars import character_table
 from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
 from oneplusa.exactfield import gf
+from oneplusa.gutkin import quotient_pairing
 from oneplusa.identities import beta
 from oneplusa.nilalg import (
     Algebra,
@@ -30,6 +32,7 @@ from oneplusa.unitgroup import (
     subspace_subgroup,
     undigits,
     unit,
+    unit_group_of,
 )
 from test_nilalg import _from_labels
 
@@ -447,6 +450,87 @@ def test_group_cap():
     assert big.order == 2 ** 14
     with pytest.raises(CapExceeded):
         _ = big.table
+
+
+def test_unit_group_of_checks_the_cap_on_every_call():
+    # the group is kept on its algebra, and a smaller cap refuses it there
+    # just as it refuses a fresh algebra
+    A = strictly_upper_triangular(3, gf(4))
+    G = unit_group_of(A)
+    assert G.order == 64 and unit_group_of(A, cap=64) is G
+    with pytest.raises(CapExceeded):
+        unit_group_of(A, cap=16)
+    with pytest.raises(CapExceeded):
+        unit_group_of(strictly_upper_triangular(3, gf(4)), cap=16)
+
+
+def _memo_groups():
+    # ul(3,3) and its standalone copy as the unit group of 1 + A itself:
+    # two owners of the same shape
+    G = ul(3, 3)
+    return G, subspace_subgroup(G, G.algebra.power_subspace(1)).std_group[0]
+
+
+def _memo_subgroups():
+    return tuple(subspace_subgroup(X, X.algebra.power_subspace(2)) for X in _memo_groups())
+
+
+MEMO_CASES = [
+    # (owners, read, (namespace, name) of the counted build, error, builds
+    # after two failed reads)
+    pytest.param(_memo_groups, lambda G: G.table, (UnitGroup, "_build_table"),
+                 None, None, id="table"),
+    pytest.param(_memo_groups, UnitGroup.conjugacy_classes, (UnitGroup, "_class_partition"),
+                 None, None, id="classes"),
+    pytest.param(_memo_groups, character_table, (chars, "_character_table"),
+                 None, None, id="character_table"),
+    pytest.param(_memo_groups, lambda G: quotient_pairing(G, 2), (gutkin, "_quotient_pairing"),
+                 None, None, id="quotient_pairing"),
+    pytest.param(_memo_groups, lambda G: subspace_subgroup(G, G.algebra.power_subspace(2)),
+                 (Subgroup, "from_subspace"), None, None, id="subspace_subgroup"),
+    pytest.param(_memo_subgroups, lambda H: H.std_group, (unitgroup, "subalgebra_algebra"),
+                 None, None, id="std_group"),
+    pytest.param(lambda: tuple(X.algebra for X in _memo_groups()), unit_group_of,
+                 (UnitGroup, "__init__"), None, None, id="unit_group_of"),
+    # the table cap is checked before the memo is read, so no build starts
+    pytest.param(lambda: (ul(5, 3),), lambda G: G.table, (UnitGroup, "_build_table"),
+                 CapExceeded, 0, id="table-past-cap"),
+    # the group cap fails inside the build, which then stores nothing
+    pytest.param(lambda: (strictly_upper_triangular(3, gf(4)),),
+                 lambda A: unit_group_of(A, cap=16), (UnitGroup, "__init__"),
+                 CapExceeded, 2, id="unit-group-past-cap"),
+]
+
+
+@pytest.mark.parametrize("owners,read,build,error,failed_builds", MEMO_CASES)
+def test_memo_builds_each_key_once_per_owner(monkeypatch, owners, read, build, error,
+                                             failed_builds):
+    # a key is built once per owner and a second read returns the same
+    # object; an owner of the same shape builds its own entry; a read that
+    # raises leaves no entry, so the next read raises again
+    owners = owners()
+    namespace, name = build
+    real = getattr(namespace, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(namespace, name, counting)
+    if error is not None:
+        for _ in range(2):
+            with pytest.raises(error):
+                read(owners[0])
+        assert len(calls) == failed_builds
+        return
+    first, other = owners
+    value = read(first)
+    assert read(first) is value
+    assert len(calls) == 1
+    assert read(other) is not value
+    assert read(other) is read(other)
+    assert len(calls) == 2
 
 
 def _reference_table(G):

@@ -357,7 +357,7 @@ class ClassFunction:
     character value lies in Z[zeta_e]; values outside it are rejected.
     The Cyclotomic values are built lazily, for reports and tests."""
 
-    __slots__ = ("group", "coeffs", "_values")
+    __slots__ = ("group", "coeffs")
 
     def __init__(self, group, values):
         values = tuple(values)
@@ -378,17 +378,13 @@ class ClassFunction:
         coeffs.flags.writeable = False
         self.group = group
         self.coeffs = coeffs
-        self._values = None
 
     def _basis(self):
         return _power_basis(self.group.exponent())
 
     @property
     def values(self):
-        if self._values is None:
-            basis = self._basis()
-            self._values = tuple(basis.value(row) for row in self.coeffs)
-        return self._values
+        return tuple(map(self._basis().value, self.coeffs))
 
     @property
     def degree(self):
@@ -400,7 +396,7 @@ class ClassFunction:
         return int(self.coeffs[0, 0])
 
     def value_at_index(self, g):
-        return self.values[int(self.group.class_of[g])]
+        return self._basis().value(self.coeffs[self.group.class_of[g]])
 
     def __add__(self, other):
         self._check(other)
@@ -521,14 +517,20 @@ class CharacterTable:
             "orthogonality": "exact",
         }
 
+    def _cells(self):
+        """The distinct values of the table, as Cyclotomics, and ids with
+        ids[s, k] the index among them of chars[s] on class k: one 1-D
+        unique over the coefficient rows as raw bytes."""
+        M = np.concatenate([ch.coeffs for ch in self.chars])
+        keys = M.view(np.dtype((np.void, M.itemsize * M.shape[1]))).ravel()
+        _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+        basis = _power_basis(self.group.exponent())
+        return [basis.value(row) for row in M[first]], ids.reshape(len(self.chars), -1)
+
     def to_json(self):
         G = self.group
         classes = G.conjugacy_classes()
-        # one JSON value per distinct coefficient row, shared by its cells
-        X = np.stack([ch.coeffs for ch in self.chars])
-        rows, ids = np.unique(X.reshape(-1, X.shape[2]), axis=0, return_inverse=True)
-        basis = _power_basis(G.exponent())
-        cells = [basis.value(row).to_json() for row in rows]
+        values, ids = self._cells()
         return {
             "group_order": G.order,
             "field": G.field.descriptor(),
@@ -538,7 +540,7 @@ class CharacterTable:
             "class_reps": [list(G.coords_of_index(int(c[0]))) for c in classes],
             "exponent": G.exponent(),
             "degrees": self.degrees,
-            "values": [[cells[t] for t in row] for row in ids.reshape(X.shape[:2]).tolist()],
+            "values": CellRows([v.to_json() for v in values], ids),
             "oracle": self.meta,
         }
 
@@ -552,9 +554,21 @@ class CharacterTable:
         ]
         lines = ["char," + ",".join(f'"{r}"' for r in reps)]
         lines.append("size," + ",".join(str(len(c)) for c in classes))
-        for t, ch in enumerate(self.chars):
-            lines.append(f"X{t + 1}," + ",".join(f'"{v}"' for v in ch.values))
+        values, ids = self._cells()
+        texts = [f'"{v}"' for v in values]
+        lines += [f"X{t + 1}," + ",".join([texts[i] for i in row])
+                  for t, row in enumerate(ids.tolist())]
         return "\n".join(lines) + "\n"
+
+
+class CellRows(list):
+    """A table report's "values": row s lists the cell dicts cells[t] for t
+    in ids[s], one dict per distinct value.  A writer may render it from
+    cells and ids alone, each distinct cell once, so its rows stay as built."""
+
+    def __init__(self, cells, ids):
+        super().__init__([cells[t] for t in row] for row in ids.tolist())
+        self.cells, self.ids = cells, ids
 
 
 def _class_matrix_T(group, i, l):

@@ -7,6 +7,7 @@ printed), 2 on usage, parse, or cap errors.
 """
 
 import argparse
+import gc
 import json
 import os
 import random
@@ -14,7 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .catalog import BUILTIN, resolve, slug
-from .chars import character_table, linear_characters
+from .chars import CellRows, character_table, linear_characters
 from .errors import (
     CapExceeded,
     DivisionByZero,
@@ -70,15 +71,9 @@ def _scalar(o):
     """A JSON scalar as json.dumps renders it."""
     if isinstance(o, str):
         return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
+    if isinstance(o, int) and o is not True and o is not False:
         return int.__repr__(o)
-    if isinstance(o, float):
+    if o is None or isinstance(o, (bool, float)):
         return json.dumps(o)
     raise TypeError(
         f"Object of type {o.__class__.__name__} is not JSON serializable"
@@ -96,73 +91,68 @@ def _key(k):
     )
 
 
-def _shared_containers(obj):
-    """ids of the lists, tuples and dicts reached more than once in obj."""
-    seen, shared = set(), set()
-    stack = [obj]
-    while stack:
-        o = stack.pop()
-        if not isinstance(o, (list, tuple, dict)):
-            continue
-        if id(o) in seen:
-            shared.add(id(o))
-        else:
-            seen.add(id(o))
-            stack.extend(o.values() if isinstance(o, dict) else o)
-    return shared
-
-
 def _write_json(obj, write):
     """Write json.dumps(obj, sort_keys=True, indent=2) through write, byte
     for byte, without the pure-Python encoder that indent selects in the
     standard library, and in batches of about JSON_BATCH pieces rather than
-    as one string.  A first pass finds the containers reached more than once
-    (a character table shares one dict per distinct value among its cells);
-    each of them is rendered once per depth and its text reused."""
-    shared = _shared_containers(obj)
-    memo, active, out = {}, set(), []
+    as one string.  A CellRows is written from its arrays: each distinct
+    cell rendered once, each row one join of cell texts by its ids."""
+    out, path = [], set()  # path: ids of the containers being written
+    held = 0  # > 0 while a cell is rendered into a piece of out
 
     def value(o, depth):
         if not isinstance(o, (list, tuple, dict)):
             out.append(_scalar(o))
-        elif id(o) not in shared:
-            container(o, depth)
-        else:
-            text = memo.get((id(o), depth))
-            if text is None:
-                if id(o) in active:
-                    raise ValueError("Circular reference detected")
-                active.add(id(o))
-                mark = len(out)
-                container(o, depth)
-                text = memo[id(o), depth] = "".join(out[mark:])
-                del out[mark:]
-                active.discard(id(o))
-            out.append(text)
-
-    def container(o, depth):
+            return
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
+        if id(o) in path:
+            raise ValueError("Circular reference detected")
+        path.add(id(o))
         pad = "\n" + "  " * (depth + 1)
-        sep = pad
         is_dict = isinstance(o, dict)
-        out.append("{" if is_dict else "[")
-        for item in sorted(o.items()) if is_dict else o:
-            if is_dict:
-                out.append(sep + _key(item[0]) + ": ")
-                value(item[1], depth + 1)
-            else:
+        if isinstance(o, CellRows):
+            texts = [piece(cell, depth + 2) for cell in o.cells]
+            rows, inner = o.ids.tolist(), pad + "  "
+            step = max(1, JSON_BATCH // max(1, len(rows[0])))  # rows per write
+            for i in range(0, len(rows), step):
+                out.append(("," if i else "[") + pad + ("," + pad).join([
+                    "[" + inner + ("," + inner).join([texts[t] for t in row]) + pad + "]"
+                    if row else "[]" for row in rows[i:i + step]]))
+                flush()
+        else:
+            out.append("{" if is_dict else "[")
+            sep = pad
+            for item in sorted(o.items()) if is_dict else o:
+                if is_dict:
+                    sep += _key(item[0]) + ": "
+                    item = item[1]
                 out.append(sep)
                 value(item, depth + 1)
-            sep = "," + pad
-            if len(out) >= JSON_BATCH and not active:
-                write("".join(out))
-                out.clear()
+                sep = "," + pad
+                if len(out) >= JSON_BATCH:
+                    flush()
         out.append("\n" + "  " * depth + ("}" if is_dict else "]"))
+        path.discard(id(o))
+
+    def piece(o, depth):
+        nonlocal held
+        held += 1
+        mark = len(out)
+        value(o, depth)
+        text = "".join(out[mark:])
+        del out[mark:]
+        held -= 1
+        return text
+
+    def flush():
+        if not held:
+            write("".join(out))
+            out.clear()
 
     value(obj, 0)
-    write("".join(out))
+    flush()
 
 
 def _emit(args, payload, name, kind, text=None):
@@ -264,7 +254,6 @@ def _suite_gutkin(A, args):
 def _suite_commutators(A, args):
     G = unit_group_of(A, args.cap)
     top = A.nilpotency_index
-    checks = []
     for m in range(1, top + 1):
         for n in range(1, top + 1):
             ok, witness = check_commutator_theorem(G, m, n)
@@ -272,8 +261,7 @@ def _suite_commutators(A, args):
                 raise VerificationFailed(
                     "commutator-containment", witness=(m, n, witness)
                 )
-            checks.append([m, n])
-    return {"passed": True, "pairs_checked": len(checks)}
+    return {"passed": True, "pairs_checked": top * top}
 
 
 def _suite_identities(A, args):
@@ -296,19 +284,15 @@ def _suite_identities(A, args):
                     )
                 lemma += 1
     defects = {"additivity": [], "scaling": []}
+    checks = {"additivity": additivity_defect_check, "scaling": scaling_defect_check}
     for m in range(2, 5):
-        try:
-            if not additivity_defect_check(m):
-                raise VerificationFailed("additivity-defect", witness=m)
-            defects["additivity"].append(m)
-        except CapExceeded:
-            pass
-        try:
-            if not scaling_defect_check(m):
-                raise VerificationFailed("scaling-defect", witness=m)
-            defects["scaling"].append(m)
-        except CapExceeded:
-            pass
+        for name, check in checks.items():
+            try:
+                if not check(m):
+                    raise VerificationFailed(f"{name}-defect", witness=m)
+                defects[name].append(m)
+            except CapExceeded:
+                pass
 
     G = unit_group_of(A, args.cap)
     pairing = []
@@ -460,10 +444,7 @@ def main(argv=None):
             sys.modules[name] = None
     try:
         return args.func(args)
-    except VerificationFailed as e:
-        print(f"falsified: {e}", file=sys.stderr)
-        return 1
-    except SearchExhausted as e:
+    except (VerificationFailed, SearchExhausted) as e:
         print(f"falsified: {e}", file=sys.stderr)
         return 1
     except ModuleNotFoundError as e:
@@ -481,6 +462,10 @@ def main(argv=None):
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = mod
+        # a group and its algebra and tables reach each other through their
+        # memos, so only the cycle collector frees them; a full collection,
+        # as some outlive the younger generations, before the next command
+        gc.collect()
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ import pytest
 
 from oneplusa import chars
 from oneplusa.chars import (
+    CellRows,
     CharacterTable,
     ClassFunction,
     _center_blocks,
@@ -817,6 +818,38 @@ def test_table_json_and_csv():
     assert lines[0].startswith("char,")
     assert lines[1] == "size,1,1,2,2,2"
     assert lines[-1].startswith("X5,")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ul_group(3, 4),
+    lambda: free_group(2, 2, 3),
+    lambda: free_group(3, 2, 3),
+    lambda: ul_group(4, 4),
+], ids=["ul(3,4)", "free(2,2,3)", "free(3,2,3)", "ul(4,4)"])
+def test_table_cells_are_the_distinct_coefficient_rows(make):
+    tab = character_table(make())
+    X = np.stack([ch.coeffs for ch in tab.chars])
+    values, ids = tab._cells()
+    basis = _power_basis(tab.group.exponent())
+    rows = np.array([basis.row(v) for v in values])
+    assert ids.shape == X.shape[:2]
+    assert np.array_equal(rows[ids], X)
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    # the axis=0 unique the table used before, as the reference
+    reference = np.unique(X.reshape(-1, X.shape[2]), axis=0)
+    assert len(reference) == len(rows)
+    assert {r.tobytes() for r in reference} == {r.tobytes() for r in rows}
+
+
+def test_table_values_are_cell_rows_sharing_one_dict_per_value():
+    tab = character_table(ul_group(3, 4))
+    values = tab.to_json()["values"]
+    assert isinstance(values, CellRows) and isinstance(values, list)
+    assert values.ids.shape == (len(tab.chars), len(tab.chars))
+    for s, ch in enumerate(tab.chars):
+        assert values[s] == [v.to_json() for v in ch.values]
+        for k, t in enumerate(values.ids[s]):
+            assert values[s][k] is values.cells[t]
 
 
 def test_table_cached_on_group():

@@ -1,16 +1,20 @@
 """Command-line behavior: targets, formats, exit codes, reproducibility."""
 
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oneplusa import cli
+from oneplusa.chars import CellRows
 from oneplusa.errors import VerificationFailed
 from oneplusa.nilalg import Algebra
 
@@ -153,6 +157,22 @@ def test_polarize_report_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == POLARIZE_SHA256[name]
 
 
+# sha256 of `--no-gutkin chartable NAME --format csv`, recorded before the
+# CSV rendered each distinct value once
+CHARTABLE_CSV_SHA256 = {
+    "ul(3,4)": "72ccd75956f0c3aeb3f48a45bcc2bbd728e81c45c1c612656d00e1e3795661b2",
+    "free(2,2,3)": "f313cce7af963873aab34daa25cec26e40e984bb9b71c97204887119e9c311ad",
+    "free(3,2,3)": "5ee018eed723851cccb2f8cb87969593aa1cb7aabe564c3882bf9125b54d8a2a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTABLE_CSV_SHA256))
+def test_chartable_csv_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "--no-gutkin", "chartable", name, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_CSV_SHA256[name]
+
+
 def test_chartable_csv(capsys):
     code, out, _ = run(capsys, "chartable", "ul(3,2)", "--format", "csv")
     assert code == 0
@@ -220,6 +240,74 @@ def test_json_writer_rejects_what_json_dumps_rejects():
             json.dumps(bad, sort_keys=True, indent=2)
         with pytest.raises(want.type):
             _written(bad)
+
+
+def _cell_rows(shape, seed=0):
+    cells = [
+        {"coeffs": {"0": "1", "1": "-1/2"}, "order": 4},
+        [1, {"x": None, "y": [True, 2.5]}],
+        "\u00e9\"\n",
+        -3,
+        {},
+        [],
+    ]
+    ids = np.random.default_rng(seed).integers(len(cells), size=shape)
+    return CellRows(cells, ids)
+
+
+def _payloads():
+    rows = _cell_rows((5, 7))
+    return {
+        "depth0": rows,
+        "depth1": {"values": rows, "z": 0},
+        "depth3": {"a": [{"values": _cell_rows((3, 4), seed=1)}]},
+        "twice": {"a": rows, "b": [1, rows]},
+        "empty": {"values": _cell_rows((0, 3))},
+        "empty_rows": [_cell_rows((2, 0))],
+    }
+
+
+@pytest.mark.parametrize("batch", [cli.JSON_BATCH, 1])
+@pytest.mark.parametrize("name", [
+    "depth0", "depth1", "depth3", "twice", "empty", "empty_rows",
+])
+def test_json_writer_renders_cell_rows_as_json_dumps(monkeypatch, batch, name):
+    payload = _payloads()[name]
+    monkeypatch.setattr(cli, "JSON_BATCH", batch)
+    pieces = []
+    cli._write_json(payload, pieces.append)
+    assert "".join(pieces) == json.dumps(payload, sort_keys=True, indent=2)
+    if batch == 1 and name == "depth0":
+        assert len(pieces) > 5  # at least one write per row
+
+
+def test_json_writer_rejects_a_cell_holding_its_rows():
+    rows = CellRows([{"x": 1}, 2], np.array([[0, 1], [1, 1]]))
+    rows.cells[0]["back"] = rows
+    with pytest.raises(ValueError):
+        json.dumps(rows, sort_keys=True, indent=2)
+    with pytest.raises(ValueError):
+        _written(rows)
+
+
+@pytest.mark.parametrize("argv", [["chartable", "ul(3,4)"], ["decompose", "ul(4,2)"]])
+def test_a_command_frees_its_group_when_it_returns(monkeypatch, capsys, argv):
+    # the group and its algebra reach each other through their memos, so
+    # only the cycle collector frees them; the collection here moves the
+    # group into the oldest generation, which a partial collection skips
+    refs = []
+    real = cli.unit_group_of
+
+    def recording(*args):
+        G = real(*args)
+        refs.append(weakref.ref(G))
+        gc.collect()
+        return G
+
+    monkeypatch.setattr(cli, "unit_group_of", recording)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and refs
+    assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,10 +10,16 @@ discrete Fourier transform over power maps.  The split starts from one
 block per character of the center Z = Z(1+A), which acts on the classes by
 multiplication: on every block the class matrices of Z are scalars and
 those of a Z-orbit of classes are multiples of each other, so only one
-class matrix per non-central orbit is built, as a bincount histogram.  It
-visits them in order with every live eigenspace stacked into one product;
-the products run through float64 BLAS on integers mod ell, exact under a
-checked bound (k (ell-1)^2 < 2^53, RuntimeError otherwise).  Everything
+class matrix per non-central orbit is built, as a bincount histogram.
+Two kinds of line need no split.  The characters trivial on the central
+subgroup 1 + Ann(A) are inflated from the table of 1 + A/Ann(A), computed
+the same way, recursively, and their blocks are dropped; a linear
+character lambda has the line omega(K) = |K| lambda(g_K), and the rest of
+its block is one null space mod ell (_character_rows).  The split visits
+the class matrices in order with every live eigenspace stacked into one
+product; the products run through float64 BLAS on integers mod ell, exact
+under a checked bound (k (ell-1)^2 < 2^53, RuntimeError otherwise).  Only
+the table of the group asked for is memoized and validated.  Everything
 after recovery is verified by exact orthogonality over Q(zeta_e), whose
 contraction over classes runs through float64 BLAS under a checked bound
 of the same kind.
@@ -54,8 +60,8 @@ from .exactfield import (
     is_prime,
     prime_factors,
 )
-from .nilalg import Subspace
-from .unitgroup import Subgroup, commutator_subgroup
+from .nilalg import Subspace, annihilator, quotient_algebra
+from .unitgroup import Subgroup, UnitGroup, commutator_subgroup, map_indices
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
@@ -189,13 +195,15 @@ def _choose_prime(order, exponent):
         l += exponent
 
 
-def _split_class_algebra(matrices, blocks, l):
-    """Split F_ell^r into common left eigenlines of the class matrices,
-    taken in order (each transposed: N[k, j] = a_ijk), and return one
-    vector per line.  The split starts from blocks, subspaces of F_ell^r in
-    reduced row echelon form whose dimensions sum to r (RuntimeError
-    otherwise), each the span of the eigenlines it meets: all of F_ell^r
-    as one block, or _center_blocks; a one-row block is a line at once.  A
+def _split_class_algebra(matrices, blocks, l, r=None):
+    """Split the span of blocks into common left eigenlines of the class
+    matrices, taken in order (each transposed: N[k, j] = a_ijk), and return
+    one vector per line.  The blocks are subspaces of F_ell^c (c classes)
+    in reduced row echelon form, each the span of the eigenlines it meets,
+    and their dimensions must sum to r, the number of lines to find
+    (RuntimeError otherwise): by default c, for all of F_ell^c as one block
+    or _center_blocks, and fewer for what _character_rows leaves of those;
+    a one-row block is a line at once.  A
     live block is a subspace in RREF, invariant under every matrix seen so
     far; each matrix restricts to R on it, and the eigenspaces of R become
     the next blocks.  All live blocks meet a matrix in one stacked product,
@@ -203,7 +211,7 @@ def _split_class_algebra(matrices, blocks, l):
     block on which R is scalar is kept as it is; every block is still
     checked to be invariant (RuntimeError otherwise: the matrices do not
     commute)."""
-    r = blocks[0].shape[1]
+    r = blocks[0].shape[1] if r is None else r
     dims = [len(B) for B in blocks]
     if sum(dims) != r:
         raise RuntimeError(f"split seeded with blocks of dimensions {dims}, not summing to {r}")
@@ -316,11 +324,12 @@ class _PowerBasis:
         raise VerificationFailed("value-integrality", witness=(str(value), self.e))
 
     def embed(self, coeffs, sub_e):
-        """Rows over Q(zeta_sub_e), sub_e | e, written in this basis.  Since
-        zeta_sub_e = zeta_e^(e/sub_e), for prime powers the power basis of
-        the subfield is the stride-(e/sub_e) part of this one."""
-        out = np.zeros((len(coeffs), self.phi), dtype=np.int64)
-        out[:, :: self.e // sub_e] = coeffs
+        """Rows over Q(zeta_sub_e), sub_e | e, along the last axis of coeffs,
+        written in this basis.  Since zeta_sub_e = zeta_e^(e/sub_e), for
+        prime powers the power basis of the subfield is the stride-(e/sub_e)
+        part of this one."""
+        out = np.zeros(coeffs.shape[:-1] + (self.phi,), dtype=np.int64)
+        out[..., :: self.e // sub_e] = coeffs
         return out
 
     def descend(self, coeffs, sub_e, what):
@@ -451,13 +460,6 @@ class ClassFunction:
 
     def __repr__(self):
         return f"ClassFunction({', '.join(str(v) for v in self.values)})"
-
-
-def trivial_character(group):
-    phi = _power_basis(group.exponent()).phi
-    coeffs = np.zeros((len(group.conjugacy_classes()), phi), dtype=np.int64)
-    coeffs[:, 0] = 1
-    return ClassFunction._of(group, coeffs)
 
 
 def _class_pairs(X, sizes):
@@ -591,13 +593,23 @@ def _class_matrix_T(group, i, l):
     return (counts // sizes[None, :]).T % l
 
 
-def _center_blocks(group, w0_pow):
+def _center_characters(group):
+    """The center Z = Z(1+A) = 1 + Z(A) as the classes of size 1, which the
+    class order puts first, and its characters mu as exponent rows over Z,
+    from linear_characters on Z."""
+    nz = int(np.count_nonzero(group.class_sizes == 1))
+    Z = np.array(group.class_reps()[:nz], dtype=np.int64)
+    space = Subspace.from_vectors(group.algebra, [group.coords_of_index(int(z)) for z in Z])
+    return Z, linear_characters(Subgroup(group, Z, subspace=space, verify=False))[:, Z]
+
+
+def _center_blocks(group, w0_pow, center=None):
     """The blocks V_mu that seed the split, one per character mu of the
-    center Z = Z(1+A) = 1 + Z(A), and the least class of each Z-orbit of
-    classes, in increasing order.  Z is the classes of size 1, which the
-    class order puts first, so the first orbit is Z itself, with least
-    class 0; mu comes from linear_characters on Z, with mu(z) = w0_pow[t],
-    w0^t mod ell for the exponent t (w0 a primitive e-th root of unity).
+    center Z (center is _center_characters(group), computed here if not
+    given), and the least class of each Z-orbit of classes, in increasing
+    order.  The first orbit is Z itself, with least class 0, and mu(z) =
+    w0_pow[t], w0^t mod ell for the exponent t (w0 a primitive e-th root
+    of unity).
 
     Z acts on the classes by K_k -> z K_k = K_zk, and for every irreducible
     chi with central character mu_chi, omega_chi(K_zk) = mu_chi(z)
@@ -615,12 +627,9 @@ def _center_blocks(group, w0_pow):
     matrices of a Z-orbit are scalar multiples of each other, and those of
     Z are scalars: the split needs one class matrix per non-central orbit,
     at its least class, and none of Z."""
+    Z, mus = _center_characters(group) if center is None else center
     r = len(group.class_sizes)
-    nz = int(np.count_nonzero(group.class_sizes == 1))
     reps = np.array(group.class_reps(), dtype=np.int64)
-    Z = reps[:nz]
-    space = Subspace.from_vectors(group.algebra, [group.coords_of_index(int(z)) for z in Z])
-    mus = linear_characters(Subgroup(group, Z, subspace=space, verify=False))[:, Z]
     vals = w0_pow[mus]
     act = group.class_of[group.mul(Z[:, None], reps[None, :])]
     heads = np.nonzero(act.min(axis=0) == np.arange(r))[0]
@@ -644,28 +653,128 @@ def character_table(group):
 
 
 def _character_table(group):
-    r = len(group.conjugacy_classes())
-    sizes = group.class_sizes
-    reps = np.array(group.class_reps(), dtype=np.int64)
-    CL = group.class_of
-    e = group.exponent()
+    X, meta = _character_rows(group)
+    chars = sorted((ClassFunction._of(group, x) for x in X), key=ClassFunction.sort_key)
+    table = CharacterTable(group, chars, meta)
+    table.validate()
+    return table
 
+
+def _character_rows(group):
+    """The coefficient rows X[s, k] (class k, power basis of Q(zeta_e), e =
+    exp(G)) of every irreducible character of G = 1 + A, unsorted, and the
+    oracle's meta: ell, its primitive root r0, w0 = r0^((ell-1)/e) and e.
+    Nothing is memoized or validated here: character_table validates the
+    table of the group it is asked for, and the quotient groups below are
+    freed as soon as their rows are read.
+
+    Inflation.  N = 1 + Ann(A) is central, since (1+x)(1+y) = 1+x+y for x
+    in Ann(A), and the projection A -> A/Ann(A) is a map of algebras, so
+    G/N is the unit group of A/Ann(A).  An irreducible chi is chi(1) mu_chi
+    on N, so N lies in ker chi exactly when mu_chi is trivial on N: the
+    blocks V_mu of _center_blocks with mu trivial on N hold exactly the
+    eigenlines of the characters inflated from G/N, and no others.  Those
+    blocks are dropped, their dimensions must sum to the number of
+    inflated characters (RuntimeError otherwise), and the inflated rows
+    are the quotient's rows, from this function on the quotient group
+    (recursively, down to the trivial group: Ann(A) = A once A^2 = 0), read
+    at the images of the class representatives.
+
+    Linear characters.  A linear lambda lies in the block of its
+    restriction mu to Z, which is trivial on Z n (G, G), and its eigenline
+    is omega_lambda(K) = |K| lambda(g_K).  As sum_k omega_chi(K_k)
+    conj(lambda)(g_k) = |G| <chi, lambda> / chi(1), which is |G| for chi =
+    lambda and 0 otherwise, the other eigenlines of V_mu span the v in V_mu
+    with sum_k v_k conj(lambda)(g_k) = 0 for every lambda in V_mu: one null
+    space mod ell, whose dimension must be dim V_mu less their number
+    (RuntimeError otherwise).  Only blocks of more than one row are cut
+    this way (a one-row block is a line already), and (G, G) and the linear
+    characters are computed only when one of them has mu trivial on
+    Z n (G, G).  What is left goes through _split_class_algebra and the
+    Fourier lift (_lift_lines)."""
     if group.order == 1:
-        table = CharacterTable(group, [trivial_character(group)], {"mod_prime": None})
-        table.validate()
-        return table
+        return np.ones((1, 1, 1), dtype=np.int64), {"mod_prime": None}
+    A, field = group.algebra, group.field
+    Aq, project, _ = quotient_algebra(A, annihilator(A))
+    P = np.array([project(b.coords) for b in A.basis()], dtype=np.int64).reshape(A.dim, Aq.dim)
+    Gq = UnitGroup(Aq)
+    Xq, _ = _character_rows(Gq)
+    eq, qclass = Gq.exponent(), Gq.class_of
+    del Gq  # before G's table is built
 
+    r = len(group.conjugacy_classes())
+    reps = np.array(group.class_reps(), dtype=np.int64)
+    e = group.exponent()
     l = _choose_prime(group.order, e)
     r0 = _primitive_root(l)
     w0 = pow(r0, (l - 1) // e, l)
     w0_pow = np.array([pow(w0, t, l) for t in range(e)], dtype=np.int64)
+    basis = _power_basis(e)
+    inflated = basis.embed(Xq[:, qclass[map_indices(field, reps, P)]], eq)
 
-    # the center's characters split first (_center_blocks); then one class
-    # matrix per non-central Z-orbit of classes is enough
-    blocks, heads = _center_blocks(group, w0_pow)
-    done = _split_class_algebra((_class_matrix_T(group, k, l) for k in heads[1:]), blocks, l)
+    Z, mus = center = _center_characters(group)
+    blocks, heads = _center_blocks(group, w0_pow, center)
+    dropped = ~mus[:, map_indices(field, Z, P) == 0].any(axis=1)
+    if sum(len(B) for B, d in zip(blocks, dropped) if d) != len(Xq):
+        raise RuntimeError("the blocks trivial on 1 + Ann(A) do not hold the inflated characters")
+    blocks = [B for B, d in zip(blocks, dropped) if not d]
+    linear, blocks = _split_off_linear(group, blocks, mus[~dropped], Z, w0_pow, l)
+    # one class matrix per non-central Z-orbit is enough (_center_blocks)
+    lines = _split_class_algebra((_class_matrix_T(group, k, l) for k in heads[1:]), blocks, l,
+                                 r - len(Xq) - len(linear))
+    X = np.concatenate([inflated, basis.zeta[linear], _lift_lines(group, lines, l, w0_pow)])
+    return X, {"mod_prime": l, "primitive_root": r0, "unity_root": w0, "exponent": e}
 
-    # inverse-class pairing and power-map classes for the Fourier lift
+
+def _split_off_linear(group, blocks, mus, Z, w0_pow, l):
+    """The exponent rows at the class representatives of the linear
+    characters in the blocks of more than one row, and the blocks with
+    their eigenlines taken out (see _character_rows); mus[m] is the
+    character of Z under blocks[m]."""
+    e = len(w0_pow)
+    big = [m for m, B in enumerate(blocks) if len(B) > 1]
+    found = np.zeros((0, len(group.class_sizes)), dtype=np.int64)
+    if not big:
+        return found, blocks
+    A = group.algebra
+    whole = Subgroup(group, np.arange(group.order), subspace=Subspace.unit(A, range(A.dim)),
+                     verify=False)
+    whole.memo("generators", group.generator_indices)  # the same span, built already
+    in_derived = commutator_subgroup(whole, whole).mask[Z]
+    if mus[big][:, in_derived].any(axis=1).all():
+        return found, blocks
+    lams = linear_characters(whole)
+    block_of = {mu.tobytes(): m for m, mu in enumerate(mus)}
+    owner = np.array([block_of.get(row.tobytes(), -1) for row in lams[:, Z]])
+    T = lams[:, group.class_reps()]
+    blocks = list(blocks)
+    for m in big:
+        mine = T[owner == m]
+        if not len(mine):
+            continue
+        V = blocks[m]
+        K = _nullspace_mod(_matmul_mod(w0_pow[-mine % e], V.T, l), l)
+        if len(K) != len(V) - len(mine):
+            raise RuntimeError(f"the linear characters of a block span {len(V) - len(K)} "
+                               f"of its dimensions, not {len(mine)}")
+        blocks[m] = _rref_mod(_matmul_mod(K, V, l), l)[0]
+    return T[np.isin(owner, big)], [B for B in blocks if len(B)]
+
+
+def _lift_lines(group, lines, l, w0_pow):
+    """The coefficient rows of the characters chi whose eigenlines
+    omega_chi are the given vectors mod ell: the degree d from
+    sum_k omega_k omega_k' / n_k = |G| / d^2, then chi(g_k) = d omega_k /
+    n_k mod ell, lifted to Z[zeta_e] by a discrete Fourier transform over
+    the power maps g_k -> g_k^s, whose coefficients must lie in 0..d."""
+    r = len(group.class_sizes)
+    e = len(w0_pow)
+    basis = _power_basis(e)
+    out = np.zeros((len(lines), r, basis.phi), dtype=np.int64)
+    if not lines:
+        return out
+    sizes, CL = group.class_sizes, group.class_of
+    reps = np.array(group.class_reps(), dtype=np.int64)
     inv_class = CL[group.inv[reps]]
     cls_pow = np.empty((r, e), dtype=np.int64)
     x = np.zeros(r, dtype=np.int64)
@@ -677,12 +786,9 @@ def _character_table(group):
     )
     e_inv = _inv_mod(e, l)
     n_inv = np.array([_inv_mod(int(n), l) for n in sizes], dtype=np.int64)
-
-    basis = _power_basis(e)
     # every lift has entries in 0..d <= sqrt(|G|) summing over e powers
     _guard("character lift", e, math.isqrt(group.order), basis.zmax)
-    chars = []
-    for w in done:
+    for s, w in enumerate(lines):
         w = (w * _inv_mod(int(w[0]), l)) % l  # omega_0 = 1
         denom = int((w * w[inv_class] % l * n_inv % l).sum() % l)
         dd = (group.order * _inv_mod(denom, l)) % l
@@ -702,16 +808,8 @@ def _character_table(group):
         if len(bad):
             raise VerificationFailed("lift-consistency", witness=(d, int(bad[0])))
         # row k: sum_j M[k, j] zeta^j in the power basis
-        chars.append(ClassFunction._of(group, M @ basis.zeta))
-
-    chars.sort(key=lambda c: c.sort_key())
-    table = CharacterTable(
-        group,
-        chars,
-        {"mod_prime": l, "primitive_root": r0, "unity_root": w0, "exponent": e},
-    )
-    table.validate()
-    return table
+        out[s] = M @ basis.zeta
+    return out
 
 
 # ---------------------------------------------------------------------------

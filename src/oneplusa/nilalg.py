@@ -712,6 +712,27 @@ def is_subalgebra(algebra, space):
     return all(space.contains(x * y) for x in els for y in els)
 
 
+def annihilator(algebra):
+    """Ann(A) = {x : xA = Ax = 0}, a two-sided ideal, built once per
+    algebra as one null space: x e_j = 0 and e_j x = 0 for every basis
+    vector e_j, one condition per coordinate e_k of each product, read off
+    the structure constants.  The entry c of e_i e_j at e_k puts c at
+    column i of the condition x e_j = 0 on e_k, and at column j of the
+    condition e_i x = 0 on e_k."""
+    def build():
+        ops = algebra.ring.linalg_ops()
+        rows = {}
+        for (i, j), entry in algebra.sc.items():
+            for k, c in entry:
+                for key, col in ((("right", j, k), i), (("left", i, k), j)):
+                    row = rows.setdefault(key, [ops.zero] * algebra.dim)
+                    row[col] = ops.add(row[col], algebra.ring.ops_scalar(c))
+        basis = linalg.nullspace(list(rows.values()), algebra.dim, ops)
+        pivots = [next(t for t, c in enumerate(row) if not ops.is_zero(c)) for row in basis]
+        return Subspace(algebra, basis, pivots)
+    return algebra.memo("annihilator", build)
+
+
 def quotient_algebra(algebra, ideal_space):
     """A / I with basis the non-pivot coordinates of I, labels inherited.
 

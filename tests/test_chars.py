@@ -6,8 +6,10 @@ Everything else is pinned by exact orthogonality or by hand computation
 on the 8-element group U(3, 2) (dihedral of order 8).
 """
 
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,8 @@ from oneplusa.chars import (
     _center_blocks,
     _class_matrix_T,
     _eigenvalues_mod,
+    _guard,
+    _inv_mod,
     _hessenberg_mod,
     _choose_prime,
     _matmul_mod,
@@ -36,12 +40,17 @@ from oneplusa.chars import (
     restrict,
     _power_basis,
     scalar_character_on,
-    trivial_character,
 )
+from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.errors import VerificationFailed
 from oneplusa.exactfield import Cyclotomic, gf
-from oneplusa.nilalg import free_nilpotent, strictly_upper_triangular, FieldRing, Subspace
+from oneplusa.nilalg import (
+    Algebra, FieldRing, Subspace, free_nilpotent, strictly_upper_triangular,
+)
 from oneplusa.unitgroup import Subgroup, UnitGroup, power_subgroup
+from test_gutkin import _reversed_basis
+from test_nilalg import _with_null
+from test_unitgroup import _random_basis
 
 
 def ul_group(n, q):
@@ -50,6 +59,10 @@ def ul_group(n, q):
 
 def free_group(q, gens, idx):
     return UnitGroup(free_nilpotent(FieldRing(gf(q)), gens, idx))
+
+
+def trivial_character(group):
+    return ClassFunction(group, [1] * len(group.conjugacy_classes()))
 
 
 def linear_class_functions(H):
@@ -278,11 +291,12 @@ def test_center_presplit_matches_the_plain_split(make):
 
 
 def _count_class_matrices(monkeypatch):
+    # (group, i) for every class matrix built, the quotient groups' included
     calls = []
     build = chars._class_matrix_T
 
     def counting(group, i, l):
-        calls.append(i)
+        calls.append((group, i))
         return build(group, i, l)
 
     monkeypatch.setattr(chars, "_class_matrix_T", counting)
@@ -302,20 +316,26 @@ def test_abelian_group_needs_no_class_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: ul_group(4, 3), lambda: free_group(3, 2, 3)],
+    "make,any_built", [(lambda: ul_group(4, 3), True), (lambda: free_group(3, 2, 3), False)],
     ids=["ul(4,3)", "free(3,2,3)"],
 )
-def test_split_builds_only_non_central_class_matrices(monkeypatch, make):
+def test_split_builds_only_non_central_class_matrices(monkeypatch, make, any_built):
     G = make()
     r, nz, _, w0_pow = _split_setup(G)
     assert nz > 1
     _, heads = _center_blocks(G, w0_pow)
     calls = _count_class_matrices(monkeypatch)
     character_table(G)
-    # at most one class matrix per non-central Z-orbit, built once
-    assert 0 < len(calls) <= len(heads) - 1 < r - nz
-    assert set(calls) <= set(heads[1:])
-    assert len(set(calls)) == len(calls)
+    if not any_built:
+        # every block of free(3,2,3) left after inflation is a line once its
+        # linear characters are taken out, and its quotients are abelian
+        assert calls == []
+        return
+    # at most one class matrix per non-central Z-orbit of G, built once
+    own = [i for group, i in calls if group is G]
+    assert 0 < len(own) <= len(heads) - 1 < r - nz
+    assert set(own) <= set(heads[1:])
+    assert len(set(own)) == len(own)
 
 
 def test_split_rejects_blocks_not_summing_to_r():
@@ -329,6 +349,142 @@ def test_split_rejects_blocks_not_summing_to_r():
     assert _lines(_split_class_algebra(iter([]), [eye[:1], eye[1:2], eye[2:]], l)) == [
         (0, 0, 1), (0, 1, 0), (1, 0, 0)
     ]
+    # a partial seeding passes the number of lines it expects
+    assert _lines(_split_class_algebra(iter([]), [eye[1:2]], l, 1)) == [(0, 1, 0)]
+    assert _split_class_algebra(iter([]), [], l, 0) == []
+    with pytest.raises(RuntimeError, match="not summing to 2"):
+        _split_class_algebra(iter([]), [eye[1:2]], l, 2)
+
+
+def _center_only_table(group):
+    # the oracle before inflation from 1 + A/Ann(A) and linear-character
+    # lines, as the reference: every line of the center's blocks split by
+    # class matrices and lifted
+    r = len(group.conjugacy_classes())
+    sizes = group.class_sizes
+    reps = np.array(group.class_reps(), dtype=np.int64)
+    CL = group.class_of
+    e = group.exponent()
+
+    if group.order == 1:
+        table = CharacterTable(group, [trivial_character(group)], {"mod_prime": None})
+        table.validate()
+        return table
+
+    l = _choose_prime(group.order, e)
+    r0 = _primitive_root(l)
+    w0 = pow(r0, (l - 1) // e, l)
+    w0_pow = np.array([pow(w0, t, l) for t in range(e)], dtype=np.int64)
+
+    blocks, heads = _center_blocks(group, w0_pow)
+    done = _split_class_algebra((_class_matrix_T(group, k, l) for k in heads[1:]), blocks, l)
+
+    inv_class = CL[group.inv[reps]]
+    cls_pow = np.empty((r, e), dtype=np.int64)
+    x = np.zeros(r, dtype=np.int64)
+    for s in range(e):
+        cls_pow[:, s] = CL[x]
+        x = group.mul(x, reps)
+    W = np.array(
+        [[w0_pow[(-s * j) % e] for j in range(e)] for s in range(e)], dtype=np.int64
+    )
+    e_inv = _inv_mod(e, l)
+    n_inv = np.array([_inv_mod(int(n), l) for n in sizes], dtype=np.int64)
+
+    basis = _power_basis(e)
+    _guard("character lift", e, math.isqrt(group.order), basis.zmax)
+    found = []
+    for w in done:
+        w = (w * _inv_mod(int(w[0]), l)) % l  # omega_0 = 1
+        denom = int((w * w[inv_class] % l * n_inv % l).sum() % l)
+        dd = (group.order * _inv_mod(denom, l)) % l
+        roots = [t for t in range(1, (l + 1) // 2) if (t * t - dd) % l == 0]
+        if len(roots) != 1:
+            raise VerificationFailed("degree-root", witness=(dd, roots))
+        d = roots[0]
+        chibar = (d * w % l) * n_inv % l
+        P = chibar[cls_pow]
+        M = (P @ W) % l * e_inv % l
+        if int(M.max()) > d:
+            raise RuntimeError("character lift left the expected range")
+        bad = np.nonzero(M.sum(axis=1) != d)[0]
+        if len(bad):
+            raise VerificationFailed("lift-row-sum", witness=(d, int(bad[0])))
+        bad = np.nonzero((M @ w0_pow) % l != chibar)[0]
+        if len(bad):
+            raise VerificationFailed("lift-consistency", witness=(d, int(bad[0])))
+        found.append(ClassFunction._of(group, M @ basis.zeta))
+
+    found.sort(key=lambda c: c.sort_key())
+    table = CharacterTable(
+        group,
+        found,
+        {"mod_prime": l, "primitive_root": r0, "unity_root": w0, "exponent": e},
+    )
+    table.validate()
+    return table
+
+
+REFERENCE_ALGEBRAS = (
+    [pytest.param(e.construct, id=e.name) for e in BUILTIN]
+    + [pytest.param(lambda t=t, s=s: _random_basis(resolve(t), s), id=f"{t}-random")
+       for t, s in (("ul(4,3)", 1), ("ul(3,4)", 2))]
+    + [pytest.param(lambda t=t: _reversed_basis(resolve(t)), id=f"{t}-reversed")
+       for t in ("ul(4,3)", "ul(3,4)")]
+    + [pytest.param(lambda t=t: _with_null(resolve(t)), id=f"{t}+z")
+       for t in ("ul(3,2)", "ul(3,3)", "free(2,2,3)")]
+    + [pytest.param(lambda: Algebra(FieldRing(gf(3)), 2, {}, check=False), id="F_3^2")]
+)
+
+
+@pytest.mark.parametrize("make", REFERENCE_ALGEBRAS)
+def test_table_matches_the_center_only_reference(make):
+    # inflation from 1 + A/Ann(A) and the linear-character lines give the
+    # same rows, in the same order, with the same oracle meta; the +z
+    # algebras have Ann(A) outside A^2, F_3^2 has Ann(A) = A
+    G = UnitGroup(make())
+    want = _center_only_table(G)
+    got = character_table(G)
+    assert got.meta == want.meta
+    assert len(got.chars) == len(want.chars)
+    for a, b in zip(got.chars, want.chars):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("make,orders", [
+    (lambda: ul_group(4, 3), [243, 27, 1]),
+    (lambda: ul_group(5, 2), [512, 128, 16, 1]),
+    (lambda: free_group(3, 2, 3), [9, 1]),
+], ids=["ul(4,3)", "ul(5,2)", "free(3,2,3)"])
+def test_quotient_groups_die_before_the_next_table_is_built(monkeypatch, make, orders):
+    # each 1 + A/Ann(A) is a bare UnitGroup in no reference cycle, so it is
+    # freed by refcount as soon as its rows are read: with the collector
+    # off, no smaller one is alive when a group's Cayley table is built,
+    # and none when character_table returns
+    made, alive = [], []
+    real_group, real_build = chars.UnitGroup, UnitGroup._build_table
+
+    def recording(algebra):
+        group = real_group(algebra)
+        made.append((group.order, weakref.ref(group)))
+        return group
+
+    def building(self):
+        alive.append([order for order, ref in made
+                      if ref() not in (None, self) and order < self.order])
+        return real_build(self)
+
+    monkeypatch.setattr(chars, "UnitGroup", recording)
+    monkeypatch.setattr(UnitGroup, "_build_table", building)
+    gc.disable()
+    try:
+        character_table(make())
+        assert [order for order, _ in made] == orders
+        assert all(ref() is None for _, ref in made)
+    finally:
+        gc.enable()
+    assert len(alive) == len(orders) + 1
+    assert alive == [[]] * len(alive)
 
 
 def test_prime_choice():

@@ -116,6 +116,25 @@ def test_large_chartable_report_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_LARGE_SHA256[name]
 
 
+# sha256 of `--no-gutkin chartable NAME` (JSON), recorded before the oracle
+# inflated characters from 1 + A/Ann(A): the quotient chains below these
+# groups have orders 64, 1 (ul(3,8)); 81, 1 (ul(3,9)); 243, 27, 1 (ul(4,3));
+# and 512, 128, 16, 1 (ul(5,2))
+CHARTABLE_CHAIN_SHA256 = {
+    "ul(3,8)": "48f6ba668005d9733781a6b6e8392939d1381000912accda9dd5699b2d6b8270",
+    "ul(3,9)": "e6ffefd0e5560cdb03a328a6914ca91d046ff2f65c20e3249118f3c694f06351",
+    "ul(4,3)": "b380ccf5a9e3bbd235470405c3a715402c6038ce60d7a2abf37de9e79c54857f",
+    "ul(5,2)": "e44e9b7fdd32fac8674b5838a089adad218e5c941286ef1a6e9c2abc0d706654",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTABLE_CHAIN_SHA256))
+def test_chain_chartable_report_bytes_are_pinned(capsys, name):
+    code, out, _ = run(capsys, "--no-gutkin", "chartable", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARTABLE_CHAIN_SHA256[name]
+
+
 # sha256 of `decompose NAME` (JSON) for the catalog targets with a descent
 # of a few seconds at most, plus the larger benchmark groups ul(3,8), ul(4,3),
 # ul(5,2) and ul(4,4), whose descents the generator-column extension checks
@@ -494,11 +513,12 @@ def _count_unit_groups(monkeypatch):
 
 @pytest.mark.parametrize(
     "argv,built",
-    # the top group, a copy of each of the 4 distinct 1 + A1 the descents
-    # pass through (subgroups are memoised per group) and of the 2 distinct
-    # bottoms 1 + B not among them; the pairing quotient and the linear
-    # characters of 1 + A^m and 1 + U build no unit group
-    [(["decompose", "ul(4,3)"], 7),
+    # the top group, the quotient chain 1 + A/Ann(A) its character table
+    # inflates from (orders 243, 27 and 1), a copy of each of the 4 distinct
+    # 1 + A1 the descents pass through (subgroups are memoised per group) and
+    # of the 2 distinct bottoms 1 + B not among them; the pairing quotient
+    # and the linear characters of 1 + A^m and 1 + U build no unit group
+    [(["decompose", "ul(4,3)"], 10),
      (["verify", "free(3,2,3)", "--suite", "identities"], 1)],
 )
 def test_unit_groups_built(monkeypatch, capsys, argv, built):

@@ -12,6 +12,7 @@ from oneplusa.nilalg import (
     FieldRing,
     Poly,
     Subspace,
+    annihilator,
     free_nilpotent,
     is_ideal,
     is_subalgebra,
@@ -215,6 +216,32 @@ def test_quotient_algebra():
     assert project(A.mul_coords(lift((1, 0)), lift((0, 1)))) == (0, 0)
     with pytest.raises(NotAnIdeal):
         quotient_algebra(A, Subspace.from_vectors(A, [A.basis_element(0)]))
+
+
+def _with_null(A):
+    """A with one more basis vector z whose products all vanish, so that z
+    lies in Ann(A) but not in A^2."""
+    return Algebra(A.ring, A.dim + 1, dict(A.sc), labels=A.labels + ("z",), check=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: strictly_upper_triangular(3, gf(2)),
+    lambda: strictly_upper_triangular(4, gf(2)),
+    lambda: free_nilpotent(FieldRing(gf(2)), 2, 3),
+    lambda: _with_null(strictly_upper_triangular(3, gf(2))),
+    lambda: Algebra(FieldRing(gf(3)), 2, {}, check=False),
+], ids=["ul(3,2)", "ul(4,2)", "free(2,2,3)", "ul(3,2)+z", "F_3^2"])
+def test_annihilator_matches_a_scan_of_all_elements(make):
+    A = make()
+    q = A.ring.field.q
+    basis = A.basis()
+    everything = [A.element(c) for c in itertools.product(range(q), repeat=A.dim)]
+    scanned = {x for x in everything
+               if all((x * b).is_zero() and (b * x).is_zero() for b in basis)}
+    ann = annihilator(A)
+    assert {x for x in everything if ann.contains(x)} == scanned
+    assert len(scanned) == q ** ann.dim
+    assert annihilator(A) is ann
 
 
 def test_standalone_subalgebra():

@@ -694,6 +694,7 @@ def _character_rows(group):
     Fourier lift (_lift_lines)."""
     if group.order == 1:
         return np.ones((1, 1, 1), dtype=np.int64), {"mod_prime": None}
+    group.check_table_cap()  # before any quotient is built and solved
     A, field = group.algebra, group.field
     Aq, project, _ = quotient_algebra(A, annihilator(A))
     P = np.array([project(b.coords) for b in A.basis()], dtype=np.int64).reshape(A.dim, Aq.dim)

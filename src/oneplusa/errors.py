@@ -53,11 +53,6 @@ class NotInvariant(VerificationFailed):
         super().__init__("conjugation-invariance", witness)
 
 
-class NotWellDefined(VerificationFailed):
-    def __init__(self, witness=None):
-        super().__init__("pairing-well-defined", witness)
-
-
 class NotBilinear(VerificationFailed):
     def __init__(self, witness=None):
         super().__init__("pairing-bilinear", witness)

@@ -4,8 +4,8 @@ The group commutator of 1+x and 1+y collapses to 1+[x, y] once y sits deep
 enough in the power filtration; the additivity and scaling defects of that
 commutator, computed over Z and Z[lam] with no modular shortcuts, vanish in
 all word degrees <= m.  Over a finite field the same statements are checked
-by brute force at the level of the quotient Q = (1+A^m)/(1+A, 1+A^m), with
-no character theory involved: the pairing is scanned and checked once per
+at the level of the quotient Q = (1+A^m)/(1+A, 1+A^m), with
+no character theory involved: the pairing is tabulated and checked once per
 group and level (gutkin.quotient_pairing), and each zeta is only checked to
 be a character of Q, given as exponents mod e (the chars format for linear
 characters, no Cyclotomic values).  The explorer at the bottom measures
@@ -145,7 +145,7 @@ def scaling_defect_check(m):
 
 
 def finite_pairing_check(algebra, m, zeta, cap=DEFAULT_GROUP_CAP):
-    """Brute-force check, independent of any character table, that the
+    """Check, independent of any character table, that the
     commutator map factors through (A/A^2) x (A^(m-1)/A^m) into the finite
     quotient Q = (1+A^m)/(1+A, 1+A^m) and is bilinear there (verified once
     per group and level by quotient_pairing); then that zeta (exponents mod

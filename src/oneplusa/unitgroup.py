@@ -372,10 +372,14 @@ class UnitGroup(FiniteGroupTable):
 
     # -- multiplication table ----------------------------------------------------
 
-    @property
-    def table(self):
+    def check_table_cap(self):
+        """CapExceeded unless the Cayley table may be built."""
         if self.order > TABLE_CAP:
             raise CapExceeded(f"group order {self.order} exceeds table cap {TABLE_CAP}")
+
+    @property
+    def table(self):
+        self.check_table_cap()
         return self.memo("table", self._build_table)
 
     def _build_table(self):

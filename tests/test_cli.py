@@ -541,6 +541,17 @@ def test_unknown_target_exits_two(capsys):
     assert "unknown target" in err
 
 
+def test_table_cap_is_checked_before_the_inflation_chain(monkeypatch, capsys):
+    # the cap names the group asked for, and no quotient of the chain down
+    # from 1 + A/Ann(A) is built or solved first
+    orders = _count_unit_groups(monkeypatch)
+    code, out, err = run(capsys, "chartable", "ul(5,3)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: group order 59049 exceeds table cap 4096\n"
+    assert orders == [59049]
+
+
 def test_cap_error_exits_two(capsys):
     code, _, err = run(capsys, "chartable", "free(3,2,3)", "--cap", "100")
     assert code == 2

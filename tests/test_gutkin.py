@@ -61,6 +61,7 @@ from oneplusa.nilalg import (
     FieldRing,
     Subspace,
     free_nilpotent,
+    is_ideal,
     is_subalgebra,
     strictly_upper_triangular,
 )
@@ -339,6 +340,163 @@ def test_pairing_scalar_swap_beyond_prime_field():
             assert pairing.value(lx, y) == pairing.value(x, ly)
 
 
+# -- the pairing and the descent ideals against their exhaustive scans --------
+
+
+def _quotient_matrix(Qs):
+    # the projection W -> W/V as a (dim A x dim W/V) matrix over GF(q):
+    # V.reduce(e_t) read off at the complement pivots
+    A = Qs.algebra
+    return np.array(
+        [[Qs.sub.reduce(e)[p] for p in Qs.pivots] for e in A.basis()], dtype=np.int64
+    ).reshape(A.dim, len(Qs.pivots))
+
+
+def _scan_quotient_pairing(group, m):
+    # the reference for quotient_pairing: every g in 1+A against every h in
+    # 1+A^(m-1), asserting that each commutator lies in 1+A^m, that its
+    # class in Q depends only on g mod 1+A^2 and h mod 1+A^m, and that every
+    # point of the table is covered; returns values, Q and to_q
+    A, field = group.algebra, group.field
+    Sm = power_subgroup(group, m)
+    Q, to_q, _ = Sm.quotient(commutator_subgroup(power_subgroup(group, 1), Sm).indices)
+    dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
+    cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
+    garr = np.arange(group.order)
+    present, first, block = np.unique(
+        map_indices(field, garr, _quotient_matrix(dom)), return_index=True, return_inverse=True
+    )
+    values = np.full((field.q ** dom.dim, field.q ** cod.dim), -1, dtype=np.int64)
+    hs = power_subgroup(group, m - 1).indices
+    for h, y in zip(hs.tolist(), map_indices(field, hs, _quotient_matrix(cod)).tolist()):
+        qv = to_q[group.comm(garr, h)]
+        assert (qv >= 0).all(), ("outside 1+A^m", h)
+        col = qv[first]
+        assert (qv == col[block]).all(), ("depends on g beyond g mod 1+A^2", h)
+        seen = values[present, y]
+        assert ((seen < 0) | (seen == col)).all(), ("depends on h beyond h mod 1+A^m", h)
+        values[present, y] = col
+    assert (values >= 0).all(), "a point of the table is not covered"
+    return values, Q, to_q
+
+
+PROOF_TARGETS = [e.name for e in BUILTIN if e.summary()["group_order"] <= 1024]
+
+
+@pytest.mark.parametrize(
+    "target,reverse",
+    [(t, False) for t in PROOF_TARGETS] + [("ul(4,2)", True), ("ul(3,3)", True)],
+)
+def test_pairing_and_ideals_match_their_scans(monkeypatch, target, reverse):
+    # quotient_pairing from coset representatives against the exhaustive
+    # scan, and the descent ideals by containment against the product scan
+    # is_ideal, at every (group, m) and every build_ideals call of the
+    # descents of every character
+    pairings, ideals = [], []
+    real_pairing, real_ideals = gutkin._quotient_pairing, gutkin.build_ideals
+
+    def recording_pairing(group, m):
+        data = real_pairing(group, m)
+        pairings.append((group, m, data))
+        return data
+
+    def recording_ideals(phi, line):
+        A1, U = real_ideals(phi, line)
+        ideals.append((phi.pairing.group.algebra, phi.pairing.m, A1, U))
+        return A1, U
+
+    monkeypatch.setattr(gutkin, "_quotient_pairing", recording_pairing)
+    monkeypatch.setattr(gutkin, "build_ideals", recording_ideals)
+    A = resolve(target)
+    G = UnitGroup(_reversed_basis(A) if reverse else A)
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    assert pairings and ideals
+    for group, m, data in pairings:
+        values, Q, to_q = _scan_quotient_pairing(group, m)
+        assert np.array_equal(data["values"], values), (group.order, m)
+        assert np.array_equal(data["Q"].table, Q.table)
+        assert np.array_equal(data["to_q"], to_q)
+    for alg, m, A1, U in ideals:
+        assert gutkin._between_powers(alg, A1, 2, 1) == is_ideal(alg, A1)
+        assert gutkin._between_powers(alg, U, m, m - 1) == is_ideal(alg, U)
+
+
+@pytest.mark.parametrize("target", ["ul(3,2)", "ul(3,3)"])
+def test_between_powers_implies_ideal(target):
+    # the containment verdict is sound on every subspace, and each of its
+    # two containments is needed: dropping either admits a non-ideal
+    A = resolve(target)
+    needed = set()
+    for k in range(A.dim + 1):
+        for rows in _all_subspaces(A, k):
+            S = Subspace.from_vectors(A, rows)
+            ideal = is_ideal(A, S)
+            for low, high in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
+                lower = S.contains_subspace(A.power_subspace(low))
+                upper = A.power_subspace(high).contains_subspace(S)
+                assert gutkin._between_powers(A, S, low, high) == (lower and upper)
+                if lower and upper:
+                    assert ideal, (rows, low, high)
+                if not ideal:
+                    needed.add("lower" if upper else "upper" if lower else None)
+    assert {"lower", "upper"} <= needed
+
+
+def test_build_ideals_rejects_a_line_above_its_level():
+    # the pairing of U(3, 2) at m = 2 relabelled as level 3: the preimage of
+    # the line is span{e12} + A^3, which lies outside A^2 and is no ideal
+    G = ul_group(3, 2)
+    m, zeta = minimal_scalar_level(character_table(G).chars[-1])
+    good = commutator_pairing(G, m, zeta)
+    phi = phi_map(PairingTable(G, m + 1, good.dom, good.cod, good.values))
+    with pytest.raises(VerificationFailed) as err:
+        build_ideals(phi, choose_line(phi))
+    assert (err.value.stage, err.value.witness) == ("descent-ideal", "U")
+    assert not is_ideal(G.algebra, Subspace.from_vectors(G.algebra, [good.cod.rep((1, 0)).coords]))
+
+
+def test_pairing_rests_on_the_commutator_theorem(monkeypatch):
+    # a failed containment (1+A^2, 1+A^(m-1)) <= (1+A, 1+A^m) stops the
+    # pairing with the element outside as witness
+    calls = []
+
+    def failing(group, m, n):
+        calls.append((m, n))
+        return False, 7
+
+    monkeypatch.setattr(gutkin, "check_commutator_theorem", failing)
+    with pytest.raises(VerificationFailed) as err:
+        gutkin.quotient_pairing(ul_group(4, 2), 3)
+    assert (err.value.stage, err.value.witness) == ("pairing-well-defined", 7)
+    assert calls == [(2, 2)]
+
+
+def test_pairing_rejects_a_representative_outside_its_level(monkeypatch):
+    # a representative of A^2/A^3 replaced by 1 + x with x outside A^2: its
+    # commutators leave 1 + A^3, and the representative pair is the witness
+    G = ul_group(4, 2)
+    A = G.algebra
+    dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
+    cod = QuotientSpace(A, A.power_subspace(3), A.power_subspace(2))
+    stray = int(G.span_indices(dom.rows)[1])
+    real = G.span_indices
+
+    def span_indices(rows):
+        out = real(rows)
+        if rows == cod.rows:
+            out = out.copy()
+            out[1] = stray
+        return out
+
+    monkeypatch.setattr(G, "span_indices", span_indices)
+    with pytest.raises(VerificationFailed) as err:
+        gutkin.quotient_pairing(G, 3)
+    assert err.value.stage == "pairing-level-containment"
+    g, h = err.value.witness
+    assert h == stray and g in real(dom.rows).tolist()
+
+
 def test_additive_characters():
     # psi_a(t) = psi(a t) with psi the standard character: a -> psi_a
     # identifies the field with its own dual; values are zeta_p^(exponent)
@@ -359,9 +517,9 @@ def test_additive_characters():
 
 @pytest.mark.parametrize("q", [4, 9])
 def test_coordinate_arrays_match_ring_arithmetic(q):
-    # the array layer (span_indices behind from_subspace and std_group, the
-    # QuotientSpace matrix) against scalar ring arithmetic at every element,
-    # over fields where multiplication is not reduction mod p
+    # the array layer (span_indices behind from_subspace, std_group and the
+    # pairing's coset representatives) against scalar ring arithmetic at
+    # every element, over fields where multiplication is not reduction mod p
     A = strictly_upper_triangular(3, gf(q))
     G = UnitGroup(A)
     ops = A.ring.linalg_ops()
@@ -380,9 +538,10 @@ def test_coordinate_arrays_match_ring_arithmetic(q):
         W = power_subgroup(G, high)
         Qs = QuotientSpace(A, A.power_subspace(low), A.power_subspace(high))
         points = Qs.all_coords()
-        ids = map_indices(G.field, W.indices, Qs.matrix)
-        for n, t in zip(W.indices.tolist(), ids.tolist()):
-            assert points[t] == Qs.project(G.coords_of_index(n))
+        reps = G.span_indices(Qs.rows)  # the coset representatives of the pairing
+        assert W.mask[reps].all()
+        for n, point in zip(reps.tolist(), points):
+            assert Qs.project(G.coords_of_index(n)) == point
 
 
 # -- subgroups in place against their standalone copies -----------------------

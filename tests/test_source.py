@@ -104,3 +104,27 @@ def test_one_cache_policy():
                     found.append(f"{path.name}:{node.lineno} .{target.attr}")
     assert not found, found
     assert len(memos) == 1, memos
+
+
+def _raised_name(node):
+    """The name of the class a raise statement raises, or None."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def test_every_error_class_is_raised():
+    # an exception class in errors.py that nothing in the package raises is
+    # dead code, and a reader would look for a check that is not there
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = {n.name for n in errors.body if isinstance(n, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_raised_name(node))
+    assert len(defined) >= 10
+    assert sorted(defined - raised) == []

@@ -817,23 +817,45 @@ def _lift_lines(group, lines, l, w0_pow):
 # linear characters straight from the abelianization
 
 
+def _power_table(Q):
+    """pw[t, x] = x^t for t below the exponent E of Q, and the order of
+    every element, from one power loop over all elements at once, as in
+    FiniteGroupTable.exponent: x^k = pw[k mod E, x] for every k."""
+    x = np.arange(Q.order)
+    rows, orders = [np.zeros_like(x)], np.zeros_like(x)
+    cur, t = x, 1
+    while True:
+        orders[(cur == 0) & (orders == 0)] = t
+        if orders.all():
+            return np.array(rows), orders
+        rows.append(cur)
+        cur, t = Q.mul(cur, x), t + 1
+
+
 def _cyclic_decomposition(Q):
     """Generators, orders and full coordinates for a finite abelian group
-    table: every element is uniquely prod_i g_i^(a_i)."""
+    table: every element is uniquely prod_i g_i^(a_i).
+
+    g is the first element of the largest order m, the rest is the
+    decomposition of Q/<g>, and each of its generators is lifted to an
+    element h of the same order (peeling: h^mi = g^t needs mi | t, and
+    h g^(-t/mi) is the lift).  The coordinates of every x follow: the
+    image of x in Q/<g> gives the exponents a_i of the lifts, x prod_i
+    h_i^(-a_i) must be a power of g, and the coordinates must multiply back
+    to x.  All powers are read off _power_table, so the coordinates of all
+    elements are found and checked in array operations."""
     if Q.order == 1:
         return [], [], np.zeros((1, 0), dtype=np.int64)
     qgens = np.asarray(Q.generator_indices(), dtype=np.int64)
     bad = np.argwhere(Q.comm(qgens[:, None], qgens[None, :]))
     if len(bad):
         raise VerificationFailed("abelian-quotient", witness=tuple(qgens[bad[0]].tolist()))
-    orders = [Q.order_of(x) for x in range(Q.order)]
-    m = max(orders)
-    g = orders.index(m)
-    powers = {}
-    x = 0
-    for t in range(m):
-        powers[x] = t
-        x = int(Q.mul(x, g))
+    pw, orders = _power_table(Q)
+    E = len(pw)
+    g = int(orders.argmax())
+    m = int(orders[g])
+    log_g = np.full(Q.order, -1, dtype=np.int64)  # g^t -> t
+    log_g[pw[:m, g]] = np.arange(m)
     C = Q.subgroup_closure([g])
     if len(C) != m:
         raise VerificationFailed("cyclic-closure", witness=(g, m, len(C)))
@@ -842,31 +864,31 @@ def _cyclic_decomposition(Q):
     lifted = []
     for gi, mi in zip(gens2, orders2):
         h = int(reps2[gi])
-        t = powers[Q.power_of(h, mi)]
+        t = int(log_g[pw[mi % E, h]])
         if t % mi:
             raise VerificationFailed("peeling-divisibility", witness=(h, mi, t))
-        h = int(Q.mul(h, Q.power_of(g, (-(t // mi)) % m)))
-        if Q.order_of(h) != mi:
-            raise VerificationFailed("peeling-order", witness=(h, mi, Q.order_of(h)))
+        h = int(Q.mul(h, pw[(-(t // mi)) % m, g]))
+        if orders[h] != mi:
+            raise VerificationFailed("peeling-order", witness=(h, mi, int(orders[h])))
         lifted.append(h)
-    gens = [g] + lifted
-    orders_out = [m] + list(orders2)
-    exps = np.zeros((Q.order, len(gens)), dtype=np.int64)
-    for x in range(Q.order):
-        rest = exps2[proj2[x]]
-        y = x
-        for h, a, mi in zip(lifted, rest, orders2):
-            y = int(Q.mul(y, Q.power_of(h, (-int(a)) % mi)))
-        if y not in powers:
-            raise VerificationFailed("peeling-cyclic-part", witness=(x, y))
-        exps[x] = [powers[y]] + [int(a) for a in rest]
-        # reconstruction check: the coordinates really multiply back to x
-        z = Q.power_of(g, int(exps[x, 0]))
-        for h, a in zip(lifted, exps[x, 1:]):
-            z = int(Q.mul(z, Q.power_of(h, int(a))))
-        if z != x:
-            raise VerificationFailed("peeling-reconstruction", witness=(x, z))
-    return gens, orders_out, exps
+    x = np.arange(Q.order)
+    rest = exps2[proj2]
+    y = x
+    for i, (h, mi) in enumerate(zip(lifted, orders2)):
+        y = Q.mul(y, pw[(-rest[:, i]) % mi, h])
+    first = log_g[y]
+    # reconstruction check: the coordinates really multiply back to x
+    z = pw[first, g]
+    for i, h in enumerate(lifted):
+        z = Q.mul(z, pw[rest[:, i], h])
+    lost = first < 0
+    bad = np.nonzero(lost | (z != x))[0]
+    if len(bad):
+        b = int(bad[0])
+        if lost[b]:
+            raise VerificationFailed("peeling-cyclic-part", witness=(b, int(y[b])))
+        raise VerificationFailed("peeling-reconstruction", witness=(b, int(z[b])))
+    return [g] + lifted, [m] + list(orders2), np.concatenate([first[:, None], rest], axis=1)
 
 
 def linear_characters(H):
@@ -971,7 +993,7 @@ def mackey_irreducible(rho, H):
     G = H.group
     ind = induce(rho, H)
     by_inner = ind.inner(ind) == 1
-    if not G.is_normal(H.indices) or rho.inner(rho) != 1:
+    if not H.is_normal() or rho.inner(rho) != 1:
         # the inertia criterion below needs rho irreducible and H normal
         return by_inner
     Hg, emb, sub_of = H.std_group

@@ -9,7 +9,9 @@ of the central character, the commutator pairing on (A/A^2) x (A^(m-1)/A^m)
 with all three of its bilinearity laws, the ideals cut out by the induced
 linear map, and the extension lemma for 1 + U (nonempty, a single
 conjugation orbit, stabilizer exactly 1 + A_1), checked on the generator
-columns of 1 + U, which fix a linear character of it (extension_set).  The
+columns of 1 + U, which fix a linear character of it, with everything that
+does not read the central character built once per group and U
+(extension_set).  The
 extension lemma makes the next character a Clifford projection: the part of
 chi on 1 + A_1 that lies over one extension, read off chi's own values with
 no character table of 1 + A_1 (clifford_constituent).  The pairing is
@@ -70,6 +72,8 @@ from .unitgroup import (
     commutator_subgroup,
     digits,
     field_tables,
+    orbit_labels,
+    polynomial_basis,
     power_subgroup,
     subspace_subgroup,
     undigits,
@@ -185,7 +189,6 @@ def quotient_pairing(group, m):
 def _quotient_pairing(group, m):
     A = group.algebra
     field = group.field
-    q = field.q
     Sm = power_subgroup(group, m)
     K = commutator_subgroup(power_subgroup(group, 1), Sm)
     if not Sm.mask[K.indices].all():
@@ -198,7 +201,6 @@ def _quotient_pairing(group, m):
 
     dom = QuotientSpace(A, A.power_subspace(2), A.power_subspace(1))
     cod = QuotientSpace(A, A.power_subspace(m), A.power_subspace(m - 1))
-    xs, ys = dom.all_coords(), cod.all_coords()
     gx, hy = group.span_indices(dom.rows), group.span_indices(cod.rows)
     values = to_q[group.comm(gx[:, None], hy[None, :])]
     bad = np.argwhere(values < 0)
@@ -206,20 +208,49 @@ def _quotient_pairing(group, m):
         i, j = bad[0]
         raise VerificationFailed("pairing-level-containment", witness=(int(gx[i]), int(hy[j])))
 
+    _check_bilinear(Q, values, field, dom.dim, cod.dim)
+    return {"dom": dom, "cod": cod, "Sm": Sm, "Q": Q, "to_q": to_q, "values": values}
+
+
+def _check_bilinear(Q, values, field, dx, dy):
+    """NotBilinear unless the table values (Q indices, one row per point x
+    of GF(q)^dx and one column per point y of GF(q)^dy, in base-q order)
+    is additive in x, additive in y, and has C(lam*x, y) = C(x, lam*y).
+
+    Additivity is checked on an F_p-basis only: f(0, y) = 1 and
+    f(x + b, y) = f(x, y) f(b, y) for every x and y and every b in the basis
+    x^s e_i (s < k) of GF(p^k)^dx over F_p.  That gives all of it, by
+    induction on the number of basis vectors in a sum: let S be the set of
+    x with f(x + z, y) = f(x, y) f(z, y) for every z and y.  0 lies in S
+    as f(0, y) = 1.  If x lies in S, so does x + b: f(x + b + z, y) =
+    f(x + z, y) f(b, y) = f(x, y) f(z, y) f(b, y) = f(x + b, y) f(z, y), by
+    the basis check at x + z, then at x, in the abelian Q (it is a
+    quotient of 1+A^m by a subgroup containing (1+A^m, 1+A^m)).  Every
+    point is a sum of basis vectors, so S is everything; y likewise.  A
+    failure names its stage and the triple (x, x', y) or (x, y, y') whose
+    product law fails.  The scalar swap is checked for every lam."""
+    q = field.q
     add_t, mul_t = field_tables(field)
-    X = np.array(xs, dtype=np.int64)
-    Y = np.array(ys, dtype=np.int64)
-    xsum = undigits(add_t[X[:, None], X[None, :]], q)
-    ysum = undigits(add_t[Y[:, None], Y[None, :]], q)
-    for i, row in enumerate(values):
-        bad = np.argwhere(values[xsum[i]] != Q.mul(row, values))
+    X = digits(np.arange(q ** dx), q, dx)
+    Y = digits(np.arange(q ** dy), q, dy)
+    xs, ys = [tuple(x) for x in X.tolist()], [tuple(y) for y in Y.tolist()]
+    bad = np.nonzero(values[0] != 0)[0]
+    if len(bad):
+        raise NotBilinear(("additive-in-x", xs[0], xs[0], ys[bad[0]]))
+    for b in _prime_basis(field, dx):
+        bad = np.argwhere(values[undigits(add_t[X, X[b]], q)] != Q.mul(values, values[b]))
         if len(bad):
-            j, t = bad[0]
-            raise NotBilinear(("additive-in-x", xs[i], xs[j], ys[t]))
-        bad = np.argwhere(row[ysum] != Q.mul(row[:, None], row[None, :]))
+            i, t = bad[0]
+            raise NotBilinear(("additive-in-x", xs[i], xs[b], ys[t]))
+    bad = np.nonzero(values[:, 0] != 0)[0]
+    if len(bad):
+        raise NotBilinear(("additive-in-y", xs[bad[0]], ys[0], ys[0]))
+    for b in _prime_basis(field, dy):
+        bad = np.argwhere(values[:, undigits(add_t[Y, Y[b]], q)]
+                          != Q.mul(values, values[:, b, None]))
         if len(bad):
-            s, t = bad[0]
-            raise NotBilinear(("additive-in-y", xs[i], ys[s], ys[t]))
+            i, t = bad[0]
+            raise NotBilinear(("additive-in-y", xs[i], ys[t], ys[b]))
     lam = np.arange(q)[:, None, None]
     xscale = undigits(mul_t[lam, X[None]], q)
     yscale = undigits(mul_t[lam, Y[None]], q)
@@ -229,7 +260,10 @@ def _quotient_pairing(group, m):
             i, j = bad[0]
             raise NotBilinear(("scalar-swap", t, xs[i], ys[j]))
 
-    return {"dom": dom, "cod": cod, "Sm": Sm, "Q": Q, "to_q": to_q, "values": values}
+
+def _prime_basis(field, d):
+    """Base-q indices of the F_p-basis x^s e_i (s < k, i < d) of GF(p^k)^d."""
+    return [c * field.q ** (d - 1 - i) for i in range(d) for c in polynomial_basis(field)]
 
 
 def quotient_character(group, m, zeta):
@@ -453,9 +487,12 @@ def extension_set(group, U, m, zeta, A1):
     member is exactly 1 + A1.  The precondition that zeta kills every
     commutator of 1 + U is checked first.
 
-    These checks run on the generator columns gens = SU.generator_indices(),
-    which generate 1 + U (_span_generators checks their closure); only the
-    match with zeta reads every column of 1 + A^m:
+    Everything that does not depend on zeta is built once per (group, U)
+    (_extension_data): the generators gens = SU.generator_indices() of 1 + U
+    (_span_generators checks that they generate it) and their commutators,
+    the linear characters of 1 + U, the closure check, and the partition of
+    those characters into orbits under 1 + A.  Per character only the
+    checks that read zeta or A1 remain:
     - Precondition: only commutators of pairs of generators are formed.
       (1+U, 1+U) is the normal closure in 1 + U of those commutators, and
       ker zeta is normal in 1 + A: commutator_pairing, through
@@ -466,46 +503,107 @@ def extension_set(group, U, m, zeta, A1):
     - Closure of 1 + U under conjugation: each generator s of 1 + U is
       conjugated by each generator g of 1 + A, as in
       FiniteGroupTable.is_normal; the witness is the pair (g, s).
-    - Orbit, extension set and stabilizer: a linear character lambda of
-      1 + U is fixed by its values on gens, and its conjugate by g takes
-      the value lambda(g^-1 s g) at s.  So row g of P = g^-1 gens g gives
-      the conjugate by g, and g stabilizes lambda exactly when
-      lambda[P[g]] == lambda[gens]."""
+    - Orbit: a linear character lambda of 1 + U is fixed by its values on
+      gens, and its conjugate by g takes the value lambda(g^-1 s g) at s, so
+      each generator of 1 + A permutes the characters, and the orbits of 1 + A
+      are those of the group the permutations generate.  The extensions
+      must be exactly the orbit of the first one (MultipleOrbits with the
+      two sizes otherwise).
+    - Stabilizer, proved rather than scanned.  The orbit of lambda =
+      exts[0] has |G| / |Stab(lambda)| members.  If the generators of
+      1 + A1 fix lambda, then 1 + A1 <= Stab(lambda), and if moreover
+      |orbit| |1 + A1| = |G|, the two have the same order, so
+      Stab(lambda) = 1 + A1.  Every other member is a conjugate lambda^g,
+      whose stabilizer is g^-1 Stab(lambda) g, and that is 1 + A1 again
+      when 1 + A1 is normal (Subgroup.is_normal, once per (group, A1)).
+      Only when one of these three checks fails are the stabilizers
+      scanned, g against every member, to find the WrongStabilizer
+      witness (t, g): the member t and the first g on which its stabilizer
+      and 1 + A1 differ."""
+    data = _extension_data(group, U)
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
-    SA1 = subspace_subgroup(group, A1)
-    gens = np.array(SU.generator_indices(), dtype=np.int64)
-    cs = group.commutator_values(gens, gens)
+    cs = data["cs"]
     bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
     if len(bad):
         raise VerificationFailed("extension-precondition", witness=int(bad[0]))
 
-    lins = linear_characters(SU)
-    exts = lins[(lins[:, Sm.indices] == zeta[Sm.indices]).all(axis=1)]
-    if not len(exts):
+    lins, s = data["lins"], Sm.indices  # lins over the indices of 1 + U
+    hit = np.zeros(len(lins), dtype=bool)  # none, unless 1 + A^m <= 1 + U
+    if SU.mask[s].all():
+        hit = (lins[:, np.searchsorted(SU.indices, s)] == zeta[s]).all(axis=1)
+    idx = np.nonzero(hit)[0]
+    if not len(idx):
         raise EmptyExtensionSet((m, U.rows))
 
-    ggens = np.array(group.generator_indices(), dtype=np.int64)
-    outside = np.argwhere(~SU.mask[group.conj(gens[None, :], ggens[:, None])])
-    if len(outside):
-        i, j = outside[0]
-        raise VerificationFailed(
-            "extension-conjugation-closure", witness=(int(ggens[i]), int(gens[j]))
-        )
+    if data["outside"] is not None:
+        raise VerificationFailed("extension-conjugation-closure", witness=data["outside"])
 
-    P = group.conj(gens[None, :], np.arange(group.order)[:, None])  # g^-1 gens g
-    orbit = np.unique(exts[0][P], axis=0)
-    ext_set = np.unique(exts[:, gens], axis=0)
-    if not np.array_equal(orbit, ext_set):
-        raise MultipleOrbits((len(orbit), len(ext_set)))
+    orbit = np.nonzero(data["orbits"] == data["orbits"][idx[0]])[0]
+    if not np.array_equal(orbit, idx):
+        raise MultipleOrbits((len(orbit), len(idx)))
 
-    for t, vec in enumerate(exts):
-        stab = (vec[P] == vec[gens][None, :]).all(axis=1)
-        if not (stab == SA1.mask).all():
-            g = int(np.nonzero(stab != SA1.mask)[0][0])
-            raise WrongStabilizer((t, g))
+    SA1 = subspace_subgroup(group, A1)
+    gens, at = data["gens"], data["at"]
+    lam = lins[idx[0]]
+    moved = group.conj(gens[None, :], np.array(SA1.generator_indices())[:, None])
+    proved = ((lam[np.searchsorted(SU.indices, moved)] == lam[at]).all()
+              and len(idx) * SA1.order == group.order
+              and SA1.is_normal())
+    if not proved:
+        P = np.searchsorted(SU.indices, group.conj(gens[None, :], np.arange(group.order)[:, None]))
+        for t, vec in enumerate(lins[idx]):
+            stab = (vec[P] == vec[at][None, :]).all(axis=1)
+            if not (stab == SA1.mask).all():
+                g = int(np.nonzero(stab != SA1.mask)[0][0])
+                raise WrongStabilizer((t, g))
 
+    exts = np.full((len(idx), group.order), -1, dtype=np.int64)
+    exts[:, SU.indices] = lins[idx]
     return exts
+
+
+def _extension_data(group, U):
+    """The zeta-free half of extension_set, built once per (group, U) and
+    kept in the group's memo: gens, the generators of 1 + U, and at, their
+    positions among its indices; cs, their commutators; lins, the linear
+    characters of 1 + U on its own indices only; outside, the first pair
+    (g, s) of a generator g of 1 + A and s of gens with g^-1 s g outside
+    1 + U, or None; and orbits, the least row index in the orbit of each
+    row of lins (unitgroup.orbit_labels), when 1 + U is closed.  A row's
+    conjugate by g is the row whose values on gens are its values at
+    g^-1 gens g, one permutation of the rows per generator of 1 + A."""
+    def build():
+        SU = subspace_subgroup(group, U)
+        gens = np.array(SU.generator_indices(), dtype=np.int64)
+        at = np.searchsorted(SU.indices, gens)
+        lins = linear_characters(SU)[:, SU.indices]
+        data = {"gens": gens, "at": at, "cs": group.commutator_values(gens, gens),
+                "lins": lins, "outside": None, "orbits": None}
+        ggens = np.array(group.generator_indices(), dtype=np.int64)
+        moved = group.conj(gens[None, :], ggens[:, None])
+        outside = np.argwhere(~SU.mask[moved])
+        if len(outside):
+            i, j = outside[0]
+            data["outside"] = (int(ggens[i]), int(gens[j]))
+            return data
+        # the rows on gens and their images, as keys of one 1-D unique
+        images = lins[:, np.searchsorted(SU.indices, moved)].transpose(1, 0, 2)
+        rows = np.concatenate([lins[:, at][None], images])
+        flat = np.ascontiguousarray(rows.reshape(-1, len(gens)))
+        _, key = np.unique(flat.view(np.dtype((np.void, flat.itemsize * len(gens)))).ravel(),
+                           return_inverse=True)
+        key = key.reshape(len(rows), len(lins))
+        row_of = np.full(key.max() + 1, -1, dtype=np.int64)
+        row_of[key[0]] = np.arange(len(lins))
+        moves = row_of[key[1:]]
+        bad = np.argwhere(moves < 0)
+        if len(bad):  # a conjugate that is no linear character of 1 + U
+            k, i = bad[0]
+            raise VerificationFailed("extension-conjugate-character", witness=(int(ggens[k]), int(i)))
+        data["orbits"] = orbit_labels(moves, len(lins))
+        return data
+    return group.memo(("extension", U.rows), build)
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +866,6 @@ def _apply_functional(f, coords, ring):
         if not (ring.is_zero(fc) or ring.is_zero(c)):
             s = ring.add(s, ring.mul(fc, c))
     return s
-
-
-def _bracket_value(algebra, f, x, y):
-    return _apply_functional(f, (x * y - y * x).coords, algebra.ring)
 
 
 def _gram(algebra, f):

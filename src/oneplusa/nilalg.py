@@ -712,6 +712,30 @@ def is_subalgebra(algebra, space):
     return all(space.contains(x * y) for x in els for y in els)
 
 
+def adapted_rows(algebra, rows):
+    """A basis of the span B of rows (field coordinates) adapted to the
+    filtration B n A^k: for every k the rows lying in A^k span B n A^k
+    modulo B n A^(k+1).  Rows are taken deepest power first, each one only
+    if the rows before it do not span it, as _ideal_flag in gutkin does.
+    B n A^k is read off the null space of the rows of B and A^k stacked:
+    sum_i a_i b_i + sum_j c_j p_j = 0 puts sum_i a_i b_i in both."""
+    ops = algebra.ring.linalg_ops()
+    rows = [tuple(int(c) for c in r) for r in rows]
+    taken = []
+    cur = Subspace.from_vectors(algebra, [])
+    for k in range(algebra.nilpotency_index - 1, 0, -1):
+        both = rows + list(algebra.power_subspace(k).rows)
+        null = linalg.nullspace(
+            [[r[c] for r in both] for c in range(algebra.dim)], len(both), ops
+        )
+        for coeffs in null:
+            v = linalg.combine(coeffs[:len(rows)], rows, ops, algebra.dim)
+            if not cur.contains(v):
+                taken.append(v)
+                cur = Subspace.from_vectors(algebra, taken)
+    return taken
+
+
 def annihilator(algebra):
     """Ann(A) = {x : xA = Ax = 0}, a two-sided ideal, built once per
     algebra as one null space: x e_j = 0 and e_j x = 0 for every basis

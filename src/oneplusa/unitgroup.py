@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotASubgroup, NotNormal
 from .exactfield import FIELD_TABLE_CAP
-from .nilalg import Memoized, subalgebra_algebra
+from .nilalg import Memoized, adapted_rows, subalgebra_algebra
 
 DEFAULT_GROUP_CAP = 2 ** 20
 TABLE_CAP = 4096
@@ -227,14 +227,6 @@ class FiniteGroupTable(Memoized):
         """Indices of a generating set."""
         return self._generators
 
-    def order_of(self, x):
-        n = 1
-        y = x
-        while y != 0:
-            y = int(self.mul(y, x))
-            n += 1
-        return n
-
     def exponent(self):
         """The least e with x^e = 1 for every x, found by powering all
         elements at once until they reach the identity together."""
@@ -286,16 +278,6 @@ class FiniteGroupTable(Memoized):
             self, np.arange(self.order), self.generator_indices(), normal_indices
         )
 
-    def power_of(self, x, n):
-        y = 0
-        b = x
-        while n:
-            if n & 1:
-                y = int(self.mul(y, b))
-            b = int(self.mul(b, b))
-            n >>= 1
-        return y
-
 
 def _quotient(group, members, gens, normal_indices):
     """H/K for the subgroup H of group with sorted indices members and
@@ -314,20 +296,68 @@ def _quotient(group, members, gens, normal_indices):
     return FiniteGroupTable(qtable, qgens), proj, reps
 
 
-def _span_generators(group, rows, members):
-    """1 + x^t r for x^t (t < k) over the polynomial basis of GF(p^k) and r
-    over rows, which span B: generators of 1 + B, whose sorted indices
-    members must be their closure (NotASubgroup) when the table exists."""
-    field, n = group.field, len(rows)
+def orbit_labels(moves, n):
+    """label[i] = the least index in the orbit of i, for the group generated
+    by the permutations moves of 0..n-1 (index arrays), by min-label
+    propagation: each index takes the least label among itself and its
+    images, labels are followed to their own label (pointer jumping), and
+    this repeats until nothing changes.  A label only ever moves within
+    its orbit; at the end it is constant along every permutation, hence on
+    the orbit, and the least index of an orbit keeps its own."""
+    label = np.arange(n)
+    while True:
+        new = label
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def polynomial_basis(field):
+    """Indices of 1, x, ..., x^(k-1), the basis of GF(p^k) over F_p."""
     xs, x = [], field.one
     for _ in range(field.k):
         xs.append(x.index)
         x = x * field.gen
+    return xs
+
+
+def _row_generators(group, rows):
+    # 1 + x^t r for x^t (t < k) over the polynomial basis of GF(p^k)
+    field, n = group.field, len(rows)
+    xs = polynomial_basis(field)
     coeffs = np.outer(xs, field.q ** np.arange(n - 1, -1, -1, dtype=np.int64)).ravel()
     matrix = np.array(rows, dtype=np.int64).reshape(n, group.algebra.dim)
-    gens = map_indices(field, coeffs, matrix).tolist()
+    return map_indices(field, coeffs, matrix).tolist()
+
+
+def _span_generators(group, rows, members):
+    """1 + x^t r for x^t (t < k) over the polynomial basis of GF(p^k) and r
+    over rows, which span B: generators of 1 + B, whose sorted indices
+    members must be their closure (NotASubgroup) when the table exists.
+
+    Rows that span B need not give generators: in F_3[e]/(e^3) with the
+    basis f1 = e, f2 = 2e + e^2, 1 + f2 = (1 + f1)^2.  When the closure
+    falls short, the generators are taken again from rows adapted to the
+    filtration B n A^k (nilalg.adapted_rows), and those generate 1 + B.
+    By downward induction on k, 1 + (B n A^k) lies in the subgroup H they
+    generate.  Let r_i be the rows in A^k, which span B n A^k modulo
+    B n A^(k+1), and b in B n A^k: b = sum_i c_i r_i + b' with b' in
+    B n A^(k+1) and c_i = sum_t a_it x^t, a_it in F_p.  Then
+    h = prod_(i,t) (1 + x^t r_i)^(a_it) is 1 + s with s = sum_i c_i r_i + w,
+    w a sum of products of two or more rows, in A^(2k) <= A^(k+1).  So
+    h^-1 (1 + b) = 1 + (1 + s)^-1 (b' - w), and as A^(k+1) is an ideal this
+    lies in 1 + A^(k+1), and in 1 + B with h and 1 + b, hence in
+    1 + (B n A^(k+1)) <= H.  The closure is still checked.  Rows that
+    already generate are kept, so adapted bases never reach the retry."""
+    gens = _row_generators(group, rows)
     if group.order <= TABLE_CAP:
         closure = group.subgroup_closure(gens)
+        if not np.array_equal(closure, members):
+            gens = _row_generators(group, adapted_rows(group.algebra, rows))
+            closure = group.subgroup_closure(gens)
         if not np.array_equal(closure, members):
             raise NotASubgroup(f"generators span {len(closure)} of {len(members)} elements")
     return gens
@@ -454,16 +484,7 @@ class UnitGroup(FiniteGroupTable):
 
     def _class_partition(self):
         x = np.arange(self.order)
-        moves = [self.conj(x, g) for g in self.generator_indices()]
-        label = x
-        while True:
-            new = label
-            for move in moves:
-                new = np.minimum(new, new[move])
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
+        label = orbit_labels([self.conj(x, g) for g in self.generator_indices()], self.order)
         firsts, which, sizes = np.unique(label, return_inverse=True, return_counts=True)
         order = np.lexsort((firsts, sizes))
         rank = np.empty_like(order)
@@ -539,6 +560,10 @@ class Subgroup(Memoized):
             "generators",
             lambda: _span_generators(self.group, self._subspace().rows, self.indices),
         )
+
+    def is_normal(self):
+        """Is H normal in its ambient group?  Built once per subgroup."""
+        return self.memo("normal", lambda: self.group.is_normal(self.indices))
 
     def quotient(self, normal_indices):
         """H/K on ambient indices, as FiniteGroupTable.quotient (see _quotient)."""

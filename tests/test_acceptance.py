@@ -20,7 +20,6 @@ from oneplusa.errors import CapExceeded
 from oneplusa.exactfield import gf
 from oneplusa.gutkin import (
     _all_subspaces,
-    _bracket_value,
     commutator_pairing,
     find_polarization,
     minimal_scalar_level,
@@ -34,6 +33,7 @@ from oneplusa.identities import (
 from oneplusa.linalg import rref
 from oneplusa.nilalg import Subspace, is_subalgebra, strictly_upper_triangular
 from oneplusa.unitgroup import check_commutator_theorem, unit_group_of
+from test_gutkin import _bracket_value
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oneplusa"
 

@@ -50,7 +50,7 @@ from oneplusa.nilalg import (
 from oneplusa.unitgroup import Subgroup, UnitGroup, power_subgroup
 from test_gutkin import _reversed_basis
 from test_nilalg import _with_null
-from test_unitgroup import _random_basis
+from test_unitgroup import _order_of, _power_of, _random_basis
 
 
 def ul_group(n, q):
@@ -609,6 +609,86 @@ def test_linear_characters_are_homomorphisms():
     y = np.arange(1, G.order, 7)[None, :]
     for row in linear_characters(power_subgroup(G, 1)):
         assert (row[G.mul(x, y)] == (row[x] + row[y]) % e).all()
+
+
+def _reference_cyclic_decomposition(Q):
+    # the reference for chars._cyclic_decomposition: element orders one at
+    # a time, and the peeling and reconstruction element by element
+    if Q.order == 1:
+        return [], [], np.zeros((1, 0), dtype=np.int64)
+    qgens = np.asarray(Q.generator_indices(), dtype=np.int64)
+    bad = np.argwhere(Q.comm(qgens[:, None], qgens[None, :]))
+    if len(bad):
+        raise VerificationFailed("abelian-quotient", witness=tuple(qgens[bad[0]].tolist()))
+    orders = [_order_of(Q, x) for x in range(Q.order)]
+    m = max(orders)
+    g = orders.index(m)
+    powers = {}
+    x = 0
+    for t in range(m):
+        powers[x] = t
+        x = int(Q.mul(x, g))
+    C = Q.subgroup_closure([g])
+    if len(C) != m:
+        raise VerificationFailed("cyclic-closure", witness=(g, m, len(C)))
+    Q2, proj2, reps2 = Q.quotient(C)
+    gens2, orders2, exps2 = _reference_cyclic_decomposition(Q2)
+    lifted = []
+    for gi, mi in zip(gens2, orders2):
+        h = int(reps2[gi])
+        t = powers[_power_of(Q, h, mi)]
+        if t % mi:
+            raise VerificationFailed("peeling-divisibility", witness=(h, mi, t))
+        h = int(Q.mul(h, _power_of(Q, g, (-(t // mi)) % m)))
+        if _order_of(Q, h) != mi:
+            raise VerificationFailed("peeling-order", witness=(h, mi, _order_of(Q, h)))
+        lifted.append(h)
+    gens = [g] + lifted
+    orders_out = [m] + list(orders2)
+    exps = np.zeros((Q.order, len(gens)), dtype=np.int64)
+    for x in range(Q.order):
+        rest = exps2[proj2[x]]
+        y = x
+        for h, a, mi in zip(lifted, rest, orders2):
+            y = int(Q.mul(y, _power_of(Q, h, (-int(a)) % mi)))
+        if y not in powers:
+            raise VerificationFailed("peeling-cyclic-part", witness=(x, y))
+        exps[x] = [powers[y]] + [int(a) for a in rest]
+        z = _power_of(Q, g, int(exps[x, 0]))
+        for h, a in zip(lifted, exps[x, 1:]):
+            z = int(Q.mul(z, _power_of(Q, h, int(a))))
+        if z != x:
+            raise VerificationFailed("peeling-reconstruction", witness=(x, z))
+    return gens, orders_out, exps
+
+
+@pytest.mark.parametrize(
+    "target", [e.name for e in BUILTIN if e.summary()["group_order"] <= 1024] + ["ul(5,2)"]
+)
+def test_cyclic_decomposition_matches_the_elementwise_reference(monkeypatch, target):
+    # every abelian group decomposed on the way: H/(H, H) for every 1 + U of
+    # the descents, G/(G, G) and the center of the oracle, and the
+    # quotients the recursion peels off them
+    seen = []
+    real = chars._cyclic_decomposition
+
+    def recording(Q):
+        out = real(Q)
+        seen.append((Q, out))
+        return out
+
+    monkeypatch.setattr(chars, "_cyclic_decomposition", recording)
+    from oneplusa.gutkin import gutkin_decompose
+
+    G = UnitGroup(resolve(target))
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    assert len({Q.order for Q, _ in seen}) > 2
+    for Q, (gens, orders, exps) in seen:
+        ref_gens, ref_orders, ref_exps = _reference_cyclic_decomposition(Q)
+        assert (gens, orders) == (ref_gens, ref_orders)
+        assert all(type(v) is int for v in gens + orders)
+        assert exps.dtype == np.int64 and np.array_equal(exps, ref_exps)
 
 
 # -- induction and restriction --------------------------------------------------

@@ -17,6 +17,7 @@ from oneplusa import cli
 from oneplusa.chars import CellRows
 from oneplusa.errors import VerificationFailed
 from oneplusa.nilalg import Algebra
+from test_unitgroup import _skew_truncated_polynomial
 
 
 def run(capsys, *argv):
@@ -369,6 +370,23 @@ def test_decompose(capsys):
     assert top["degree"] == 2
     assert top["bottom_dim"] == 2
     assert top["chain"] == [[[1, 0, 0], [0, 0, 1]]]
+
+
+def test_a_basis_not_adapted_to_the_powers_decomposes(tmp_path, capsys):
+    # F_3[e]/(e^3) in the basis e, 2e + e^2: its basis rows generate only
+    # <1 + e>, and chartable and decompose once exited 1 with NotASubgroup
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(_skew_truncated_polynomial().to_json()))
+    code, out, _ = run(capsys, "chartable", str(path))
+    assert code == 0
+    assert json.loads(out)["degrees"] == [1] * 9
+    code, out, _ = run(capsys, "decompose", str(path))
+    assert code == 0
+    d = json.loads(out)
+    _, want, _ = run(capsys, "decompose", "free(3,1,3)")
+    assert d["degrees"] == json.loads(want)["degrees"]
+    assert len(d["certificates"]) == 9
+    assert all(c["verified"] for c in d["certificates"])
 
 
 def test_verify_gutkin_suite(capsys):

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from oneplusa import gutkin
+from oneplusa import gutkin, unitgroup
 from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.chars import (
     ClassFunction,
@@ -28,6 +28,7 @@ from oneplusa.errors import (
     EmptyExtensionSet,
     MultipleOrbits,
     NoLineFound,
+    NotBilinear,
     NotLinear,
     NotInvariant,
     SearchExhausted,
@@ -39,7 +40,7 @@ from oneplusa.gutkin import (
     PairingTable,
     QuotientSpace,
     _all_subspaces,
-    _bracket_value,
+    _apply_functional,
     _gram,
     _is_polarization,
     build_ideals,
@@ -69,11 +70,14 @@ from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
     commutator_subgroup,
+    digits,
+    field_tables,
     map_indices,
     power_subgroup,
     subspace_subgroup,
+    undigits,
 )
-from test_unitgroup import _scan_commutator_subgroup
+from test_unitgroup import _random_basis, _scan_commutator_subgroup, _skew_truncated_polynomial
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -380,6 +384,46 @@ def _scan_quotient_pairing(group, m):
     return values, Q, to_q
 
 
+def _reference_bilinear(Q, values, field, dx, dy):
+    # the reference for gutkin._check_bilinear: additivity compared on the
+    # whole table, every row of x against every x and every pair of y
+    q = field.q
+    add_t, mul_t = field_tables(field)
+    X = digits(np.arange(q ** dx), q, dx)
+    Y = digits(np.arange(q ** dy), q, dy)
+    xs, ys = [tuple(x) for x in X.tolist()], [tuple(y) for y in Y.tolist()]
+    xsum = undigits(add_t[X[:, None], X[None, :]], q)
+    ysum = undigits(add_t[Y[:, None], Y[None, :]], q)
+    for i, row in enumerate(values):
+        bad = np.argwhere(values[xsum[i]] != Q.mul(row, values))
+        if len(bad):
+            j, t = bad[0]
+            raise NotBilinear(("additive-in-x", xs[i], xs[j], ys[t]))
+        bad = np.argwhere(row[ysum] != Q.mul(row[:, None], row[None, :]))
+        if len(bad):
+            s, t = bad[0]
+            raise NotBilinear(("additive-in-y", xs[i], ys[s], ys[t]))
+    lam = np.arange(q)[:, None, None]
+    xscale = undigits(mul_t[lam, X[None]], q)
+    yscale = undigits(mul_t[lam, Y[None]], q)
+    for t in range(q):
+        bad = np.argwhere(values[xscale[t]] != values[:, yscale[t]])
+        if len(bad):
+            i, j = bad[0]
+            raise NotBilinear(("scalar-swap", t, xs[i], ys[j]))
+
+
+def _bilinear_verdict(check, Q, values, field, dx, dy):
+    # None when the table passes, else the kind of law that failed
+    try:
+        check(Q, values, field, dx, dy)
+    except NotBilinear as err:
+        stage = err.witness[0]
+        assert stage in ("additive-in-x", "additive-in-y", "scalar-swap")
+        return "scalar-swap" if stage == "scalar-swap" else "additive"
+    return None
+
+
 PROOF_TARGETS = [e.name for e in BUILTIN if e.summary()["group_order"] <= 1024]
 
 
@@ -417,9 +461,56 @@ def test_pairing_and_ideals_match_their_scans(monkeypatch, target, reverse):
         assert np.array_equal(data["values"], values), (group.order, m)
         assert np.array_equal(data["Q"].table, Q.table)
         assert np.array_equal(data["to_q"], to_q)
+        shape = (data["Q"], values, group.field, data["dom"].dim, data["cod"].dim)
+        assert _bilinear_verdict(_reference_bilinear, *shape) is None
     for alg, m, A1, U in ideals:
         assert gutkin._between_powers(alg, A1, 2, 1) == is_ideal(alg, A1)
         assert gutkin._between_powers(alg, U, m, m - 1) == is_ideal(alg, U)
+
+
+@pytest.mark.parametrize("target,m", [("ul(3,4)", 2), ("ul(4,2)", 3), ("ul(4,3)", 2), ("ul(3,9)", 2)])
+def test_bilinearity_on_a_basis_agrees_with_the_full_tables(target, m):
+    # the F_p-basis check against the whole-table loops on tampered tables:
+    # one entry changed (at the origin, on an axis, inside), a row or a
+    # column of Q's generator added, and the x coordinates put through the
+    # Frobenius t -> t^p, which keeps additivity and breaks the scalar swap
+    # over GF(p^k), k > 1
+    G = UnitGroup(resolve(target))
+    data = gutkin.quotient_pairing(G, m)
+    Q, good, field = data["Q"], data["values"], G.field
+    dx, dy, q = data["dom"].dim, data["cod"].dim, field.q
+    assert Q.order > 1 and good.any()
+    g = max(Q.generator_indices())  # not the identity 0
+    tables = [good]
+    for i, t in [(0, 0), (0, 1), (1, 0), (q + 1, q ** dy - 1), (q ** dx - 1, 2)]:
+        bad = good.copy()
+        bad[i, t] = Q.mul(bad[i, t], g)
+        tables.append(bad)
+    row, col = good.copy(), good.copy()
+    row[1] = Q.mul(row[1], g)
+    col[:, 1] = Q.mul(col[:, 1], g)
+    tables += [row, col]
+    frob = np.array([f.index for f in (x ** field.p for x in field.elements)])
+    X = digits(np.arange(q ** dx), q, dx)
+    tables.append(good[undigits(frob[X], q)])
+    if q == 3:
+        # times g^(phi(x_1) y_1) with phi(c) = [c != 0]: additive in y and
+        # along every basis vector of x but the first, where 1 + 1 = 2 has
+        # phi = 1, not 2; over F_2 every such phi is additive
+        Y = digits(np.arange(q ** dy), q, dy)
+        gp = [0, g, Q.mul(g, g)]
+        assert Q.mul(gp[2], g) == 0
+        twist = np.array(gp)[(X[:, 0] != 0)[:, None] * Y[None, :, 0] % 3]
+        tables.append(Q.mul(good, twist))
+    verdicts = []
+    for values in tables:
+        ref = _bilinear_verdict(_reference_bilinear, Q, values, field, dx, dy)
+        new = _bilinear_verdict(gutkin._check_bilinear, Q, values, field, dx, dy)
+        assert ref == new
+        verdicts.append(new)
+    assert verdicts[0] is None and verdicts[1:8] == ["additive"] * 7
+    assert verdicts[8] == ("scalar-swap" if field.k > 1 else None)
+    assert verdicts[9:] == (["additive"] if q == 3 else [])
 
 
 @pytest.mark.parametrize("target", ["ul(3,2)", "ul(3,3)"])
@@ -764,6 +855,7 @@ def _reversed_basis(A):
     [
         ("ul(3,3)", False, 2), ("ul(4,2)", False, 10), ("free(2,2,3)", False, 8),
         ("ul(4,3)", False, 36), ("ul(3,4)", True, 3), ("ul(4,2)", True, 10),
+        ("ul(5,2)", False, 78), ("free(3,2,3)", False, 54),
     ],
 )
 def test_extension_set_matches_the_full_column_checks(
@@ -785,6 +877,30 @@ def test_extension_set_matches_the_full_column_checks(
     assert len(calls) == steps
     for group, U, m, zeta, A1, exts in calls:
         assert np.array_equal(exts, _full_column_extension_set(group, U, m, zeta, A1))
+
+
+@pytest.mark.parametrize("target", ["ul(3,2)", "ul(3,3)", "ul(4,2)", "free(2,2,3)"])
+def test_extension_set_on_every_line_matches_the_full_column_checks(target):
+    # the first step of every character, on every line the descent could
+    # have chosen, not only the first: there 1 + A1 need not hold the first
+    # generator of 1 + A, so the orbits need every generator's permutation
+    G = UnitGroup(resolve(target))
+    q = G.field.q
+    lines = 0
+    for chi in character_table(G).chars:
+        if chi.degree_int() == 1:
+            continue
+        m, zeta = minimal_scalar_level(chi)
+        phi = phi_map(commutator_pairing(G, m, zeta))
+        dy = phi.pairing.cod.dim
+        for v in digits(np.arange(1, q ** dy), q, dy):
+            if not gutkin._line_image(phi, v).any():
+                continue
+            A1, U = build_ideals(phi, tuple(v.tolist()))
+            want = _full_column_extension_set(G, U, m, zeta, A1)
+            assert np.array_equal(extension_set(G, U, m, zeta, A1), want)
+            lines += 1
+    assert lines > 0
 
 
 @pytest.mark.parametrize("target", ["ul(4,2)", "free(2,2,3)", "ul(4,3)"])
@@ -876,6 +992,137 @@ def test_extension_set_rejects_a_wrong_stabilizer():
     assert t == 0 and not subspace_subgroup(G, A1).mask[g]
 
 
+def test_extension_set_rejects_a_conjugate_outside_the_linear_characters(monkeypatch):
+    # with one extension missing from the linear characters of 1 + U, the
+    # conjugate of the other has no row to map to
+    G, U, m, zeta, A1 = _stabilizer_case()
+    missing = extension_set(G, U, m, zeta, A1)[1]
+    real = gutkin.linear_characters
+    monkeypatch.setattr(gutkin, "linear_characters",
+                        lambda H: real(H)[(real(H) != missing).any(axis=1)])
+    G, U, m, zeta, A1 = _stabilizer_case()
+    with pytest.raises(VerificationFailed) as err:
+        extension_set(G, U, m, zeta, A1)
+    assert err.value.stage == "extension-conjugate-character"
+    assert err.value.witness[0] in G.generator_indices()
+
+
+def test_extension_work_is_built_once_per_group_and_u(monkeypatch):
+    # decompose ul(4,3) makes 36 extension steps over 4 distinct (group, U):
+    # the linear characters of 1 + U are built once for each
+    steps, built = [], []
+    real_ext, real_lins = gutkin.extension_set, gutkin.linear_characters
+
+    def recording(group, U, m, zeta, A1):
+        steps.append((id(group), U.rows))
+        return real_ext(group, U, m, zeta, A1)
+
+    def counting(H):
+        built.append((id(H.group), H.subspace.rows))
+        return real_lins(H)
+
+    monkeypatch.setattr(gutkin, "extension_set", recording)
+    monkeypatch.setattr(gutkin, "linear_characters", counting)
+    G = UnitGroup(resolve("ul(4,3)"))
+    for chi in character_table(G).chars:
+        gutkin_decompose(chi)
+    assert len(steps) == 36
+    assert sorted(built) == sorted(set(steps)) and len(built) == 4
+
+
+def _stabilizer_case():
+    # the first step of the degree-2 character of ul(3,2): A1 is one of the
+    # three codimension-one ideals containing A^2 = span{e13}
+    G = ul_group(3, 2)
+    m, zeta = minimal_scalar_level(character_table(G).chars[-1])
+    phi = phi_map(commutator_pairing(G, m, zeta))
+    A1, U = build_ideals(phi, choose_line(phi))
+    return G, U, m, zeta, A1
+
+
+def test_extension_set_rejects_an_ideal_that_moves_the_first_extension():
+    # another codimension-one ideal: normal and of the right order, but its
+    # generators move exts[0], so the stabilizer proof fails and the scan
+    # finds the member and the element
+    G, U, m, zeta, A1 = _stabilizer_case()
+    A = G.algebra
+    others = [Subspace.from_vectors(A, [r, (0, 0, 1)]) for r in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    others = [B for B in others if B != A1]
+    assert len(others) == 2
+    for B in others:
+        SB = subspace_subgroup(G, B)
+        assert SB.is_normal() and SB.order == subspace_subgroup(G, A1).order
+        err = _both_fail((G, U, m, zeta, B), WrongStabilizer)
+        t, g = err.witness
+        assert t == 0 and SB.mask[g] != subspace_subgroup(G, A1).mask[g]
+
+
+def test_extension_set_rejects_a_stabilizer_of_the_wrong_order():
+    # 1 + A^2 lies in the stabilizer of every extension, and is normal, but
+    # it is too small: |orbit| |1 + A^2| = 4 < 8
+    G, U, m, zeta, A1 = _stabilizer_case()
+    err = _both_fail((G, U, m, zeta, G.algebra.power_subspace(2)), WrongStabilizer)
+    t, g = err.witness
+    assert t == 0 and subspace_subgroup(G, A1).mask[g]
+
+
+def test_extension_set_rejects_a_stabilizer_that_is_not_normal():
+    # in ul(4,2), U = span{e12, e13, e14} is an ideal and zeta the nontrivial
+    # character of 1 + A^3 = 1 + span{e14}: the four extensions form one
+    # orbit, and 1 + B, B = span{e12, e23, e13, e14}, is exactly the
+    # stabilizer of the first.  But 1 + B is not normal (1 + e34 moves
+    # 1 + e23 to 1 + e23 + e24), so the others have other stabilizers
+    G = ul_group(4, 2)
+    A = G.algebra
+    unit = np.eye(6, dtype=np.int64).tolist()
+    U = Subspace.from_vectors(A, [unit[0], unit[3], unit[5]])
+    B = Subspace.from_vectors(A, [unit[0], unit[1], unit[3], unit[5]])
+    S3 = power_subgroup(G, 3)
+    zeta = np.full(G.order, -1)
+    zeta[S3.indices] = [0 if G.coords_of_index(s)[5] == 0 else 2 for s in S3.indices.tolist()]
+    SB, SU = subspace_subgroup(G, B), subspace_subgroup(G, U)
+    assert not SB.is_normal()
+    lins = linear_characters(SU)
+    first = lins[(lins[:, S3.indices] == zeta[S3.indices]).all(axis=1)][0]
+    P = G.conj(SU.indices[None, :], np.arange(G.order)[:, None])
+    assert np.array_equal((first[P] == first[SU.indices]).all(axis=1), SB.mask)
+    err = _both_fail((G, U, 3, zeta, B), WrongStabilizer)
+    t, g = err.witness
+    assert t > 0
+
+
+# -- bases that are not adapted to the power filtration -------------------------
+
+
+def test_non_adapted_bases_decompose_like_their_adapted_ones(monkeypatch):
+    # the skew F_3[e]/(e^3) and seeded random bases: the same degrees as the
+    # catalog basis, every certificate verified, and the generators of some
+    # groups and subgroups on the way taken from adapted rows
+    retried = []
+    real = unitgroup.adapted_rows
+
+    def recording(A, rows):
+        retried.append(A)
+        return real(A, rows)
+
+    monkeypatch.setattr(unitgroup, "adapted_rows", recording)
+    cases = [("free(3,1,3)", _skew_truncated_polynomial())]
+    cases += [(t, _random_basis(resolve(t), seed))
+              for t, seed in (("ul(3,3)", 5), ("ul(3,3)", 6), ("ul(4,2)", 1), ("ul(4,2)", 2),
+                              ("free(2,1,4)", 5))]
+    took = []
+    for target, A in cases:
+        before = len(retried)
+        want = sorted(character_table(UnitGroup(resolve(target))).degrees)
+        G = UnitGroup(A)
+        report = verify_gutkin_all(G)
+        assert sorted(character_table(G).degrees) == want
+        assert sorted(e["degree"] for e in report["entries"]) == want
+        assert report["verified"] == report["characters"] == len(want)
+        took.append(len(retried) > before)
+    assert took == [True, True, False, False, False, True]
+
+
 # -- whole-table sweeps --------------------------------------------------------
 
 
@@ -948,6 +1195,11 @@ def test_polarization_heisenberg():
     A = strictly_upper_triangular(3, gf(2))
     B = find_polarization(A, (0, 0, 1))
     assert B.rows == ((1, 0, 0), (0, 0, 1))  # span{e12, e13}
+
+
+def _bracket_value(algebra, f, x, y):
+    # f(xy - yx) from two algebra products: the reference for _gram
+    return _apply_functional(f, (x * y - y * x).coords, algebra.ring)
 
 
 def _isotropic_subalgebra(alg, f, space):

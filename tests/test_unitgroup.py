@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oneplusa import chars, cli, gutkin, unitgroup
+from oneplusa import chars, cli, gutkin, nilalg, unitgroup
 from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.chars import character_table
 from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
@@ -315,6 +315,38 @@ def test_generators_scale_each_row_by_the_field_basis():
         bad.generator_indices()
 
 
+def _skew_truncated_polynomial():
+    # F_3[e]/(e^3) in the basis f1 = e, f2 = 2e + e^2, which is not adapted
+    # to the power filtration: 1 + f2 = (1 + f1)^2
+    sc = {(0, 0): ((0, 1), (1, 1)), (0, 1): ((0, 2), (1, 2)),
+          (1, 0): ((0, 2), (1, 2)), (1, 1): ((0, 1), (1, 1))}
+    return Algebra(FieldRing(gf(3)), 2, sc, labels=["f1", "f2"])
+
+
+def test_generators_come_from_adapted_rows_when_the_basis_falls_short(monkeypatch):
+    # the basis rows of the skew F_3[e]/(e^3) generate only <1 + e>; the
+    # retry takes rows adapted to A > A^2 > 0 (one in A^2 = span{e^2}), and
+    # those generate the group.  An adapted basis never reaches the retry.
+    A = _skew_truncated_polynomial()
+    G = UnitGroup(A)
+    eye = np.eye(2, dtype=np.int64)
+    assert len(G.subgroup_closure(unitgroup._row_generators(G, eye))) == 3
+    rows = nilalg.adapted_rows(A, eye)
+    square = A.power_subspace(2)
+    assert square.dim == 1 and sum(map(square.contains, rows)) == 1
+    assert Subspace.from_vectors(A, rows) == A.power_subspace(1)
+    assert np.array_equal(G.subgroup_closure(G.generator_indices()), np.arange(9))
+    assert G.generator_indices() == unitgroup._row_generators(G, rows)
+
+    def refuse(*args):
+        raise AssertionError("an adapted basis took the retry")
+
+    monkeypatch.setattr(unitgroup, "adapted_rows", refuse)
+    for target in ("free(3,1,3)", "ul(4,2)", "free(2,2,3)", "ul(3,4)"):
+        H = UnitGroup(resolve(target))
+        assert len(H.subgroup_closure(H.generator_indices())) == H.order
+
+
 def test_points_order_first_row_most_significant():
     # from_subspace and std_group enumerate 1+B in the base-q order of the
     # coefficients on the rows of B, first row most significant
@@ -353,6 +385,26 @@ def test_quotient_by_center():
         G.quotient(H)
 
 
+def _order_of(G, x):
+    # the order of x, one product at a time
+    n, y = 1, x
+    while y != 0:
+        y = int(G.mul(y, x))
+        n += 1
+    return n
+
+
+def _power_of(G, x, n):
+    # x^n by repeated squaring
+    y, b = 0, x
+    while n:
+        if n & 1:
+            y = int(G.mul(y, b))
+        b = int(G.mul(b, b))
+        n >>= 1
+    return y
+
+
 @pytest.mark.parametrize(
     "make,expected",
     [(lambda: ul(3, 2), 4), (lambda: ul(3, 3), 3), (lambda: ul(4, 2), 4),
@@ -363,7 +415,7 @@ def test_exponent_is_the_lcm_of_element_orders(make, expected):
     G = make()
     lcm = 1
     for x in range(G.order):
-        lcm = np.lcm(lcm, G.order_of(x))
+        lcm = np.lcm(lcm, _order_of(G, x))
     assert G.exponent() == lcm == expected
 
 

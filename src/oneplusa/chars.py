@@ -195,14 +195,14 @@ def _choose_prime(order, exponent):
         l += exponent
 
 
-def _split_class_algebra(matrices, blocks, l, r=None):
+def _split_class_algebra(matrices, blocks, l, r):
     """Split the span of blocks into common left eigenlines of the class
     matrices, taken in order (each transposed: N[k, j] = a_ijk), and return
     one vector per line.  The blocks are subspaces of F_ell^c (c classes)
     in reduced row echelon form, each the span of the eigenlines it meets,
     and their dimensions must sum to r, the number of lines to find
-    (RuntimeError otherwise): by default c, for all of F_ell^c as one block
-    or _center_blocks, and fewer for what _character_rows leaves of those;
+    (RuntimeError otherwise): c for all of F_ell^c as one block or for
+    _center_blocks, and fewer for what _character_rows leaves of those;
     a one-row block is a line at once.  A
     live block is a subspace in RREF, invariant under every matrix seen so
     far; each matrix restricts to R on it, and the eigenspaces of R become
@@ -211,7 +211,6 @@ def _split_class_algebra(matrices, blocks, l, r=None):
     block on which R is scalar is kept as it is; every block is still
     checked to be invariant (RuntimeError otherwise: the matrices do not
     commute)."""
-    r = blocks[0].shape[1] if r is None else r
     dims = [len(B) for B in blocks]
     if sum(dims) != r:
         raise RuntimeError(f"split seeded with blocks of dimensions {dims}, not summing to {r}")
@@ -603,13 +602,12 @@ def _center_characters(group):
     return Z, linear_characters(Subgroup(group, Z, subspace=space, verify=False))[:, Z]
 
 
-def _center_blocks(group, w0_pow, center=None):
+def _center_blocks(group, w0_pow, center):
     """The blocks V_mu that seed the split, one per character mu of the
-    center Z (center is _center_characters(group), computed here if not
-    given), and the least class of each Z-orbit of classes, in increasing
-    order.  The first orbit is Z itself, with least class 0, and mu(z) =
-    w0_pow[t], w0^t mod ell for the exponent t (w0 a primitive e-th root
-    of unity).
+    center Z (center is _center_characters(group)), and the least class of
+    each Z-orbit of classes, in increasing order.  The first orbit is Z
+    itself, with least class 0, and mu(z) = w0_pow[t], w0^t mod ell for the
+    exponent t (w0 a primitive e-th root of unity).
 
     Z acts on the classes by K_k -> z K_k = K_zk, and for every irreducible
     chi with central character mu_chi, omega_chi(K_zk) = mu_chi(z)
@@ -627,7 +625,7 @@ def _center_blocks(group, w0_pow, center=None):
     matrices of a Z-orbit are scalar multiples of each other, and those of
     Z are scalars: the split needs one class matrix per non-central orbit,
     at its least class, and none of Z."""
-    Z, mus = _center_characters(group) if center is None else center
+    Z, mus = center
     r = len(group.class_sizes)
     reps = np.array(group.class_reps(), dtype=np.int64)
     vals = w0_pow[mus]

@@ -394,43 +394,39 @@ def _build_parser():
     common.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
                         help="largest group order to enumerate")
     common.add_argument("--out", help="write reports into this directory")
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for the random-functional polarization "
                         "sampling")
 
-    sc = sub.add_parser("catalog", parents=[common],
-                        help="list the built-in algebras")
-    sc.set_defaults(func=cmd_catalog, format="text")
-    sc = sub.add_parser("show", parents=[common],
-                        help="algebra summary and serialization")
-    sc.add_argument("target")
-    sc.set_defaults(func=cmd_show, format="text")
-    sc = sub.add_parser("chartable", parents=[common],
-                        help="character table as JSON or CSV")
-    sc.add_argument("target")
-    sc.set_defaults(func=cmd_chartable)
-    sc = sub.add_parser("decompose", parents=[common],
-                        help="monomial certificates for every irreducible")
-    sc.add_argument("target")
-    sc.set_defaults(func=cmd_decompose)
-    sc = sub.add_parser("verify", parents=[common],
-                        help="run a verification suite against a target")
+    def command(name, func, formats, summary):
+        """A subcommand whose --format takes only the formats it renders,
+        the first of them by default."""
+        sc = sub.add_parser(name, parents=[common], help=summary)
+        sc.add_argument("--format", choices=formats, default=formats[0])
+        sc.set_defaults(func=func)
+        return sc
+
+    command("catalog", cmd_catalog, ("text", "json"), "list the built-in algebras")
+    command("show", cmd_show, ("text", "json"),
+            "algebra summary and serialization").add_argument("target")
+    command("chartable", cmd_chartable, ("json", "csv"),
+            "character table as JSON or CSV").add_argument("target")
+    command("decompose", cmd_decompose, ("json",),
+            "monomial certificates for every irreducible").add_argument("target")
+    sc = command("verify", cmd_verify, ("json",),
+                 "run a verification suite against a target")
     sc.add_argument("target")
     sc.add_argument("--suite", choices=sorted(SUITES) + ["all"],
                     default="all")
-    sc.set_defaults(func=cmd_verify)
-    sc = sub.add_parser("halasi-explore", parents=[common],
-                        help="orders of the derived-intersection comparison "
-                        "in a free algebra over a finite field")
+    sc = command("halasi-explore", cmd_halasi, ("json",),
+                 "orders of the derived-intersection comparison "
+                 "in a free algebra over a finite field")
     sc.add_argument("q", type=int, help="field size")
     sc.add_argument("gens", type=_int_at_least(0), help="number of generators")
     sc.add_argument("nil_index", type=_int_at_least(1),
                     help="products of this many factors vanish")
     sc.add_argument("k", type=_int_at_least(2),
                     help="filtration level to compare at (at least 2)")
-    sc.set_defaults(func=cmd_halasi)
     return p
 
 

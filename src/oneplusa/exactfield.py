@@ -16,7 +16,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .errors import CapExceeded, DivisionByZero, NotPrime, VerificationFailed
 
 FIELD_ORDER_CAP = 2 ** 16
@@ -392,18 +391,6 @@ def trace(a):
     if any(s.coeffs[1:]):
         raise VerificationFailed("trace-prime-field", witness=(a.index, s.coeffs))
     return s.coeffs[0]
-
-
-def field_ops(field):
-    """linalg adapter working on element indices."""
-    return linalg.FieldOps(
-        zero=0,
-        one=1,
-        add=field.add_idx,
-        neg=field.neg_idx,
-        mul=field.mul_idx,
-        inv=field.inv_idx,
-    )
 
 
 # ---------------------------------------------------------------------------

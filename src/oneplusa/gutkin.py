@@ -15,13 +15,14 @@ does not read the central character built once per group and U
 extension lemma makes the next character a Clifford projection: the part of
 chi on 1 + A_1 that lies over one extension, read off chi's own values with
 no character table of 1 + A_1 (clifford_constituent).  The pairing is
-computed once per group and level from coset representatives, with values in
-the finite quotient Q = (1+A^m)/(1+A, 1+A^m) and no character involved; the
-paper's containment (1+A^2, 1+A^(m-1)) <= (1+A, 1+A^m) makes it well defined
-(quotient_pairing), and each central character then only has to be checked
-to be a character of Q.  Violations surface as VerificationFailed with a
-witness, so the module doubles as a falsification harness for the theorem it
-implements.
+computed once per group and level from coset representatives, on the
+quotient spaces A/A^2 and A^(m-1)/A^m (nilalg.QuotientSpace), with values
+in the finite quotient Q = (1+A^m)/(1+A, 1+A^m) and no character involved;
+the paper's containment (1+A^2, 1+A^(m-1)) <= (1+A, 1+A^m) makes it well
+defined (quotient_pairing), and each central character then only has to be
+checked to be a character of Q.  Violations surface as VerificationFailed
+with a witness, so the module doubles as a falsification harness for the
+theorem it implements.
 
 Linear characters (zeta, its extensions to 1 + U, the pairing values, the
 additive character psi) are int64 exponent arrays in the chars format:
@@ -65,7 +66,7 @@ from .errors import (
     WrongStabilizer,
 )
 from .exactfield import Cyclotomic, FieldElement, trace
-from .nilalg import AlgebraElement, Subspace, is_subalgebra
+from .nilalg import QuotientSpace, Subspace, adapted_rows, is_subalgebra
 from .unitgroup import (
     check_commutator_theorem,
     combine,
@@ -78,60 +79,6 @@ from .unitgroup import (
     subspace_subgroup,
     undigits,
 )
-
-
-# ---------------------------------------------------------------------------
-# quotient spaces W / V with a canonical complement basis
-
-
-class QuotientSpace:
-    """W / V for nested subspaces V <= W of a finite-field algebra.
-
-    The complement basis is canonical: the rows of W reduced modulo V and
-    re-echelonized, so two runs always agree.  Quotient coordinates are
-    field element indices relative to that basis."""
-
-    __slots__ = ("algebra", "sub", "sup", "rows", "pivots")
-
-    def __init__(self, algebra, sub, sup):
-        if not sup.contains_subspace(sub):
-            raise ValueError("quotient needs nested subspaces")
-        ops = algebra.ring.linalg_ops()
-        reduced = [sub.reduce(r) for r in sup.rows]
-        rows, pivots = linalg.rref(
-            [r for r in reduced if any(not ops.is_zero(c) for c in r)], ops
-        )
-        self.algebra = algebra
-        self.sub = sub
-        self.sup = sup
-        self.rows = rows
-        self.pivots = pivots
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def project(self, v):
-        """Quotient coordinates of v (an element or coords); v must lie in W."""
-        red = self.sub.reduce(v)
-        coords = linalg.coords_in_rowspace(
-            red, self.rows, self.pivots, self.algebra.ring.linalg_ops()
-        )
-        if coords is None:
-            raise ValueError("vector outside the numerator subspace")
-        return coords
-
-    def rep(self, coords):
-        """The canonical coset representative with these quotient coordinates."""
-        ops = self.algebra.ring.linalg_ops()
-        return AlgebraElement(
-            self.algebra, linalg.combine(coords, self.rows, ops, self.algebra.dim)
-        )
-
-    def all_coords(self):
-        q = self.algebra.ring.field.q
-        points = digits(np.arange(q ** self.dim), q, self.dim)
-        return [tuple(c) for c in points.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -892,27 +839,6 @@ def _restrict(G, rows, ops):
     return [[_apply_functional(v, gw, ops) for gw in GW] for v in rows]
 
 
-def _ideal_flag(algebra):
-    """Rows W of a complete flag of two-sided ideals refining the power
-    chain: span(W[:j]) is the j-th ideal.  Rows are taken deepest power
-    first, and anything between A^(k+1) and A^k is an ideal since both
-    A.A^k and A^k.A land in A^(k+1).  Each row lies outside the span of
-    the rows before it, so W[:j] is a basis of the j-th ideal, and the form
-    restricted there is the leading j x j block of W G W^T.  Built once per
-    algebra."""
-    def build():
-        taken = []
-        cur = Subspace.from_vectors(algebra, [])
-        for k in range(algebra.nilpotency_index - 1, 0, -1):
-            for row in algebra.power_subspace(k).rows:
-                if cur.contains(row):
-                    continue
-                taken.append(row)
-                cur = Subspace.from_vectors(algebra, taken)
-        return taken
-    return algebra.memo("ideal_flag", build)
-
-
 def _is_polarization(algebra, G, space, target):
     if space.dim != target:
         return False
@@ -950,15 +876,18 @@ def find_polarization(algebra, f):
 
     The form is one Gram matrix G, read off the structure constants
     (_gram).  The candidate is the sum of the radicals of the form restricted
-    to each ideal of a complete flag refining the power chain.  With W the
-    flag rows (_ideal_flag), M = W G W^T is computed once: span(W[:j]) is the
-    j-th flag ideal, so the radical there is the nullspace of M[:j, :j]
-    lifted through W[:j].  A radical is a subspace, whatever basis spans the
-    ideal, and Subspace.from_vectors returns the canonical RREF of the sum,
-    so the candidate does not depend on the basis used for each ideal.
-    Isotropy (W G W^T = 0 on the candidate's rows), multiplicative closure
-    and the dimension formula are all checked, and if any fails the search
-    falls back to full subspace enumeration (practical to dim 4)."""
+    to each ideal of a complete flag refining the power chain.  The flag
+    rows W are nilalg.adapted_rows of the identity, built once per algebra:
+    rows taken deepest power first, each outside the span of those before
+    it, so span(W[:j]) is the j-th flag ideal; anything between A^(k+1) and
+    A^k is an ideal, since A.A^k and A^k.A lie in A^(k+1).  M = W G W^T is
+    computed once, and the radical on the j-th ideal is the nullspace of
+    M[:j, :j] lifted through W[:j].  A radical is a subspace, whatever basis
+    spans the ideal, and Subspace.from_vectors returns the canonical RREF of
+    the sum, so the candidate does not depend on the basis used for each
+    ideal.  Isotropy (W G W^T = 0 on the candidate's rows), multiplicative
+    closure and the dimension formula are all checked, and if any fails the
+    search falls back to full subspace enumeration (practical to dim 4)."""
     ring = algebra.ring
     if ring.kind != "field":
         raise TypeError("polarizations are computed over finite fields")
@@ -971,7 +900,9 @@ def find_polarization(algebra, f):
         raise VerificationFailed("form-rank-even", witness=(f, rank))
     target = algebra.dim - rank // 2
 
-    W = _ideal_flag(algebra)
+    W = algebra.memo(
+        "ideal_flag", lambda: adapted_rows(algebra, [e.coords for e in algebra.basis()])
+    )
     M = _restrict(G, W, ops)
     vecs = []
     for j in range(1, len(W) + 1):

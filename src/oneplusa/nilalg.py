@@ -6,6 +6,12 @@ table sc[(i, j)] = ((k, c), ...) meaning e_i e_j = sum_k c * e_k.  There is
 no unit; nilpotency means some power A^n vanishes.  Everything downstream
 (unit groups, characters, monomial certificates) is built on this class.
 
+This is also the one home of the subspace constructions built on it:
+subspaces as canonical RREF rows, quotients W / V with a canonical
+complement basis (QuotientSpace) and the quotient algebras A / I on it,
+bases adapted to the power filtration (adapted_rows), and closure checks
+that name the first product outside a subspace (product_outside).
+
 Derived state is cached in one place per owner: an Algebra, a group or a
 subgroup is a Memoized, and every value computed on first use lives in its
 memo(key, build), whichever module computes it.
@@ -18,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import CapExceeded, NotAnIdeal, NotAssociative, NotNilpotent
-from .exactfield import FieldElement, field_from_descriptor, field_ops
+from .exactfield import FieldElement, field_from_descriptor
 
 FREE_DIM_CAP = 400
 
@@ -116,27 +122,20 @@ class Poly:
 
 
 class FieldRing:
+    """GF(q) on element indices; it is its own linalg ops, so row
+    reduction calls the field's index arithmetic with no adapter."""
+
     kind = "field"
 
     def __init__(self, field):
         self.field = field
         self.zero = 0
         self.one = 1
-
-    def add(self, a, b):
-        return self.field.add_idx(a, b)
-
-    def neg(self, a):
-        return self.field.neg_idx(a)
-
-    def sub(self, a, b):
-        return self.field.sub_idx(a, b)
-
-    def mul(self, a, b):
-        return self.field.mul_idx(a, b)
-
-    def inv(self, a):
-        return self.field.inv_idx(a)
+        self.add = field.add_idx
+        self.neg = field.neg_idx
+        self.sub = field.sub_idx
+        self.mul = field.mul_idx
+        self.inv = field.inv_idx
 
     def is_zero(self, a):
         return a == 0
@@ -154,7 +153,7 @@ class FieldRing:
         return self.field.elements[a].render()
 
     def linalg_ops(self):
-        return field_ops(self.field)
+        return self
 
     def ops_scalar(self, a):
         return a
@@ -413,19 +412,6 @@ class Algebra(Memoized):
                 out[k] = ring.add(out[k], ring.mul(c, coeff))
         return tuple(out)
 
-    def _mul_vec_ops(self, u, v, ops):
-        # same product in the linalg ops domain (exact fractions for Z)
-        out = [ops.zero] * self.dim
-        ring = self.ring
-        for (i, j), entry in self.sc.items():
-            ui, vj = u[i], v[j]
-            if ops.is_zero(ui) or ops.is_zero(vj):
-                continue
-            c = ops.mul(ui, vj)
-            for k, coeff in entry:
-                out[k] = ops.add(out[k], ops.mul(c, ring.ops_scalar(coeff)))
-        return tuple(out)
-
     def _check_associative(self):
         for i in range(self.dim):
             ei = self._unit[i]
@@ -469,18 +455,15 @@ class Algebra(Memoized):
         return self.memo("nilindex", lambda: len(self.memo("powers", self._power_chain)))
 
     def _power_chain(self):
-        """[A, A^2, ..., A^n = 0]."""
+        """[A, A^2, ..., A^n = 0], A^(m+1) spanned by the products of the
+        rows of A^m with the basis.  Over Z the rows are Fractions, the
+        linalg domain, and the ring's + and * keep the products exact."""
         chain = [Subspace.unit(self, range(self.dim))]
-        ops = self.ring.linalg_ops()
         while chain[-1].dim > 0:
             prev = chain[-1]
-            vecs = []
-            for row in prev.rows:
-                for j in range(self.dim):
-                    u = tuple(ops.one if t == j else ops.zero for t in range(self.dim))
-                    vecs.append(self._mul_vec_ops(row, u, ops))
-            rows, pivots = linalg.rref(vecs, ops)
-            nxt = Subspace(self, rows, pivots)
+            nxt = Subspace.from_vectors(
+                self, [self.mul_coords(row, e) for row in prev.rows for e in self._unit]
+            )
             if nxt.dim >= prev.dim and prev.dim > 0:
                 raise NotNilpotent(
                     f"power chain stalls at dimension {prev.dim}",
@@ -627,6 +610,54 @@ class Subspace:
         return f"Subspace<{basis}>"
 
 
+class QuotientSpace:
+    """W / V for nested subspaces V <= W of a finite-field algebra.
+
+    The complement basis is canonical: the rows of W reduced modulo V and
+    re-echelonized, so two runs always agree.  Quotient coordinates are
+    field element indices relative to that basis."""
+
+    __slots__ = ("algebra", "sub", "rows", "pivots")
+
+    def __init__(self, algebra, sub, sup):
+        if not sup.contains_subspace(sub):
+            raise ValueError("quotient needs nested subspaces")
+        ops = algebra.ring.linalg_ops()
+        reduced = [sub.reduce(r) for r in sup.rows]
+        rows, pivots = linalg.rref(
+            [r for r in reduced if any(not ops.is_zero(c) for c in r)], ops
+        )
+        self.algebra = algebra
+        self.sub = sub
+        self.rows = rows
+        self.pivots = pivots
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def project(self, v):
+        """Quotient coordinates of v (an element or coords); v must lie in W."""
+        red = self.sub.reduce(v)
+        coords = linalg.coords_in_rowspace(
+            red, self.rows, self.pivots, self.algebra.ring.linalg_ops()
+        )
+        if coords is None:
+            raise ValueError("vector outside the numerator subspace")
+        return coords
+
+    def rep(self, coords):
+        """The canonical coset representative with these quotient coordinates."""
+        ops = self.algebra.ring.linalg_ops()
+        return AlgebraElement(
+            self.algebra, linalg.combine(coords, self.rows, ops, self.algebra.dim)
+        )
+
+    def all_coords(self):
+        """Every coordinate vector, in base-q order, most significant first."""
+        return list(itertools.product(range(self.algebra.ring.field.q), repeat=self.dim))
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -699,24 +730,33 @@ def subalgebra_closure(algebra, vectors):
         span = bigger
 
 
+def product_outside(space, lefts, rights):
+    """The first pair (x, y), x in lefts and y in rights in their order,
+    whose product x y lies outside space, or None if every product is in it."""
+    for x in lefts:
+        for y in rights:
+            if not space.contains(x * y):
+                return x, y
+    return None
+
+
 def is_ideal(algebra, space):
-    for x in space.row_elements():
-        for e in algebra.basis():
-            if not (space.contains(x * e) and space.contains(e * x)):
-                return False
-    return True
+    els, basis = space.row_elements(), algebra.basis()
+    return all(product_outside(space, x, y) is None for x, y in ((els, basis), (basis, els)))
 
 
 def is_subalgebra(algebra, space):
     els = space.row_elements()
-    return all(space.contains(x * y) for x in els for y in els)
+    return product_outside(space, els, els) is None
 
 
 def adapted_rows(algebra, rows):
     """A basis of the span B of rows (field coordinates) adapted to the
     filtration B n A^k: for every k the rows lying in A^k span B n A^k
     modulo B n A^(k+1).  Rows are taken deepest power first, each one only
-    if the rows before it do not span it, as _ideal_flag in gutkin does.
+    if the rows before it do not span it; with rows the identity this is
+    the flag of ideals refining the power chain that find_polarization in
+    gutkin restricts its form to.
     B n A^k is read off the null space of the rows of B and A^k stacked:
     sum_i a_i b_i + sum_j c_j p_j = 0 puts sum_i a_i b_i in both."""
     ops = algebra.ring.linalg_ops()
@@ -758,44 +798,33 @@ def annihilator(algebra):
 
 
 def quotient_algebra(algebra, ideal_space):
-    """A / I with basis the non-pivot coordinates of I, labels inherited.
+    """A / I on the canonical complement basis of QuotientSpace(A, I, A).
 
-    Returns (quotient, project, lift): project maps ambient coords to
-    quotient coords, lift picks the canonical coset representative.
+    That basis is the unit vectors e_j at the non-pivot coordinates j of I,
+    labels inherited: such an e_j is already reduced mod I, and each pivot
+    e_p reduces into their span, so their RREF, which is unique, is the
+    complement basis, with pivots j.  Returns (quotient, project, lift):
+    project maps ambient coords to quotient coords, lift picks the
+    canonical coset representative.
     """
     if algebra.ring.kind != "field":
         raise TypeError("quotients need a finite field")
     if not is_ideal(algebra, ideal_space):
         raise NotAnIdeal("the subspace is not a two-sided ideal")
-    ring = algebra.ring
-    pivot_set = set(ideal_space.pivots)
-    keep = [j for j in range(algebra.dim) if j not in pivot_set]
-
-    def project(coords):
-        red = ideal_space.reduce(coords)
-        return tuple(red[j] for j in keep)
-
-    def lift(qcoords):
-        coords = [ring.zero] * algebra.dim
-        for j, c in zip(keep, qcoords):
-            coords[j] = c
-        return tuple(coords)
-
-    sc = {}
-    for a, j1 in enumerate(keep):
-        for b, j2 in enumerate(keep):
-            entry = project(algebra.mul_coords(algebra._unit[j1], algebra._unit[j2]))
-            kept = tuple((k, c) for k, c in enumerate(entry) if not ring.is_zero(c))
-            if kept:
-                sc[(a, b)] = kept
+    space = QuotientSpace(algebra, ideal_space, Subspace.unit(algebra, range(algebra.dim)))
+    unit, keep = algebra._unit, space.pivots
+    sc = {  # Algebra drops the zero coefficients
+        (a, b): tuple(enumerate(space.project(algebra.mul_coords(unit[j1], unit[j2]))))
+        for a, j1 in enumerate(keep) for b, j2 in enumerate(keep)
+    }
     quotient = Algebra(
-        ring,
-        len(keep),
+        algebra.ring,
+        space.dim,
         sc,
         labels=[algebra.labels[j] for j in keep],
         check=False,
     )
-    return quotient, project, lift
+    return quotient, space.project, lambda qcoords: space.rep(qcoords).coords
 
 
 def subalgebra_algebra(algebra, space):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotASubgroup, NotNormal
 from .exactfield import FIELD_TABLE_CAP
-from .nilalg import Memoized, adapted_rows, subalgebra_algebra
+from .nilalg import Memoized, adapted_rows, product_outside, subalgebra_algebra
 
 DEFAULT_GROUP_CAP = 2 ** 20
 TABLE_CAP = 4096
@@ -530,17 +530,15 @@ class Subgroup(Memoized):
                 raise NotASubgroup("not closed under multiplication")
 
     @staticmethod
-    def from_subspace(group, subspace, verify_closed=True):
-        """1 + B for a multiplicatively closed subspace B."""
-        if verify_closed:
-            els = subspace.row_elements()
-            for x in els:
-                for y in els:
-                    if not subspace.contains(x * y):
-                        raise NotASubgroup(
-                            f"subspace not multiplicatively closed: "
-                            f"({x.render()})({y.render()})"
-                        )
+    def from_subspace(group, subspace):
+        """1 + B for a multiplicatively closed subspace B, checked first."""
+        els = subspace.row_elements()
+        outside = product_outside(subspace, els, els)
+        if outside:
+            x, y = outside
+            raise NotASubgroup(
+                f"subspace not multiplicatively closed: ({x.render()})({y.render()})"
+            )
         return Subgroup(
             group, group.span_indices(subspace.rows), subspace=subspace, verify=False
         )
@@ -622,18 +620,14 @@ def commutator_subgroup(left, right):
     return Subgroup(group, K, verify=False)
 
 
-def subspace_subgroup(group, space, verify_closed=True):
+def subspace_subgroup(group, space):
     """1 + space as a Subgroup of group, built once per group and subspace."""
-    return group.memo(
-        ("subgroup", space.rows),
-        lambda: Subgroup.from_subspace(group, space, verify_closed=verify_closed),
-    )
+    return group.memo(("subgroup", space.rows), lambda: Subgroup.from_subspace(group, space))
 
 
 def power_subgroup(group, m):
     """1 + A^m; A^m is an ideal, so this is a normal subgroup."""
-    space = group.algebra.power_subspace(m)
-    return subspace_subgroup(group, space, verify_closed=False)
+    return subspace_subgroup(group, group.algebra.power_subspace(m))
 
 
 def check_commutator_theorem(G, m, n):

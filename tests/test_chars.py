@@ -21,6 +21,7 @@ from oneplusa.chars import (
     CharacterTable,
     ClassFunction,
     _center_blocks,
+    _center_characters,
     _class_matrix_T,
     _eigenvalues_mod,
     _guard,
@@ -219,12 +220,12 @@ def test_split_rejects_non_commuting_matrices():
     for second in (scalar_but_not_invariant, general):
         assert (first @ second != second @ first).any()
         with pytest.raises(RuntimeError, match="left the subspace"):
-            _split_class_algebra(iter([first, second]), whole, l)
+            _split_class_algebra(iter([first, second]), whole, l, 3)
     # commuting matrices: one line per common eigenvector
-    lines = _split_class_algebra(iter([first, np.diag([1, 3, 3])]), whole, l)
+    lines = _split_class_algebra(iter([first, np.diag([1, 3, 3])]), whole, l, 3)
     assert sorted(tuple(v.tolist()) for v in lines) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     with pytest.raises(RuntimeError, match="did not split"):
-        _split_class_algebra(iter([first]), whole, l)
+        _split_class_algebra(iter([first]), whole, l, 3)
 
 
 def test_class_matrix_counts_pairs_onto_each_representative():
@@ -272,8 +273,8 @@ def test_center_presplit_matches_the_plain_split(make):
     G = make()
     r, nz, l, w0_pow = _split_setup(G)
     identity = [np.eye(r, dtype=np.int64)]
-    plain = _split_class_algebra((_class_matrix_T(G, i, l) for i in range(1, r)), identity, l)
-    blocks, heads = _center_blocks(G, w0_pow)
+    plain = _split_class_algebra((_class_matrix_T(G, i, l) for i in range(1, r)), identity, l, r)
+    blocks, heads = _center_blocks(G, w0_pow, _center_characters(G))
     # one block per character of the center, each in RREF with pivot 1 on
     # the least class of each orbit it meets; Z itself is the orbit of 0
     assert len(blocks) == nz
@@ -286,7 +287,7 @@ def test_center_presplit_matches_the_plain_split(make):
         assert (B[:, pivots] == np.eye(len(B), dtype=np.int64)).all()
     # every non-central class matrix, and only those of the orbit heads
     for ks in (range(nz, r), heads[1:]):
-        pre = _split_class_algebra((_class_matrix_T(G, k, l) for k in ks), blocks, l)
+        pre = _split_class_algebra((_class_matrix_T(G, k, l) for k in ks), blocks, l, r)
         assert _lines(pre) == _lines(plain)
 
 
@@ -307,7 +308,7 @@ def test_abelian_group_needs_no_class_matrix(monkeypatch):
     G = free_group(2, 2, 2)
     r, nz, _, w0_pow = _split_setup(G)
     assert nz == r == 4
-    blocks, heads = _center_blocks(G, w0_pow)
+    blocks, heads = _center_blocks(G, w0_pow, _center_characters(G))
     assert [len(B) for B in blocks] == [1] * r
     assert heads == [0]
     calls = _count_class_matrices(monkeypatch)
@@ -323,7 +324,7 @@ def test_split_builds_only_non_central_class_matrices(monkeypatch, make, any_bui
     G = make()
     r, nz, _, w0_pow = _split_setup(G)
     assert nz > 1
-    _, heads = _center_blocks(G, w0_pow)
+    _, heads = _center_blocks(G, w0_pow, _center_characters(G))
     calls = _count_class_matrices(monkeypatch)
     character_table(G)
     if not any_built:
@@ -342,11 +343,11 @@ def test_split_rejects_blocks_not_summing_to_r():
     l = 5
     eye = np.eye(3, dtype=np.int64)
     with pytest.raises(RuntimeError, match="not summing to 3"):
-        _split_class_algebra(iter([]), [eye[:1], eye[1:2]], l)
+        _split_class_algebra(iter([]), [eye[:1], eye[1:2]], l, 3)
     with pytest.raises(RuntimeError, match="not summing to 3"):
-        _split_class_algebra(iter([]), [eye[:2], eye[1:]], l)
+        _split_class_algebra(iter([]), [eye[:2], eye[1:]], l, 3)
     # one-row blocks are lines at once: no matrix is needed
-    assert _lines(_split_class_algebra(iter([]), [eye[:1], eye[1:2], eye[2:]], l)) == [
+    assert _lines(_split_class_algebra(iter([]), [eye[:1], eye[1:2], eye[2:]], l, 3)) == [
         (0, 0, 1), (0, 1, 0), (1, 0, 0)
     ]
     # a partial seeding passes the number of lines it expects
@@ -376,8 +377,8 @@ def _center_only_table(group):
     w0 = pow(r0, (l - 1) // e, l)
     w0_pow = np.array([pow(w0, t, l) for t in range(e)], dtype=np.int64)
 
-    blocks, heads = _center_blocks(group, w0_pow)
-    done = _split_class_algebra((_class_matrix_T(group, k, l) for k in heads[1:]), blocks, l)
+    blocks, heads = _center_blocks(group, w0_pow, _center_characters(group))
+    done = _split_class_algebra((_class_matrix_T(group, k, l) for k in heads[1:]), blocks, l, r)
 
     inv_class = CL[group.inv[reps]]
     cls_pow = np.empty((r, e), dtype=np.int64)

@@ -607,6 +607,27 @@ def test_usage_error_from_argparse():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,fmt", [
+    (["catalog"], "csv"),
+    (["show", "ul(3,2)"], "csv"),
+    (["chartable", "ul(3,2)"], "text"),
+    (["decompose", "ul(3,2)"], "csv"),
+    (["decompose", "ul(3,2)"], "text"),
+    (["verify", "ul(3,2)"], "csv"),
+    (["verify", "ul(3,2)"], "text"),
+    (["halasi-explore", "2", "2", "3", "2"], "csv"),
+    (["halasi-explore", "2", "2", "3", "2"], "text"),
+])
+def test_format_accepts_only_what_the_command_renders(capsys, argv, fmt):
+    # a format the command would not render is a usage error, not a report
+    # in some other format
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", fmt])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"invalid choice: '{fmt}'" in err
+
+
 def test_no_gutkin_still_produces_tables(capsys):
     code, out, _ = run(capsys, "--no-gutkin", "chartable", "ul(3,2)")
     assert code == 0

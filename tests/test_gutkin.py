@@ -60,6 +60,7 @@ from oneplusa.linalg import rref
 from oneplusa.nilalg import (
     Algebra,
     FieldRing,
+    QuotientSpace,
     Subspace,
     free_nilpotent,
     is_ideal,

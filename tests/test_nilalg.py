@@ -1,8 +1,12 @@
 import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from oneplusa import linalg
+from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.errors import CapExceeded, NotAnIdeal, NotAssociative, NotNilpotent
 from oneplusa.exactfield import gf
 from oneplusa.nilalg import (
@@ -14,8 +18,10 @@ from oneplusa.nilalg import (
     Subspace,
     annihilator,
     free_nilpotent,
+    adapted_rows,
     is_ideal,
     is_subalgebra,
+    product_outside,
     quotient_algebra,
     strictly_upper_triangular,
     subalgebra_algebra,
@@ -276,3 +282,182 @@ def test_random_element_seeded():
     a = _random_element(A, random.Random(7))
     b = _random_element(A, random.Random(7))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the subspace constructions against the bodies they replaced
+
+SUBSPACE_CASES = (
+    [(e.name, None) for e in BUILTIN]
+    + [(t, None) for t in ("ul(4,3)", "ul(5,2)", "ul(4,4)", "ul(3,16)", "free(2,3,3)",
+                           "ul(3,9)", "free(2,1,5)", "free(3,1,4)")]
+    + [(t, seed) for t, seeds in (
+        ("ul(4,2)", (1, 2, 3)), ("free(2,2,3)", (4, 5)), ("ul(3,3)", (6, 7)),
+        ("free(3,2,3)", (8, 9)), ("ul(3,4)", (10, 11, 12)), ("ul(4,3)", (13, 14, 15)),
+    ) for seed in seeds]
+)
+
+
+def _subspace_case(target, seed):
+    # a catalog basis, or the same algebra in a seeded random basis, which is
+    # not adapted to the power filtration and has several-term products;
+    # imported here, as test_unitgroup imports this module
+    from test_unitgroup import _random_basis
+
+    A = resolve(target)
+    return A if seed is None else _random_basis(A, seed)
+
+
+def _keep_quotient_algebra(algebra, ideal_space):
+    # the reference: A / I on the unit vectors at I's non-pivot coordinates
+    ring = algebra.ring
+    pivot_set = set(ideal_space.pivots)
+    keep = [j for j in range(algebra.dim) if j not in pivot_set]
+
+    def project(coords):
+        red = ideal_space.reduce(coords)
+        return tuple(red[j] for j in keep)
+
+    def lift(qcoords):
+        coords = [ring.zero] * algebra.dim
+        for j, c in zip(keep, qcoords):
+            coords[j] = c
+        return tuple(coords)
+
+    sc = {}
+    for a, j1 in enumerate(keep):
+        for b, j2 in enumerate(keep):
+            entry = project(algebra.mul_coords(algebra._unit[j1], algebra._unit[j2]))
+            kept = tuple((k, c) for k, c in enumerate(entry) if not ring.is_zero(c))
+            if kept:
+                sc[(a, b)] = kept
+    quotient = Algebra(ring, len(keep), sc, labels=[algebra.labels[j] for j in keep], check=False)
+    return quotient, project, lift
+
+
+def _greedy_ideal_flag(algebra):
+    # the reference: the rows of each power, deepest first, each kept only
+    # if the rows before it do not span it
+    taken = []
+    cur = Subspace.from_vectors(algebra, [])
+    for k in range(algebra.nilpotency_index - 1, 0, -1):
+        for row in algebra.power_subspace(k).rows:
+            if cur.contains(row):
+                continue
+            taken.append(row)
+            cur = Subspace.from_vectors(algebra, taken)
+    return taken
+
+
+def _mul_vec_ops(algebra, u, v, ops):
+    # the reference: the product in the linalg ops domain (Fractions for Z)
+    out = [ops.zero] * algebra.dim
+    ring = algebra.ring
+    for (i, j), entry in algebra.sc.items():
+        ui, vj = u[i], v[j]
+        if ops.is_zero(ui) or ops.is_zero(vj):
+            continue
+        c = ops.mul(ui, vj)
+        for k, coeff in entry:
+            out[k] = ops.add(out[k], ops.mul(c, ring.ops_scalar(coeff)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("target,seed", SUBSPACE_CASES)
+def test_quotient_algebra_matches_the_keep_coordinate_reference(target, seed):
+    A = _subspace_case(target, seed)
+    q = A.ring.field.q
+    rng = random.Random(seed)
+    ideals = [annihilator(A)] + [A.power_subspace(k) for k in range(1, A.nilpotency_index + 1)]
+    for ideal in ideals:
+        Q, project, lift = quotient_algebra(A, ideal)
+        R, ref_project, ref_lift = _keep_quotient_algebra(A, ideal)
+        assert (Q.dim, Q.labels, Q.sc) == (R.dim, R.labels, R.sc)
+        vectors = [e.coords for e in A.basis()]
+        vectors += [tuple(rng.randrange(q) for _ in range(A.dim)) for _ in range(8)]
+        assert [project(v) for v in vectors] == [ref_project(v) for v in vectors]
+        qvectors = [e.coords for e in Q.basis()]
+        qvectors += [tuple(rng.randrange(q) for _ in range(Q.dim)) for _ in range(8)]
+        assert [lift(v) for v in qvectors] == [ref_lift(v) for v in qvectors]
+
+
+@pytest.mark.parametrize("target,seed", SUBSPACE_CASES)
+def test_adapted_identity_rows_are_the_greedy_ideal_flag(target, seed):
+    from oneplusa.gutkin import find_polarization
+
+    A = _subspace_case(target, seed)
+    flag = _greedy_ideal_flag(A)
+    assert adapted_rows(A, [e.coords for e in A.basis()]) == flag
+    # and that is the flag find_polarization restricts its form to
+    find_polarization(A, (0,) * A.dim)
+    assert A.memo("ideal_flag", lambda: pytest.fail("no flag was built")) == flag
+
+
+def _twisted_free(num_gens, nil_index):
+    # the free nilpotent ring over Z with w1 w2 = (-2)^(|w1| |w2|) w1w2,
+    # associative as |a||b| + |ab||c| = |a||bc| + |b||c|; no graded degrees,
+    # so its powers come from the power chain
+    free = free_nilpotent(Z_RING, num_gens, nil_index)
+    deg = [len(label.split("*")) for label in free.labels]
+    sc = {(i, j): tuple((k, (-2) ** (deg[i] * deg[j])) for k, _ in entry)
+          for (i, j), entry in free.sc.items()}
+    return Algebra(Z_RING, free.dim, sc, labels=free.labels)
+
+
+def _reference_power_chain(A):
+    ops = A.ring.linalg_ops()
+    units = [tuple(ops.one if t == j else ops.zero for t in range(A.dim)) for j in range(A.dim)]
+    chain, products = [Subspace.unit(A, range(A.dim))], []
+    while chain[-1].dim:
+        products.append([_mul_vec_ops(A, row, u, ops) for row in chain[-1].rows for u in units])
+        chain.append(Subspace(A, *linalg.rref(products[-1], ops)))
+    return chain, products
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _twisted_free(2, 4),
+    lambda: free_nilpotent(Z_RING, 2, 3),
+    lambda: strictly_upper_triangular(4, gf(4)),
+    lambda: _subspace_case("ul(3,4)", 10),
+    lambda: _subspace_case("ul(4,2)", 1),
+], ids=["twisted-free(Z,2,4)", "free(Z,2,3)", "ul(4,4)", "ul(3,4)-random", "ul(4,2)-random"])
+def test_power_chain_products_match_the_ops_domain_reference(monkeypatch, make):
+    A = make()
+    chain, products = _reference_power_chain(A)
+    ops = A.ring.linalg_ops()
+    # mul_coords on the chain's rows and on random rows (Fractions over Z) is
+    # the reference product
+    rng = random.Random(A.dim)
+    if A.ring.kind == "int":
+        rows = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(A.dim))
+                for _ in range(4)]
+    else:
+        rows = [tuple(rng.randrange(A.ring.field.q) for _ in range(A.dim)) for _ in range(4)]
+    for row in [r for level in chain for r in level.rows] + rows:
+        for e in A.basis():
+            unit = A.ring.ops_vector(e.coords)
+            assert A.mul_coords(row, e.coords) == _mul_vec_ops(A, row, unit, ops)
+    # the chain row-reduces exactly the reference products, as values of the
+    # ops domain (exact Fractions over Z, never bare ints), to the same rows
+    seen = []
+    rref = linalg.rref
+
+    def spy(rows, ops):
+        seen.append([tuple((type(c), c) for c in r) for r in rows])
+        return rref(rows, ops)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    assert [S.rows for S in A._power_chain()] == [S.rows for S in chain]
+    assert seen == [[tuple((type(c), c) for c in r) for r in vecs] for vecs in products]
+
+
+def test_product_outside_names_the_first_product_outside():
+    A = strictly_upper_triangular(4, gf(2))
+    e12, e23, e34, e13 = (_from_labels(A, {x: 1}) for x in ("e12", "e23", "e34", "e13"))
+    S = Subspace.from_vectors(A, [e12, e23, e34])
+    els = S.row_elements()
+    assert product_outside(S, els, els) == (e12, e23)
+    assert product_outside(S, els[1:], els[:1]) is None  # e23 e12 = e34 e12 = 0
+    assert product_outside(S, els[1:], els) == (e23, e34)
+    closed = Subspace.from_vectors(A, [e12, e23, e13])
+    assert product_outside(closed, closed.row_elements(), closed.row_elements()) is None

@@ -128,3 +128,31 @@ def test_every_error_class_is_raised():
                 raised.add(_raised_name(node))
     assert len(defined) >= 10
     assert sorted(defined - raised) == []
+
+
+def _package_imports(path):
+    """The package modules a source file imports, by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("oneplusa"):
+                continue
+            module = module.removeprefix("oneplusa").lstrip(".")
+            if module:
+                found.add(module)
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("oneplusa.")
+                         for alias in node.names if alias.name.startswith("oneplusa"))
+    return found
+
+
+def test_field_arithmetic_and_row_reduction_sit_beneath_nilalg():
+    # exactfield and linalg import nothing of the package but its errors, so
+    # nilalg, which holds the subspace constructions, is built on them and
+    # they know nothing of algebras, rings or subspaces
+    for name in ("exactfield", "linalg"):
+        assert _package_imports(SRC / f"{name}.py") <= {"errors"}, name
+    assert _package_imports(SRC / "nilalg.py") >= {"exactfield", "linalg"}

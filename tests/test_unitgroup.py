@@ -281,6 +281,10 @@ def test_subgroup_not_closed_detected():
         Subgroup(G, bad)
     with pytest.raises(NotASubgroup):
         Subgroup.from_subspace(G, Subspace.unit(G.algebra, [0, 1]))
+    # the message names the first product outside, as the double loop did
+    with pytest.raises(NotASubgroup) as exc:
+        Subgroup.from_subspace(G, Subspace.unit(G.algebra, [1, 0]))
+    assert str(exc.value) == "subspace not multiplicatively closed: (e12)(e23)"
 
 
 def test_std_group_embedding():

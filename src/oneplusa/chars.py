@@ -278,11 +278,10 @@ def _maxabs(a):
 
 class _PowerBasis:
     """The power basis 1, zeta, ..., zeta^(phi-1) of Q(zeta_e), e a prime
-    power or 1, as fixed integer arrays: zeta[t] is the row of zeta^t,
-    prod[u, v] the row of zeta^(u+v) and herm[u, v] the row of
-    zeta^u * conj(zeta^v) = zeta^(u-v).  Integer because the cyclotomic
-    polynomial is monic.  Also holds the one cache of Cyclotomic values,
-    keyed by coefficient row."""
+    power or 1, as fixed integer arrays: zeta[t] is the row of zeta^t and
+    herm[u, v] the row of zeta^u * conj(zeta^v) = zeta^(u-v).  Integer
+    because the cyclotomic polynomial is monic.  Also holds the one cache
+    of Cyclotomic values, keyed by coefficient row."""
 
     def __init__(self, e):
         if len(prime_factors(e)) > 1:
@@ -291,7 +290,6 @@ class _PowerBasis:
         self.phi = euler_phi(e)
         self.zeta = np.array(_zeta_power_vectors(e), dtype=np.int64)
         u = np.arange(self.phi)
-        self.prod = self.zeta[(u[:, None] + u[None, :]) % e]
         self.herm = self.zeta[(u[:, None] - u[None, :]) % e]
         self.zmax = _maxabs(self.zeta)
         self._values = {}
@@ -405,26 +403,6 @@ class ClassFunction:
 
     def value_at_index(self, g):
         return self._basis().value(self.coeffs[self.group.class_of[g]])
-
-    def __add__(self, other):
-        self._check(other)
-        _guard("class-function sum", _maxabs(self.coeffs) + _maxabs(other.coeffs))
-        return ClassFunction._of(self.group, self.coeffs + other.coeffs)
-
-    def __mul__(self, other):
-        basis = self._basis()
-        if isinstance(other, ClassFunction):
-            self._check(other)
-            rows = other.coeffs
-        else:
-            rows = np.broadcast_to(basis.row(other), self.coeffs.shape)
-        _guard("class-function product", _maxabs(self.coeffs), _maxabs(rows),
-               basis.phi ** 2, basis.zmax)
-        return ClassFunction._of(
-            self.group, np.einsum("ku,kv,uvw->kw", self.coeffs, rows, basis.prod)
-        )
-
-    __rmul__ = __mul__
 
     def inner(self, other):
         """<self, other> = (1/|G|) sum n_k a_k conj(b_k), exact: one integer

@@ -3,7 +3,8 @@
 Commands: catalog | show | chartable | decompose | verify | halasi-explore.
 Reports are deterministic: same inputs and flags, same bytes.  Exit codes:
 0 on success, 1 when a mathematical claim is falsified (a witness is
-printed), 2 on usage, parse, or cap errors.
+printed), 2 on usage, parse, or cap errors, 141 (128 + SIGPIPE) when the
+reader closes stdout before the report is written.
 """
 
 import argparse
@@ -391,17 +392,19 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
-                        help="largest group order to enumerate")
     common.add_argument("--out", help="write reports into this directory")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the random-functional polarization "
-                        "sampling")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=DEFAULT_GROUP_CAP,
+                     help="largest group order to enumerate")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="seed for the random-functional polarization "
+                      "sampling")
 
-    def command(name, func, formats, summary):
+    def command(name, func, formats, summary, options=()):
         """A subcommand whose --format takes only the formats it renders,
-        the first of them by default."""
-        sc = sub.add_parser(name, parents=[common], help=summary)
+        the first of them by default, with --out and the options it reads."""
+        sc = sub.add_parser(name, parents=[common, *options], help=summary)
         sc.add_argument("--format", choices=formats, default=formats[0])
         sc.set_defaults(func=func)
         return sc
@@ -410,17 +413,17 @@ def _build_parser():
     command("show", cmd_show, ("text", "json"),
             "algebra summary and serialization").add_argument("target")
     command("chartable", cmd_chartable, ("json", "csv"),
-            "character table as JSON or CSV").add_argument("target")
+            "character table as JSON or CSV", [cap]).add_argument("target")
     command("decompose", cmd_decompose, ("json",),
-            "monomial certificates for every irreducible").add_argument("target")
+            "monomial certificates for every irreducible", [cap]).add_argument("target")
     sc = command("verify", cmd_verify, ("json",),
-                 "run a verification suite against a target")
+                 "run a verification suite against a target", [cap, seed])
     sc.add_argument("target")
     sc.add_argument("--suite", choices=sorted(SUITES) + ["all"],
                     default="all")
     sc = command("halasi-explore", cmd_halasi, ("json",),
                  "orders of the derived-intersection comparison "
-                 "in a free algebra over a finite field")
+                 "in a free algebra over a finite field", [cap])
     sc.add_argument("q", type=int, help="field size")
     sc.add_argument("gens", type=_int_at_least(0), help="number of generators")
     sc.add_argument("nil_index", type=_int_at_least(1),
@@ -440,6 +443,13 @@ def main(argv=None):
             sys.modules[name] = None
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: not a falsified claim; point stdout at
+        # devnull so the flush at interpreter shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (VerificationFailed, SearchExhausted) as e:
         print(f"falsified: {e}", file=sys.stderr)
         return 1

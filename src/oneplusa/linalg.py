@@ -1,42 +1,12 @@
-"""Dense exact linear algebra over an arbitrary field.
+"""Dense exact linear algebra over a finite field.
 
-Vectors are tuples of raw scalar values; a small ops object supplies the
-field arithmetic.  Everything that returns a basis returns the canonical
-reduced row echelon form, so subspace comparisons are plain equality.
+Vectors are tuples of raw scalar values (field element indices); the ops
+object, the algebra's FieldRing, supplies the field arithmetic.  Everything
+that returns a basis returns the canonical reduced row echelon form, so
+subspace comparisons are plain equality.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-class FieldOps:
-    """Field arithmetic on raw scalar values."""
-
-    def __init__(self, zero, one, add, neg, mul, inv):
-        self.zero = zero
-        self.one = one
-        self.add = add
-        self.neg = neg
-        self.mul = mul
-        self.inv = inv
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def is_zero(self, a):
-        return a == self.zero
-
-
-def rational_ops():
-    return FieldOps(
-        zero=Fraction(0),
-        one=Fraction(1),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
-        inv=lambda a: Fraction(1) / a,
-    )
 
 
 def rref(rows, ops):

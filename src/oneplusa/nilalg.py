@@ -10,7 +10,11 @@ This is also the one home of the subspace constructions built on it:
 subspaces as canonical RREF rows, quotients W / V with a canonical
 complement basis (QuotientSpace) and the quotient algebras A / I on it,
 bases adapted to the power filtration (adapted_rows), and closure checks
-that name the first product outside a subspace (product_outside).
+that name the first product outside a subspace (product_outside).  They
+exist over a finite field only, on raw field coordinates: the FieldRing is
+its own linalg ops, and over Z or Z[lam] (one SymbolicRing class, for the
+exact commutator identities) building one raises TypeError, while the
+nilpotency index comes from products.
 
 Derived state is cached in one place per owner: an Algebra, a group or a
 subgroup is a Memoized, and every value computed on first use lives in its
@@ -20,7 +24,6 @@ memo(key, build), whichever module computes it.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
 from .errors import CapExceeded, NotAnIdeal, NotAssociative, NotNilpotent
@@ -112,6 +115,8 @@ class Poly:
             out += f" {sign} {chunk}"
         return out
 
+    __str__ = render
+
     def __repr__(self):
         return f"Poly({self.render()})"
 
@@ -155,15 +160,6 @@ class FieldRing:
     def linalg_ops(self):
         return self
 
-    def ops_scalar(self, a):
-        return a
-
-    def ops_vector(self, coords):
-        return tuple(coords)
-
-    def raw_vector(self, vec):
-        return tuple(vec)
-
     def descriptor(self):
         return {"type": "field", **self.field.descriptor()}
 
@@ -177,10 +173,16 @@ class FieldRing:
         return repr(self.field)
 
 
-class IntegerRing:
-    kind = "int"
-    zero = 0
-    one = 1
+class SymbolicRing:
+    """Z or Z[lam] on ints or Poly values, for the exact commutator
+    identities: products and graded degrees, no linear algebra."""
+
+    def __init__(self, kind, name, scalar):
+        self.kind = kind
+        self.name = name
+        self.scalar = scalar
+        self.zero = scalar(0)
+        self.one = scalar(1)
 
     def add(self, a, b):
         return a + b
@@ -195,88 +197,27 @@ class IntegerRing:
         return a * b
 
     def is_zero(self, a):
-        return a == 0
+        return a == self.zero
 
     def coerce(self, v):
-        if isinstance(v, int):
+        if isinstance(v, type(self.zero)):
             return v
-        raise TypeError(f"cannot use {v!r} as an integer scalar")
+        if isinstance(v, int):
+            return self.scalar(v)
+        raise TypeError(f"cannot use {v!r} as a {self.name} scalar")
 
     def render(self, a):
         return str(a)
 
     def linalg_ops(self):
-        return linalg.rational_ops()
-
-    def ops_scalar(self, a):
-        return Fraction(a)
-
-    def ops_vector(self, coords):
-        return tuple(Fraction(c) for c in coords)
-
-    def descriptor(self):
-        return {"type": "int"}
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("int-ring")
+        raise TypeError("linear algebra needs a finite field")
 
     def __repr__(self):
-        return "Z"
+        return self.name
 
 
-class LambdaRing:
-    """Z[lam], used for scaling identities with a formal parameter."""
-
-    kind = "poly"
-    zero = Poly(())
-    one = Poly((1,))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def coerce(self, v):
-        if isinstance(v, Poly):
-            return v
-        if isinstance(v, int):
-            return Poly.const(v)
-        raise TypeError(f"cannot use {v!r} as a Z[lam] scalar")
-
-    def render(self, a):
-        return a.render()
-
-    def linalg_ops(self):
-        raise TypeError("no linear algebra over Z[lam]")
-
-    def descriptor(self):
-        return {"type": "poly"}
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaRing)
-
-    def __hash__(self):
-        return hash("lam-ring")
-
-    def __repr__(self):
-        return "Z[lam]"
-
-
-Z_RING = IntegerRing()
-LAMBDA_RING = LambdaRing()
+Z_RING = SymbolicRing("int", "Z", int)
+LAMBDA_RING = SymbolicRing("poly", "Z[lam]", Poly.const)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +373,7 @@ class Algebra(Memoized):
         return AlgebraElement(self, coords)
 
     def _is_raw(self, c):
-        if self.ring.kind == "poly":
-            return isinstance(c, Poly)
-        return isinstance(c, int)
+        return isinstance(c, type(self.ring.zero))
 
     def basis_element(self, i):
         return AlgebraElement(self, self._unit[i])
@@ -450,14 +389,13 @@ class Algebra(Memoized):
     @property
     def nilpotency_index(self):
         """Smallest n with A^n = 0."""
-        if self.ring.kind == "poly":
+        if self.ring.kind != "field":
             return self.memo("nilindex", self._nilindex_by_products)
         return self.memo("nilindex", lambda: len(self.memo("powers", self._power_chain)))
 
     def _power_chain(self):
         """[A, A^2, ..., A^n = 0], A^(m+1) spanned by the products of the
-        rows of A^m with the basis.  Over Z the rows are Fractions, the
-        linalg domain, and the ring's + and * keep the products exact."""
+        rows of A^m with the basis."""
         chain = [Subspace.unit(self, range(self.dim))]
         while chain[-1].dim > 0:
             prev = chain[-1]
@@ -472,8 +410,9 @@ class Algebra(Memoized):
         return chain
 
     def _nilindex_by_products(self):
-        # track the set of nonzero left-normed basis products; over Z[lam]
-        # tensoring with the fraction field bounds a nilpotent chain by dim+1
+        # track the set of nonzero left-normed basis products; over Z and
+        # Z[lam] tensoring with the fraction field bounds a nilpotent chain
+        # by dim+1
         vals = set(self._unit) if self.dim else set()
         m = 1
         while vals:
@@ -535,8 +474,14 @@ class Algebra(Memoized):
         return f"Algebra(dim={self.dim}, over {self.ring!r})"
 
 
+def _coords(v):
+    """The coordinates of an element, or v itself for a coordinate tuple."""
+    return getattr(v, "coords", v)
+
+
 class Subspace:
-    """Subspace of the underlying module, held as canonical reduced rows."""
+    """Subspace of a finite-field algebra, held as canonical reduced rows
+    of field coordinates; building one over Z or Z[lam] raises TypeError."""
 
     __slots__ = ("algebra", "rows", "pivots")
 
@@ -548,11 +493,7 @@ class Subspace:
     @staticmethod
     def from_vectors(algebra, vectors):
         ops = algebra.ring.linalg_ops()
-        vecs = []
-        for v in vectors:
-            coords = v.coords if isinstance(v, AlgebraElement) else tuple(v)
-            vecs.append(algebra.ring.ops_vector(coords))
-        rows, pivots = linalg.rref(vecs, ops)
+        rows, pivots = linalg.rref([_coords(v) for v in vectors], ops)
         return Subspace(algebra, rows, pivots)
 
     @staticmethod
@@ -569,31 +510,26 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
-    def _ops_vec(self, v):
-        coords = v.coords if isinstance(v, AlgebraElement) else tuple(v)
-        return self.algebra.ring.ops_vector(coords)
-
     def contains(self, v):
         ops = self.algebra.ring.linalg_ops()
-        return linalg.in_rowspace(self._ops_vec(v), self.rows, self.pivots, ops)
+        return linalg.in_rowspace(_coords(v), self.rows, self.pivots, ops)
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
 
     def reduce(self, v):
         ops = self.algebra.ring.linalg_ops()
-        return linalg.reduce_vector(self._ops_vec(v), self.rows, self.pivots, ops)
+        return linalg.reduce_vector(_coords(v), self.rows, self.pivots, ops)
 
     def coords_of(self, v):
         ops = self.algebra.ring.linalg_ops()
-        return linalg.coords_in_rowspace(self._ops_vec(v), self.rows, self.pivots, ops)
+        return linalg.coords_in_rowspace(_coords(v), self.rows, self.pivots, ops)
 
     def sum_with(self, other):
         return Subspace.from_vectors(self.algebra, list(self.rows) + list(other.rows))
 
     def row_elements(self):
-        raw = self.algebra.ring.raw_vector
-        return [AlgebraElement(self.algebra, raw(r)) for r in self.rows]
+        return [AlgebraElement(self.algebra, r) for r in self.rows]
 
     def __eq__(self, other):
         return (
@@ -790,7 +726,7 @@ def annihilator(algebra):
             for k, c in entry:
                 for key, col in ((("right", j, k), i), (("left", i, k), j)):
                     row = rows.setdefault(key, [ops.zero] * algebra.dim)
-                    row[col] = ops.add(row[col], algebra.ring.ops_scalar(c))
+                    row[col] = ops.add(row[col], c)
         basis = linalg.nullspace(list(rows.values()), algebra.dim, ops)
         pivots = [next(t for t, c in enumerate(row) if not ops.is_zero(c)) for row in basis]
         return Subspace(algebra, basis, pivots)

@@ -540,11 +540,10 @@ def test_regular_character_decomposition():
     for ch in tab.chars:
         assert reg.inner(ch) == ch.degree
     # reg = sum of deg * chi
-    acc = None
+    acc = [0] * len(tab.chars)
     for ch in tab.chars:
-        term = ch * ch.degree
-        acc = term if acc is None else acc + term
-    assert acc == reg
+        acc = [a + v * ch.degree for a, v in zip(acc, ch.values)]
+    assert ClassFunction(G, acc) == reg
 
 
 # -- degree multisets for the other catalog groups -----------------------------
@@ -746,10 +745,10 @@ def test_induced_inner_product_counts_constituents():
     ind = induce(triv, H)
     assert ind.degree == 4
     # Ind 1 from the center = sum of the four linear characters
-    acc = None
+    acc = [0] * len(tab.chars)
     for ch in tab.chars[:4]:
-        acc = ch if acc is None else acc + ch
-    assert ind == acc
+        acc = [a + v for a, v in zip(acc, ch.values)]
+    assert ind == ClassFunction(G, acc)
 
 
 @pytest.mark.parametrize("make", [lambda: ul_group(3, 3), lambda: ul_group(4, 2)])
@@ -927,7 +926,8 @@ def test_array_path_matches_cyclotomic_formulas(make):
     for i, a in enumerate(chars):
         for j, b in enumerate(chars):
             z = Cyclotomic.zeta(e, i + 2 * j)
-            assert a.inner(b * z) == ref_inner(G, a.values, [v * z for v in b.values])
+            bz = [v * z for v in b.values]
+            assert a.inner(ClassFunction(G, bz)) == ref_inner(G, a.values, bz)
     # 1 + A^m down to the trivial group, through smaller exponents, and
     # 1 + (span{b_0} + A^2), whose embedding is not the identity on indices
     top = [A.basis_element(0)]

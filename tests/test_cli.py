@@ -4,9 +4,12 @@ import gc
 import hashlib
 import io
 import json
+import os
+import runpy
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from oneplusa.chars import CellRows
 from oneplusa.errors import VerificationFailed
 from oneplusa.nilalg import Algebra
 from test_unitgroup import _skew_truncated_polynomial
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -628,6 +633,34 @@ def test_format_accepts_only_what_the_command_renders(capsys, argv, fmt):
     assert out == "" and f"invalid choice: '{fmt}'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--seed", "3"],
+    ["catalog", "--cap", "5"],
+    ["show", "ul(3,2)", "--seed", "4"],
+    ["show", "ul(3,2)", "--cap", "2"],
+    ["chartable", "ul(3,2)", "--seed", "9"],
+    ["decompose", "ul(3,2)", "--seed", "1"],
+    ["halasi-explore", "3", "2", "3", "2", "--seed", "5"],
+])
+def test_options_only_where_they_are_read(capsys, argv):
+    # --seed is read by the polarize suite of verify alone, --cap by the
+    # commands that enumerate a group; elsewhere either is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_every_benchmark_command_parses():
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    parser = cli._build_parser()
+    argvs = [argv for name in workloads["WORKLOADS"] for argv in workloads["commands"](name, 0)]
+    argvs += [list(argv) for argv in workloads["GOLDEN"]]
+    for argv in argvs:
+        assert parser.parse_args(argv).func
+
+
 def test_no_gutkin_still_produces_tables(capsys):
     code, out, _ = run(capsys, "--no-gutkin", "chartable", "ul(3,2)")
     assert code == 0
@@ -671,3 +704,40 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "ul(3,2)" in proc.stdout
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # a reader that stops early (| head) is not a falsified claim (exit 1)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oneplusa.cli", "chartable", "ul(4,4)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    with proc.stderr:
+        assert proc.stderr.read() == b""  # no traceback
+
+
+def test_broken_pipe_points_stdout_at_devnull(monkeypatch, tmp_path):
+    # in process: the write raises, main returns 141 and the stdout file
+    # descriptor is devnull, so the flush at shutdown cannot raise again
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    try:
+        assert cli.main(["catalog", "--format", "json"]) == 141
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)

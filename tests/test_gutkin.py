@@ -773,7 +773,8 @@ def test_clifford_pick_rejects_a_reducible_class_function():
     chi = character_table(ul_group(3, 2)).chars[-1]
     SA1, SU, exts = _first_step(chi)
     with pytest.raises(VerificationFailed) as err:
-        clifford_constituent(chi + chi, SA1, SU, exts)
+        clifford_constituent(ClassFunction(chi.group, [v + v for v in chi.values]),
+                             SA1, SU, exts)
     assert (err.value.stage, err.value.witness) == ("constituent-irreducible", "4")
 
 
@@ -792,7 +793,8 @@ def test_clifford_pick_rejects_a_negative_degree():
     chi = character_table(ul_group(3, 2)).chars[-1]
     SA1, SU, exts = _first_step(chi)
     with pytest.raises(VerificationFailed) as err:
-        clifford_constituent(chi * -1, SA1, SU, exts)
+        clifford_constituent(ClassFunction(chi.group, [-v for v in chi.values]),
+                             SA1, SU, exts)
     assert (err.value.stage, err.value.witness) == ("constituent-degree", "-1")
 
 
@@ -1371,7 +1373,7 @@ def test_is_polarization_matches_elementwise_check():
 
 
 def test_polarization_requires_a_field():
-    from oneplusa.nilalg import IntegerRing, Z_RING
+    from oneplusa.nilalg import Z_RING
 
     A = free_nilpotent(Z_RING, 2, 2)
     with pytest.raises(TypeError):

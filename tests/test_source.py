@@ -156,3 +156,24 @@ def test_field_arithmetic_and_row_reduction_sit_beneath_nilalg():
     for name in ("exactfield", "linalg"):
         assert _package_imports(SRC / f"{name}.py") <= {"errors"}, name
     assert _package_imports(SRC / "nilalg.py") >= {"exactfield", "linalg"}
+
+
+def test_linear_algebra_has_one_scalar_domain():
+    # subspaces exist only over a finite field: linalg and nilalg import
+    # nothing from fractions, and no ring in nilalg converts its scalars
+    # into a second linear-algebra domain
+    for name in ("linalg", "nilalg"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert "fractions" not in imported, name
+    converters = {"ops_vector", "ops_scalar", "raw_vector"}
+    found = [
+        f"{cls.name}.{node.name}"
+        for cls in ast.parse((SRC / "nilalg.py").read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in converters
+    ]
+    assert not found, found

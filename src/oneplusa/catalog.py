@@ -76,7 +76,7 @@ def resolve(name):
 
     Accepts catalog names, the ul(n,q) / free(q,gens,index) constructor
     syntax for off-catalog sizes, file(path), or a bare path to an algebra
-    JSON file."""
+    JSON file.  A missing file(path) raises the OSError that names it."""
     for entry in BUILTIN:
         if entry.name == name.replace(" ", ""):
             return entry.construct()
@@ -90,9 +90,8 @@ def resolve(name):
         q, gens, idx = (int(t) for t in m.groups())
         return free_nilpotent(FieldRing(gf(q)), gens, idx)
     m = _FILE_PAT.match(name)
-    path = m.group(1) if m else name
-    if os.path.exists(path):
-        with open(path) as fh:
+    if m or os.path.exists(name):
+        with open(m.group(1) if m else name) as fh:
             return Algebra.from_json(json.load(fh))
     raise ValueError(f"unknown target {name!r}")
 

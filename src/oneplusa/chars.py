@@ -34,9 +34,9 @@ tests read them through a lazy cache keyed by coefficient row.
 
 A linear character of a subgroup H, as the descent consumes it, is an int64
 array of exponents t mod e (value zeta_e^t, e the ambient exponent), one per
-ambient index and -1 off H, never a ClassFunction: linear_characters lists
-them all from H/(H, H) in place, scalar_character_on reads off the one chi is
-a multiple of.
+element of H in the order of H.indices, never a ClassFunction:
+linear_characters lists them all from H/(H, H) in place, scalar_character_on
+reads off the one chi is a multiple of.
 
 This module deliberately knows nothing about the monomial-certificate
 machinery; it is the independent reference the certificates are checked
@@ -572,12 +572,12 @@ def _class_matrix_T(group, i, l):
 
 def _center_characters(group):
     """The center Z = Z(1+A) = 1 + Z(A) as the classes of size 1, which the
-    class order puts first, and its characters mu as exponent rows over Z,
-    from linear_characters on Z."""
+    class order puts first (so in increasing order), and its characters mu as
+    exponent rows over Z, from linear_characters on Z."""
     nz = int(np.count_nonzero(group.class_sizes == 1))
-    Z = np.array(group.class_reps()[:nz], dtype=np.int64)
-    space = Subspace.from_vectors(group.algebra, [group.coords_of_index(int(z)) for z in Z])
-    return Z, linear_characters(Subgroup(group, Z, subspace=space, verify=False))[:, Z]
+    Z = group.class_reps()[:nz]  # increasing, as Subgroup.indices
+    space = Subspace.from_vectors(group.algebra, [group.coords_of_index(z) for z in Z])
+    return np.array(Z), linear_characters(Subgroup(group, Z, subspace=space, verify=False))
 
 
 def _center_blocks(group, w0_pow, center):
@@ -720,10 +720,10 @@ def _split_off_linear(group, blocks, mus, Z, w0_pow, l):
     in_derived = commutator_subgroup(whole, whole).mask[Z]
     if mus[big][:, in_derived].any(axis=1).all():
         return found, blocks
-    lams = linear_characters(whole)
+    T = linear_characters(whole)[:, group.class_reps()]  # whole.indices is every index
     block_of = {mu.tobytes(): m for m, mu in enumerate(mus)}
-    owner = np.array([block_of.get(row.tobytes(), -1) for row in lams[:, Z]])
-    T = lams[:, group.class_reps()]
+    # the classes of Z come first, so T[:, :len(Z)] is each lambda on Z
+    owner = np.array([block_of.get(row.tobytes(), -1) for row in T[:, :len(Z)]])
     blocks = list(blocks)
     for m in big:
         mine = T[owner == m]
@@ -869,9 +869,11 @@ def _cyclic_decomposition(Q):
 
 def linear_characters(H):
     """Every linear character of the Subgroup H = 1 + B (all of G is
-    power_subgroup(G, 1)) from H/(H, H) on ambient indices: one int64 row
-    per character, t mod e = exp(G) (value zeta_e^t) on H and -1 off it, in
-    itertools.product order over the cyclic decomposition of H/(H, H).
+    power_subgroup(G, 1)) from H/(H, H), computed in place on ambient
+    indices: one int64 row per character, of shape (H.order,), whose entry
+    at position i is t mod e = exp(G) (value zeta_e^t) at the element
+    H.indices[i], in itertools.product order over the cyclic decomposition
+    of H/(H, H).
     (H, H) is unitgroup.commutator_subgroup(H, H), the normal closure of the
     commutators of H's generators."""
     G = H.group
@@ -891,9 +893,7 @@ def linear_characters(H):
     distinct = len({row.tobytes() for row in on_h})
     if distinct != Q.order:
         raise VerificationFailed("linear-distinct", witness=(distinct, Q.order))
-    out = np.full((count, G.order), -1, dtype=np.int64)
-    out[:, H.indices] = on_h
-    return out
+    return on_h
 
 
 # ---------------------------------------------------------------------------
@@ -997,13 +997,11 @@ def mackey_irreducible(rho, H):
 
 def scalar_character_on(chi, H):
     """If chi is a multiple of a single linear character on the subgroup H,
-    return that character as exponents t mod e (value zeta_e^t) over the
-    ambient indices, -1 off H; otherwise None."""
+    return that character as exponents t mod e (value zeta_e^t), one per
+    element of H.indices; otherwise None."""
     d = chi.degree_int()
     basis = chi._basis()
-    G = chi.group
-    cls = G.class_of[H.indices]
-    ks = np.unique(cls)
+    ks, at = np.unique(chi.group.class_of[H.indices], return_inverse=True)
     rows = chi.coeffs[ks]
     # |chi(h)|^2 = d^2 on every class that meets H
     _guard("scalar test", _maxabs(rows) ** 2, basis.phi ** 2, basis.zmax)
@@ -1012,8 +1010,4 @@ def scalar_character_on(chi, H):
     expect[0] = d * d
     if not (norms == expect).all():
         return None
-    on_class = np.empty(len(G.class_sizes), dtype=np.int64)
-    on_class[ks] = basis.exponents(rows, "scalar-root-of-unity", scale=d)
-    out = np.full(G.order, -1, dtype=np.int64)
-    out[H.indices] = on_class[cls]
-    return out
+    return basis.exponents(rows, "scalar-root-of-unity", scale=d)[at]

@@ -454,6 +454,8 @@ def main(argv=None):
         print(f"falsified: {e}", file=sys.stderr)
         return 1
     except ModuleNotFoundError as e:
+        if e.name not in blocked:
+            raise  # a module missing from the installation is no usage error
         print(
             f"error: this command needs a module blocked by --no-gutkin ({e.name})",
             file=sys.stderr,

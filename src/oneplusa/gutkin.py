@@ -26,7 +26,8 @@ theorem it implements.
 
 Linear characters (zeta, its extensions to 1 + U, the pairing values, the
 additive character psi) are int64 exponent arrays in the chars format:
-t stands for zeta_e^t (zeta_p^t for psi), compared and multiplied mod e.
+t stands for zeta_e^t (zeta_p^t for psi), compared and multiplied mod e, and
+a character of a subgroup H has one entry per element of H.indices.
 Cyclotomic values are built only in GutkinStep.to_json and PairingTable.value.
 
 find_polarization is the companion construction for linear functionals: a
@@ -87,8 +88,8 @@ from .unitgroup import (
 
 def minimal_scalar_level(chi):
     """Smallest m >= 1 such that chi acts by scalars on 1 + A^m, together
-    with the central character zeta as exponents mod e over the group
-    indices (see scalar_character_on).
+    with the central character zeta as exponents mod e over the indices of
+    1 + A^m (see scalar_character_on).
 
     m = 1 exactly when chi is linear, and m always exists because 1 + A^n is
     trivial at the nilpotency index n.  Conjugation invariance of zeta is
@@ -215,7 +216,7 @@ def _prime_basis(field, d):
 
 def quotient_character(group, m, zeta):
     """zeta, given on 1+A^m as exponents mod e = group.exponent() over the
-    ambient indices, as an array over the indices of
+    indices of power_subgroup(group, m), as an array over the indices of
     Q = (1+A^m)/(1+A, 1+A^m), after checking that it is a character of Q:
     constant on the cosets of (1+A, 1+A^m) (for a character of 1+A^m,
     exactly conjugation invariance), zeta(1) = 1, and
@@ -224,11 +225,10 @@ def quotient_character(group, m, zeta):
     data = quotient_pairing(group, m)
     e = group.exponent()
     s = data["Sm"].indices
-    z = zeta[s]
     t = data["to_q"][s]
     _, first = np.unique(t, return_index=True)  # Q index -> first s in its coset
-    vals, where = z[first], s[first]
-    bad = np.nonzero(z != vals[t])[0]
+    vals, where = zeta[first], s[first]
+    bad = np.nonzero(zeta != vals[t])[0]
     if len(bad):
         raise NotInvariant((int(where[t[bad[0]]]), int(s[bad[0]])))
     if vals[0] != 0:
@@ -427,11 +427,12 @@ def build_ideals(phi, line):
 def extension_set(group, U, m, zeta, A1):
     """All linear characters of 1 + U restricting to zeta on 1 + A^m.
 
-    Returns them as rows of exponents mod e over the ambient indices (-1 off
-    1 + U, as zeta is given), in linear_characters order, after checking the
-    three parts of the extension lemma: the set is nonempty, it forms a
-    single orbit under conjugation by 1 + A, and the stabilizer of each
-    member is exactly 1 + A1.  The precondition that zeta kills every
+    zeta is given over the indices of 1 + A^m, and the extensions are
+    returned as rows of exponents mod e over the indices of 1 + U, in
+    linear_characters order, after checking the three parts of the
+    extension lemma: the set is nonempty, it forms a single orbit under
+    conjugation by 1 + A, and the stabilizer of each member is exactly
+    1 + A1.  The precondition that zeta kills every
     commutator of 1 + U is checked first.
 
     Everything that does not depend on zeta is built once per (group, U)
@@ -446,7 +447,8 @@ def extension_set(group, U, m, zeta, A1):
       quotient_character, has checked that zeta is multiplicative and
       constant on the cosets of (1+A, 1+A^m), which together make zeta
       1+A-invariant.  So if zeta kills the generator commutators, it kills
-      all of (1+U, 1+U).
+      all of (1+U, 1+U).  A commutator outside 1 + A^m fails it at once,
+      before zeta is looked up.
     - Closure of 1 + U under conjugation: each generator s of 1 + U is
       conjugated by each generator g of 1 + A, as in
       FiniteGroupTable.is_normal; the witness is the pair (g, s).
@@ -471,14 +473,15 @@ def extension_set(group, U, m, zeta, A1):
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
     cs = data["cs"]
-    bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
-    if len(bad):
-        raise VerificationFailed("extension-precondition", witness=int(bad[0]))
+    bad = ~Sm.mask[cs]
+    bad[~bad] = zeta[np.searchsorted(Sm.indices, cs[~bad])] != 0
+    if bad.any():
+        raise VerificationFailed("extension-precondition", witness=int(cs[bad][0]))
 
-    lins, s = data["lins"], Sm.indices  # lins over the indices of 1 + U
+    lins, s = data["lins"], Sm.indices
     hit = np.zeros(len(lins), dtype=bool)  # none, unless 1 + A^m <= 1 + U
     if SU.mask[s].all():
-        hit = (lins[:, np.searchsorted(SU.indices, s)] == zeta[s]).all(axis=1)
+        hit = (lins[:, np.searchsorted(SU.indices, s)] == zeta).all(axis=1)
     idx = np.nonzero(hit)[0]
     if not len(idx):
         raise EmptyExtensionSet((m, U.rows))
@@ -504,17 +507,14 @@ def extension_set(group, U, m, zeta, A1):
             if not (stab == SA1.mask).all():
                 g = int(np.nonzero(stab != SA1.mask)[0][0])
                 raise WrongStabilizer((t, g))
-
-    exts = np.full((len(idx), group.order), -1, dtype=np.int64)
-    exts[:, SU.indices] = lins[idx]
-    return exts
+    return lins[idx]
 
 
 def _extension_data(group, U):
     """The zeta-free half of extension_set, built once per (group, U) and
     kept in the group's memo: gens, the generators of 1 + U, and at, their
     positions among its indices; cs, their commutators; lins, the linear
-    characters of 1 + U on its own indices only; outside, the first pair
+    characters of 1 + U (over its indices); outside, the first pair
     (g, s) of a generator g of 1 + A and s of gens with g^-1 s g outside
     1 + U, or None; and orbits, the least row index in the orbit of each
     row of lins (unitgroup.orbit_labels), when 1 + U is closed.  A row's
@@ -524,7 +524,7 @@ def _extension_data(group, U):
         SU = subspace_subgroup(group, U)
         gens = np.array(SU.generator_indices(), dtype=np.int64)
         at = np.searchsorted(SU.indices, gens)
-        lins = linear_characters(SU)[:, SU.indices]
+        lins = linear_characters(SU)
         data = {"gens": gens, "at": at, "cs": group.commutator_values(gens, gens),
                 "lins": lins, "outside": None, "orbits": None}
         ggens = np.array(group.generator_indices(), dtype=np.int64)
@@ -558,7 +558,8 @@ def _extension_data(group, U):
 
 
 class GutkinStep:
-    """Transcript of one descent level, in that level's own coordinates."""
+    """Transcript of one descent level, in that level's own coordinates;
+    zeta and chi_u are rows over the indices of 1 + A^m and of 1 + U."""
 
     __slots__ = (
         "dim", "m", "zeta", "pairing", "phi", "line", "a1", "u",
@@ -578,21 +579,22 @@ class GutkinStep:
         self.num_extensions = num_extensions
 
     def to_json(self):
-        e = self.pairing.group.exponent()
+        group = self.pairing.group
+        e = group.exponent()
 
-        def render(exps):
+        def render(exps, H):
             return [[k, Cyclotomic.zeta(e, t).to_json()]
-                    for k, t in enumerate(exps.tolist()) if t >= 0]
+                    for k, t in zip(H.indices.tolist(), exps.tolist())]
 
         return {
             "dim": self.dim,
             "m": self.m,
-            "zeta": render(self.zeta),
+            "zeta": render(self.zeta, power_subgroup(group, self.m)),
             "phi": [list(r) for r in self.phi.rows],
             "line": list(self.line),
             "a1": [[int(c) for c in r] for r in self.a1.rows],
             "u": [[int(c) for c in r] for r in self.u.rows],
-            "chi_u": render(self.chi_u),
+            "chi_u": render(self.chi_u, subspace_subgroup(group, self.u)),
             "extensions": self.num_extensions,
         }
 
@@ -672,16 +674,14 @@ def clifford_constituent(chi, SA1, SU, exts):
     """The constituent rho of chi restricted to H = 1 + A1 that induces chi,
     by Clifford projection onto the extensions exts of zeta to N = 1 + U.
 
+    exts holds rows over the indices of N, as extension_set returns them.
     N is normal (U is an ideal), exts is a single orbit under 1 + A and H
     is the stabilizer of each member (extension_set), so Res_H chi is the
     sum of its exts-parts, each irreducible, and each induces chi.  rho is
     the part with the least sort_key: the first constituent in table order.
     <rho, rho> = 1 and rho(1) > 0 are checked (VerificationFailed)."""
     _, _, sub_of = SA1.std_group
-    parts = clifford_parts(
-        restrict(chi, SA1), sub_of[SU.indices], exts[:, SU.indices],
-        chi.group.exponent(),
-    )
+    parts = clifford_parts(restrict(chi, SA1), sub_of[SU.indices], exts, chi.group.exponent())
     rho = min(parts, key=ClassFunction.sort_key)
     norm = rho.inner(rho)
     if norm != 1:

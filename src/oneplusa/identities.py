@@ -149,8 +149,8 @@ def finite_pairing_check(algebra, m, zeta, cap=DEFAULT_GROUP_CAP):
     commutator map factors through (A/A^2) x (A^(m-1)/A^m) into the finite
     quotient Q = (1+A^m)/(1+A, 1+A^m) and is bilinear there (verified once
     per group and level by quotient_pairing); then that zeta (exponents mod
-    e over the ambient indices, as chars.linear_characters lists them for
-    1+A^m) is a character of Q, which for a character of 1+A^m is exactly
+    e over the indices of 1+A^m, as chars.linear_characters lists them) is
+    a character of Q, which for a character of 1+A^m is exactly
     conjugation invariance."""
     quotient_character(unit_group_of(algebra, cap), m, zeta)
     return True

@@ -453,22 +453,25 @@ class Algebra(Memoized):
         }
 
     @staticmethod
-    def from_json(data, check=True):
+    def from_json(data):
+        """The algebra of to_json's form, checked: every structure constant
+        names basis vectors in 0..dim-1 and a field element in 0..q-1
+        (ValueError naming the entry otherwise)."""
         ring_d = data["ring"]
         if ring_d.get("type") != "field":
             raise ValueError("expected a finite-field algebra")
         ring = FieldRing(field_from_descriptor(ring_d))
+        dim, q = int(data["dim"]), ring.field.q
         sc = {}
         for key, entry in data["sc"].items():
             i, j = (int(t) for t in key.split(","))
-            sc[(i, j)] = tuple((int(k), int(c)) for k, c in entry)
-        return Algebra(
-            ring,
-            int(data["dim"]),
-            sc,
-            labels=data.get("labels"),
-            check=check,
-        )
+            terms = tuple((int(k), int(c)) for k, c in entry)
+            if not (all(0 <= t < dim for t in (i, j, *(k for k, _ in terms)))
+                    and all(0 <= c < q for _, c in terms)):
+                raise ValueError(f"structure constant {key!r}: {entry} is outside "
+                                 f"the algebra of dim {dim} over GF({q})")
+            sc[(i, j)] = terms
+        return Algebra(ring, dim, sc, labels=data.get("labels"))
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, over {self.ring!r})"

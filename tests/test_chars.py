@@ -48,7 +48,7 @@ from oneplusa.exactfield import Cyclotomic, gf
 from oneplusa.nilalg import (
     Algebra, FieldRing, Subspace, free_nilpotent, strictly_upper_triangular,
 )
-from oneplusa.unitgroup import Subgroup, UnitGroup, power_subgroup
+from oneplusa.unitgroup import Subgroup, UnitGroup, commutator_subgroup, power_subgroup
 from test_gutkin import _reversed_basis
 from test_nilalg import _with_null
 from test_unitgroup import _order_of, _power_of, _random_basis
@@ -68,14 +68,15 @@ def trivial_character(group):
 
 def linear_class_functions(H):
     # linear_characters(H) as ClassFunctions: on the ambient group when H is
-    # all of it, else on the standalone copy of H
+    # all of it, else on the standalone copy of H; the rows are read at the
+    # positions in H.indices of the class representatives
     G = H.group
     e = G.exponent()
     if H.order == G.order:
         on, emb = G, np.arange(G.order)
     else:
         on, emb, _ = H.std_group
-    reps = emb[on.class_reps()]
+    reps = np.searchsorted(H.indices, emb[on.class_reps()])
     return [
         ClassFunction(on, [Cyclotomic.zeta(e, int(t)) for t in row[reps]])
         for row in linear_characters(H)
@@ -757,9 +758,9 @@ def test_clifford_parts_over_the_center(make):
     # over l_chi is chi itself and every other part is zero
     G = make()
     Z = power_subgroup(G, G.algebra.nilpotency_index - 1)
-    lams = linear_characters(Z)[:, Z.indices]
+    lams = linear_characters(Z)
     for chi in character_table(G).chars:
-        own = (lams == scalar_character_on(chi, Z)[Z.indices]).all(axis=1)
+        own = (lams == scalar_character_on(chi, Z)).all(axis=1)
         assert own.sum() == 1
         parts = clifford_parts(chi, Z.indices, lams, G.exponent())
         for is_own, part in zip(own, parts):
@@ -789,8 +790,10 @@ def test_scalar_on_center():
     Z = power_subgroup(G, 2)
     exps = scalar_character_on(chi, Z)
     assert exps is not None
-    # exponents mod 4 on 1 and 1+e13: zeta_4^0 = 1, zeta_4^2 = -1; -1 off Z
-    assert exps.tolist() == [0, 2] + [-1] * 6
+    # exponents mod 4 on Z = {1, 1+e13}, one per element: zeta_4^0 = 1,
+    # zeta_4^2 = -1
+    assert Z.indices.tolist() == [0, 1]
+    assert exps.tolist() == [0, 2]
     # the degree-2 character is not scalar on the full group
     full = Subgroup(G, np.arange(G.order), verify=False)
     assert scalar_character_on(chi, full) is None
@@ -810,9 +813,9 @@ def test_scalar_exponents_give_the_values(make):
             exps = scalar_character_on(chi, S)
             if exps is None:
                 continue
-            assert (exps[~S.mask] == -1).all()
-            for h in S.indices.tolist():
-                assert Cyclotomic.zeta(e, int(exps[h])) * d == chi.value_at_index(h)
+            assert exps.shape == (S.order,)
+            for h, t in zip(S.indices.tolist(), exps.tolist()):
+                assert Cyclotomic.zeta(e, t) * d == chi.value_at_index(h)
 
 
 def test_scalar_test_rejects_a_norm_that_is_no_root_of_unity():
@@ -838,12 +841,34 @@ def test_row_to_exponent_lookup(e):
         basis.exponents(rows, "lookup", scale=2)
 
 
+@pytest.mark.parametrize("target", [e.name for e in BUILTIN])
+def test_linear_characters_have_one_entry_per_subgroup_element(target):
+    # on every 1 + A^m of the catalog groups: |H/(H, H)| rows of length |H|,
+    # with no entry left for the elements of G outside H, and the scalar
+    # character of each chi likewise one entry per element of H
+    G = UnitGroup(resolve(target))
+    e = G.exponent()
+    for m in range(1, G.algebra.nilpotency_index + 1):
+        H = power_subgroup(G, m)
+        rows = linear_characters(H)
+        n = H.order // commutator_subgroup(H, H).order
+        assert rows.shape == (n, H.order)
+        assert ((rows >= 0) & (rows < e)).all()
+        for chi in character_table(G).chars:
+            exps = scalar_character_on(chi, H)
+            assert exps is None or exps.shape == (H.order,)
+        # at m = 1 the rows are the linear characters of G itself
+        if m == 1:
+            assert rows.shape[0] == sum(ch.degree_int() == 1 for ch in character_table(G).chars)
+
+
 @pytest.mark.parametrize("make", [lambda: ul_group(4, 2), lambda: free_group(2, 1, 5)],
                          ids=["ul(4,2)", "free(2,1,5)"])
 def test_linear_characters_match_the_subgroup_table(make):
     # the rows of linear_characters(H), computed in place on ambient indices,
     # are the degree-1 rows of the character table of H's standalone copy,
-    # rescaled from zeta_(e_H) to zeta_e of the ambient group
+    # rescaled from zeta_(e_H) to zeta_e of the ambient group and read at
+    # H.indices
     G = make()
     e = G.exponent()
     A = G.algebra
@@ -861,11 +886,11 @@ def test_linear_characters_match_the_subgroup_table(make):
             if ch.degree_int() != 1:
                 continue
             t = basis.exponents(ch.coeffs, "linear-root-of-unity") * (e // basis.e)
-            row = np.full(G.order, -1, dtype=np.int64)
-            row[emb] = t[Hg.class_of]
+            row = np.empty(H.order, dtype=np.int64)
+            row[np.searchsorted(H.indices, emb)] = t[Hg.class_of]
             want.add(row.tobytes())
         rows = linear_characters(H)
-        assert rows.dtype == np.int64 and rows.shape == (len(want), G.order)
+        assert rows.dtype == np.int64 and rows.shape == (len(want), H.order)
         assert {row.tobytes() for row in rows} == want
 
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from oneplusa import cli
 from oneplusa.chars import CellRows
 from oneplusa.errors import VerificationFailed
-from oneplusa.nilalg import Algebra
+from oneplusa.exactfield import gf
+from oneplusa.nilalg import Algebra, FieldRing
 from test_unitgroup import _skew_truncated_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -673,6 +674,71 @@ def test_no_gutkin_blocks_descent_commands(capsys):
     code, _, err = run(capsys, "--no-gutkin", "decompose", "ul(3,2)")
     assert code == 2
     assert "no-gutkin" in err
+
+
+def test_a_missing_module_is_translated_only_when_the_flag_blocked_it(monkeypatch, capsys):
+    # --no-gutkin turns the import of a module it blocked into exit 2; any
+    # other missing module is a fault of the installation and propagates
+    code, _, err = run(capsys, "--no-gutkin", "decompose", "ul(3,2)")
+    assert (code, err) == (2, "error: this command needs a module blocked by "
+                               "--no-gutkin (oneplusa.gutkin)\n")
+    monkeypatch.setitem(sys.modules, "oneplusa.gutkin", None)  # missing, not blocked
+    with pytest.raises(ModuleNotFoundError) as err:
+        cli.main(["decompose", "ul(3,2)"])
+    assert err.value.name == "oneplusa.gutkin"
+    monkeypatch.undo()
+
+    def missing(group):
+        raise ModuleNotFoundError("No module named 'absent'", name="absent")
+
+    monkeypatch.setattr(cli, "character_table", missing)
+    with pytest.raises(ModuleNotFoundError) as err:
+        cli.main(["--no-gutkin", "chartable", "ul(3,2)"])
+    assert err.value.name == "absent"
+    assert sys.modules["oneplusa.gutkin"] is not None  # the block is lifted
+
+
+def _file_algebra(sc):
+    # F_2[e]/(e^3) in the basis e, e^2 (dim 2 over GF(2)), as file() JSON,
+    # with its structure constants replaced by sc
+    A = Algebra(FieldRing(gf(2)), 2, {(0, 0): ((1, 1),)})
+    return dict(A.to_json(), sc=sc)
+
+
+@pytest.mark.parametrize("sc,entry", [
+    ({"0,0": [[1, 1]], "0,5": [[1, 1]]}, "'0,5': [[1, 1]]"),
+    ({"0,0": [[7, 1]]}, "'0,0': [[7, 1]]"),
+    ({"0,0": [[1, 5]]}, "'0,0': [[1, 5]]"),
+    ({"0,0": [[-1, 1]]}, "'0,0': [[-1, 1]]"),
+], ids=["key", "basis-vector", "coefficient", "negative"])
+def test_structure_constants_outside_the_algebra_exit_two(tmp_path, capsys, sc, entry):
+    # a key, basis vector or coefficient outside the algebra, negative ones
+    # included, is bad input: exit 2 with the entry named, for every command
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_file_algebra(sc)))
+    for command in ("show", "chartable"):
+        code, out, err = run(capsys, command, f"file({path})")
+        assert (code, out) == (2, "")
+        assert err == (f"error: structure constant {entry} is outside the algebra "
+                       f"of dim 2 over GF(2)\n")
+
+
+def test_the_file_algebra_of_the_structure_constant_tests_is_valid(tmp_path, capsys):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_file_algebra({"0,0": [[1, 1]]})))
+    code, out, _ = run(capsys, "chartable", f"file({path})")
+    assert code == 0 and json.loads(out)["group_order"] == 4
+
+
+def test_a_missing_file_target_names_its_path(tmp_path, capsys):
+    # file(path) opens the path, so the OS error that names it exits 2; a
+    # bare path that does not exist is still no target at all
+    missing = tmp_path / "absent.json"
+    code, out, err = run(capsys, "show", f"file({missing})")
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    code, _, err = run(capsys, "show", str(missing))
+    assert code == 2 and err == f"error: unknown target '{missing}'\n"
 
 
 def test_halasi_explore(capsys):

@@ -120,10 +120,11 @@ def test_u32_scalar_level():
     assert chi.degree_int() == 2
     m, zeta = minimal_scalar_level(chi)
     assert m == 2
-    # 1 + A^2 = {1, 1+e13}; the central character sends 1+e13 to
-    # -1 = zeta_4^2 (the group exponent is 4), and is -1 off 1 + A^2
+    # 1 + A^2 = {1, 1+e13} has the indices 0 and 1; the central character
+    # sends 1+e13 to -1 = zeta_4^2 (the group exponent is 4), one entry each
     assert G.exponent() == 4
-    assert zeta.tolist() == [0, 2, -1, -1, -1, -1, -1, -1]
+    assert power_subgroup(G, m).indices.tolist() == [0, 1]
+    assert zeta.tolist() == [0, 2]
 
 
 def test_u32_scalar_level_of_linear_character():
@@ -176,14 +177,15 @@ def test_u32_extension_set():
     A1, U = build_ideals(phi, choose_line(phi))
     exts = extension_set(G, U, m, zeta, A1)
     assert len(exts) == 2
-    # indices in 1+U: 0 = identity, 1 = 1+e13, 4 = 1+e12, 5 = 1+e12+e13;
-    # exponents mod 4, so 2 stands for -1, and -1 marks indices off 1+U
-    assert exts[0].tolist() == [0, 2, -1, -1, 0, 2, -1, -1]
-    assert exts[1].tolist() == [0, 2, -1, -1, 2, 0, -1, -1]
+    # indices in 1+U: 0 = identity, 1 = 1+e13, 4 = 1+e12, 5 = 1+e12+e13, one
+    # entry each; exponents mod 4, so 2 stands for -1
+    on_u = np.array([0, 1, 4, 5])
+    assert np.array_equal(subspace_subgroup(G, U).indices, on_u)
+    assert exts[0].tolist() == [0, 2, 0, 2]
+    assert exts[1].tolist() == [0, 2, 2, 0]
     # conjugating by 1+e23 swaps the two extensions
     g = G.index_of_coords((0, 1, 0))
-    on_u = np.array([0, 1, 4, 5])
-    assert exts[0][G.conj(on_u, g)].tolist() == exts[1][on_u].tolist()
+    assert exts[0][np.searchsorted(on_u, G.conj(on_u, g))].tolist() == exts[1].tolist()
 
 
 def test_u32_full_certificate():
@@ -688,27 +690,39 @@ def test_non_invariant_zeta_is_rejected():
     # 1+e13+e14 and breaks invariance
     G = ul_group(4, 2)
     assert G.exponent() == 4  # -1 = zeta_4^2
-    zeta = np.full(G.order, -1)
-    for s in power_subgroup(G, 2).indices.tolist():
-        zeta[s] = 2 if G.coords_of_index(s)[5] else 0
+    zeta = np.array([2 if G.coords_of_index(s)[5] else 0
+                     for s in power_subgroup(G, 2).indices.tolist()])
     with pytest.raises(NotInvariant):
         commutator_pairing(G, 2, zeta)
 
 
 def test_extension_set_needs_zeta_to_kill_the_commutators_of_1_plus_u():
-    # with U = A, the commutator 1+e13 of 1+U is where zeta is -1
+    # with U = A, the commutator 1+e13 of 1+U is where zeta is -1; zeta is
+    # given on 1 + A^2 = {1, 1+e13}
     G = ul_group(3, 2)
     A = G.algebra
-    zeta = np.array([0, 2, -1, -1, -1, -1, -1, -1])
+    zeta = np.array([0, 2])
     A1 = Subspace.from_vectors(A, [(1, 0, 0), (0, 0, 1)])
     with pytest.raises(VerificationFailed) as err:
         extension_set(G, A.power_subspace(1), 2, zeta, A1)
     assert (err.value.stage, err.value.witness) == ("extension-precondition", 1)
 
 
+def test_extension_set_rejects_a_commutator_outside_the_level_before_reading_zeta():
+    # with m = 3, 1 + A^3 = {1} and zeta has its one entry there; the
+    # commutator 1+e13 of 1+U = 1+A lies outside it, so it is the witness,
+    # and no position in 1 + A^3 is looked up for it
+    G = ul_group(3, 2)
+    A = G.algebra
+    A1 = Subspace.from_vectors(A, [(1, 0, 0), (0, 0, 1)])
+    args = (G, A.power_subspace(1), 3, np.array([0]), A1)
+    err = _both_fail(args, VerificationFailed)
+    assert (err.stage, err.witness) == ("extension-precondition", 1)
+
+
 def test_trivial_zeta_gives_zero_matrix_and_no_line():
     G = ul_group(3, 2)
-    zeta = np.array([0, 0, -1, -1, -1, -1, -1, -1])  # trivial on 1 + A^2
+    zeta = np.array([0, 0])  # trivial on 1 + A^2 = {1, 1+e13}
     pairing = commutator_pairing(G, 2, zeta)
     assert len(pairing.values) == 16 and (pairing.values == 0).all()
     phi = phi_map(pairing)
@@ -803,39 +817,72 @@ def test_clifford_pick_rejects_a_negative_degree():
 
 def _full_column_extension_set(group, U, m, zeta, A1):
     # the reference: every check of extension_set run on all of 1 + U, with
-    # the |1+U|^2 commutator scan and the |G| x |1+U| conjugate rows
+    # the |1+U|^2 commutator scan and the |G| x |1+U| conjugate rows; zeta
+    # and the rows are over the indices of 1 + A^m and of 1 + U, and pos
+    # reads an ambient index as a position in 1 + U (-1 off it)
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
     SA1 = subspace_subgroup(group, A1)
-    cs = group.commutator_values(SU.indices, SU.indices)
-    bad = cs[~Sm.mask[cs] | (zeta[cs] != 0)]
-    if len(bad):
-        raise VerificationFailed("extension-precondition", witness=int(bad[0]))
+    u = SU.indices
+    pos = np.full(group.order, -1, dtype=np.int64)
+    pos[u] = np.arange(len(u))
+    zeta_at = dict(zip(Sm.indices.tolist(), zeta.tolist()))
+    bad = [c for c in group.commutator_values(u, u).tolist() if zeta_at.get(c) != 0]
+    if bad:
+        raise VerificationFailed("extension-precondition", witness=bad[0])
 
     lins = linear_characters(SU)
-    exts = lins[(lins[:, Sm.indices] == zeta[Sm.indices]).all(axis=1)]
+    on_m = pos[Sm.indices]
+    exts = lins[:0] if (on_m < 0).any() else lins[(lins[:, on_m] == zeta).all(axis=1)]
     if not len(exts):
         raise EmptyExtensionSet((m, U.rows))
 
-    u = SU.indices
     garr = np.arange(group.order)
-    P = group.conj(u[None, :], garr[:, None])  # row g: g^-1 (1+u) g
-    if not SU.mask[P].all():
-        g, i = (int(t[0]) for t in np.nonzero(~SU.mask[P]))
+    P = pos[group.conj(u[None, :], garr[:, None])]  # row g: g^-1 (1+u) g
+    if (P < 0).any():
+        g, i = (int(t[0]) for t in np.nonzero(P < 0))
         raise VerificationFailed("extension-conjugation-closure", witness=(g, i))
 
     orbit = np.unique(exts[0][P], axis=0)
-    ext_set = np.unique(exts[:, u], axis=0)
+    ext_set = np.unique(exts, axis=0)
     if not np.array_equal(orbit, ext_set):
         raise MultipleOrbits((len(orbit), len(ext_set)))
 
     for t, vec in enumerate(exts):
-        stab = (vec[P] == vec[u][None, :]).all(axis=1)
+        stab = (vec[P] == vec[None, :]).all(axis=1)
         if not (stab == SA1.mask).all():
             g = int(np.nonzero(stab != SA1.mask)[0][0])
             raise WrongStabilizer((t, g))
 
     return exts
+
+
+@pytest.mark.parametrize("target", [e.name for e in BUILTIN])
+def test_descent_rows_have_one_entry_per_subgroup_element(monkeypatch, target):
+    # every extension set on the catalog has rows of length |1 + U|, and each
+    # step's report keys zeta and chi_u by the level group's indices of
+    # 1 + A^m and 1 + U, one key per element, in increasing order
+    calls = []
+    real = gutkin.extension_set
+
+    def recording(group, U, m, zeta, A1):
+        exts = real(group, U, m, zeta, A1)
+        calls.append((group, U, exts))
+        return exts
+
+    monkeypatch.setattr(gutkin, "extension_set", recording)
+    G = UnitGroup(resolve(target))
+    steps = [s for chi in character_table(G).chars for s in gutkin_decompose(chi).steps]
+    assert len(steps) == len(calls)
+    for group, U, exts in calls:
+        assert exts.ndim == 2 and exts.shape[1] == subspace_subgroup(group, U).order
+    for step in steps:
+        group = step.pairing.group
+        rendered = step.to_json()
+        Sm, SU = power_subgroup(group, step.m), subspace_subgroup(group, step.u)
+        assert step.zeta.shape == (Sm.order,) and step.chi_u.shape == (SU.order,)
+        assert [k for k, _ in rendered["zeta"]] == Sm.indices.tolist()
+        assert [k for k, _ in rendered["chi_u"]] == SU.indices.tolist()
 
 
 def _reversed_basis(A):
@@ -961,8 +1008,7 @@ def test_extension_set_rejects_a_u_that_is_not_an_ideal():
     G = ul_group(4, 2)
     A = G.algebra
     U = Subspace.from_vectors(A, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)])
-    zeta = np.full(G.order, -1)
-    zeta[power_subgroup(G, 3).indices] = 0
+    zeta = np.zeros(power_subgroup(G, 3).order, dtype=np.int64)
     err = _both_fail((G, U, 3, zeta, A.power_subspace(1)), VerificationFailed)
     assert err.stage == "extension-conjugation-closure"
     g, s = err.witness
@@ -977,7 +1023,7 @@ def test_extension_set_rejects_invariant_extensions():
     G = ul_group(3, 2)
     A = G.algebra
     U = Subspace.from_vectors(A, [(1, 0, 0), (0, 0, 1)])
-    zeta = np.array([0, 0, -1, -1, -1, -1, -1, -1])
+    zeta = np.array([0, 0])  # on 1 + A^2 = {1, 1+e13}
     err = _both_fail((G, U, 2, zeta, U), MultipleOrbits)
     assert err.witness == (1, 2)
 
@@ -1081,14 +1127,13 @@ def test_extension_set_rejects_a_stabilizer_that_is_not_normal():
     U = Subspace.from_vectors(A, [unit[0], unit[3], unit[5]])
     B = Subspace.from_vectors(A, [unit[0], unit[1], unit[3], unit[5]])
     S3 = power_subgroup(G, 3)
-    zeta = np.full(G.order, -1)
-    zeta[S3.indices] = [0 if G.coords_of_index(s)[5] == 0 else 2 for s in S3.indices.tolist()]
+    zeta = np.array([0 if G.coords_of_index(s)[5] == 0 else 2 for s in S3.indices.tolist()])
     SB, SU = subspace_subgroup(G, B), subspace_subgroup(G, U)
     assert not SB.is_normal()
     lins = linear_characters(SU)
-    first = lins[(lins[:, S3.indices] == zeta[S3.indices]).all(axis=1)][0]
-    P = G.conj(SU.indices[None, :], np.arange(G.order)[:, None])
-    assert np.array_equal((first[P] == first[SU.indices]).all(axis=1), SB.mask)
+    first = lins[(lins[:, np.searchsorted(SU.indices, S3.indices)] == zeta).all(axis=1)][0]
+    P = np.searchsorted(SU.indices, G.conj(SU.indices[None, :], np.arange(G.order)[:, None]))
+    assert np.array_equal((first[P] == first).all(axis=1), SB.mask)
     err = _both_fail((G, U, 3, zeta, B), WrongStabilizer)
     t, g = err.witness
     assert t > 0

@@ -150,21 +150,19 @@ def test_scaling_defect_specializes_to_identity():
 # -- finite pairing at the quotient level ---------------------------------------
 
 
-def _exponents(G, values):
-    """zeta in the exponent format: {group index: +1 or -1} as exponents
-    mod the group exponent e (-1 = zeta_e^(e/2)), -1 off the given indices."""
-    e = G.exponent()
-    out = np.full(G.order, -1, dtype=np.int64)
-    for n, v in values.items():
-        out[n] = 0 if v == 1 else e // 2
-    return out
+def _exponents(S, values):
+    """zeta in the exponent format on the subgroup S: {index of S: +1 or -1}
+    as exponents mod the group exponent e (-1 = zeta_e^(e/2)), one per
+    element of S.indices, each of which must be given."""
+    e = S.group.exponent()
+    return np.array([0 if values[n] == 1 else e // 2 for n in S.indices.tolist()])
 
 
 def test_finite_pairing_heisenberg():
     A = strictly_upper_triangular(3, gf(2))
-    G = unit_group_of(A)
-    assert finite_pairing_check(A, 2, _exponents(G, {0: 1, 1: -1}))
-    assert finite_pairing_check(A, 2, _exponents(G, {0: 1, 1: 1}))
+    S = power_subgroup(unit_group_of(A), 2)
+    assert finite_pairing_check(A, 2, _exponents(S, {0: 1, 1: -1}))
+    assert finite_pairing_check(A, 2, _exponents(S, {0: 1, 1: 1}))
     # here (1+A, 1+A^2) is trivial, so Q is all of 1+A^2
     data = quotient_pairing(unit_group_of(A), 2)
     assert data["Q"].order == data["Sm"].order == 2
@@ -227,19 +225,20 @@ def _free_223_non_character():
     # is -1 too; the pairing scan never evaluates zeta there.
     A = free_nilpotent(FieldRing(gf(2)), 2, 3)
     G = unit_group_of(A)
+    S = power_subgroup(G, 2)
     signs = {}
-    for s in power_subgroup(G, 2).indices.tolist():
+    for s in S.indices.tolist():
         c = G.coords_of_index(s)
         signs[s] = -1 if c[3] or c == (0, 0, 1, 0, 0, 0) else 1
     assert signs[G.index_of_coords((0, 0, 0, 1, 1, 0))] == -1
-    return A, _exponents(G, signs)
+    return A, _exponents(S, signs)
 
 
 def test_finite_pairing_rejects_non_character():
     heisenberg = strictly_upper_triangular(3, gf(2))
     cases = [
         # not multiplicative: the value at 1 must be 1
-        (heisenberg, _exponents(unit_group_of(heisenberg), {0: -1, 1: 1}),
+        (heisenberg, _exponents(power_subgroup(unit_group_of(heisenberg), 2), {0: -1, 1: 1}),
          "zeta-identity"),
         _free_223_non_character() + ("zeta-multiplicative",),
     ]
@@ -258,11 +257,11 @@ def _loop_quotient_character(G, m, zeta):
     data = quotient_pairing(G, m)
     e, to_q, n = G.exponent(), data["to_q"], data["Q"].order
     vals, where = [None] * n, [None] * n
-    for s in data["Sm"].indices.tolist():
+    for s, z in zip(data["Sm"].indices.tolist(), zeta.tolist()):
         t = int(to_q[s])
         if where[t] is None:
-            vals[t], where[t] = int(zeta[s]), s
-        elif zeta[s] != vals[t]:
+            vals[t], where[t] = z, s
+        elif z != vals[t]:
             raise NotInvariant((where[t], s))
     if vals[0] != 0:
         raise VerificationFailed("zeta-identity", witness=0)
@@ -298,10 +297,10 @@ def test_quotient_character_matches_the_loop_reference():
         G = UnitGroup(A)
         e = G.exponent()
         S = power_subgroup(G, m)
-        to_q = quotient_pairing(G, m)["to_q"]
+        to_q = quotient_pairing(G, m)["to_q"][S.indices]
         for zeta in linear_characters(S):
             shifted, dropped, coset = zeta.copy(), zeta.copy(), zeta.copy()
-            s, t = (int(x) for x in rng.choice(S.indices, 2))
+            s, t = (int(x) for x in rng.choice(S.order, 2))  # positions in S
             shifted[s] = (shifted[s] + 1) % e
             dropped[t] = -1
             on = to_q == rng.integers(1, to_q.max() + 1)

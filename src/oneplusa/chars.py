@@ -60,6 +60,7 @@ from .exactfield import (
     is_prime,
     prime_factors,
 )
+from .linalg import _guard
 from .nilalg import Subspace, annihilator, quotient_algebra
 from .unitgroup import Subgroup, UnitGroup, commutator_subgroup, map_indices
 
@@ -256,20 +257,6 @@ def _split_class_algebra(matrices, blocks, l, r):
 
 # ---------------------------------------------------------------------------
 # class functions as integer arrays over Z[zeta_e]
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _guard(what, *factors):
-    """Raise RuntimeError unless the product of the factors, each taken as
-    at least 1, fits in int64.  Callers pass bounds (max-abs entries, term
-    counts) whose product bounds every intermediate of their contraction,
-    so a passing guard means the int64 result is exact."""
-    bound = 1
-    for f in factors:
-        bound *= max(1, int(f))
-    if bound > _INT64_MAX:
-        raise RuntimeError(f"int64 overflow guard in {what}: bound {bound} > {_INT64_MAX}")
 
 
 def _maxabs(a):

@@ -25,7 +25,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exactfield import gf
-from .linalg import rref
+from .linalg import field_arrays, rref
 from .unitgroup import (
     DEFAULT_GROUP_CAP,
     check_commutator_theorem,
@@ -315,22 +315,26 @@ def _suite_identities(A, args):
 
 
 def _suite_polarize(A, args):
-    from .gutkin import _apply_functional, find_polarization
+    import numpy as np
+
+    from .gutkin import find_polarization
 
     q = A.ring.field.q
     rng = random.Random(args.seed)
-    basis = A.basis()
-    ops = A.ring.linalg_ops()
+    fs = [tuple(rng.randrange(q) for _ in range(A.dim)) for _ in range(100)]
+    polarizations = find_polarization(A, fs)
     # the rank check forms its own basis brackets by element arithmetic, so
-    # it does not share find_polarization's Gram matrix
-    brackets = [[(x * y - y * x).coords for y in basis] for x in basis]
+    # it does not share find_polarization's Gram matrices
+    basis = A.basis()
+    brackets = np.array(
+        [[(x * y - y * x).coords for y in basis] for x in basis], dtype=np.int64
+    )
+    grams = field_arrays(A.ring.field).matmul(
+        np.array(fs, dtype=np.int64), brackets.reshape(A.dim * A.dim, A.dim).T
+    ).reshape(len(fs), A.dim, A.dim)
+    ops = A.ring.linalg_ops()
     dims = []
-    for _ in range(100):
-        f = tuple(rng.randrange(q) for _ in range(A.dim))
-        B = find_polarization(A, f)
-        gram = [
-            [_apply_functional(f, c, A.ring) for c in row] for row in brackets
-        ]
+    for f, B, gram in zip(fs, polarizations, grams.tolist()):
         rank = len(rref(gram, ops)[0])
         if B.dim != A.dim - rank // 2:
             raise VerificationFailed(

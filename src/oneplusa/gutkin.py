@@ -30,17 +30,11 @@ t stands for zeta_e^t (zeta_p^t for psi), compared and multiplied mod e, and
 a character of a subgroup H has one entry per element of H.indices.
 Cyclotomic values are built only in GutkinStep.to_json and PairingTable.value.
 
-find_polarization is the companion construction for linear functionals: a
-subalgebra isotropic for the commutator form f(xy - yx), of dimension
-dim A - rank/2.  The form is one Gram matrix per functional, read off the
-structure constants; the flag candidate and its isotropy check are
-restrictions W G W^T of that matrix, with no algebra products beyond the
-closure check.
+find_polarization, the companion construction for linear functionals, lives
+in the polarization module and is part of this module's API.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -62,12 +56,12 @@ from .errors import (
     NotBilinear,
     NotInvariant,
     NotLinear,
-    SearchExhausted,
     VerificationFailed,
     WrongStabilizer,
 )
-from .exactfield import Cyclotomic, FieldElement, trace
-from .nilalg import QuotientSpace, Subspace, adapted_rows, is_subalgebra
+from .exactfield import Cyclotomic, trace
+from .nilalg import QuotientSpace, Subspace
+from .polarization import find_polarization  # noqa: F401  (gutkin.find_polarization)
 from .unitgroup import (
     check_commutator_theorem,
     combine,
@@ -784,139 +778,3 @@ def verify_gutkin_all(G):
         "verified": sum(1 for e in entries if e["verified"]),
         "entries": entries,
     }
-
-
-# ---------------------------------------------------------------------------
-# polarizations of linear functionals
-
-
-def _as_functional(algebra, f):
-    out = []
-    for c in f:
-        if isinstance(c, FieldElement):
-            if c.field is not algebra.ring.field:
-                raise TypeError("functional over a different field")
-            out.append(c.index)
-        else:
-            c = int(c)
-            if not 0 <= c < algebra.ring.field.q:
-                raise ValueError("functional coordinates are field element indices")
-            out.append(c)
-    if len(out) != algebra.dim:
-        raise ValueError(f"need {algebra.dim} coordinates")
-    return tuple(out)
-
-
-def _apply_functional(f, coords, ring):
-    s = ring.zero
-    for fc, c in zip(f, coords):
-        if not (ring.is_zero(fc) or ring.is_zero(c)):
-            s = ring.add(s, ring.mul(fc, c))
-    return s
-
-
-def _gram(algebra, f):
-    """The matrix G[i][j] = f(e_i e_j - e_j e_i) of the commutator form, read
-    off the nonzero structure constants: e_i e_j = sum_k c_k e_k adds
-    v = sum_k f_k c_k to G[i][j] and subtracts it from G[j][i]."""
-    ring = algebra.ring
-    n = algebra.dim
-    G = [[ring.zero] * n for _ in range(n)]
-    for (i, j), entry in algebra.sc.items():
-        v = ring.zero
-        for k, c in entry:
-            if not ring.is_zero(f[k]):
-                v = ring.add(v, ring.mul(f[k], c))
-        if not ring.is_zero(v):
-            G[i][j] = ring.add(G[i][j], v)
-            G[j][i] = ring.sub(G[j][i], v)
-    return G
-
-
-def _restrict(G, rows, ops):
-    """The Gram matrix W G W^T of the form on the span of the rows of W."""
-    GW = [[_apply_functional(g, w, ops) for g in G] for w in rows]  # G w
-    return [[_apply_functional(v, gw, ops) for gw in GW] for v in rows]
-
-
-def _is_polarization(algebra, G, space, target):
-    if space.dim != target:
-        return False
-    ops = algebra.ring.linalg_ops()
-    restricted = _restrict(G, space.rows, ops)
-    if not all(ops.is_zero(v) for row in restricted for v in row):
-        return False
-    return is_subalgebra(algebra, space)
-
-
-def _all_subspaces(algebra, k):
-    """Canonical RREF bases of every dimension-k subspace."""
-    n = algebra.dim
-    q = algebra.ring.field.q
-    for pivots in itertools.combinations(range(n), k):
-        free = [
-            [c for c in range(p + 1, n) if c not in pivots] for p in pivots
-        ]
-        slots = sum(len(x) for x in free)
-        for combo in itertools.product(range(q), repeat=slots):
-            it = iter(combo)
-            rows = []
-            for p, cols in zip(pivots, free):
-                row = [0] * n
-                row[p] = 1
-                for c in cols:
-                    row[c] = next(it)
-                rows.append(tuple(row))
-            yield rows
-
-
-def find_polarization(algebra, f):
-    """A subalgebra isotropic for the form (x, y) -> f(xy - yx), of the
-    maximal possible dimension dim A - rank/2.
-
-    The form is one Gram matrix G, read off the structure constants
-    (_gram).  The candidate is the sum of the radicals of the form restricted
-    to each ideal of a complete flag refining the power chain.  The flag
-    rows W are nilalg.adapted_rows of the identity, built once per algebra:
-    rows taken deepest power first, each outside the span of those before
-    it, so span(W[:j]) is the j-th flag ideal; anything between A^(k+1) and
-    A^k is an ideal, since A.A^k and A^k.A lie in A^(k+1).  M = W G W^T is
-    computed once, and the radical on the j-th ideal is the nullspace of
-    M[:j, :j] lifted through W[:j].  A radical is a subspace, whatever basis
-    spans the ideal, and Subspace.from_vectors returns the canonical RREF of
-    the sum, so the candidate does not depend on the basis used for each
-    ideal.  Isotropy (W G W^T = 0 on the candidate's rows), multiplicative
-    closure and the dimension formula are all checked, and if any fails the
-    search falls back to full subspace enumeration (practical to dim 4)."""
-    ring = algebra.ring
-    if ring.kind != "field":
-        raise TypeError("polarizations are computed over finite fields")
-    f = _as_functional(algebra, f)
-    ops = ring.linalg_ops()
-
-    G = _gram(algebra, f)
-    rank = len(linalg.rref(G, ops)[0])
-    if rank % 2:
-        raise VerificationFailed("form-rank-even", witness=(f, rank))
-    target = algebra.dim - rank // 2
-
-    W = algebra.memo(
-        "ideal_flag", lambda: adapted_rows(algebra, [e.coords for e in algebra.basis()])
-    )
-    M = _restrict(G, W, ops)
-    vecs = []
-    for j in range(1, len(W) + 1):
-        null = linalg.nullspace([row[:j] for row in M[:j]], j, ops)
-        vecs.extend(linalg.combine(c, W[:j], ops, algebra.dim) for c in null)
-    cand = Subspace.from_vectors(algebra, vecs)
-    if _is_polarization(algebra, G, cand, target):
-        return cand
-
-    if algebra.dim <= 4:
-        for rows in _all_subspaces(algebra, target):
-            cand = Subspace.from_vectors(algebra, rows)
-            if _is_polarization(algebra, G, cand, target):
-                return cand
-    raise SearchExhausted(
-        f"no isotropic subalgebra of dimension {target} found"
-    )

@@ -4,9 +4,14 @@ Vectors are tuples of raw scalar values (field element indices); the ops
 object, the algebra's FieldRing, supplies the field arithmetic.  Everything
 that returns a basis returns the canonical reduced row echelon form, so
 subspace comparisons are plain equality.
+
+FieldArrays is the same algebra on int64 arrays of field element indices,
+for callers that batch many small matrices into one stack.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def rref(rows, ops):
@@ -85,3 +90,158 @@ def nullspace(rows, ncols, ops):
         basis.append(tuple(v))
     out, _ = rref(basis, ops)
     return out
+
+
+# ---------------------------------------------------------------------------
+# stacked arrays: int64 arrays of field element indices, batch axis first
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def _guard(what, *factors):
+    """Raise RuntimeError unless the product of the factors, each taken as
+    at least 1, fits in int64.  Callers pass bounds (max-abs entries, term
+    counts) whose product bounds every intermediate of their contraction,
+    so a passing guard means the int64 result is exact."""
+    bound = 1
+    for f in factors:
+        bound *= max(1, int(f))
+    if bound > _INT64_MAX:
+        raise RuntimeError(f"int64 overflow guard in {what}: bound {bound} > {_INT64_MAX}")
+
+
+@lru_cache(maxsize=None)
+def field_arrays(field):
+    """The array arithmetic of a field (anything with p, k, q and mul_idx),
+    built once per field."""
+    return FieldArrays(field)
+
+
+class FieldArrays:
+    """GF(q) arithmetic on int64 arrays of field element indices, where
+    index i is the element whose coefficients are the base-p digits of i.
+
+    A prime field works mod p.  GF(p^k) multiplies through log and antilog
+    arrays of length q, built from the field's own mul_idx, and adds digit
+    by digit mod p (XOR for p = 2), so it needs no q x q table and fields
+    of any order run the same code.  Row reduction, null rows and matrix
+    products take stacks (..., rows, cols) and treat each matrix on its own.
+    """
+
+    def __init__(self, field):
+        # numpy is bound here, not on import: nilalg imports this module
+        # before the larger package modules are compiled, and numpy loaded
+        # under those compilations raises every command's peak memory
+        global np
+        import numpy as np
+
+        self.p, self.k, self.q = field.p, field.k, field.q
+        if self.k == 1:
+            return
+        # the powers of the first element of order q - 1
+        for g in range(2, self.q):
+            powers = [1]
+            while (x := field.mul_idx(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == self.q - 1:
+                break
+        self.exp = np.array(powers, dtype=np.int64)
+        self.log = np.zeros(self.q, dtype=np.int64)
+        self.log[self.exp] = np.arange(self.q - 1)
+        idx = np.arange(self.q)
+        self.neg_table = sum(
+            (-(idx // self.p ** t) % self.p) * self.p ** t for t in range(self.k)
+        )
+
+    def add(self, a, b):
+        p = self.p
+        if self.k == 1:
+            return (a + b) % p
+        if p == 2:
+            return a ^ b
+        s = a + b
+        for t in range(self.k):
+            pt = p ** t
+            s -= ((a // pt) % p + (b // pt) % p >= p) * (p * pt)
+        return s
+
+    def neg(self, a):
+        if self.k == 1:
+            return -a % self.p
+        return self.neg_table[a]
+
+    def mul(self, a, b):
+        if self.k == 1:
+            _guard("field product", self.p - 1, self.p - 1)
+            return a * b % self.p
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def inv(self, a):
+        """Inverses of nonzero entries; a zero entry gives an unspecified value."""
+        if self.k == 1:  # a^(p-2) by squaring
+            out = np.ones_like(a)
+            base, n = np.asarray(a), self.p - 2
+            while n:
+                if n & 1:
+                    out = self.mul(out, base)
+                base = self.mul(base, base)
+                n >>= 1
+            return out
+        return self.exp[-self.log[a] % (self.q - 1)]
+
+    def matmul(self, a, b):
+        """The stacked product a @ b over the field."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self.k == 1:
+            _guard("field matmul", self.p - 1, self.p - 1, a.shape[-1])
+            return np.matmul(a, b) % self.p
+        shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
+        out = np.zeros(shape, dtype=np.int64)
+        for l in range(a.shape[-1]):
+            out = self.add(out, self.mul(a[..., :, l, None], b[..., l, None, :]))
+        return out
+
+    def rref(self, stack):
+        """Reduced row echelon form of each matrix of a (B, r, c) stack, as
+        (R, rank, pivot mask): R keeps the shape, with each matrix's rank
+        nonzero rows first, and the mask (B, c) marks its pivot columns.
+        Every matrix picks its own pivots, column by column."""
+        R = np.array(stack, dtype=np.int64)
+        nb, nr, nc = R.shape
+        rank = np.zeros(nb, dtype=np.int64)
+        pivots = np.zeros((nb, nc), dtype=bool)
+        rows = np.arange(nr)
+        for col in range(nc):
+            live = (R[:, :, col] != 0) & (rows >= rank[:, None])
+            hit = np.flatnonzero(live.any(axis=1))
+            if not hit.size:
+                continue
+            src, dst = live[hit].argmax(axis=1), rank[hit]
+            prow = R[hit, src]
+            R[hit, src] = R[hit, dst]
+            prow = self.mul(prow, self.inv(prow[:, col])[:, None])
+            R[hit, dst] = prow
+            f = R[hit, :, col]
+            f[np.arange(hit.size), dst] = 0
+            R[hit] = self.add(R[hit], self.mul(self.neg(f)[:, :, None], prow[:, None, :]))
+            pivots[hit, col] = True
+            rank[hit] += 1
+        return R, rank, pivots
+
+    def nullrows(self, stack):
+        """Null spaces {x : M x = 0} of a (B, r, c) stack, as a (B, c, c)
+        stack N: row j of N[b] is the basis vector with a 1 at free column j
+        of M_b, zeros at the other free columns and the pivot entries the
+        RREF of M_b forces; rows at pivot columns are zero."""
+        R, rank, pivots = self.rref(stack)
+        nb, _, nc = R.shape
+        N = np.zeros((nb, nc, nc), dtype=np.int64)
+        b, cols = np.nonzero(pivots)
+        row = np.arange(b.size) - (np.cumsum(rank) - rank)[b]
+        N[b, :, cols] = self.neg(R[b, row])
+        N[pivots] = 0
+        b, cols = np.nonzero(~pivots)
+        N[b, cols, cols] = 1
+        return N

@@ -684,11 +684,6 @@ def is_ideal(algebra, space):
     return all(product_outside(space, x, y) is None for x, y in ((els, basis), (basis, els)))
 
 
-def is_subalgebra(algebra, space):
-    els = space.row_elements()
-    return product_outside(space, els, els) is None
-
-
 def adapted_rows(algebra, rows):
     """A basis of the span B of rows (field coordinates) adapted to the
     filtration B n A^k: for every k the rows lying in A^k span B n A^k

@@ -19,7 +19,6 @@ from oneplusa.chars import character_table
 from oneplusa.errors import CapExceeded
 from oneplusa.exactfield import gf
 from oneplusa.gutkin import (
-    _all_subspaces,
     commutator_pairing,
     find_polarization,
     minimal_scalar_level,
@@ -31,9 +30,10 @@ from oneplusa.identities import (
     scaling_defect_check,
 )
 from oneplusa.linalg import rref
-from oneplusa.nilalg import Subspace, is_subalgebra, strictly_upper_triangular
+from oneplusa.nilalg import Subspace, strictly_upper_triangular
+from oneplusa.polarization import _all_subspaces
 from oneplusa.unitgroup import check_commutator_theorem, unit_group_of
-from test_gutkin import _bracket_value
+from test_gutkin import _bracket_value, is_subalgebra
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oneplusa"
 
@@ -250,9 +250,8 @@ def test_criterion_7_polarizations():
             basis = A.basis()
             ops = A.ring.linalg_ops()
             rng = random.Random(1000 + idx)
-            for _ in range(100):
-                f = tuple(rng.randrange(q) for _ in range(A.dim))
-                B = find_polarization(A, f)
+            fs = [tuple(rng.randrange(q) for _ in range(A.dim)) for _ in range(100)]
+            for f, B in zip(fs, find_polarization(A, fs), strict=True):
                 assert _isotropic_subalgebra(A, f, B), (name, f)
                 gram = [
                     tuple(_bracket_value(A, f, x, y) for y in basis)
@@ -263,8 +262,9 @@ def test_criterion_7_polarizations():
                 assert B.dim == A.dim - rank // 2, (name, f, B.dim, rank)
         # exhaustive cross-check at dim <= 4 over GF(2)
         A = algebra_of("ul(3,2)")
-        for f in itertools.product(range(2), repeat=A.dim):
-            assert find_polarization(A, f).dim == _brute_force_best(A, f)
+        fs = list(itertools.product(range(2), repeat=A.dim))
+        for f, B in zip(fs, find_polarization(A, fs), strict=True):
+            assert B.dim == _brute_force_best(A, f)
 
 
 def _module_imports(path):

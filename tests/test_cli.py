@@ -428,12 +428,12 @@ def test_verify_seed_changes_sampling(capsys):
 
 
 def test_polarize_rank_check_does_not_read_the_gram_matrix(monkeypatch, capsys):
-    # a zero Gram matrix makes find_polarization return all of A; the suite's
+    # zero Gram matrices make find_polarization return all of A; the suite's
     # own rank, from element brackets, must see the dimension is wrong
-    from oneplusa import gutkin
+    from oneplusa import polarization
 
     monkeypatch.setattr(
-        gutkin, "_gram", lambda A, f: [[0] * A.dim for _ in range(A.dim)]
+        polarization, "_gram", lambda A, fs: np.zeros((len(fs), A.dim, A.dim), dtype=np.int64)
     )
     code, out, err = run(capsys, "verify", "ul(3,2)", "--suite", "polarize")
     assert code == 1 and out == ""

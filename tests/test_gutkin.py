@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from oneplusa import gutkin, unitgroup
+from oneplusa import gutkin, polarization, unitgroup
 from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.chars import (
     ClassFunction,
@@ -39,16 +39,11 @@ from oneplusa.exactfield import Cyclotomic, gf
 from oneplusa.gutkin import (
     PairingTable,
     QuotientSpace,
-    _all_subspaces,
-    _apply_functional,
-    _gram,
-    _is_polarization,
     build_ideals,
     choose_line,
     clifford_constituent,
     commutator_pairing,
     extension_set,
-    find_polarization,
     gutkin_decompose,
     minimal_scalar_level,
     phi_map,
@@ -64,9 +59,10 @@ from oneplusa.nilalg import (
     Subspace,
     free_nilpotent,
     is_ideal,
-    is_subalgebra,
+    product_outside,
     strictly_upper_triangular,
 )
+from oneplusa.polarization import _all_subspaces, _gram, _is_polarization, find_polarization
 from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
@@ -1226,28 +1222,51 @@ def test_decomposition_is_deterministic():
 # -- polarizations -------------------------------------------------------------
 
 
+def is_subalgebra(algebra, space):
+    # the closure reference: every product of two rows of space lies in it
+    els = space.row_elements()
+    return product_outside(space, els, els) is None
+
+
+def _polarization(A, f):
+    (B,) = find_polarization(A, [f])
+    return B
+
+
+def _functionals(alg, count, seed):
+    rng = random.Random(seed)
+    q = alg.ring.field.q
+    return [tuple(rng.randrange(q) for _ in range(alg.dim)) for _ in range(count)]
+
+
 def test_polarization_zero_functional_is_everything():
     A = strictly_upper_triangular(3, gf(2))
-    B = find_polarization(A, (0, 0, 0))
-    assert B.dim == 3
+    assert _polarization(A, (0, 0, 0)).dim == 3
 
 
 def test_polarization_abelian_algebra():
     # nilpotency index 2 means the commutator form vanishes identically
     A = free_nilpotent(FieldRing(gf(3)), 2, 2)
-    B = find_polarization(A, tuple(1 for _ in range(A.dim)))
-    assert B.dim == A.dim
+    assert _polarization(A, tuple(1 for _ in range(A.dim))).dim == A.dim
 
 
 def test_polarization_heisenberg():
     A = strictly_upper_triangular(3, gf(2))
-    B = find_polarization(A, (0, 0, 1))
+    B = _polarization(A, (0, 0, 1))
     assert B.rows == ((1, 0, 0), (0, 0, 1))  # span{e12, e13}
+
+
+def test_polarization_of_no_functionals():
+    assert find_polarization(strictly_upper_triangular(3, gf(2)), []) == []
 
 
 def _bracket_value(algebra, f, x, y):
     # f(xy - yx) from two algebra products: the reference for _gram
-    return _apply_functional(f, (x * y - y * x).coords, algebra.ring)
+    ring = algebra.ring
+    s = ring.zero
+    for fc, c in zip(f, (x * y - y * x).coords):
+        s = ring.add(s, ring.mul(fc, c))
+    return s
 
 
 def _isotropic_subalgebra(alg, f, space):
@@ -1271,20 +1290,21 @@ def _brute_force_best(alg, f):
 
 def test_polarization_matches_brute_force_on_u32():
     A = strictly_upper_triangular(3, gf(2))
-    for f in itertools.product(range(2), repeat=3):
-        assert find_polarization(A, f).dim == _brute_force_best(A, f)
+    fs = list(itertools.product(range(2), repeat=3))
+    for f, B in zip(fs, find_polarization(A, fs), strict=True):
+        assert B.dim == _brute_force_best(A, f)
 
 
 def test_polarization_matches_brute_force_dim4():
     # a*b = c and nothing else; d is a direct abelian summand
     sc = {(0, 1): ((2, 1),)}
     A = Algebra(FieldRing(gf(2)), 4, sc, labels=("a", "b", "c", "d"))
-    for f in itertools.product(range(2), repeat=4):
-        assert find_polarization(A, f).dim == _brute_force_best(A, f)
+    fs = list(itertools.product(range(2), repeat=4))
+    for f, B in zip(fs, find_polarization(A, fs), strict=True):
+        assert B.dim == _brute_force_best(A, f)
 
 
 def test_polarization_random_functionals():
-    rng = random.Random(0)
     algebras = [
         strictly_upper_triangular(3, gf(2)),
         strictly_upper_triangular(3, gf(3)),
@@ -1292,13 +1312,11 @@ def test_polarization_random_functionals():
         free_nilpotent(FieldRing(gf(2)), 2, 3),
         free_nilpotent(FieldRing(gf(3)), 2, 3),
     ]
-    for alg in algebras:
-        q = alg.ring.field.q
+    for seed, alg in enumerate(algebras):
         basis = alg.basis()
         ops = alg.ring.linalg_ops()
-        for _ in range(20):
-            f = tuple(rng.randrange(q) for _ in range(alg.dim))
-            B = find_polarization(alg, f)
+        fs = _functionals(alg, 20, seed)
+        for f, B in zip(fs, find_polarization(alg, fs), strict=True):
             assert _isotropic_subalgebra(alg, f, B)
             gram = [
                 tuple(_bracket_value(alg, f, x, y) for y in basis)
@@ -1363,35 +1381,49 @@ def _dim4_algebra():
 
 
 REFERENCE_ALGEBRAS = [e.name for e in BUILTIN] + ["dim4"]
+# GF(1024) is past the field-table cap; free(9,2,3) is an odd extension
+# field; the random bases are not adapted to the power filtration
+POLARIZATION_CASES = REFERENCE_ALGEBRAS + [
+    "ul(3,1024)", "free(9,2,3)", "ul(4,2)@1", "ul(3,3)@5", "free(2,2,3)@4", "ul(3,4)@10",
+]
 
 
 def _reference_algebra(name):
-    return _dim4_algebra() if name == "dim4" else resolve(name)
+    if name == "dim4":
+        return _dim4_algebra()
+    target, _, seed = name.partition("@")
+    return _random_basis(resolve(target), int(seed)) if seed else resolve(target)
 
 
-@pytest.mark.parametrize("name", REFERENCE_ALGEBRAS)
+@pytest.mark.parametrize("name", POLARIZATION_CASES)
 def test_polarization_matches_reference(name):
     alg = _reference_algebra(name)
-    q = alg.ring.field.q
-    rng = random.Random(17)
-    for _ in range(50):
-        f = tuple(rng.randrange(q) for _ in range(alg.dim))
-        want = _reference_polarization(alg, f).rows
-        assert find_polarization(alg, f).rows == want, f
+    fs = _functionals(alg, 50, 17)
+    for f, B in zip(fs, find_polarization(alg, fs), strict=True):
+        assert B.rows == _reference_polarization(alg, f).rows, f
+        assert B == Subspace.from_vectors(alg, B.rows)  # canonical pivots too
+
+
+def test_polarization_alone_is_the_one_in_a_stack():
+    for name in ("ul(4,2)", "ul(3,4)", "free(3,2,3)", "ul(3,2)@7"):
+        alg = _reference_algebra(name)
+        fs = _functionals(alg, 12, 3)
+        stacked = find_polarization(alg, fs)
+        assert [_polarization(alg, f) for f in fs] == stacked, name
+        assert find_polarization(alg, fs[::-1]) == stacked[::-1], name
 
 
 @pytest.mark.parametrize(
-    "name", REFERENCE_ALGEBRAS + ["free(5,2,3)", "free(4,3,3)"]
+    "name", REFERENCE_ALGEBRAS + ["free(5,2,3)", "free(4,3,3)", "ul(3,1024)"]
 )
 def test_gram_matches_bracket_values(name):
     alg = _reference_algebra(name)
     if name.startswith("free"):  # e_i e_i != 0: G[i][i] must cancel to zero
         assert any(i == j for i, j in alg.sc)
-    q = alg.ring.field.q
-    rng = random.Random(5)
-    for _ in range(10):
-        f = tuple(rng.randrange(q) for _ in range(alg.dim))
-        assert _gram(alg, f) == _bracket_gram(alg, f), f
+    fs = _functionals(alg, 10, 5)
+    G = _gram(alg, np.array(fs, dtype=np.int64))
+    assert G.shape == (len(fs), alg.dim, alg.dim)
+    assert G.tolist() == [_bracket_gram(alg, f) for f in fs]
 
 
 def test_is_polarization_matches_elementwise_check():
@@ -1399,11 +1431,13 @@ def test_is_polarization_matches_elementwise_check():
     # include isotropic non-subalgebras and non-isotropic subalgebras
     alg = strictly_upper_triangular(4, gf(2))
     f = (0, 0, 1, 0, 1, 1)
-    G = _gram(alg, f)
-    target = alg.dim - len(rref(G, alg.ring.linalg_ops())[0]) // 2
+    target = alg.dim - len(rref(_bracket_gram(alg, f), alg.ring.linalg_ops())[0]) // 2
+    spaces = [Subspace.from_vectors(alg, rows) for rows in _all_subspaces(alg, target)]
+    C = np.array([S.rows for S in spaces], dtype=np.int64)
+    G = _gram(alg, np.array([f] * len(spaces), dtype=np.int64))
+    got = _is_polarization(alg, G, C, np.full(len(spaces), target))
     kinds = set()
-    for rows in _all_subspaces(alg, target):
-        S = Subspace.from_vectors(alg, rows)
+    for S, ok in zip(spaces, got):
         els = S.row_elements()
         iso = all(
             alg.ring.is_zero(_bracket_value(alg, f, x, y))
@@ -1411,10 +1445,53 @@ def test_is_polarization_matches_elementwise_check():
             for y in els
         )
         sub = is_subalgebra(alg, S)
-        assert _is_polarization(alg, G, S, target) == (iso and sub), rows
+        assert ok == (iso and sub), S.rows
         kinds.add((iso, sub))
     assert len(kinds) == 4
-    assert not _is_polarization(alg, G, Subspace.from_vectors(alg, []), target)
+    # zero rows pad a candidate and do not count towards its dimension
+    padded = np.concatenate([C, np.zeros_like(C)], axis=1)
+    assert np.array_equal(_is_polarization(alg, G, padded, np.full(len(spaces), target)), got)
+    assert not _is_polarization(alg, G[:1], np.zeros((1, 0, alg.dim), dtype=np.int64),
+                                np.array([target]))[0]
+
+
+def test_is_polarization_closure_on_larger_fields():
+    # over GF(3), GF(4) and GF(9) the annihilator rows have entries other
+    # than 1, so the closure check must use them with the field's arithmetic
+    for name in ("ul(3,3)", "ul(3,4)", "ul(3,9)", "ul(4,3)"):
+        alg = resolve(name)
+        kinds = set()
+        for k in range(alg.dim + 1):
+            every = list(_all_subspaces(alg, k))
+            spaces = [Subspace.from_vectors(alg, rows) for rows in every[::len(every) // 200 + 1]]
+            C = np.array([S.rows for S in spaces], dtype=np.int64).reshape(len(spaces), k, alg.dim)
+            G = np.zeros((len(spaces), alg.dim, alg.dim), dtype=np.int64)
+            got = _is_polarization(alg, G, C, np.full(len(spaces), k))
+            for S, ok in zip(spaces, got):
+                assert ok == is_subalgebra(alg, S), (name, S.rows)
+                kinds.add(bool(ok))
+        assert kinds == {True, False}, name
+
+
+def test_polarization_rank_comes_from_its_own_reduction(monkeypatch):
+    # a form of odd rank is no commutator form; the rank and its parity come
+    # from the row reduction of G, not from the pairs of the flag pass
+    A = strictly_upper_triangular(3, gf(2))
+    monkeypatch.setattr(
+        polarization, "_gram", lambda A, fs: np.tile(np.eye(A.dim, dtype=np.int64), (len(fs), 1, 1))
+    )
+    with pytest.raises(VerificationFailed) as err:
+        find_polarization(A, [(0, 0, 1)])
+    assert err.value.stage == "form-rank-even"
+
+
+def test_polarization_without_a_candidate_is_search_exhausted(monkeypatch):
+    # a candidate that fails its checks goes to the enumeration, which is
+    # bounded at dim 4; past it the search gives up with the functional
+    monkeypatch.setattr(polarization, "_is_polarization", lambda A, G, C, t: np.zeros(len(G), bool))
+    A = strictly_upper_triangular(4, gf(2))
+    with pytest.raises(SearchExhausted, match=r"\(0, 0, 1, 0, 0, 0\)"):
+        find_polarization(A, [(0, 0, 1, 0, 0, 0)])
 
 
 def test_polarization_requires_a_field():
@@ -1422,4 +1499,4 @@ def test_polarization_requires_a_field():
 
     A = free_nilpotent(Z_RING, 2, 2)
     with pytest.raises(TypeError):
-        find_polarization(A, (0,) * A.dim)
+        find_polarization(A, [(0,) * A.dim])

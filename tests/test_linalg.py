@@ -1,0 +1,117 @@
+"""The stacked field-array kernel against the pure-Python row reduction.
+
+linalg.rref, nullspace and combine are the references: every matrix of a
+stack must reduce, null and multiply exactly as it does alone.
+"""
+
+import itertools
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oneplusa import linalg
+from oneplusa.exactfield import gf
+from oneplusa.linalg import FieldArrays, field_arrays
+from oneplusa.nilalg import FieldRing
+
+# GF(1024) is past the field-table cap, GF(9) an odd extension field
+FIELDS = [2, 3, 4, 9, 16, 1024]
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _matrix(draw, ops, q, r, c):
+    """A zero matrix, a random one, or one of low rank: random combinations
+    of a few random rows, so ranks and pivot columns vary within a stack."""
+    kind = draw(st.sampled_from(["zero", "random", "low"]))
+    entry = st.integers(0, q - 1)
+    if kind == "zero":
+        return [[0] * c for _ in range(r)]
+    if kind == "random":
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+    k = draw(st.integers(1, 2))
+    base = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    return [list(linalg.combine([draw(entry) for _ in range(k)], base, ops, c)) for _ in range(r)]
+
+
+@st.composite
+def stacks(draw):
+    q = draw(st.sampled_from(FIELDS))
+    ops = FieldRing(gf(q))
+    nb, r, c = draw(st.integers(1, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    stack = np.array([_matrix(draw, ops, q, r, c) for _ in range(nb)], dtype=np.int64)
+    return q, ops, stack.reshape(nb, r, c)
+
+
+@SETTINGS
+@given(stacks())
+def test_stacked_rref_matches_rref(case):
+    q, ops, stack = case
+    R, rank, pivots = field_arrays(gf(q)).rref(stack)
+    assert R.shape == stack.shape
+    for M, Rb, rk, pv in zip(stack.tolist(), R, rank, pivots):
+        rows, cols = linalg.rref(M, ops)
+        assert rk == len(rows)
+        assert tuple(map(tuple, Rb[:rk].tolist())) == rows
+        assert not Rb[rk:].any()
+        assert tuple(np.flatnonzero(pv).tolist()) == cols
+
+
+@SETTINGS
+@given(stacks())
+def test_null_rows_match_nullspace(case):
+    q, ops, stack = case
+    F = field_arrays(gf(q))
+    N = F.nullrows(stack)
+    c = stack.shape[2]
+    assert N.shape == (len(stack), c, c)
+    for M, Nb, pivots in zip(stack.tolist(), N, F.rref(stack)[2]):
+        assert not Nb[pivots].any()
+        assert linalg.rref(Nb[~pivots].tolist(), ops)[0] == linalg.nullspace(M, c, ops)
+
+
+@SETTINGS
+@given(stacks(), st.integers(0, 4), st.data())
+def test_stacked_matmul_matches_combine(case, c, data):
+    q, ops, X = case
+    nb, _, m = X.shape
+    Y = np.array(
+        data.draw(st.lists(st.integers(0, q - 1), min_size=nb * m * c, max_size=nb * m * c)),
+        dtype=np.int64,
+    ).reshape(nb, m, c)
+    P = field_arrays(gf(q)).matmul(X, Y)
+    assert P.shape == (nb, X.shape[1], c)
+    for Xb, Yb, Pb in zip(X.tolist(), Y.tolist(), P.tolist()):
+        want = [list(linalg.combine(row, Yb, ops, c)) for row in Xb]
+        assert Pb == want
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_field_arithmetic_matches_the_field(q):
+    field = gf(q)
+    F = field_arrays(field)
+    rng = np.random.default_rng(q)
+    if q <= 16:
+        a, b = (np.array(t) for t in zip(*itertools.product(range(q), repeat=2)))
+    else:
+        a, b = rng.integers(0, q, size=(2, 2000))
+    assert F.add(a, b).tolist() == [field.add_idx(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert F.mul(a, b).tolist() == [field.mul_idx(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert F.neg(a).tolist() == [field.neg_idx(x) for x in a.tolist()]
+    nonzero = a[a != 0]
+    assert F.inv(nonzero).tolist() == [field.inv_idx(x) for x in nonzero.tolist()]
+
+
+def test_matmul_int64_guard():
+    # a duck-typed prime field past 2^31: (p - 1)^2 fits in int64, but a sum
+    # of three such products does not, so the product must refuse to run
+    p = 2 ** 31 - 1
+    F = FieldArrays(SimpleNamespace(p=p, k=1, q=p))
+    big = np.full((1, 1), p - 1, dtype=np.int64)
+    assert F.matmul(big, big).tolist() == [[1]]
+    with pytest.raises(RuntimeError, match="int64 overflow guard"):
+        F.matmul(np.full((1, 3), p - 1), np.full((3, 1), p - 1))
+    with pytest.raises(RuntimeError, match="int64 overflow guard"):
+        FieldArrays(SimpleNamespace(p=2 ** 61 - 1, k=1, q=2 ** 61 - 1)).mul(big, big)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
@@ -177,3 +178,46 @@ def test_linear_algebra_has_one_scalar_domain():
         if isinstance(node, ast.FunctionDef) and node.name in converters
     ]
     assert not found, found
+
+
+def _functions(body, prefix=""):
+    """(qualified name, node) of every function defined in a statement list,
+    methods and nested functions included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if isinstance(node, ast.FunctionDef):
+                yield name, node
+            yield from _functions(node.body, name + ".")
+
+
+ROW_REDUCTION = re.compile(r"rref|echelon|null_?space|null_?rows|row_?reduc|eliminat|gauss", re.I)
+
+
+def test_row_reduction_is_defined_in_linalg_and_the_mod_ell_helpers():
+    # one elimination over GF(q), pure Python and stacked, in linalg, and
+    # chars' float64 pair mod ell: a third routine would carry one of these
+    # names or borrow numpy's floating-point linalg
+    found, borrowed = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.stem, name) for name, _ in _functions(tree.body)
+                  if ROW_REDUCTION.search(name.rsplit(".", 1)[-1])}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "linalg" and (
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            ):
+                borrowed.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(n.startswith(("numpy.linalg", "scipy")) for n in names):
+                    borrowed.append(f"{path.name}:{node.lineno}")
+    assert found == {
+        ("linalg", "rref"),
+        ("linalg", "nullspace"),
+        ("linalg", "FieldArrays.rref"),
+        ("linalg", "FieldArrays.nullrows"),
+        ("chars", "_rref_mod"),
+        ("chars", "_nullspace_mod"),
+    }, found
+    assert not borrowed, borrowed

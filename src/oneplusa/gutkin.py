@@ -64,10 +64,8 @@ from .nilalg import QuotientSpace, Subspace
 from .polarization import find_polarization  # noqa: F401  (gutkin.find_polarization)
 from .unitgroup import (
     check_commutator_theorem,
-    combine,
     commutator_subgroup,
     digits,
-    field_tables,
     orbit_labels,
     polynomial_basis,
     power_subgroup,
@@ -171,8 +169,7 @@ def _check_bilinear(Q, values, field, dx, dy):
     point is a sum of basis vectors, so S is everything; y likewise.  A
     failure names its stage and the triple (x, x', y) or (x, y, y') whose
     product law fails.  The scalar swap is checked for every lam."""
-    q = field.q
-    add_t, mul_t = field_tables(field)
+    q, F = field.q, linalg.field_arrays(field)
     X = digits(np.arange(q ** dx), q, dx)
     Y = digits(np.arange(q ** dy), q, dy)
     xs, ys = [tuple(x) for x in X.tolist()], [tuple(y) for y in Y.tolist()]
@@ -180,7 +177,7 @@ def _check_bilinear(Q, values, field, dx, dy):
     if len(bad):
         raise NotBilinear(("additive-in-x", xs[0], xs[0], ys[bad[0]]))
     for b in _prime_basis(field, dx):
-        bad = np.argwhere(values[undigits(add_t[X, X[b]], q)] != Q.mul(values, values[b]))
+        bad = np.argwhere(values[undigits(F.add(X, X[b]), q)] != Q.mul(values, values[b]))
         if len(bad):
             i, t = bad[0]
             raise NotBilinear(("additive-in-x", xs[i], xs[b], ys[t]))
@@ -188,14 +185,14 @@ def _check_bilinear(Q, values, field, dx, dy):
     if len(bad):
         raise NotBilinear(("additive-in-y", xs[bad[0]], ys[0], ys[0]))
     for b in _prime_basis(field, dy):
-        bad = np.argwhere(values[:, undigits(add_t[Y, Y[b]], q)]
+        bad = np.argwhere(values[:, undigits(F.add(Y, Y[b]), q)]
                           != Q.mul(values, values[:, b, None]))
         if len(bad):
             i, t = bad[0]
             raise NotBilinear(("additive-in-y", xs[i], ys[t], ys[b]))
     lam = np.arange(q)[:, None, None]
-    xscale = undigits(mul_t[lam, X[None]], q)
-    yscale = undigits(mul_t[lam, Y[None]], q)
+    xscale = undigits(F.mul(lam, X[None]), q)
+    yscale = undigits(F.mul(lam, Y[None]), q)
     for t in range(q):
         bad = np.argwhere(values[xscale[t]] != values[:, yscale[t]])
         if len(bad):
@@ -308,7 +305,7 @@ def phi_map(pairing, psi=None):
     multiples of one basis vector, and the finished matrix is then verified
     against the whole table.  A failure of either step raises NotLinear."""
     field = pairing.group.field
-    q = field.q
+    q, F = field.q, linalg.field_arrays(field)
     if psi is None:
         psi = standard_additive_character(field)
     psi = np.asarray(psi, dtype=np.int64)
@@ -318,7 +315,6 @@ def phi_map(pairing, psi=None):
     e = pairing.group.exponent()
     psi_e = psi * (e // field.p) % e
 
-    _, mul_t = field_tables(field)
     dx, dy = pairing.dom.dim, pairing.cod.dim
     V = pairing.values.reshape(q ** dx, q ** dy)
     # V at (e_i, c e_j) for every i, c, j against psi(c t) for every c, t
@@ -326,7 +322,7 @@ def phi_map(pairing, psi=None):
     unit_y = q ** np.arange(dy - 1, -1, -1)
     c = np.arange(q)
     at = V[unit_x[:, None, None], c[None, :, None] * unit_y[None, None, :]]
-    match = (at[:, :, :, None] == psi_e[mul_t[c]][None, :, None, :]).all(axis=1)
+    match = (at[:, :, :, None] == psi_e[F.mul(c[:, None], c)][None, :, None, :]).all(axis=1)
     bad = np.argwhere(match.sum(axis=2) != 1)
     if len(bad):
         i, j = (int(x) for x in bad[0])
@@ -337,7 +333,7 @@ def phi_map(pairing, psi=None):
     # x^T R y over GF(q) at every point of the table
     X = digits(np.arange(q ** dx), q, dx)
     Y = digits(np.arange(q ** dy), q, dy)
-    xRy = combine(field, Y, combine(field, X, R).T).T
+    xRy = F.matmul(F.matmul(X, R), Y.T)
     bad = np.argwhere(V != psi_e[xRy])
     if len(bad):
         i, j = bad[0]
@@ -347,7 +343,8 @@ def phi_map(pairing, psi=None):
 
 def _line_image(phi, lines):
     # Phi . v over GF(q) for each candidate direction v (the last axis)
-    return combine(phi.pairing.group.field, lines, np.array(phi.rows).T)
+    F = linalg.field_arrays(phi.pairing.group.field)
+    return F.matmul(lines, np.array(phi.rows).T)
 
 
 def choose_line(phi):

@@ -6,7 +6,9 @@ that returns a basis returns the canonical reduced row echelon form, so
 subspace comparisons are plain equality.
 
 FieldArrays is the same algebra on int64 arrays of field element indices,
-for callers that batch many small matrices into one stack.
+and the package's one GF(q) array arithmetic: the group layer's coordinate
+maps and table build, the descent's pairing checks and the stacked
+polarizations all compute through it.
 """
 
 from __future__ import annotations
@@ -122,10 +124,11 @@ class FieldArrays:
     index i is the element whose coefficients are the base-p digits of i.
 
     A prime field works mod p.  GF(p^k) multiplies through log and antilog
-    arrays of length q, built from the field's own mul_idx, and adds digit
-    by digit mod p (XOR for p = 2), so it needs no q x q table and fields
-    of any order run the same code.  Row reduction, null rows and matrix
-    products take stacks (..., rows, cols) and treat each matrix on its own.
+    arrays of at most 4q entries, built from the field's own mul_idx, and
+    adds digit by digit mod p (XOR for p = 2), so it needs no q x q table
+    and fields of any order run the same code.  Row reduction, null rows
+    and matrix products take stacks (..., rows, cols) and treat each matrix
+    on its own.
     """
 
     def __init__(self, field):
@@ -145,9 +148,14 @@ class FieldArrays:
                 powers.append(x)
             if len(powers) == self.q - 1:
                 break
-        self.exp = np.array(powers, dtype=np.int64)
-        self.log = np.zeros(self.q, dtype=np.int64)
-        self.log[self.exp] = np.arange(self.q - 1)
+        # exp runs twice around the powers and then holds zeros, and
+        # log[0] = 2(q - 1): a sum of two logs indexes exp with no reduction,
+        # and lands on a zero exactly when a factor is zero
+        n = self.q - 1
+        self.log = np.full(self.q, 2 * n, dtype=np.int64)
+        self.log[powers] = np.arange(n)
+        self.exp = np.zeros(4 * n + 1, dtype=np.int64)
+        self.exp[:2 * n] = np.tile(powers, 2)
         idx = np.arange(self.q)
         self.neg_table = sum(
             (-(idx // self.p ** t) % self.p) * self.p ** t for t in range(self.k)
@@ -174,9 +182,7 @@ class FieldArrays:
         if self.k == 1:
             _guard("field product", self.p - 1, self.p - 1)
             return a * b % self.p
-        a, b = np.asarray(a), np.asarray(b)
-        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-        return np.where((a == 0) | (b == 0), 0, prod)
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a):
         """Inverses of nonzero entries; a zero entry gives an unspecified value."""
@@ -192,16 +198,22 @@ class FieldArrays:
         return self.exp[-self.log[a] % (self.q - 1)]
 
     def matmul(self, a, b):
-        """The stacked product a @ b over the field."""
+        """The stacked product a @ b over the field, shaped as np.matmul
+        shapes it: a 1-D a is one row and a 1-D b one column, and their
+        axis is dropped from the result."""
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.k == 1:
             _guard("field matmul", self.p - 1, self.p - 1, a.shape[-1])
             return np.matmul(a, b) % self.p
+        row, col = a.ndim == 1, b.ndim == 1
+        a, b = a.reshape((1,) * row + a.shape), b.reshape(b.shape + (1,) * col)
         shape = np.broadcast_shapes(a.shape[:-1] + (1,), b.shape[:-2] + (1, b.shape[-1]))
         out = np.zeros(shape, dtype=np.int64)
         for l in range(a.shape[-1]):
             out = self.add(out, self.mul(a[..., :, l, None], b[..., l, None, :]))
-        return out
+        if row:
+            out = out[..., 0, :]
+        return out[..., 0] if col else out
 
     def rref(self, stack):
         """Reduced row echelon form of each matrix of a (B, r, c) stack, as

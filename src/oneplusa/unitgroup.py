@@ -14,8 +14,8 @@ also serves the symbolic checks over Z and Z[lam].
 Element n of a group, subgroup or quotient has the base-q digits of n as its
 coordinates, first coordinate most significant.  Every move between them is
 GF(q)-linear on coordinates, so it is one array operation: digits/undigits
-convert between indices and coordinate arrays, and combine applies a matrix
-over GF(q) through the field's lookup tables.
+convert between indices and coordinate arrays, and map_indices applies a
+matrix over GF(q) with linalg.FieldArrays, the package's GF(q) arrays.
 
 The table is built by digit arithmetic on indices, never by coordinates.
 FiniteField numbers GF(p^k) by the base-p digits of its coefficients, so an
@@ -31,12 +31,11 @@ pairings of the modules above) in their one memo, nilalg.Memoized.memo.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import CapExceeded, NotASubgroup, NotNormal
 from .exactfield import FIELD_TABLE_CAP
+from .linalg import field_arrays
 from .nilalg import Memoized, adapted_rows, product_outside, subalgebra_algebra
 
 DEFAULT_GROUP_CAP = 2 ** 20
@@ -61,34 +60,12 @@ def undigits(coords, q):
     return coords @ q ** np.arange(coords.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def field_tables(field):
-    """The field's addition and multiplication tables on element indices, as
-    int16 numpy arrays (fields up to FIELD_TABLE_CAP)."""
-    field._ensure_tables()
-    return (
-        np.array(field._add_table, dtype=np.int16),
-        np.array(field._mul_table, dtype=np.int16),
-    )
-
-
-def combine(field, coeffs, rows):
-    """sum_i coeffs[..., i] * rows[i] over GF(q), on arrays of field element
-    indices; rows is a k x d matrix and the result has last axis d."""
-    add_t, mul_t = field_tables(field)
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.zeros(coeffs.shape[:-1] + rows.shape[1:], dtype=add_t.dtype)
-    for i, row in enumerate(rows):
-        out = add_t[out, mul_t[coeffs[..., i, None], row]]
-    return out
-
-
 def map_indices(field, indices, matrix):
     """Base-q indices of c . matrix over GF(q), where c runs over the
     coordinate vectors with the given base-q indices; matrix is k x d."""
     q = field.q
-    return undigits(combine(field, digits(indices, q, len(matrix)), matrix), q)
+    coords = digits(indices, q, len(matrix))
+    return undigits(field_arrays(field).matmul(coords, matrix), q)
 
 
 class _DigitAdder:
@@ -375,6 +352,10 @@ class UnitGroup(FiniteGroupTable):
         self.order = self.field.q ** algebra.dim
         if self.order > cap:
             raise CapExceeded(f"group order {self.order} exceeds cap {cap}")
+        # the group's arrays need no field table, but the descent's
+        # pure-Python linear algebra reads the scalar exactfield tables,
+        # which exist only up to FIELD_TABLE_CAP; past it every scalar
+        # add_idx and mul_idx redoes the polynomial arithmetic
         if self.field.q > FIELD_TABLE_CAP:
             raise CapExceeded(
                 f"field order {self.field.q} exceeds the field-table cap "
@@ -449,20 +430,18 @@ class UnitGroup(FiniteGroupTable):
         structure constant, with R[a, y] = index of (a e_i) y (int32, q x N)
         for the group indices y = 0..N-1."""
         field, d = self.field, self.algebra.dim
-        add_t, mul_t = field_tables(field)
+        F = field_arrays(field)
         mats = {}
         for (i, j), entry in self.algebra.sc.items():
             m = mats.setdefault(i, np.zeros((d, d), dtype=np.int64))
             for k, c in entry:  # row j of m: the coordinates of e_i e_j
-                m[j, k] = add_t[m[j, k], c]
+                m[j, k] = field.add_idx(int(m[j, k]), c)
         coords = digits(y, field.q, d)
+        scalars = np.arange(field.q)[:, None, None]
         left = {}
         for i, m in sorted(mats.items()):
-            prod = combine(field, coords, m)  # coordinates of e_i y
-            left[i] = np.array(
-                [undigits(mul_t[a][prod], field.q) for a in range(field.q)],
-                dtype=np.int32,
-            )
+            prod = F.matmul(coords, m)  # coordinates of e_i y
+            left[i] = undigits(F.mul(scalars, prod), field.q).astype(np.int32)
         return left
 
     # -- generators ---------------------------------------------------------------

@@ -68,13 +68,17 @@ from oneplusa.unitgroup import (
     UnitGroup,
     commutator_subgroup,
     digits,
-    field_tables,
     map_indices,
     power_subgroup,
     subspace_subgroup,
     undigits,
 )
-from test_unitgroup import _random_basis, _scan_commutator_subgroup, _skew_truncated_polynomial
+from test_unitgroup import (
+    _random_basis,
+    _scalar_tables,
+    _scan_commutator_subgroup,
+    _skew_truncated_polynomial,
+)
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -387,7 +391,7 @@ def _reference_bilinear(Q, values, field, dx, dy):
     # the reference for gutkin._check_bilinear: additivity compared on the
     # whole table, every row of x against every x and every pair of y
     q = field.q
-    add_t, mul_t = field_tables(field)
+    add_t, mul_t = _scalar_tables(field)
     X = digits(np.arange(q ** dx), q, dx)
     Y = digits(np.arange(q ** dy), q, dy)
     xs, ys = [tuple(x) for x in X.tolist()], [tuple(y) for y in Y.tolist()]

@@ -89,6 +89,25 @@ def test_stacked_matmul_matches_combine(case, c, data):
 
 
 @pytest.mark.parametrize("q", FIELDS)
+def test_matmul_takes_one_dimensional_operands(q):
+    # np.matmul's shapes: a 1-D left operand is a row, a 1-D right one a
+    # column, and the result drops that axis
+    F, ops = field_arrays(gf(q)), FieldRing(gf(q))
+    rng = np.random.default_rng(q)
+    v, w = rng.integers(0, q, size=3), rng.integers(0, q, size=4)
+    S = rng.integers(0, q, size=(2, 3, 4))
+
+    def times(c, rows):
+        return list(linalg.combine(c.tolist(), rows.tolist(), ops, rows.shape[1]))
+
+    assert F.matmul(v, S[0]).tolist() == times(v, S[0])
+    assert F.matmul(S[0], w).tolist() == times(w, S[0].T)
+    assert F.matmul(v, S).tolist() == [times(v, M) for M in S]
+    assert F.matmul(S, w).tolist() == [times(w, M.T) for M in S]
+    assert F.matmul(v, S[0, :, 0]).tolist() == times(v, S[0, :, :1])[0]
+
+
+@pytest.mark.parametrize("q", FIELDS)
 def test_field_arithmetic_matches_the_field(q):
     field = gf(q)
     F = field_arrays(field)

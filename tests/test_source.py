@@ -159,6 +159,23 @@ def test_field_arithmetic_and_row_reduction_sit_beneath_nilalg():
     assert _package_imports(SRC / "nilalg.py") >= {"exactfield", "linalg"}
 
 
+FIELD_TABLES = {"_add_table", "_mul_table", "_inv_table", "_neg_table"}
+
+
+def test_only_exactfield_reads_the_field_tables():
+    # one GF(q) array arithmetic, linalg.FieldArrays, built from the field's
+    # public mul_idx: no other module copies the scalar tables of a field
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "exactfield.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES
+    ]
+    assert not found, found
+    exactfield = ast.walk(ast.parse((SRC / "exactfield.py").read_text()))
+    assert {node.attr for node in exactfield if isinstance(node, ast.Attribute)} >= FIELD_TABLES
+
+
 def test_linear_algebra_has_one_scalar_domain():
     # subspaces exist only over a finite field: linalg and nilalg import
     # nothing from fractions, and no ring in nilalg converts its scalars

@@ -10,6 +10,7 @@ from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
 from oneplusa.exactfield import gf
 from oneplusa.gutkin import quotient_pairing
 from oneplusa.identities import beta
+from oneplusa.linalg import combine, field_arrays
 from oneplusa.nilalg import (
     Algebra,
     FieldRing,
@@ -25,7 +26,6 @@ from oneplusa.unitgroup import (
     check_commutator_theorem,
     commutator_subgroup,
     digits,
-    field_tables,
     map_indices,
     power_subgroup,
     subgroup_closure,
@@ -48,6 +48,22 @@ def test_index_coords_roundtrip():
     # coordinate 0 is the most significant digit
     assert G.coords_of_index(1) == (0, 0, 1)
     assert G.coords_of_index(9) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16])
+def test_coordinate_maps_match_scalar_combine(q):
+    # map_indices and span_indices against one scalar linalg.combine per
+    # coordinate vector
+    G = ul(3, q)
+    ops = FieldRing(G.field)
+    rng = np.random.default_rng(q)
+    for k in (1, 2, 3):
+        P = rng.integers(0, q, size=(k, 3))
+        n = np.arange(q ** k)
+        want = [G.index_of_coords(combine(c, P.tolist(), ops, 3))
+                for c in digits(n, q, k).tolist()]
+        assert map_indices(G.field, n, P).tolist() == want
+        assert G.span_indices(P.tolist()).tolist() == want
 
 
 def test_geometric_series_inverse():
@@ -589,11 +605,22 @@ def test_memo_builds_each_key_once_per_owner(monkeypatch, owners, read, build, e
     assert len(calls) == 2
 
 
+def _scalar_tables(field):
+    """The q x q addition and multiplication tables of a field on element
+    indices, one scalar add_idx and mul_idx call per entry: a reference that
+    does not go through the array arithmetic it checks."""
+    q = field.q
+    return tuple(
+        np.array([[op(a, b) for b in range(q)] for a in range(q)], dtype=np.int16)
+        for op in (field.add_idx, field.mul_idx)
+    )
+
+
 def _reference_table(G):
     # the coordinate build the digit arithmetic replaced: every coordinate of
     # every pair through the 2-D field tables, one structure constant at a time
     N, d, q = G.order, G.algebra.dim, G.field.q
-    add_t, mul_t = field_tables(G.field)
+    add_t, mul_t = _scalar_tables(G.field)
     E = digits(np.arange(N), q, d).astype(np.int16)
     table = np.empty((N, N), dtype=np.int32)
     block = max(1, (1 << 22) // max(1, N * d))
@@ -669,7 +696,7 @@ def test_table_build_needs_little_beyond_the_table():
     # the row blocks keep the build's transients small: the coordinate build
     # peaked about 17 MB over the 64 MB ul(4,4) table
     G = UnitGroup(resolve("ul(4,4)"))
-    field_tables(G.field)
+    field_arrays(G.field)
     tracemalloc.start()
     try:
         table = G._build_table()

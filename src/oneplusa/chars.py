@@ -125,7 +125,9 @@ def _nullspace_mod(M, l):
     """Rows spanning {v : M v = 0 mod l}."""
     R, pivots = _rref_mod(M, l)
     cols = M.shape[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_pivot = np.zeros(cols, dtype=bool)
+    is_pivot[pivots] = True
+    free = np.nonzero(~is_pivot)[0]
     out = np.zeros((len(free), cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = (-R[:, free].T) % l
@@ -722,7 +724,9 @@ def _split_off_linear(group, blocks, mus, Z, w0_pow, l):
             raise RuntimeError(f"the linear characters of a block span {len(V) - len(K)} "
                                f"of its dimensions, not {len(mine)}")
         blocks[m] = _rref_mod(_matmul_mod(K, V, l), l)[0]
-    return T[np.isin(owner, big)], [B for B in blocks if len(B)]
+    is_big = np.zeros(len(blocks) + 1, dtype=bool)  # owner -1 reads the last, False
+    is_big[big] = True
+    return T[is_big[owner]], [B for B in blocks if len(B)]
 
 
 def _lift_lines(group, lines, l, w0_pow):

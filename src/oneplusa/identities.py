@@ -14,8 +14,6 @@ to (1+J, 1+J^(k-1)) over finite fields, where the characteristic-zero
 argument is unavailable; it reports orders and takes no side.
 """
 
-import numpy as np
-
 from .errors import VerificationFailed
 from .gutkin import quotient_character
 from .nilalg import (
@@ -171,9 +169,9 @@ def halasi_explore(field, num_gens, n, k, cap=DEFAULT_GROUP_CAP):
     whole = power_subgroup(G, 1)
     derived = commutator_subgroup(whole, whole)
     Sk = power_subgroup(G, k)
-    lhs = Subgroup(G, np.intersect1d(derived.indices, Sk.indices))
+    lhs = Subgroup(G, derived.indices[Sk.mask[derived.indices]])
     rhs = commutator_subgroup(whole, power_subgroup(G, k - 1))
-    outside = np.setdiff1d(rhs.indices, lhs.indices)
+    outside = rhs.indices[~lhs.mask[rhs.indices]]
     if len(outside):
         raise VerificationFailed(
             "derived-intersection-containment", witness=outside[:4].tolist()

@@ -54,6 +54,10 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.const(other)
+        if not other.coeffs:  # a Poly is immutable, so an operand is the sum
+            return self
+        if not self.coeffs:
+            return other
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
@@ -331,10 +335,6 @@ class Algebra(Memoized):
         self.graded_degrees = tuple(graded_degrees) if graded_degrees else None
         if nilindex is not None:
             self.memo("nilindex", lambda: nilindex)
-        self._unit = [
-            tuple(ring.one if t == i else ring.zero for t in range(dim))
-            for i in range(dim)
-        ]
         if check:
             self._check_associative()
             _ = self.nilpotency_index  # raises NotNilpotent if the chain stalls
@@ -342,25 +342,39 @@ class Algebra(Memoized):
     # -- multiplication ------------------------------------------------------
 
     def mul_coords(self, u, v):
+        """The coordinates of u v.  Only the nonzero coordinates u_i are
+        walked, each against the structure constants e_i e_j of its row i
+        (built once into the memo), so a sparse left factor costs little."""
         ring = self.ring
         out = [ring.zero] * self.dim
-        for (i, j), entry in self.sc.items():
-            ui, vj = u[i], v[j]
-            if ring.is_zero(ui) or ring.is_zero(vj):
+        for ui, row in zip(u, self.memo("sc_rows", self._sc_rows)):
+            if not row or ring.is_zero(ui):
                 continue
-            c = ring.mul(ui, vj)
-            for k, coeff in entry:
-                out[k] = ring.add(out[k], ring.mul(c, coeff))
+            for j, entry in row:
+                vj = v[j]
+                if ring.is_zero(vj):
+                    continue
+                c = ring.mul(ui, vj)
+                for k, coeff in entry:
+                    out[k] = ring.add(out[k], ring.mul(c, coeff))
         return tuple(out)
 
+    def _sc_rows(self):
+        """rows[i] = ((j, sc[(i, j)]), ...), the structure constants by left index."""
+        rows = [[] for _ in range(self.dim)]
+        for (i, j), entry in self.sc.items():
+            rows[i].append((j, entry))
+        return rows
+
     def _check_associative(self):
+        unit = self._unit
         for i in range(self.dim):
-            ei = self._unit[i]
+            ei = unit[i]
             for j in range(self.dim):
-                ij = self.mul_coords(ei, self._unit[j])
+                ij = self.mul_coords(ei, unit[j])
                 for k in range(self.dim):
-                    left = self.mul_coords(ij, self._unit[k])
-                    right = self.mul_coords(ei, self.mul_coords(self._unit[j], self._unit[k]))
+                    left = self.mul_coords(ij, unit[k])
+                    right = self.mul_coords(ei, self.mul_coords(unit[j], unit[k]))
                     if left != right:
                         raise NotAssociative(i, j, k)
 
@@ -376,7 +390,17 @@ class Algebra(Memoized):
         return isinstance(c, type(self.ring.zero))
 
     def basis_element(self, i):
-        return AlgebraElement(self, self._unit[i])
+        return AlgebraElement(self, self._unit_vector(i))
+
+    def _unit_vector(self, i):
+        v = [self.ring.zero] * self.dim
+        v[i] = self.ring.one
+        return tuple(v)
+
+    @property
+    def _unit(self):
+        """The coordinates of every basis vector, built on first use."""
+        return self.memo("unit", lambda: [self._unit_vector(i) for i in range(self.dim)])
 
     def basis(self):
         return [self.basis_element(i) for i in range(self.dim)]
@@ -396,11 +420,11 @@ class Algebra(Memoized):
     def _power_chain(self):
         """[A, A^2, ..., A^n = 0], A^(m+1) spanned by the products of the
         rows of A^m with the basis."""
-        chain = [Subspace.unit(self, range(self.dim))]
+        chain, unit = [Subspace.unit(self, range(self.dim))], self._unit
         while chain[-1].dim > 0:
             prev = chain[-1]
             nxt = Subspace.from_vectors(
-                self, [self.mul_coords(row, e) for row in prev.rows for e in self._unit]
+                self, [self.mul_coords(row, e) for row in prev.rows for e in unit]
             )
             if nxt.dim >= prev.dim and prev.dim > 0:
                 raise NotNilpotent(
@@ -413,7 +437,8 @@ class Algebra(Memoized):
         # track the set of nonzero left-normed basis products; over Z and
         # Z[lam] tensoring with the fraction field bounds a nilpotent chain
         # by dim+1
-        vals = set(self._unit) if self.dim else set()
+        unit = self._unit
+        vals = set(unit)
         m = 1
         while vals:
             if m > self.dim + 1:
@@ -421,7 +446,7 @@ class Algebra(Memoized):
             nxt = set()
             for v in vals:
                 for j in range(self.dim):
-                    w = self.mul_coords(v, self._unit[j])
+                    w = self.mul_coords(v, unit[j])
                     if any(not self.ring.is_zero(c) for c in w):
                         nxt.add(w)
             vals = nxt
@@ -626,7 +651,13 @@ def strictly_upper_triangular(n, field):
 def free_nilpotent(ring, num_gens, nil_index, names=None):
     """Free associative algebra on num_gens generators, truncated so that all
     products of nil_index factors vanish.  Basis: words of length < nil_index
-    in length-then-lex order; the product is concatenation."""
+    in length-then-lex order; the product is concatenation.
+
+    Only the nonzero products are visited, the pairs with |w1| + |w2| <
+    nil_index.  With g = num_gens and start[L] the position of the first word
+    of length L, the word at position a of length L1 is the base-g number
+    a - start[L1] of L1 digits, so w1 w2 for w2 at b of length L2 sits at
+    start[L1 + L2] + (a - start[L1]) g^L2 + (b - start[L2])."""
     if names is None:
         names = [f"x{i + 1}" for i in range(num_gens)]
     if len(names) != num_gens:
@@ -638,14 +669,17 @@ def free_nilpotent(ring, num_gens, nil_index, names=None):
             f"{nil_index} has dimension {dim} > {FREE_DIM_CAP}"
         )
     words = []
+    start = [0] * (nil_index + 1)
     for L in range(1, nil_index):
         words.extend(itertools.product(range(num_gens), repeat=L))
-    pos = {w: t for t, w in enumerate(words)}
+        start[L + 1] = len(words)
     sc = {}
-    for a, w1 in enumerate(words):
-        for b, w2 in enumerate(words):
-            if len(w1) + len(w2) < nil_index:
-                sc[(a, b)] = ((pos[w1 + w2], ring.one),)
+    for L1 in range(1, nil_index - 1):
+        for a in range(start[L1], start[L1 + 1]):
+            for L2 in range(1, nil_index - L1):
+                at = start[L1 + L2] + (a - start[L1]) * num_gens ** L2 - start[L2]
+                for b in range(start[L2], start[L2 + 1]):
+                    sc[(a, b)] = ((at + b, ring.one),)
     return Algebra(
         ring,
         dim,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapExceeded, NotASubgroup, NotNormal
+from .errors import CapExceeded, NotASubgroup, NotNormal, VerificationFailed
 from .exactfield import FIELD_TABLE_CAP
 from .linalg import field_arrays
 from .nilalg import Memoized, adapted_rows, product_outside, subalgebra_algebra
@@ -58,6 +58,18 @@ def undigits(coords, q):
     """Inverse of digits: the base-q value of each vector along the last axis."""
     coords = np.asarray(coords, dtype=np.int64)
     return coords @ q ** np.arange(coords.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def sorted_unique(values):
+    """np.unique(values) with no flags: the sorted distinct entries of the
+    flattened array, by one sort and a mask of the entries that differ from
+    their left neighbour.  numpy's own flagless unique imports numpy.ma on
+    first use, and its hash table is slower on the int64 index arrays here."""
+    values = np.sort(np.asarray(values).ravel())
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def map_indices(field, indices, matrix):
@@ -206,11 +218,16 @@ class FiniteGroupTable(Memoized):
 
     def exponent(self):
         """The least e with x^e = 1 for every x, found by powering all
-        elements at once until they reach the identity together."""
+        elements at once until they reach the identity together.  In a
+        group e divides the order, so an element x with x^order != 1 proves
+        the table wrong (VerificationFailed naming x)."""
         def build():
             g = np.arange(self.order)
             x, e = g, 1
             while x.any():
+                if e >= self.order:
+                    raise VerificationFailed(
+                        "power-order-is-identity", witness=int(np.flatnonzero(x)[0]))
                 x, e = self.mul(x, g), e + 1
             return e
         return self.memo("exponent", build)
@@ -225,7 +242,7 @@ class FiniteGroupTable(Memoized):
         seen[0] = True
         frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
-            prods = np.unique(self.mul(frontier[:, None], gens[None, :]))
+            prods = sorted_unique(self.mul(frontier[:, None], gens[None, :]))
             frontier = prods[~seen[prods]]
             seen[frontier] = True
         return np.nonzero(seen)[0]
@@ -235,7 +252,7 @@ class FiniteGroupTable(Memoized):
         broadcast |left| x |right| array; callers pass generators."""
         left = np.asarray(left, dtype=np.int64)
         right = np.asarray(right, dtype=np.int64)
-        return np.unique(self.comm(left[:, None], right[None, :])).astype(np.int64)
+        return sorted_unique(self.comm(left[:, None], right[None, :])).astype(np.int64)
 
     def is_normal(self, indices, gens=None):
         """Is the subgroup with these indices normalized by the generators
@@ -261,15 +278,17 @@ def _quotient(group, members, gens, normal_indices):
     generators gens, and a normal subgroup K of H.  Each coset is
     represented by its least member, proj runs over the ambient indices
     (-1 off H), and the quotient's generators are the images of gens."""
-    narr = np.unique(np.asarray(normal_indices, dtype=np.int64))
-    if not (np.isin(narr, members).all() and group.is_normal(narr, gens)):
+    narr = sorted_unique(np.asarray(normal_indices, dtype=np.int64))
+    in_members = np.zeros(group.order, dtype=bool)
+    in_members[members] = True
+    if not (in_members[narr].all() and group.is_normal(narr, gens)):
         raise NotNormal("quotient by a non-normal subgroup")
     rep = group.mul(members[:, None], narr[None, :]).min(axis=1)
-    reps = np.unique(rep)
+    reps = sorted_unique(rep)
     proj = np.full(group.order, -1, dtype=np.int64)
     proj[members] = np.searchsorted(reps, rep)
     qtable = proj[group.mul(reps[:, None], reps[None, :])]
-    qgens = np.unique(proj[gens]).tolist()
+    qgens = sorted_unique(proj[gens]).tolist()
     return FiniteGroupTable(qtable, qgens), proj, reps
 
 
@@ -497,7 +516,7 @@ class Subgroup(Memoized):
 
     def __init__(self, group, indices, subspace=None, verify=True):
         self.group = group
-        self.indices = np.unique(np.asarray(indices, dtype=np.int64))
+        self.indices = sorted_unique(np.asarray(indices, dtype=np.int64))
         self.subspace = subspace
         self.mask = np.zeros(group.order, dtype=bool)
         self.mask[self.indices] = True
@@ -590,11 +609,11 @@ def commutator_subgroup(left, right):
     group = left.group
     lg = np.asarray(left.generator_indices(), dtype=np.int64)
     rg = np.asarray(right.generator_indices(), dtype=np.int64)
-    conjugators = np.union1d(lg, rg)
+    conjugators = sorted_unique(np.append(lg, rg))
     kgens = group.commutator_values(lg, rg)
     K = group.subgroup_closure(kgens)
     while not group.is_normal(K, conjugators):
-        kgens = np.union1d(kgens, group.conj(kgens[:, None], conjugators[None, :]))
+        kgens = sorted_unique(np.append(kgens, group.conj(kgens[:, None], conjugators[None, :])))
         K = group.subgroup_closure(kgens)
     return Subgroup(group, K, verify=False)
 

@@ -21,7 +21,7 @@ from oneplusa.chars import CellRows
 from oneplusa.errors import VerificationFailed
 from oneplusa.exactfield import gf
 from oneplusa.nilalg import Algebra, FieldRing
-from test_unitgroup import _skew_truncated_polynomial
+from test_unitgroup import _skew_truncated_polynomial, run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -770,6 +770,23 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert "ul(3,2)" in proc.stdout
+
+
+def test_commands_never_import_numpy_ma():
+    # numpy's flagless unique and the set operations built on it import
+    # numpy.ma on first use, which costs a command tens of milliseconds
+    code = (
+        "import contextlib, io, sys\n"
+        "from oneplusa import cli\n"
+        "for argv in (['chartable', 'ul(3,3)'], ['chartable', 'free(2,2,3)'],\n"
+        "             ['decompose', 'ul(4,2)'], ['verify', 'ul(3,2)', '--suite', 'all']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = run_python(code, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

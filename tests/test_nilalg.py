@@ -9,6 +9,7 @@ from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.errors import CapExceeded, NotAnIdeal, NotAssociative, NotNilpotent
 from oneplusa.exactfield import gf
 from oneplusa.nilalg import (
+    FREE_DIM_CAP,
     LAMBDA_RING,
     Z_RING,
     Algebra,
@@ -53,6 +54,11 @@ def test_poly_arithmetic():
     assert _subs(sq, -1) == 0
     assert (lam - lam).is_zero()
     assert (2 * lam - lam * 3).render() == "-lam"
+    # a zero operand gives the other one back
+    zero = Poly(())
+    for total, want in ((zero + lam, lam), (lam + zero, lam), (lam + 0, lam), (0 + lam, lam),
+                        (zero + sq, sq), (zero + 3, Poly.const(3)), (zero + zero, zero)):
+        assert total == want
 
 
 def test_upper_triangular_3_structure():
@@ -350,7 +356,8 @@ def _greedy_ideal_flag(algebra):
 
 
 def _mul_vec_ops(algebra, u, v, ops):
-    # the reference: the product by the linalg ops of the field
+    # the reference: the all-entries product loop, every (i, j) of sc
+    # tested for two zero coordinates, by the given ring or linalg ops
     out = [ops.zero] * algebra.dim
     for (i, j), entry in algebra.sc.items():
         ui, vj = u[i], v[j]
@@ -473,3 +480,104 @@ def test_product_outside_names_the_first_product_outside():
     assert product_outside(S, els[1:], els) == (e23, e34)
     closed = Subspace.from_vectors(A, [e12, e23, e13])
     assert product_outside(closed, closed.row_elements(), closed.row_elements()) is None
+
+
+# ---------------------------------------------------------------------------
+# the element layer against the bodies it replaced
+
+
+def _reference_free_nilpotent(ring, num_gens, nil_index):
+    # the reference: every pair of words visited, each product located by a
+    # word -> position dict; returns (sc, labels)
+    words = []
+    for L in range(1, nil_index):
+        words.extend(itertools.product(range(num_gens), repeat=L))
+    pos = {w: t for t, w in enumerate(words)}
+    sc = {}
+    for a, w1 in enumerate(words):
+        for b, w2 in enumerate(words):
+            if len(w1) + len(w2) < nil_index:
+                sc[(a, b)] = ((pos[w1 + w2], ring.one),)
+    return sc, tuple("*".join(f"x{t + 1}" for t in w) for w in words)
+
+
+def _free_cases():
+    # every (g, n) within the cap for 2 <= g <= 19, the generator counts
+    # with a product of two words inside the cap; g = 1 up to dimension 40
+    # and at the cap, and g at the cap with n = 2 (the reference is
+    # quadratic in the dimension)
+    cases = [(1, n) for n in range(42)] + [(1, FREE_DIM_CAP + 1), (FREE_DIM_CAP, 2)]
+    for g in range(2, 20):
+        n = 0
+        while sum(g ** L for L in range(1, n)) <= FREE_DIM_CAP:
+            cases.append((g, n))
+            n += 1
+    return cases
+
+
+@pytest.mark.parametrize("ring", [Z_RING, LAMBDA_RING, FieldRing(gf(2)), FieldRing(gf(4))],
+                         ids=["Z", "Z[lam]", "GF(2)", "GF(4)"])
+def test_free_nilpotent_matches_the_all_pairs_reference(ring):
+    cases = _free_cases()
+    assert (4, 5) in cases and (2, 8) in cases and (3, 6) in cases
+    for g, n in cases:
+        J = free_nilpotent(ring, g, n)
+        sc, labels = _reference_free_nilpotent(ring, g, n)
+        assert list(J.sc.items()) == list(sc.items()), (g, n)  # content and order
+        assert J.labels == labels, (g, n)
+
+
+def _random_symbolic(A, rng):
+    # about half the coordinates zero, the rest small ints or polynomials in
+    # lam, some of them with zero coefficients
+    def scalar():
+        if rng.random() < 0.5:
+            return A.ring.zero
+        if A.ring is Z_RING:
+            return rng.randint(-3, 3)
+        return Poly(rng.randint(-2, 2) for _ in range(rng.randint(0, 3)))
+    return tuple(scalar() for _ in range(A.dim))
+
+
+def _random_field(A, rng):
+    q = A.ring.field.q
+    return tuple(rng.randrange(q) if rng.random() < 0.6 else 0 for _ in range(A.dim))
+
+
+@pytest.mark.parametrize("make,draw", [
+    (lambda: free_nilpotent(LAMBDA_RING, 2, 4), _random_symbolic),
+    (lambda: free_nilpotent(LAMBDA_RING, 3, 4), _random_symbolic),
+    (lambda: free_nilpotent(LAMBDA_RING, 4, 5), _random_symbolic),
+    (lambda: free_nilpotent(Z_RING, 2, 5), _random_symbolic),
+    (lambda: _twisted_free(2, 4), _random_symbolic),
+    (lambda: resolve("ul(4,4)"), _random_field),
+    (lambda: resolve("free(4,2,3)"), _random_field),
+    (lambda: _subspace_case("ul(3,4)", 10), _random_field),
+    (lambda: resolve("ul(3,9)"), _random_field),
+    (lambda: _subspace_case("ul(3,9)", 12), _random_field),
+], ids=["free-Z[lam](2,4)", "free-Z[lam](3,4)", "free-Z[lam](4,5)", "free-Z(2,5)",
+        "twisted-Z", "ul(4,4)", "free(4,2,3)", "ul(3,4)-random", "ul(3,9)", "ul(3,9)-random"])
+def test_products_match_the_all_entries_reference(make, draw):
+    A = make()
+    rng = random.Random(A.dim)
+    zero = A.zero().coords
+    elements = [draw(A, rng) for _ in range(12)] + [zero] + A._unit[-2:]
+    for u in elements:
+        for v in elements:
+            assert A.mul_coords(u, v) == _mul_vec_ops(A, u, v, A.ring)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: free_nilpotent(LAMBDA_RING, 3, 3),
+    lambda: free_nilpotent(Z_RING, 2, 4),
+    lambda: strictly_upper_triangular(4, gf(9)),
+    lambda: Algebra(FieldRing(gf(2)), 0, {}, check=False),
+], ids=["Z[lam]", "Z", "GF(9)", "dim-0"])
+def test_basis_vectors_are_built_on_demand(make):
+    A = make()
+    ring = A.ring
+    assert "unit" not in vars(A).get("_memo", {})  # no eager list
+    units = [tuple(ring.one if t == i else ring.zero for t in range(A.dim))
+             for i in range(A.dim)]
+    assert [A.basis_element(i).coords for i in range(A.dim)] == units
+    assert A._unit == units and A._unit is A._unit  # one memo entry

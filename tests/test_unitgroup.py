@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,7 @@ from oneplusa.unitgroup import (
     digits,
     map_indices,
     power_subgroup,
+    sorted_unique,
     subgroup_closure,
     subspace_subgroup,
     undigits,
@@ -704,3 +708,51 @@ def test_table_build_needs_little_beyond_the_table():
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes + 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# set operations without numpy.ma, and a table that is not a group
+
+
+def run_python(code, timeout):
+    """Run code in a fresh interpreter that imports this package, with a time limit."""
+    src = os.path.dirname(os.path.dirname(unitgroup.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("shape,high,dtype", [
+    ((0,), 5, np.int64), ((1,), 5, np.int64), ((40,), 6, np.int64),
+    ((5000,), 1000, np.int64), ((25000,), 4096, np.int32), ((30, 17), 50, np.int64),
+    ((0, 3), 5, np.int32), ((64, 64), 4096, np.int32),
+])
+def test_sorted_unique_is_numpys_unique(shape, high, dtype):
+    rng = np.random.default_rng(sum(shape) + high)
+    for _ in range(3):
+        values = rng.integers(0, high, size=shape).astype(dtype)
+        before = values.copy()
+        got, want = sorted_unique(values), np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(values, before)  # the input is left as it was
+
+
+def test_exponent_of_a_table_that_is_not_a_group_names_an_element():
+    # in a fresh interpreter with a time limit, so that an unbounded powering
+    # loop fails this test instead of stalling the suite: x max y has
+    # identity 0, and every x != 0 is its own power forever, so the
+    # first witness is 1
+    code = (
+        "import numpy as np\n"
+        "from oneplusa.errors import VerificationFailed\n"
+        "from oneplusa.unitgroup import FiniteGroupTable\n"
+        "G = FiniteGroupTable(np.maximum.outer(np.arange(5), np.arange(5)), [1, 2, 3, 4])\n"
+        "try:\n"
+        "    G.exponent()\n"
+        "except VerificationFailed as err:\n"
+        "    print(err.stage, err.witness)\n"
+    )
+    proc = run_python(code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["power-order-is-identity", "1"]

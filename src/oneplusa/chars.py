@@ -530,8 +530,8 @@ class CharacterTable:
 
 
 class CellRows(list):
-    """A table report's "values": row s lists the cell dicts cells[t] for t
-    in ids[s], one dict per distinct value.  A writer may render it from
+    """A report's table: row s lists the cells[t] for t in ids[s], a cell
+    any JSON value, one per distinct value.  A writer may render it from
     cells and ids alone, each distinct cell once, so its rows stay as built."""
 
     def __init__(self, cells, ids):
@@ -925,13 +925,13 @@ def restrict(chi, H):
 def clifford_parts(psi, normal, lams, e):
     """The parts rho_l(h) = |N|^-1 sum over n in N of conj(l(n)) psi(h n) of
     a class function psi on a group H, one per linear character l of a
-    subgroup N.  normal holds the indices of N in H, and lams one row of
-    exponents mod e (value zeta_e^t, e a multiple of the exponent of H) per
-    l, over those indices.  For N normal and every l invariant in H, rho_l
-    is the character of the l-isotypic part of psi (Clifford), so it is a
-    class function and is read at the class representatives of H.  An
-    exponent that is no multiple of e / exp(H) (a value outside Z[zeta] of
-    H) and a sum that |N| does not divide raise VerificationFailed."""
+    subgroup N.  normal holds the indices in H of N, or of a transversal of
+    N/(1+A^m) where each summand is constant on the cosets, and lams one
+    row of exponents mod e (zeta_e^t, e a multiple of exp(H)) per l, over
+    those.  For N normal and each l invariant in H, rho_l is the character
+    of the l-isotypic part of psi (Clifford), read at the class
+    representatives of H.  An exponent that is no multiple of e / exp(H)
+    and a sum that len(normal) does not divide raise VerificationFailed."""
     H = psi.group
     basis = psi._basis()
     stride = e // basis.e

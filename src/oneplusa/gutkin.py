@@ -9,14 +9,13 @@ of the central character, the commutator pairing on (A/A^2) x (A^(m-1)/A^m)
 with all three of its bilinearity laws, the ideals cut out by the induced
 linear map, and the extension lemma for 1 + U (nonempty, a single
 conjugation orbit, stabilizer exactly 1 + A_1), checked on the generator
-columns of 1 + U, which fix a linear character of it, with everything that
-does not read the central character built once per group and U
-(extension_set).  The
-extension lemma makes the next character a Clifford projection: the part of
-chi on 1 + A_1 that lies over one extension, read off chi's own values with
-no character table of 1 + A_1 (clifford_constituent).  The pairing is
-computed once per group and level from coset representatives, on the
-quotient spaces A/A^2 and A^(m-1)/A^m (nilalg.QuotientSpace), with values
+columns of 1 + U (extension_set).  All of that reads only the group, the
+level m and the central character zeta, so it runs once per (group, m,
+zeta) (descent_step).  Per character there remain the Clifford projection
+of chi onto one extension, over q coset representatives and with no
+character table of 1 + A_1 (clifford_constituent), and the recursion.  The
+pairing is computed once per group and level from coset representatives, on
+the quotient spaces A/A^2 and A^(m-1)/A^m (nilalg.QuotientSpace), with values
 in the finite quotient Q = (1+A^m)/(1+A, 1+A^m) and no character involved;
 the paper's containment (1+A^2, 1+A^(m-1)) <= (1+A, 1+A^m) makes it well
 defined (quotient_pairing), and each central character then only has to be
@@ -40,6 +39,7 @@ import numpy as np
 
 from . import linalg
 from .chars import (
+    CellRows,
     ClassFunction,
     character_table,
     clifford_parts,
@@ -418,48 +418,36 @@ def build_ideals(phi, line):
 def extension_set(group, U, m, zeta, A1):
     """All linear characters of 1 + U restricting to zeta on 1 + A^m.
 
-    zeta is given over the indices of 1 + A^m, and the extensions are
-    returned as rows of exponents mod e over the indices of 1 + U, in
-    linear_characters order, after checking the three parts of the
-    extension lemma: the set is nonempty, it forms a single orbit under
-    conjugation by 1 + A, and the stabilizer of each member is exactly
-    1 + A1.  The precondition that zeta kills every
-    commutator of 1 + U is checked first.
+    zeta, a character of 1 + A^m (commutator_pairing checks it), is given
+    over the indices of 1 + A^m; the extensions are returned as rows of
+    exponents mod e over the indices of 1 + U, in linear_characters order,
+    after checking the extension lemma: the set is nonempty, one orbit
+    under conjugation by 1 + A, and each member's stabilizer is exactly
+    1 + A1.  Characters of 1 + A^m that agree on its generators are equal,
+    so the rows are matched with zeta there, and those must lie in 1 + U.
 
-    Everything that does not depend on zeta is built once per (group, U)
-    (_extension_data): the generators gens = SU.generator_indices() of 1 + U
-    (_span_generators checks that they generate it) and their commutators,
-    the linear characters of 1 + U, the closure check, and the partition of
-    those characters into orbits under 1 + A.  Per character only the
-    checks that read zeta or A1 remain:
-    - Precondition: only commutators of pairs of generators are formed.
-      (1+U, 1+U) is the normal closure in 1 + U of those commutators, and
-      ker zeta is normal in 1 + A: commutator_pairing, through
-      quotient_character, has checked that zeta is multiplicative and
-      constant on the cosets of (1+A, 1+A^m), which together make zeta
-      1+A-invariant.  So if zeta kills the generator commutators, it kills
-      all of (1+U, 1+U).  A commutator outside 1 + A^m fails it at once,
-      before zeta is looked up.
-    - Closure of 1 + U under conjugation: each generator s of 1 + U is
-      conjugated by each generator g of 1 + A, as in
-      FiniteGroupTable.is_normal; the witness is the pair (g, s).
-    - Orbit: a linear character lambda of 1 + U is fixed by its values on
-      gens, and its conjugate by g takes the value lambda(g^-1 s g) at s, so
-      each generator of 1 + A permutes the characters, and the orbits of 1 + A
-      are those of the group the permutations generate.  The extensions
-      must be exactly the orbit of the first one (MultipleOrbits with the
-      two sizes otherwise).
-    - Stabilizer, proved rather than scanned.  The orbit of lambda =
-      exts[0] has |G| / |Stab(lambda)| members.  If the generators of
-      1 + A1 fix lambda, then 1 + A1 <= Stab(lambda), and if moreover
-      |orbit| |1 + A1| = |G|, the two have the same order, so
-      Stab(lambda) = 1 + A1.  Every other member is a conjugate lambda^g,
-      whose stabilizer is g^-1 Stab(lambda) g, and that is 1 + A1 again
-      when 1 + A1 is normal (Subgroup.is_normal, once per (group, A1)).
-      Only when one of these three checks fails are the stabilizers
-      scanned, g against every member, to find the WrongStabilizer
-      witness (t, g): the member t and the first g on which its stabilizer
-      and 1 + A1 differ."""
+    The zeta-free half is built once per (group, U) (_extension_data): the
+    generators gens of 1 + U and their commutators, the linear characters
+    of 1 + U, the closure check and the orbits under 1 + A.  Then:
+    - Precondition, first: zeta kills the commutators of pairs of gens.
+      (1+U, 1+U) is their normal closure in 1 + U, and ker zeta is normal
+      in 1 + A (quotient_character has checked zeta multiplicative and
+      constant on the cosets of (1+A, 1+A^m)), so zeta kills (1+U, 1+U).
+      A commutator outside 1 + A^m fails before zeta is looked up.
+    - Closure of 1 + U under conjugation: each s in gens conjugated by each
+      generator g of 1 + A, as in FiniteGroupTable.is_normal; witness (g, s).
+    - Orbit: a linear character lambda is fixed by its values on gens, and
+      its conjugate by g takes the value lambda(g^-1 s g) at s, so each
+      generator of 1 + A permutes the characters; the extensions must be
+      the orbit of the first (MultipleOrbits with the two sizes otherwise).
+    - Stabilizer, proved: the orbit of lambda = exts[0] has
+      |G| / |Stab(lambda)| members.  If the generators of 1 + A1 fix
+      lambda and |orbit| |1 + A1| = |G|, then Stab(lambda) = 1 + A1 (a
+      subgroup of the same order), and so is g^-1 Stab(lambda) g, the
+      stabilizer of lambda^g, when 1 + A1 is normal (Subgroup.is_normal).  Only when one of these three checks
+      fails are the stabilizers scanned for the WrongStabilizer witness
+      (t, g): the member t and the first g where its stabilizer and 1 + A1
+      differ."""
     data = _extension_data(group, U)
     SU = subspace_subgroup(group, U)
     Sm = power_subgroup(group, m)
@@ -469,10 +457,11 @@ def extension_set(group, U, m, zeta, A1):
     if bad.any():
         raise VerificationFailed("extension-precondition", witness=int(cs[bad][0]))
 
-    lins, s = data["lins"], Sm.indices
+    lins, s = data["lins"], np.array(Sm.generator_indices(), dtype=np.int64)
     hit = np.zeros(len(lins), dtype=bool)  # none, unless 1 + A^m <= 1 + U
     if SU.mask[s].all():
-        hit = (lins[:, np.searchsorted(SU.indices, s)] == zeta).all(axis=1)
+        hit = (lins[:, np.searchsorted(SU.indices, s)]
+               == zeta[np.searchsorted(Sm.indices, s)]).all(axis=1)
     idx = np.nonzero(hit)[0]
     if not len(idx):
         raise EmptyExtensionSet((m, U.rows))
@@ -548,6 +537,21 @@ def _extension_data(group, U):
 # the full descent
 
 
+def descent_step(group, m, zeta):
+    """What a descent step reads from (group, m, zeta) alone, once per key
+    in the group's memo: pairing, phi, line, A1, U, the extensions of zeta
+    to 1 + U, and reps, the indices of 1 + c y (c in F_q) for the lift y of
+    the line, U = A^m + F_q y."""
+    def build():
+        pairing = commutator_pairing(group, m, zeta)
+        phi = phi_map(pairing)
+        line = choose_line(phi)
+        A1, U = build_ideals(phi, line)
+        exts = extension_set(group, U, m, zeta, A1)
+        return pairing, phi, line, A1, U, exts, group.span_indices([pairing.cod.rep(line).coords])
+    return group.memo(("descent_step", m, zeta.tobytes()), build)
+
+
 class GutkinStep:
     """Transcript of one descent level, in that level's own coordinates;
     zeta and chi_u are rows over the indices of 1 + A^m and of 1 + U."""
@@ -572,10 +576,11 @@ class GutkinStep:
     def to_json(self):
         group = self.pairing.group
         e = group.exponent()
+        zetas = [Cyclotomic.zeta(e, t).to_json() for t in range(e)]
 
-        def render(exps, H):
-            return [[k, Cyclotomic.zeta(e, t).to_json()]
-                    for k, t in zip(H.indices.tolist(), exps.tolist())]
+        def render(exps, H):  # the pairs [k, zeta_e^t] as one cell table
+            n = len(H.indices)
+            return CellRows(H.indices.tolist() + zetas, np.stack([np.arange(n), n + exps], 1))
 
         return {
             "dim": self.dim,
@@ -661,7 +666,7 @@ class MonomialDatum:
         }
 
 
-def clifford_constituent(chi, SA1, SU, exts):
+def clifford_constituent(chi, SA1, SU, exts, reps):
     """The constituent rho of chi restricted to H = 1 + A1 that induces chi,
     by Clifford projection onto the extensions exts of zeta to N = 1 + U.
 
@@ -670,9 +675,15 @@ def clifford_constituent(chi, SA1, SU, exts):
     is the stabilizer of each member (extension_set), so Res_H chi is the
     sum of its exts-parts, each irreducible, and each induces chi.  rho is
     the part with the least sort_key: the first constituent in table order.
-    <rho, rho> = 1 and rho(1) > 0 are checked (VerificationFailed)."""
+    <rho, rho> = 1 and rho(1) > 0 are checked (VerificationFailed).
+
+    The sum over N runs over reps (descent_step; all of N also does): chi
+    is zeta on 1 + A^m and each l in exts extends zeta, so conj(l(n)) chi(hn)
+    is constant on the cosets of 1 + A^m, and the q elements 1 + c y lie one
+    in each of the q, as (1+cy)^-1 (1+c'y) = 1 + (c'-c)y mod A^(2m-2) <= A^m."""
     _, _, sub_of = SA1.std_group
-    parts = clifford_parts(restrict(chi, SA1), sub_of[SU.indices], exts, chi.group.exponent())
+    parts = clifford_parts(restrict(chi, SA1), sub_of[reps],
+                           exts[:, np.searchsorted(SU.indices, reps)], chi.group.exponent())
     rho = min(parts, key=ClassFunction.sort_key)
     norm = rho.inner(rho)
     if norm != 1:
@@ -686,11 +697,11 @@ def gutkin_decompose(chi):
     """Produce and verify the monomial certificate for an irreducible chi.
 
     Linear characters return immediately with B = A.  Otherwise one descent
-    step is run (scalar level, pairing, linear map, line, ideals, extension
-    checks), the constituent rho of the restriction to 1 + A_1 is projected
-    out by Clifford theory (clifford_constituent), and rho is checked to
-    induce back to chi irreducibly before recursing on it.  No character
-    table is computed on the way down."""
+    step is run (scalar level, then descent_step), the constituent rho of
+    the restriction to 1 + A_1 is projected out by Clifford theory
+    (clifford_constituent), and rho is checked to induce back to chi
+    irreducibly before recursing on it.  No character table is computed on
+    the way down."""
     G = chi.group
     if chi.inner(chi) != 1:
         raise ValueError("only irreducible characters have monomial certificates")
@@ -704,11 +715,7 @@ def gutkin_decompose(chi):
 
     while cur_chi.degree_int() > 1:
         m, zeta = minimal_scalar_level(cur_chi)
-        pairing = commutator_pairing(cur_G, m, zeta)
-        phi = phi_map(pairing)
-        line = choose_line(phi)
-        A1, U = build_ideals(phi, line)
-        exts = extension_set(cur_G, U, m, zeta, A1)
+        pairing, phi, line, A1, U, exts, reps = descent_step(cur_G, m, zeta)
         steps.append(
             GutkinStep(
                 cur_G.algebra.dim, m, zeta, pairing, phi, line, A1, U,
@@ -718,7 +725,7 @@ def gutkin_decompose(chi):
 
         SA1 = subspace_subgroup(cur_G, A1)
         H, emb, _ = SA1.std_group
-        rho = clifford_constituent(cur_chi, SA1, subspace_subgroup(cur_G, U), exts)
+        rho = clifford_constituent(cur_chi, SA1, subspace_subgroup(cur_G, U), exts, reps)
         if not mackey_irreducible(rho, SA1):
             raise VerificationFailed("induced-irreducibility", witness=A1.rows)
         if induce(rho, SA1) != cur_chi:

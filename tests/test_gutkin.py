@@ -15,11 +15,12 @@ import random
 import numpy as np
 import pytest
 
-from oneplusa import gutkin, polarization, unitgroup
+from oneplusa import cli, gutkin, polarization, unitgroup
 from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.chars import (
     ClassFunction,
     character_table,
+    clifford_parts,
     induce,
     linear_characters,
     restrict,
@@ -744,13 +745,11 @@ def test_decompose_rejects_reducible_input():
 
 
 def _first_step(chi):
-    # 1 + A1, 1 + U and the extensions of zeta for the first descent step
+    # 1 + A1, 1 + U, the extensions of zeta and the coset representatives
+    # 1 + c y of 1 + U over 1 + A^m for the first descent step
     G = chi.group
-    m, zeta = minimal_scalar_level(chi)
-    phi = phi_map(commutator_pairing(G, m, zeta))
-    A1, U = build_ideals(phi, choose_line(phi))
-    exts = extension_set(G, U, m, zeta, A1)
-    return subspace_subgroup(G, A1), subspace_subgroup(G, U), exts
+    *_, A1, U, exts, reps = gutkin.descent_step(G, *minimal_scalar_level(chi))
+    return subspace_subgroup(G, A1), subspace_subgroup(G, U), exts, reps
 
 
 def _table_scan_pick(chi, SA1):
@@ -769,8 +768,8 @@ def test_clifford_pick_matches_the_table_scan(monkeypatch, target, steps):
     picks = []
     real = gutkin.clifford_constituent
 
-    def recording(chi, SA1, SU, exts):
-        rho = real(chi, SA1, SU, exts)
+    def recording(chi, SA1, SU, exts, reps):
+        rho = real(chi, SA1, SU, exts, reps)
         picks.append((chi, SA1, rho))
         return rho
 
@@ -785,34 +784,128 @@ def test_clifford_pick_matches_the_table_scan(monkeypatch, target, steps):
 
 def test_clifford_pick_rejects_a_reducible_class_function():
     chi = character_table(ul_group(3, 2)).chars[-1]
-    SA1, SU, exts = _first_step(chi)
+    SA1, SU, exts, reps = _first_step(chi)
     with pytest.raises(VerificationFailed) as err:
         clifford_constituent(ClassFunction(chi.group, [v + v for v in chi.values]),
-                             SA1, SU, exts)
+                             SA1, SU, exts, reps)
     assert (err.value.stage, err.value.witness) == ("constituent-irreducible", "4")
 
 
 def test_clifford_pick_rejects_a_character_outside_the_orbit():
+    # summed over all of N, every part of a row outside the orbit is zero;
+    # over the coset representatives 1 + c y the rows are read there only,
+    # where these two agree with the extensions, so the pick is the true one
+    # (rows that do not extend zeta are extension_set's to reject)
     chi = character_table(ul_group(3, 2)).chars[-1]
-    SA1, SU, exts = _first_step(chi)
+    SA1, SU, exts, reps = _first_step(chi)
     lins = linear_characters(SU)
     outside = lins[~(lins[:, None, :] == exts[None, :, :]).all(axis=2).any(axis=1)]
     assert len(outside) == 2
     with pytest.raises(VerificationFailed) as err:
-        clifford_constituent(chi, SA1, SU, outside)  # every part is zero
+        clifford_constituent(chi, SA1, SU, outside, SU.indices)  # every part is zero
     assert (err.value.stage, err.value.witness) == ("constituent-irreducible", "0")
+    at = np.searchsorted(SU.indices, reps)
+    assert sorted(map(tuple, outside[:, at])) == sorted(map(tuple, exts[:, at]))
+    assert (clifford_constituent(chi, SA1, SU, outside, reps)
+            == clifford_constituent(chi, SA1, SU, exts, reps))
 
 
 def test_clifford_pick_rejects_a_negative_degree():
     chi = character_table(ul_group(3, 2)).chars[-1]
-    SA1, SU, exts = _first_step(chi)
+    SA1, SU, exts, reps = _first_step(chi)
     with pytest.raises(VerificationFailed) as err:
         clifford_constituent(ClassFunction(chi.group, [-v for v in chi.values]),
-                             SA1, SU, exts)
+                             SA1, SU, exts, reps)
     assert (err.value.stage, err.value.witness) == ("constituent-degree", "-1")
 
 
+@pytest.mark.parametrize("name", [e.name for e in BUILTIN] + [
+    "ul(3,3)@5", "ul(3,3)@6", "ul(4,2)@1", "ul(4,2)@2", "free(2,2,3)@4", "ul(3,4)@10",
+])
+def test_clifford_projection_over_coset_representatives_matches_the_full_sum(
+    monkeypatch, name
+):
+    # the reference sums over every element of N = 1 + U; the descent sums
+    # over the q elements 1 + c y; every part must agree at every step of
+    # the catalog and of seeded random bases
+    calls = []
+    real = gutkin.clifford_constituent
+
+    def recording(chi, SA1, SU, exts, reps):
+        calls.append((chi, SA1, SU, exts, reps))
+        return real(chi, SA1, SU, exts, reps)
+
+    monkeypatch.setattr(gutkin, "clifford_constituent", recording)
+    G = UnitGroup(_reference_algebra(name))
+    taken = [s for chi in character_table(G).chars for s in gutkin_decompose(chi).steps]
+    assert len(calls) == len(taken) > 0
+    for chi, SA1, SU, exts, reps in calls:
+        q, e = chi.group.field.q, chi.group.exponent()
+        sub_of = SA1.std_group[2]
+        assert len(reps) == q and SU.mask[reps].all()
+        psi = restrict(chi, SA1)
+        want = clifford_parts(psi, sub_of[SU.indices], exts, e)
+        got = clifford_parts(psi, sub_of[reps], exts[:, np.searchsorted(SU.indices, reps)], e)
+        assert got == want
+
+
+@pytest.mark.parametrize("target", [e.name for e in BUILTIN])
+def test_descent_step_from_the_memo_matches_a_fresh_run(monkeypatch, target):
+    # each character's step, as the group's memo hands it out, against the
+    # five stages run again on (group, m, zeta) outside that memo
+    got = []
+    real = gutkin.descent_step
+
+    def recording(group, m, zeta):
+        step = real(group, m, zeta)
+        got.append((group, m, zeta, step))
+        return step
+
+    monkeypatch.setattr(gutkin, "descent_step", recording)
+    G = UnitGroup(resolve(target))
+    taken = [s for chi in character_table(G).chars for s in gutkin_decompose(chi).steps]
+    assert len(got) == len(taken)
+    for group, m, zeta, (pairing, phi, line, A1, U, exts, reps) in got:
+        fresh = commutator_pairing(group, m, zeta)
+        assert np.array_equal(pairing.values, fresh.values)
+        fphi = phi_map(fresh)
+        fline = choose_line(fphi)
+        fA1, fU = build_ideals(fphi, fline)
+        assert (phi.rows, line, A1, U) == (fphi.rows, fline, fA1, fU)
+        assert np.array_equal(exts, extension_set(group, fU, m, zeta, fA1))
+        assert np.array_equal(reps, group.span_indices([fresh.cod.rep(fline).coords]))
+
+
+@pytest.mark.parametrize("target", [e.name for e in BUILTIN])
+def test_step_reports_write_the_bytes_of_their_pair_lists(target):
+    # zeta and chi_u rendered as cell tables against the [index, value]
+    # pairs they stand for, through the CLI writer and json.dumps
+    def pairs(exps, H, e):
+        return [[k, Cyclotomic.zeta(e, t).to_json()]
+                for k, t in zip(H.indices.tolist(), exps.tolist())]
+
+    def written(obj):
+        out = []
+        cli._write_json(obj, out.append)
+        return "".join(out)
+
+    G = UnitGroup(resolve(target))
+    for chi in character_table(G).chars:
+        for step in gutkin_decompose(chi).steps:
+            group = step.pairing.group
+            e = group.exponent()
+            report = step.to_json()
+            want = dict(report, zeta=pairs(step.zeta, power_subgroup(group, step.m), e),
+                        chi_u=pairs(step.chi_u, subspace_subgroup(group, step.u), e))
+            assert written(report) == written(want) == json.dumps(want, sort_keys=True, indent=2)
+
+
 # -- the extension lemma on generator columns ---------------------------------
+
+
+def _step_keys(steps):
+    # the distinct (group, m, zeta) of the descent steps
+    return {(id(s.pairing.group), s.m, s.zeta.tobytes()) for s in steps}
 
 
 def _full_column_extension_set(group, U, m, zeta, A1):
@@ -859,9 +952,10 @@ def _full_column_extension_set(group, U, m, zeta, A1):
 
 @pytest.mark.parametrize("target", [e.name for e in BUILTIN])
 def test_descent_rows_have_one_entry_per_subgroup_element(monkeypatch, target):
-    # every extension set on the catalog has rows of length |1 + U|, and each
-    # step's report keys zeta and chi_u by the level group's indices of
-    # 1 + A^m and 1 + U, one key per element, in increasing order
+    # every extension set on the catalog has rows of length |1 + U|, one
+    # per distinct (group, m, zeta) of the steps, and each step's report
+    # keys zeta and chi_u by the level group's indices of 1 + A^m and 1 + U,
+    # one key per element, in increasing order
     calls = []
     real = gutkin.extension_set
 
@@ -873,7 +967,7 @@ def test_descent_rows_have_one_entry_per_subgroup_element(monkeypatch, target):
     monkeypatch.setattr(gutkin, "extension_set", recording)
     G = UnitGroup(resolve(target))
     steps = [s for chi in character_table(G).chars for s in gutkin_decompose(chi).steps]
-    assert len(steps) == len(calls)
+    assert len(calls) == len(_step_keys(steps))
     for group, U, exts in calls:
         assert exts.ndim == 2 and exts.shape[1] == subspace_subgroup(group, U).order
     for step in steps:
@@ -911,6 +1005,8 @@ def _reversed_basis(A):
 def test_extension_set_matches_the_full_column_checks(
     monkeypatch, target, reverse, steps
 ):
+    # steps descent steps, and one extension_set call per distinct
+    # (group, m, zeta) among them, each against the reference
     calls = []
     real = gutkin.extension_set
 
@@ -922,9 +1018,9 @@ def test_extension_set_matches_the_full_column_checks(
     monkeypatch.setattr(gutkin, "extension_set", recording)
     A = resolve(target)
     G = UnitGroup(_reversed_basis(A) if reverse else A)
-    for chi in character_table(G).chars:
-        gutkin_decompose(chi)
-    assert len(calls) == steps
+    taken = [s for chi in character_table(G).chars for s in gutkin_decompose(chi).steps]
+    assert len(taken) == steps
+    assert len(calls) == len(_step_keys(taken))
     for group, U, m, zeta, A1, exts in calls:
         assert np.array_equal(exts, _full_column_extension_set(group, U, m, zeta, A1))
 
@@ -1057,8 +1153,9 @@ def test_extension_set_rejects_a_conjugate_outside_the_linear_characters(monkeyp
 
 
 def test_extension_work_is_built_once_per_group_and_u(monkeypatch):
-    # decompose ul(4,3) makes 36 extension steps over 4 distinct (group, U):
-    # the linear characters of 1 + U are built once for each
+    # decompose ul(4,3) makes 36 descent steps over 12 distinct
+    # (group, m, zeta), one extension_set call each, and 4 distinct
+    # (group, U): the linear characters of 1 + U are built once for each
     steps, built = [], []
     real_ext, real_lins = gutkin.extension_set, gutkin.linear_characters
 
@@ -1073,9 +1170,8 @@ def test_extension_work_is_built_once_per_group_and_u(monkeypatch):
     monkeypatch.setattr(gutkin, "extension_set", recording)
     monkeypatch.setattr(gutkin, "linear_characters", counting)
     G = UnitGroup(resolve("ul(4,3)"))
-    for chi in character_table(G).chars:
-        gutkin_decompose(chi)
-    assert len(steps) == 36
+    taken = [s for chi in character_table(G).chars for s in gutkin_decompose(chi).steps]
+    assert len(taken) == 36 and len(_step_keys(taken)) == len(steps) == 12
     assert sorted(built) == sorted(set(steps)) and len(built) == 4
 
 

@@ -1,7 +1,11 @@
 """Exact scalar arithmetic: finite fields GF(p^k) and cyclotomic numbers.
 
 Field elements are polynomials over Z/p modulo a deterministic irreducible
-modulus, so GF(p^k) is reproducible across runs.  Character values of the
+modulus, so GF(p^k) is reproducible across runs.  Element indices add digit
+by digit (FiniteField.add_idx, on ints and int64 arrays alike) and multiply
+through one log/antilog pair per field (FiniteField.logs), which the array
+arithmetic of linalg.FieldArrays copies, so every field order up to
+FIELD_ORDER_CAP runs the same code.  Character values of the
 p-groups 1+A live in Q(zeta_{p^k}), p^k the group exponent, with exact
 rational coordinates in the power basis 1, zeta, ..., zeta^(phi(p^k)-1),
 stored at the smallest possible order, so equality is structural and
@@ -14,12 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import CapExceeded, DivisionByZero, NotPrime, VerificationFailed
 
 FIELD_ORDER_CAP = 2 ** 16
-FIELD_TABLE_CAP = 512  # build q x q lookup tables only for small fields
 
 
 def is_prime(n):
@@ -237,15 +240,12 @@ class FiniteField:
         self.one = self.elements[1]
         # generator of the polynomial basis (the class of x); equals 1 when k == 1
         self.gen = self.elements[p] if k > 1 else self.one
-        self._add_table = None
-        self._mul_table = None
-        self._inv_table = None
-        self._neg_table = None
 
     # -- index-level arithmetic (used by the algebra layer) -----------------
-
-    def _coeffs(self, i):
-        return self.elements[i].coeffs
+    #
+    # add_idx and neg_idx work digit by digit on the index with integer
+    # operators only, so they run unchanged on ints and on int64 arrays;
+    # mul_idx and inv_idx read the one log/antilog pair of the field.
 
     def _index_of(self, coeffs):
         idx = 0
@@ -253,79 +253,62 @@ class FiniteField:
             idx = idx * self.p + (coeffs[t] if t < len(coeffs) else 0)
         return idx
 
-    def _ensure_tables(self):
-        if self._add_table is not None or self.q > FIELD_TABLE_CAP:
-            return
-        p, q = self.p, self.q
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        inv = [0] * q
-        for i in range(q):
-            ci = self._coeffs(i)
-            for j in range(i, q):
-                cj = self._coeffs(j)
-                s = tuple((a + b) % p for a, b in zip(ci, cj))
-                v = self._index_of(s)
-                add[i][j] = v
-                add[j][i] = v
-                prod = _poly_mul_mod_p(list(ci), list(cj), p)
-                _, rem = _poly_divmod_mod_p(prod, list(self.modulus), p)
-                w = self._index_of(tuple(rem) + (0,) * self.k)
-                mul[i][j] = w
-                mul[j][i] = w
-        self._add_table = add
-        self._mul_table = mul
-        for i in range(1, q):
-            inv[i] = self._pow_idx(i, q - 2)
-        self._inv_table = inv
-        self._neg_table = [self._neg_by_coeffs(i) for i in range(q)]
+    @cached_property
+    def logs(self):
+        """(log, exp) tuples for the powers of g, the first element of order
+        q - 1, found by polynomial arithmetic mod the modulus.  exp runs
+        twice around the powers of g and then holds zeros, and
+        log[0] = 2(q - 1): a sum of two logs indexes exp with no reduction,
+        and lands on a zero exactly when a factor is zero."""
+        p, n, modulus = self.p, self.q - 1, list(self.modulus)
+
+        def times(i, j):
+            prod = _poly_mul_mod_p(list(self.elements[i].coeffs), list(self.elements[j].coeffs), p)
+            return self._index_of(_poly_divmod_mod_p(prod, modulus, p)[1])
+
+        for g in range(1, self.q):
+            powers = [1]
+            while (x := times(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == n:
+                break
+        log = [2 * n] * self.q
+        for t, x in enumerate(powers):
+            log[x] = t
+        return tuple(log), tuple(powers * 2 + [0] * (2 * n + 1))
 
     def add_idx(self, i, j):
-        self._ensure_tables()
-        if self._add_table is not None:
-            return self._add_table[i][j]
         p = self.p
-        s = tuple((a + b) % p for a, b in zip(self._coeffs(i), self._coeffs(j)))
-        return self._index_of(s)
-
-    def _neg_by_coeffs(self, i):
-        p = self.p
-        return self._index_of(tuple((-a) % p for a in self._coeffs(i)))
+        if self.k == 1:
+            return (i + j) % p
+        if p == 2:
+            return i ^ j
+        s = i + j
+        for t in range(self.k):
+            pt = p ** t
+            s -= ((i // pt) % p + (j // pt) % p >= p) * (p * pt)
+        return s
 
     def neg_idx(self, i):
-        self._ensure_tables()
-        if self._neg_table is not None:
-            return self._neg_table[i]
-        return self._neg_by_coeffs(i)
+        p = self.p
+        if self.k == 1:
+            return -i % p
+        if p == 2:
+            return i
+        return sum(-(i // p ** t) % p * p ** t for t in range(self.k))
 
     def sub_idx(self, i, j):
         return self.add_idx(i, self.neg_idx(j))
 
     def mul_idx(self, i, j):
-        self._ensure_tables()
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
-        prod = _poly_mul_mod_p(list(self._coeffs(i)), list(self._coeffs(j)), self.p)
-        _, rem = _poly_divmod_mod_p(prod, list(self.modulus), self.p)
-        return self._index_of(tuple(rem) + (0,) * self.k)
-
-    def _pow_idx(self, i, n):
-        r = 1
-        b = i
-        while n:
-            if n & 1:
-                r = self.mul_idx(r, b)
-            b = self.mul_idx(b, b)
-            n >>= 1
-        return r
+        log, exp = self.logs
+        return exp[log[i] + log[j]]
 
     def inv_idx(self, i):
         if i == 0:
             raise DivisionByZero("inverse of zero field element")
-        self._ensure_tables()
-        if self._inv_table is not None:
-            return self._inv_table[i]
-        return self._pow_idx(i, self.q - 2)
+        log, exp = self.logs
+        return exp[-log[i] % (self.q - 1)]
 
     # -- public interface ----------------------------------------------------
 

@@ -114,8 +114,8 @@ def _guard(what, *factors):
 
 @lru_cache(maxsize=None)
 def field_arrays(field):
-    """The array arithmetic of a field (anything with p, k, q and mul_idx),
-    built once per field."""
+    """The array arithmetic of a field (anything with p, k, q, add_idx,
+    neg_idx and, over GF(p^k), logs), built once per field."""
     return FieldArrays(field)
 
 
@@ -123,12 +123,13 @@ class FieldArrays:
     """GF(q) arithmetic on int64 arrays of field element indices, where
     index i is the element whose coefficients are the base-p digits of i.
 
-    A prime field works mod p.  GF(p^k) multiplies through log and antilog
-    arrays of at most 4q entries, built from the field's own mul_idx, and
-    adds digit by digit mod p (XOR for p = 2), so it needs no q x q table
-    and fields of any order run the same code.  Row reduction, null rows
-    and matrix products take stacks (..., rows, cols) and treat each matrix
-    on its own.
+    add and neg are the field's own add_idx and neg_idx, which work digit
+    by digit with integer operators on ints and arrays alike.  A prime field
+    multiplies mod p; GF(p^k) multiplies through array copies of the
+    field's one log/antilog pair, field.logs, of at most 5q entries, so it
+    needs no q x q table and fields of any order run the same code.  Row
+    reduction, null rows and matrix products take stacks (..., rows, cols)
+    and treat each matrix on its own.
     """
 
     def __init__(self, field):
@@ -139,44 +140,9 @@ class FieldArrays:
         import numpy as np
 
         self.p, self.k, self.q = field.p, field.k, field.q
-        if self.k == 1:
-            return
-        # the powers of the first element of order q - 1
-        for g in range(2, self.q):
-            powers = [1]
-            while (x := field.mul_idx(powers[-1], g)) != 1:
-                powers.append(x)
-            if len(powers) == self.q - 1:
-                break
-        # exp runs twice around the powers and then holds zeros, and
-        # log[0] = 2(q - 1): a sum of two logs indexes exp with no reduction,
-        # and lands on a zero exactly when a factor is zero
-        n = self.q - 1
-        self.log = np.full(self.q, 2 * n, dtype=np.int64)
-        self.log[powers] = np.arange(n)
-        self.exp = np.zeros(4 * n + 1, dtype=np.int64)
-        self.exp[:2 * n] = np.tile(powers, 2)
-        idx = np.arange(self.q)
-        self.neg_table = sum(
-            (-(idx // self.p ** t) % self.p) * self.p ** t for t in range(self.k)
-        )
-
-    def add(self, a, b):
-        p = self.p
-        if self.k == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        s = a + b
-        for t in range(self.k):
-            pt = p ** t
-            s -= ((a // pt) % p + (b // pt) % p >= p) * (p * pt)
-        return s
-
-    def neg(self, a):
-        if self.k == 1:
-            return -a % self.p
-        return self.neg_table[a]
+        self.add, self.neg = field.add_idx, field.neg_idx
+        if self.k > 1:
+            self.log, self.exp = (np.array(t, dtype=np.int64) for t in field.logs)
 
     def mul(self, a, b):
         if self.k == 1:

@@ -16,6 +16,8 @@ coordinates, first coordinate most significant.  Every move between them is
 GF(q)-linear on coordinates, so it is one array operation: digits/undigits
 convert between indices and coordinate arrays, and map_indices applies a
 matrix over GF(q) with linalg.FieldArrays, the package's GF(q) arrays.
+Those arrays and the scalar field ops share the field's one log/antilog
+pair and need no q x q table, so the group takes a field of any order.
 
 The table is built by digit arithmetic on indices, never by coordinates.
 FiniteField numbers GF(p^k) by the base-p digits of its coefficients, so an
@@ -34,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded, NotASubgroup, NotNormal, VerificationFailed
-from .exactfield import FIELD_TABLE_CAP
 from .linalg import field_arrays
 from .nilalg import Memoized, adapted_rows, product_outside, subalgebra_algebra
 
@@ -371,15 +372,6 @@ class UnitGroup(FiniteGroupTable):
         self.order = self.field.q ** algebra.dim
         if self.order > cap:
             raise CapExceeded(f"group order {self.order} exceeds cap {cap}")
-        # the group's arrays need no field table, but the descent's
-        # pure-Python linear algebra reads the scalar exactfield tables,
-        # which exist only up to FIELD_TABLE_CAP; past it every scalar
-        # add_idx and mul_idx redoes the polynomial arithmetic
-        if self.field.q > FIELD_TABLE_CAP:
-            raise CapExceeded(
-                f"field order {self.field.q} exceeds the field-table cap "
-                f"{FIELD_TABLE_CAP} for enumerated groups"
-            )
 
     # -- index <-> element ----------------------------------------------------
 
@@ -502,7 +494,9 @@ class UnitGroup(FiniteGroupTable):
         return self.memo("classes", self._class_partition)[2]
 
     def class_reps(self):
-        return [int(c[0]) for c in self.conjugacy_classes()]
+        """The least member of each class, in class order; kept in the memo
+        beside the classes, so callers must not change the list."""
+        return self.memo("class_reps", lambda: [int(c[0]) for c in self.conjugacy_classes()])
 
     def __repr__(self):
         return f"UnitGroup(order={self.order}, dim={self.algebra.dim}, {self.field!r})"

@@ -99,8 +99,8 @@ def test_field_order_cap():
 
 @pytest.mark.parametrize("q", [2, 4, 9, 25, 3 ** 7])
 def test_negation_and_subtraction_match_coefficients(q):
-    # tabled fields read negation from a table; past FIELD_TABLE_CAP
-    # (3^7 here) it is computed from the coefficients
+    # negation and subtraction work digit by digit on the index, in small
+    # fields and large ones (3^7 here) alike
     F = gf(q)
     p = F.p
     for x in F.elements if q < 100 else F.elements[::97]:

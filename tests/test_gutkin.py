@@ -1481,7 +1481,7 @@ def _dim4_algebra():
 
 
 REFERENCE_ALGEBRAS = [e.name for e in BUILTIN] + ["dim4"]
-# GF(1024) is past the field-table cap; free(9,2,3) is an odd extension
+# GF(1024) is a large field; free(9,2,3) is an odd extension
 # field; the random bases are not adapted to the power filtration
 POLARIZATION_CASES = REFERENCE_ALGEBRAS + [
     "ul(3,1024)", "free(9,2,3)", "ul(4,2)@1", "ul(3,3)@5", "free(2,2,3)@4", "ul(3,4)@10",

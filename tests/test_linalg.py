@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneplusa import linalg
-from oneplusa.exactfield import gf
+from oneplusa.exactfield import field_from_descriptor, gf
 from oneplusa.linalg import FieldArrays, field_arrays
 from oneplusa.nilalg import FieldRing
 
-# GF(1024) is past the field-table cap, GF(9) an odd extension field
+from test_unitgroup import _coeff_add, _coeff_mul
+
+# GF(1024) is a large field, GF(9) an odd extension field, and OTHER_MODULUS
+# GF(16) under Phi_5 = 1 + x + x^2 + x^3 + x^4, where x has order 5
 FIELDS = [2, 3, 4, 9, 16, 1024]
+OTHER_MODULUS = field_from_descriptor({"p": 2, "k": 4, "modulus": [1, 1, 1, 1, 1]})
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -107,30 +111,61 @@ def test_matmul_takes_one_dimensional_operands(q):
     assert F.matmul(v, S[0, :, 0]).tolist() == times(v, S[0, :, :1])[0]
 
 
-@pytest.mark.parametrize("q", FIELDS)
-def test_field_arithmetic_matches_the_field(q):
-    field = gf(q)
-    F = field_arrays(field)
+def _check_against_polynomials(field):
+    # the array ops and the scalar ops, which share the field's digit
+    # formulas and log tables, against polynomial arithmetic on coefficients
+    q, F = field.q, field_arrays(field)
     rng = np.random.default_rng(q)
     if q <= 16:
         a, b = (np.array(t) for t in zip(*itertools.product(range(q), repeat=2)))
     else:
         a, b = rng.integers(0, q, size=(2, 2000))
-    assert F.add(a, b).tolist() == [field.add_idx(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    assert F.mul(a, b).tolist() == [field.mul_idx(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    assert F.neg(a).tolist() == [field.neg_idx(x) for x in a.tolist()]
-    nonzero = a[a != 0]
-    assert F.inv(nonzero).tolist() == [field.inv_idx(x) for x in nonzero.tolist()]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    add = [_coeff_add(field, x, y) for x, y in pairs]
+    mul = [_coeff_mul(field, x, y) for x, y in pairs]
+    neg = [field.element([-c for c in field.elements[x].coeffs]).index for x in a.tolist()]
+    assert F.add(a, b).tolist() == add == [field.add_idx(x, y) for x, y in pairs]
+    assert F.mul(a, b).tolist() == mul == [field.mul_idx(x, y) for x, y in pairs]
+    assert F.neg(a).tolist() == neg == [field.neg_idx(x) for x in a.tolist()]
+    nonzero = a[a != 0].tolist()
+    assert F.inv(np.array(nonzero)).tolist() == [field.inv_idx(x) for x in nonzero]
+    assert {_coeff_mul(field, x, field.inv_idx(x)) for x in nonzero} == {1}
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_field_arithmetic_matches_the_field(q):
+    _check_against_polynomials(gf(q))
+
+
+def test_field_arithmetic_under_another_modulus():
+    assert OTHER_MODULUS.modulus != gf(16).modulus
+    _check_against_polynomials(OTHER_MODULUS)
+
+
+@pytest.mark.parametrize("field", [gf(q) for q in FIELDS] + [OTHER_MODULUS],
+                         ids=[*map(str, FIELDS), "16-Phi5"])
+def test_antilogs_run_once_around_the_nonzero_elements(field):
+    # the powers of the generator behind mul_idx and inv_idx: q - 1 distinct
+    # nonzero indices, so the generator has order q - 1
+    log, exp = field.logs
+    n = field.q - 1
+    assert len(set(exp[:n])) == n and 0 not in exp[:n]
+    assert exp[n:2 * n] == exp[:n] and not any(exp[2 * n:])
+    assert [log[x] for x in exp[:n]] == list(range(n)) and log[0] == 2 * n
 
 
 def test_matmul_int64_guard():
     # a duck-typed prime field past 2^31: (p - 1)^2 fits in int64, but a sum
     # of three such products does not, so the product must refuse to run
+    def prime_field(p):
+        return SimpleNamespace(p=p, k=1, q=p, add_idx=lambda a, b: (a + b) % p,
+                               neg_idx=lambda a: -a % p)
+
     p = 2 ** 31 - 1
-    F = FieldArrays(SimpleNamespace(p=p, k=1, q=p))
+    F = FieldArrays(prime_field(p))
     big = np.full((1, 1), p - 1, dtype=np.int64)
     assert F.matmul(big, big).tolist() == [[1]]
     with pytest.raises(RuntimeError, match="int64 overflow guard"):
         F.matmul(np.full((1, 3), p - 1), np.full((3, 1), p - 1))
     with pytest.raises(RuntimeError, match="int64 overflow guard"):
-        FieldArrays(SimpleNamespace(p=2 ** 61 - 1, k=1, q=2 ** 61 - 1)).mul(big, big)
+        FieldArrays(prime_field(2 ** 61 - 1)).mul(big, big)

@@ -159,21 +159,37 @@ def test_field_arithmetic_and_row_reduction_sit_beneath_nilalg():
     assert _package_imports(SRC / "nilalg.py") >= {"exactfield", "linalg"}
 
 
-FIELD_TABLES = {"_add_table", "_mul_table", "_inv_table", "_neg_table"}
+def _field_arithmetic_sites(tree):
+    """Calls to the polynomial helpers _poly_*, and definitions of or
+    stores to an attribute named logs, in one module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name.startswith("_poly_"):
+                found.append(f"{node.lineno} {name}()")
+        elif isinstance(node, ast.FunctionDef) and node.name == "logs":
+            found.append(f"{node.lineno} def logs")
+        elif (isinstance(node, ast.Attribute) and node.attr == "logs"
+              and isinstance(node.ctx, ast.Store)):
+            found.append(f"{node.lineno} .logs =")
+    return found
 
 
-def test_only_exactfield_reads_the_field_tables():
-    # one GF(q) array arithmetic, linalg.FieldArrays, built from the field's
-    # public mul_idx: no other module copies the scalar tables of a field
+def test_only_exactfield_builds_the_field_arithmetic():
+    # one finite-field arithmetic: exactfield's polynomial helpers build each
+    # field's one log/antilog pair, FiniteField.logs, and the array
+    # arithmetic, linalg.FieldArrays, only copies it
     found = [
-        f"{path.name}:{node.lineno} .{node.attr}"
+        f"{path.name}:{site}"
         for path in sorted(SRC.glob("*.py")) if path.name != "exactfield.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES
+        for site in _field_arithmetic_sites(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, found
-    exactfield = ast.walk(ast.parse((SRC / "exactfield.py").read_text()))
-    assert {node.attr for node in exactfield if isinstance(node, ast.Attribute)} >= FIELD_TABLES
+    own = _field_arithmetic_sites(ast.parse((SRC / "exactfield.py").read_text()))
+    assert any("def logs" in site for site in own)
+    assert any("_poly_mul_mod_p()" in site for site in own)
 
 
 def test_linear_algebra_has_one_scalar_domain():

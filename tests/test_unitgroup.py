@@ -609,14 +609,37 @@ def test_memo_builds_each_key_once_per_owner(monkeypatch, owners, read, build, e
     assert len(calls) == 2
 
 
+def _coeff_add(field, a, b):
+    """a + b on element indices, from the coefficient vectors mod p."""
+    ca, cb = field.elements[a].coeffs, field.elements[b].coeffs
+    return field.element([x + y for x, y in zip(ca, cb)]).index
+
+
+def _coeff_mul(field, a, b):
+    """a b on element indices, from the coefficient vectors: the polynomial
+    product, its top terms reduced by x^k = -(m_0 + ... + m_{k-1} x^(k-1))
+    for the monic modulus m of degree k."""
+    k, m = field.k, field.modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(field.elements[a].coeffs):
+        for j, y in enumerate(field.elements[b].coeffs):
+            prod[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        c, prod[d] = prod[d], 0
+        for t in range(k):
+            prod[d - k + t] -= c * m[t]
+    return field.element(prod[:k]).index
+
+
 def _scalar_tables(field):
     """The q x q addition and multiplication tables of a field on element
-    indices, one scalar add_idx and mul_idx call per entry: a reference that
-    does not go through the array arithmetic it checks."""
+    indices, from polynomial arithmetic on the coefficient vectors: a
+    reference that reads neither the field's log tables nor its digit
+    formulas, which the scalar and the array arithmetic share."""
     q = field.q
     return tuple(
-        np.array([[op(a, b) for b in range(q)] for a in range(q)], dtype=np.int16)
-        for op in (field.add_idx, field.mul_idx)
+        np.array([[op(field, a, b) for b in range(q)] for a in range(q)], dtype=np.int16)
+        for op in (_coeff_add, _coeff_mul)
     )
 
 

@@ -259,19 +259,30 @@ class FiniteField:
         q - 1, found by polynomial arithmetic mod the modulus.  exp runs
         twice around the powers of g and then holds zeros, and
         log[0] = 2(q - 1): a sum of two logs indexes exp with no reduction,
-        and lands on a zero exactly when a factor is zero."""
+        and lands on a zero exactly when a factor is zero.
+
+        A nonzero g has order q - 1 exactly when g^((q-1)/r) != 1 for every
+        prime r dividing q - 1, which square-and-multiply tests in O(log q)
+        products per candidate; only the winner's cycle is walked."""
         p, n, modulus = self.p, self.q - 1, list(self.modulus)
 
         def times(i, j):
             prod = _poly_mul_mod_p(list(self.elements[i].coeffs), list(self.elements[j].coeffs), p)
             return self._index_of(_poly_divmod_mod_p(prod, modulus, p)[1])
 
-        for g in range(1, self.q):
-            powers = [1]
-            while (x := times(powers[-1], g)) != 1:
-                powers.append(x)
-            if len(powers) == n:
-                break
+        def power(g, e):
+            out = 1
+            while e:
+                if e & 1:
+                    out = times(out, g)
+                g, e = times(g, g), e >> 1
+            return out
+
+        g = next(g for g in range(1, self.q)
+                 if all(power(g, n // r) != 1 for r in prime_factors(n)))
+        powers = [1]
+        while (x := times(powers[-1], g)) != 1:
+            powers.append(x)
         log = [2 * n] * self.q
         for t, x in enumerate(powers):
             log[x] = t

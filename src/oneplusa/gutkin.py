@@ -391,14 +391,15 @@ def build_ideals(phi, line):
     pairing = phi.pairing
     group = pairing.group
     A = group.algebra
-    ops = A.ring.linalg_ops()
+    F = linalg.field_arrays(group.field)
 
-    w = tuple(_line_image(phi, line).tolist())
-    if not any(w):
+    w = _line_image(phi, line)
+    if not w.any():
         raise ValueError("the line must pair nontrivially with some x")
-    kernel = linalg.nullspace([w], pairing.dom.dim, ops)
-    lifted = [pairing.dom.rep(row).coords for row in kernel]
-    A1 = Subspace.from_vectors(A, lifted + list(A.power_subspace(2).rows))
+    # the null rows of w (zero rows at its pivot column) lifted through the
+    # complement basis of A/A^2: they and A^2 span A1
+    lifted = F.matmul(F.nullrows(w.reshape(1, 1, -1))[0], pairing.dom.basis.R)
+    A1 = Subspace.from_vectors(A, lifted.tolist() + list(A.power_subspace(2).rows))
     if A1.dim != A.dim - 1:
         raise VerificationFailed("descent-codimension", witness=A1.dim)
     if not _between_powers(A, A1, 2, 1):
@@ -710,12 +711,12 @@ def gutkin_decompose(chi):
     if chi.inner(chi) != 1:
         raise ValueError("only irreducible characters have monomial certificates")
 
-    ops = G.algebra.ring.linalg_ops()
+    F = linalg.field_arrays(G.field)
     steps = []
     chain = []
     cur_G, cur_chi = G, chi
     emb_to_top = np.arange(G.order, dtype=np.int64)
-    basis_rows = list(Subspace.unit(G.algebra, range(G.algebra.dim)).rows)
+    basis = np.eye(G.algebra.dim, dtype=np.int64)  # cur_G's basis in top coordinates
 
     while cur_chi.degree_int() > 1:
         m, zeta = minimal_scalar_level(cur_chi)
@@ -735,16 +736,10 @@ def gutkin_decompose(chi):
         if induce(rho, SA1) != cur_chi:
             raise VerificationFailed("induction-mismatch", witness=A1.rows)
 
-        chain.append(
-            Subspace.from_vectors(
-                G.algebra,
-                [linalg.combine(r, basis_rows, ops, G.algebra.dim) for r in A1.rows],
-            )
-        )
-        basis_rows = [
-            linalg.combine(r, basis_rows, ops, G.algebra.dim)
-            for r in H.algebra.embed_rows
-        ]
+        # H's basis is A1's rows (subalgebra_algebra embeds it by them), so
+        # one product gives both the chain link and the next level's basis
+        basis = F.matmul(A1.R, basis)
+        chain.append(Subspace.from_vectors(G.algebra, basis.tolist()))
         emb_to_top = emb_to_top[emb]
         cur_G, cur_chi = H, rho
 

@@ -2,8 +2,9 @@
 
 An algebra here is a free module of finite rank over a coefficient ring
 (a finite field, Z, or Z[lam]) with a bilinear product described by a sparse
-table sc[(i, j)] = ((k, c), ...) meaning e_i e_j = sum_k c * e_k.  There is
-no unit; nilpotency means some power A^n vanishes.  Everything downstream
+table sc[(i, j)] = ((k, c), ...) meaning e_i e_j = sum_k c * e_k (repeated
+terms of one e_k add up, merged when the algebra is built).  There is no
+unit; nilpotency means some power A^n vanishes.  Everything downstream
 (unit groups, characters, monomial certificates) is built on this class.
 
 This is also the one home of the subspace constructions built on it:
@@ -11,10 +12,12 @@ subspaces as canonical RREF rows, quotients W / V with a canonical
 complement basis (QuotientSpace) and the quotient algebras A / I on it,
 bases adapted to the power filtration (adapted_rows), and closure checks
 that name the first product outside a subspace (product_outside).  They
-exist over a finite field only, on raw field coordinates: the FieldRing is
-its own linalg ops, and over Z or Z[lam] (one SymbolicRing class, for the
-exact commutator identities) building one raises TypeError, while the
-nilpotency index comes from products.
+exist over a finite field only.  Echelon forms come from linalg.rref, the
+one single-matrix RREF, with the FieldRing as its own ops; membership,
+reduction, coordinates, null spaces and combinations of rows are
+linalg.FieldArrays products on int64 arrays.  Over Z or Z[lam] (one
+SymbolicRing class, for the exact commutator identities) the first such
+computation raises TypeError, and the nilpotency index comes from products.
 
 Derived state is cached in one place per owner: an Algebra, a group or a
 subgroup is a Memoized, and every value computed on first use lives in its
@@ -325,7 +328,10 @@ class Algebra(Memoized):
         self.dim = dim
         clean = {}
         for (i, j), entry in sc.items():
-            kept = tuple((k, c) for k, c in entry if not ring.is_zero(c))
+            merged = {}  # repeated terms of one e_k add up, in first-seen order
+            for k, c in entry:
+                merged[k] = ring.add(merged.get(k, ring.zero), c)
+            kept = tuple((k, c) for k, c in merged.items() if not ring.is_zero(c))
             if kept:
                 clean[(i, j)] = kept
         self.sc = clean
@@ -507,16 +513,29 @@ def _coords(v):
     return getattr(v, "coords", v)
 
 
-class Subspace:
-    """Subspace of a finite-field algebra, held as canonical reduced rows
-    of field coordinates; building one over Z or Z[lam] raises TypeError."""
+def _array(rows, width):
+    """Rows of field coordinates as an int64 (len(rows), width) array."""
+    import numpy as np
 
-    __slots__ = ("algebra", "rows", "pivots")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+class Subspace:
+    """Subspace of a finite-field algebra, held as its canonical reduced
+    rows of field element indices: rows (a tuple of int tuples, the key of
+    equality, memos and reports), their pivot columns, and R, the same rows
+    as an int64 array.  Membership, reduction and coordinates are one
+    residual V - V[:, pivots] R each (linalg.FieldArrays), zero exactly on
+    the rows of V inside the subspace.  Over Z or Z[lam] a subspace still
+    constructs, with R None, and its first arithmetic raises TypeError."""
+
+    __slots__ = ("algebra", "rows", "pivots", "R")
 
     def __init__(self, algebra, rows, pivots):
         self.algebra = algebra
         self.rows = tuple(tuple(r) for r in rows)
         self.pivots = tuple(pivots)
+        self.R = _array(self.rows, algebra.dim) if algebra.ring.kind == "field" else None
 
     @staticmethod
     def from_vectors(algebra, vectors):
@@ -538,20 +557,31 @@ class Subspace:
     def dim(self):
         return len(self.rows)
 
+    def _arith(self):
+        return linalg.field_arrays(self.algebra.ring.linalg_ops().field)
+
+    def _residual(self, rows):
+        """V - V[:, pivots] R for the stack V of rows: each row reduced
+        modulo the subspace."""
+        F = self._arith()
+        V = _array(rows, self.algebra.dim)
+        return F.add(V, F.neg(F.matmul(V[:, self.pivots], self.R)))
+
     def contains(self, v):
-        ops = self.algebra.ring.linalg_ops()
-        return linalg.in_rowspace(_coords(v), self.rows, self.pivots, ops)
+        return not self._residual([_coords(v)]).any()
 
     def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return not self._residual(other.R).any()
 
     def reduce(self, v):
-        ops = self.algebra.ring.linalg_ops()
-        return linalg.reduce_vector(_coords(v), self.rows, self.pivots, ops)
+        return tuple(self._residual([_coords(v)])[0].tolist())
 
     def coords_of(self, v):
-        ops = self.algebra.ring.linalg_ops()
-        return linalg.coords_in_rowspace(_coords(v), self.rows, self.pivots, ops)
+        """Coefficients of v in the rows, or None if v is outside."""
+        v = _coords(v)
+        if self._residual([v]).any():
+            return None
+        return tuple(int(v[p]) for p in self.pivots)
 
     def sum_with(self, other):
         return Subspace.from_vectors(self.algebra, list(self.rows) + list(other.rows))
@@ -578,23 +608,18 @@ class QuotientSpace:
     """W / V for nested subspaces V <= W of a finite-field algebra.
 
     The complement basis is canonical: the rows of W reduced modulo V and
-    re-echelonized, so two runs always agree.  Quotient coordinates are
-    field element indices relative to that basis."""
+    re-echelonized (a Subspace, basis), so two runs always agree.  Quotient
+    coordinates are field element indices relative to that basis."""
 
-    __slots__ = ("algebra", "sub", "rows", "pivots")
+    __slots__ = ("algebra", "sub", "basis", "rows", "pivots")
 
     def __init__(self, algebra, sub, sup):
         if not sup.contains_subspace(sub):
             raise ValueError("quotient needs nested subspaces")
-        ops = algebra.ring.linalg_ops()
-        reduced = [sub.reduce(r) for r in sup.rows]
-        rows, pivots = linalg.rref(
-            [r for r in reduced if any(not ops.is_zero(c) for c in r)], ops
-        )
         self.algebra = algebra
         self.sub = sub
-        self.rows = rows
-        self.pivots = pivots
+        self.basis = Subspace.from_vectors(algebra, sub._residual(sup.R).tolist())
+        self.rows, self.pivots = self.basis.rows, self.basis.pivots
 
     @property
     def dim(self):
@@ -602,20 +627,15 @@ class QuotientSpace:
 
     def project(self, v):
         """Quotient coordinates of v (an element or coords); v must lie in W."""
-        red = self.sub.reduce(v)
-        coords = linalg.coords_in_rowspace(
-            red, self.rows, self.pivots, self.algebra.ring.linalg_ops()
-        )
+        coords = self.basis.coords_of(self.sub.reduce(v))
         if coords is None:
             raise ValueError("vector outside the numerator subspace")
         return coords
 
     def rep(self, coords):
         """The canonical coset representative with these quotient coordinates."""
-        ops = self.algebra.ring.linalg_ops()
-        return AlgebraElement(
-            self.algebra, linalg.combine(coords, self.rows, ops, self.algebra.dim)
-        )
+        row = self.basis._arith().matmul(coords, self.basis.R)
+        return AlgebraElement(self.algebra, tuple(row.tolist()))
 
     def all_coords(self):
         """Every coordinate vector, in base-q order, most significant first."""
@@ -705,12 +725,11 @@ def subalgebra_closure(algebra, vectors):
 
 def product_outside(space, lefts, rights):
     """The first pair (x, y), x in lefts and y in rights in their order,
-    whose product x y lies outside space, or None if every product is in it."""
-    for x in lefts:
-        for y in rights:
-            if not space.contains(x * y):
-                return x, y
-    return None
+    whose product x y lies outside space, or None if every product is in it.
+    All products are tested in one residual."""
+    pairs = [(x, y) for x in lefts for y in rights]
+    outside = space._residual([(x * y).coords for x, y in pairs]).any(axis=1)
+    return pairs[outside.argmax()] if outside.any() else None
 
 
 def is_ideal(algebra, space):
@@ -726,20 +745,20 @@ def adapted_rows(algebra, rows):
     the flag of ideals refining the power chain that find_polarization in
     gutkin restricts its form to.
     B n A^k is read off the null space of the rows of B and A^k stacked:
-    sum_i a_i b_i + sum_j c_j p_j = 0 puts sum_i a_i b_i in both."""
+    sum_i a_i b_i + sum_j c_j p_j = 0 puts sum_i a_i b_i in both.  Its
+    canonical RREF basis (rref of the null rows, zero rows dropped) fixes
+    the order the rows are taken in."""
     ops = algebra.ring.linalg_ops()
+    F = linalg.field_arrays(ops.field)
     rows = [tuple(int(c) for c in r) for r in rows]
     taken = []
     cur = Subspace.from_vectors(algebra, [])
     for k in range(algebra.nilpotency_index - 1, 0, -1):
-        both = rows + list(algebra.power_subspace(k).rows)
-        null = linalg.nullspace(
-            [[r[c] for r in both] for c in range(algebra.dim)], len(both), ops
-        )
-        for coeffs in null:
-            v = linalg.combine(coeffs[:len(rows)], rows, ops, algebra.dim)
+        both = _array(rows + list(algebra.power_subspace(k).rows), algebra.dim)
+        null, _ = linalg.rref(F.nullrows(both.T[None])[0].tolist(), ops)
+        for v in F.matmul(_array(null, len(both))[:, :len(rows)], both[:len(rows)]).tolist():
             if not cur.contains(v):
-                taken.append(v)
+                taken.append(tuple(v))
                 cur = Subspace.from_vectors(algebra, taken)
     return taken
 
@@ -757,11 +776,10 @@ def annihilator(algebra):
         for (i, j), entry in algebra.sc.items():
             for k, c in entry:
                 for key, col in ((("right", j, k), i), (("left", i, k), j)):
-                    row = rows.setdefault(key, [ops.zero] * algebra.dim)
-                    row[col] = ops.add(row[col], c)
-        basis = linalg.nullspace(list(rows.values()), algebra.dim, ops)
-        pivots = [next(t for t, c in enumerate(row) if not ops.is_zero(c)) for row in basis]
-        return Subspace(algebra, basis, pivots)
+                    rows.setdefault(key, [ops.zero] * algebra.dim)[col] = c
+        F = linalg.field_arrays(ops.field)
+        null = F.nullrows(_array(list(rows.values()), algebra.dim)[None])[0]
+        return Subspace.from_vectors(algebra, null.tolist())  # rref drops its zero rows
     return algebra.memo("annihilator", build)
 
 
@@ -781,10 +799,11 @@ def quotient_algebra(algebra, ideal_space):
         raise NotAnIdeal("the subspace is not a two-sided ideal")
     space = QuotientSpace(algebra, ideal_space, Subspace.unit(algebra, range(algebra.dim)))
     unit, keep = algebra._unit, space.pivots
-    sc = {  # Algebra drops the zero coefficients
-        (a, b): tuple(enumerate(space.project(algebra.mul_coords(unit[j1], unit[j2]))))
-        for a, j1 in enumerate(keep) for b, j2 in enumerate(keep)
-    }
+    prods = [algebra.mul_coords(unit[j1], unit[j2]) for j1 in keep for j2 in keep]
+    # on that basis a product's quotient coordinates are its entries at keep,
+    # once reduced mod I; Algebra drops the zero coefficients
+    coords = ideal_space._residual(prods)[:, keep].tolist()
+    sc = {divmod(ab, len(keep)): tuple(enumerate(c)) for ab, c in enumerate(coords)}
     quotient = Algebra(
         algebra.ring,
         space.dim,
@@ -802,16 +821,14 @@ def subalgebra_algebra(algebra, space):
         raise TypeError("standalone subalgebras need a finite field")
     els = space.row_elements()
     k = len(els)
+    prods = [(x * y).coords for x in els for y in els]
+    if space._residual(prods).any():
+        raise ValueError("subspace is not multiplicatively closed")
     sc = {}
-    for a in range(k):
-        for b in range(k):
-            prod = els[a] * els[b]
-            coords = space.coords_of(prod)
-            if coords is None:
-                raise ValueError("subspace is not multiplicatively closed")
-            kept = tuple((t, c) for t, c in enumerate(coords) if not algebra.ring.is_zero(c))
-            if kept:
-                sc[(a, b)] = kept
+    for ab, prod in enumerate(prods):  # in the span, coordinates are the pivot entries
+        kept = tuple((t, prod[p]) for t, p in enumerate(space.pivots) if prod[p])
+        if kept:
+            sc[divmod(ab, k)] = kept
     sub = Algebra(
         algebra.ring,
         k,

@@ -733,6 +733,19 @@ def test_the_file_algebra_of_the_structure_constant_tests_is_valid(tmp_path, cap
     assert code == 0 and json.loads(out)["group_order"] == 4
 
 
+def test_repeated_structure_constant_terms_verify(tmp_path, capsys):
+    # a valid file with e1 e2 written as e3 + e3: its terms add up, so every
+    # suite reads 2 e3 and none reports a falsified claim (exit 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({
+        "ring": {"type": "field", "p": 3, "k": 1, "modulus": [0, 1]}, "dim": 3,
+        "sc": {"0,1": [[2, 1], [2, 1]], "1,0": [[2, 1]]},
+    }))
+    code, out, err = run(capsys, "verify", f"file({path})", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"]
+
+
 def test_a_missing_file_target_names_its_path(tmp_path, capsys):
     # file(path) opens the path, so the OS error that names it exits 2; a
     # bare path that does not exist is still no target at all

@@ -51,7 +51,6 @@ from oneplusa.gutkin import (
     standard_additive_character,
     verify_gutkin_all,
 )
-from oneplusa import linalg
 from oneplusa.linalg import rref
 from oneplusa.nilalg import (
     Algebra,
@@ -63,7 +62,13 @@ from oneplusa.nilalg import (
     product_outside,
     strictly_upper_triangular,
 )
-from oneplusa.polarization import _all_subspaces, _gram, _is_polarization, find_polarization
+from oneplusa.polarization import (
+    _all_subspaces,
+    _gram,
+    _is_polarization,
+    _structure_tensor,
+    find_polarization,
+)
 from oneplusa.unitgroup import (
     Subgroup,
     UnitGroup,
@@ -74,6 +79,7 @@ from oneplusa.unitgroup import (
     subspace_subgroup,
     undigits,
 )
+from test_nilalg import combine, nullspace
 from test_unitgroup import (
     _random_basis,
     _scalar_tables,
@@ -624,7 +630,7 @@ def test_coordinate_arrays_match_ring_arithmetic(q):
         H = Subgroup.from_subspace(G, space)
         Hg, emb, sub_of = H.std_group
         for n in range(Hg.order):
-            want = linalg.combine(Hg.coords_of_index(n), space.rows, ops, A.dim)
+            want = combine(Hg.coords_of_index(n), space.rows, ops, A.dim)
             assert G.coords_of_index(int(emb[n])) == want
         assert sorted(emb.tolist()) == H.indices.tolist()
         assert sub_of[emb].tolist() == list(range(Hg.order))
@@ -1449,8 +1455,8 @@ def _form_radical(alg, f, space):
     els = space.row_elements()
     ops = alg.ring.linalg_ops()
     rows = [tuple(_bracket_value(alg, f, x, y) for y in els) for x in els]
-    null = linalg.nullspace(rows, len(els), ops)
-    return [linalg.combine(c, space.rows, ops, alg.dim) for c in null]
+    null = nullspace(rows, len(els), ops)
+    return [combine(c, space.rows, ops, alg.dim) for c in null]
 
 
 def _bracket_gram(alg, f):
@@ -1524,6 +1530,19 @@ def test_gram_matches_bracket_values(name):
     G = _gram(alg, np.array(fs, dtype=np.int64))
     assert G.shape == (len(fs), alg.dim, alg.dim)
     assert G.tolist() == [_bracket_gram(alg, f) for f in fs]
+
+
+@pytest.mark.parametrize("sc", [
+    {(0, 1): ((2, 1), (2, 1)), (1, 0): ((2, 1),)},
+    {(0, 1): ((2, 1), (2, 2), (2, 2)), (1, 0): ((2, 2), (2, 2))},
+], ids=["twice", "three-terms"])
+def test_structure_tensor_agrees_with_products_under_repeated_terms(sc):
+    # repeated terms of one e_k add up in the products and in the tensor
+    # the polarizations read, alike
+    alg = Algebra(FieldRing(gf(3)), 3, sc)
+    S = _structure_tensor(alg)
+    assert S.tolist() == [[list(alg.mul_coords(x, y)) for y in alg._unit] for x in alg._unit]
+    assert S[0, 1, 2] == 2
 
 
 def test_is_polarization_matches_elementwise_check():

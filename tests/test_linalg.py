@@ -1,7 +1,8 @@
 """The stacked field-array kernel against the pure-Python row reduction.
 
-linalg.rref, nullspace and combine are the references: every matrix of a
-stack must reduce, null and multiply exactly as it does alone.
+linalg.rref and test_nilalg's scalar nullspace and combine are the
+references: every matrix of a stack must reduce, null and multiply exactly
+as it does alone.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from oneplusa.exactfield import field_from_descriptor, gf
 from oneplusa.linalg import FieldArrays, field_arrays
 from oneplusa.nilalg import FieldRing
 
+from test_nilalg import combine, nullspace
 from test_unitgroup import _coeff_add, _coeff_mul
 
 # GF(1024) is a large field, GF(9) an odd extension field, and OTHER_MODULUS
@@ -37,7 +39,7 @@ def _matrix(draw, ops, q, r, c):
         return [[draw(entry) for _ in range(c)] for _ in range(r)]
     k = draw(st.integers(1, 2))
     base = [[draw(entry) for _ in range(c)] for _ in range(k)]
-    return [list(linalg.combine([draw(entry) for _ in range(k)], base, ops, c)) for _ in range(r)]
+    return [list(combine([draw(entry) for _ in range(k)], base, ops, c)) for _ in range(r)]
 
 
 @st.composite
@@ -73,7 +75,7 @@ def test_null_rows_match_nullspace(case):
     assert N.shape == (len(stack), c, c)
     for M, Nb, pivots in zip(stack.tolist(), N, F.rref(stack)[2]):
         assert not Nb[pivots].any()
-        assert linalg.rref(Nb[~pivots].tolist(), ops)[0] == linalg.nullspace(M, c, ops)
+        assert linalg.rref(Nb[~pivots].tolist(), ops)[0] == nullspace(M, c, ops)
 
 
 @SETTINGS
@@ -88,7 +90,7 @@ def test_stacked_matmul_matches_combine(case, c, data):
     P = field_arrays(gf(q)).matmul(X, Y)
     assert P.shape == (nb, X.shape[1], c)
     for Xb, Yb, Pb in zip(X.tolist(), Y.tolist(), P.tolist()):
-        want = [list(linalg.combine(row, Yb, ops, c)) for row in Xb]
+        want = [list(combine(row, Yb, ops, c)) for row in Xb]
         assert Pb == want
 
 
@@ -102,7 +104,7 @@ def test_matmul_takes_one_dimensional_operands(q):
     S = rng.integers(0, q, size=(2, 3, 4))
 
     def times(c, rows):
-        return list(linalg.combine(c.tolist(), rows.tolist(), ops, rows.shape[1]))
+        return list(combine(c.tolist(), rows.tolist(), ops, rows.shape[1]))
 
     assert F.matmul(v, S[0]).tolist() == times(v, S[0])
     assert F.matmul(S[0], w).tolist() == times(w, S[0].T)
@@ -152,6 +154,30 @@ def test_antilogs_run_once_around_the_nonzero_elements(field):
     assert len(set(exp[:n])) == n and 0 not in exp[:n]
     assert exp[n:2 * n] == exp[:n] and not any(exp[2 * n:])
     assert [log[x] for x in exp[:n]] == list(range(n)) and log[0] == 2 * n
+
+
+def _walked_logs(field):
+    # the reference: every candidate's whole cycle walked, by polynomial
+    # arithmetic, until one has q - 1 elements
+    n = field.q - 1
+    for g in range(1, field.q):
+        powers = [1]
+        while (x := _coeff_mul(field, powers[-1], g)) != 1:
+            powers.append(x)
+        if len(powers) == n:
+            break
+    log = [2 * n] * field.q
+    for t, x in enumerate(powers):
+        log[x] = t
+    return tuple(log), tuple(powers * 2 + [0] * (2 * n + 1))
+
+
+@pytest.mark.parametrize("q", FIELDS + ["16-Phi5"])
+def test_logs_pick_the_generator_the_cycle_walk_picks(q):
+    # the generator is accepted by g^((q-1)/r) != 1 for the primes r of
+    # q - 1, without walking its cycle: the same first g, so the same pair
+    field = OTHER_MODULUS if q == "16-Phi5" else gf(q)
+    assert field.logs == _walked_logs(field)
 
 
 def test_matmul_int64_guard():

@@ -15,6 +15,7 @@ from oneplusa.nilalg import (
     Algebra,
     FieldRing,
     Poly,
+    QuotientSpace,
     Subspace,
     annihilator,
     free_nilpotent,
@@ -26,6 +27,61 @@ from oneplusa.nilalg import (
     subalgebra_algebra,
     subalgebra_closure,
 )
+
+
+# ---------------------------------------------------------------------------
+# the scalar references: pure-Python vector routines on tuples of field
+# element indices with a ring's ops, one field call per entry, against which
+# the FieldArrays arithmetic of Subspace, QuotientSpace, annihilator and
+# adapted_rows is checked
+
+
+def reduce_vector(vec, rows, pivots, ops):
+    """Eliminate the pivot coordinates of vec against RREF rows; the residual
+    is zero exactly when vec lies in the row space."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if not ops.is_zero(c):
+            v = [ops.sub(a, ops.mul(c, b)) for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def in_rowspace(vec, rows, pivots, ops):
+    return all(ops.is_zero(c) for c in reduce_vector(vec, rows, pivots, ops))
+
+
+def combine(coeffs, rows, ops, width):
+    """sum of coeffs[i] * rows[i], coordinate-wise, as a tuple of length width."""
+    acc = [ops.zero] * width
+    for c, row in zip(coeffs, rows):
+        if not ops.is_zero(c):
+            acc = [ops.add(a, ops.mul(c, b)) for a, b in zip(acc, row)]
+    return tuple(acc)
+
+
+def coords_in_rowspace(vec, rows, pivots, ops):
+    """Coefficients of vec in an RREF basis, or None if vec is outside it."""
+    coeffs = tuple(vec[p] for p in pivots)
+    if combine(coeffs, rows, ops, len(vec)) != tuple(vec):
+        return None
+    return coeffs
+
+
+def nullspace(rows, ncols, ops):
+    """Canonical RREF basis of {x : M x = 0} where rows are the rows of M."""
+    red, pivots = linalg.rref(rows, ops)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [ops.zero] * ncols
+        v[fc] = ops.one
+        for row, p in zip(red, pivots):
+            v[p] = ops.neg(row[fc])
+        basis.append(tuple(v))
+    out, _ = linalg.rref(basis, ops)
+    return out
 
 
 def _from_labels(A, terms):
@@ -581,3 +637,131 @@ def test_basis_vectors_are_built_on_demand(make):
              for i in range(A.dim)]
     assert [A.basis_element(i).coords for i in range(A.dim)] == units
     assert A._unit == units and A._unit is A._unit  # one memo entry
+
+
+# ---------------------------------------------------------------------------
+# the FieldArrays arithmetic of the subspace constructions against the
+# scalar references at the top of this module
+
+REFERENCE_CASES = (
+    [(e.name, None) for e in BUILTIN]
+    + [(t, None) for t in ("ul(3,9)", "ul(3,16)", "ul(3,1024)", "free(1024,1,3)")]
+    + [("ul(4,2)", 1), ("ul(3,3)", 6), ("free(3,2,3)", 8), ("ul(3,4)", 10),
+       ("ul(3,9)", 12), ("ul(3,16)", 16), ("free(1024,1,3)", 17)]
+)
+
+
+def _reference_spaces(A, rng):
+    # the powers of A, its annihilator, random spans of one to three
+    # vectors, and each random span widened by one more vector
+    q = A.ring.field.q
+    spaces = [A.power_subspace(k) for k in range(1, A.nilpotency_index + 1)]
+    spaces.append(annihilator(A))
+    for size in (1, 2, 3):
+        S = Subspace.from_vectors(A, [_random_field(A, rng) for _ in range(size)])
+        spaces += [S, S.sum_with(Subspace.from_vectors(A, [_random_field(A, rng)]))]
+    return spaces, q
+
+
+def _reference_adapted_rows(A, rows):
+    # the body adapted_rows had on the scalar references
+    ops = A.ring
+    rows = [tuple(int(c) for c in r) for r in rows]
+    taken, cur = [], ((), ())
+    for k in range(A.nilpotency_index - 1, 0, -1):
+        both = rows + list(A.power_subspace(k).rows)
+        null = nullspace([[r[c] for r in both] for c in range(A.dim)], len(both), ops)
+        for coeffs in null:
+            v = combine(coeffs[:len(rows)], rows, ops, A.dim)
+            if not in_rowspace(v, *cur, ops):
+                taken.append(v)
+                cur = linalg.rref(taken, ops)
+    return taken
+
+
+def _reference_annihilator_rows(A):
+    # the conditions x e_j = 0 and e_j x = 0 summed term by term, and their
+    # null space
+    ops = A.ring
+    rows = {}
+    for (i, j), entry in A.sc.items():
+        for k, c in entry:
+            for key, col in ((("right", j, k), i), (("left", i, k), j)):
+                row = rows.setdefault(key, [ops.zero] * A.dim)
+                row[col] = ops.add(row[col], c)
+    return nullspace(list(rows.values()), A.dim, ops)
+
+
+@pytest.mark.parametrize("target,seed", REFERENCE_CASES)
+def test_subspace_arithmetic_matches_the_scalar_references(target, seed):
+    A = _subspace_case(target, seed)
+    ops = A.ring
+    rng = random.Random(f"{target}-{seed}")
+    spaces, q = _reference_spaces(A, rng)
+    contained = set()
+    for S in spaces:
+        inside = [combine([rng.randrange(q) for _ in S.rows], S.rows, ops, A.dim)
+                  for _ in range(3)]
+        vectors = inside + [_random_field(A, rng) for _ in range(5)] + A._unit
+        for v in vectors:
+            assert S.contains(v) == in_rowspace(v, S.rows, S.pivots, ops)
+            assert S.reduce(v) == reduce_vector(v, S.rows, S.pivots, ops)
+            assert S.coords_of(v) == coords_in_rowspace(v, S.rows, S.pivots, ops)
+        for T in spaces:
+            want = all(in_rowspace(r, S.rows, S.pivots, ops) for r in T.rows)
+            assert S.contains_subspace(T) == want
+            contained.add(want)
+    assert contained == {True, False}
+
+
+@pytest.mark.parametrize("target,seed", REFERENCE_CASES)
+def test_quotient_spaces_match_the_scalar_references(target, seed):
+    A = _subspace_case(target, seed)
+    ops = A.ring
+    rng = random.Random(f"{target}-{seed}")
+    spaces, q = _reference_spaces(A, rng)
+    pairs = [(V, W) for V in spaces for W in spaces
+             if all(in_rowspace(r, W.rows, W.pivots, ops) for r in V.rows)]
+    assert any(V.dim < W.dim for V, W in pairs)
+    for V, W in pairs:
+        Qs = QuotientSpace(A, V, W)
+        reduced = [reduce_vector(r, V.rows, V.pivots, ops) for r in W.rows]
+        assert (Qs.rows, Qs.pivots) == linalg.rref([r for r in reduced if any(r)], ops)
+        vectors = [combine([rng.randrange(q) for _ in W.rows], W.rows, ops, A.dim)
+                   for _ in range(4)] + [_random_field(A, rng) for _ in range(2)]
+        for v in vectors:
+            want = coords_in_rowspace(reduce_vector(v, V.rows, V.pivots, ops),
+                                      Qs.rows, Qs.pivots, ops)
+            if want is None:
+                with pytest.raises(ValueError, match="outside the numerator"):
+                    Qs.project(v)
+            else:
+                assert Qs.project(v) == want
+        for c in [tuple(rng.randrange(q) for _ in range(Qs.dim)) for _ in range(4)]:
+            assert Qs.rep(c).coords == combine(c, Qs.rows, ops, A.dim)
+
+
+@pytest.mark.parametrize("target,seed", REFERENCE_CASES)
+def test_annihilator_and_adapted_rows_match_the_scalar_references(target, seed):
+    A = _subspace_case(target, seed)
+    rng = random.Random(f"{target}-{seed}")
+    assert annihilator(A).rows == _reference_annihilator_rows(A)
+    # adapted rows fix the ideal flag of the polarizations: the same rows,
+    # in the same order
+    spaces, _ = _reference_spaces(A, rng)
+    for rows in [[e.coords for e in A.basis()]] + [S.rows for S in spaces]:
+        assert adapted_rows(A, rows) == _reference_adapted_rows(A, rows)
+
+
+def test_repeated_structure_constant_terms_add_up():
+    # e1 e2 = e3 + e3 = 2 e3 over GF(3), and e1 e1 = e3 + 2 e3 = 0: the terms
+    # of one e_k are merged when the algebra is built, in first-seen order,
+    # and a sum of zero drops
+    ring = FieldRing(gf(3))
+    A = Algebra(ring, 3, {(0, 1): ((2, 1), (2, 1)), (1, 0): ((2, 1),), (0, 0): ((2, 1), (2, 2))})
+    assert A.sc == {(0, 1): ((2, 2),), (1, 0): ((2, 1),)}
+    assert A.mul_coords(*A._unit[:2]) == (0, 0, 2)
+    B = Algebra(ring, 3, {(0, 1): ((2, 1), (1, 1), (2, 1))}, check=False)
+    assert B.sc == {(0, 1): ((2, 2), (1, 1))}
+    J = Algebra(Z_RING, 3, {(0, 1): ((2, 3), (2, -3)), (1, 0): ((2, 4), (2, 1))})
+    assert J.sc == {(1, 0): ((2, 5),)}

@@ -228,9 +228,10 @@ ROW_REDUCTION = re.compile(r"rref|echelon|null_?space|null_?rows|row_?reduc|elim
 
 
 def test_row_reduction_is_defined_in_linalg_and_the_mod_ell_helpers():
-    # one elimination over GF(q), pure Python and stacked, in linalg, and
-    # chars' float64 pair mod ell: a third routine would carry one of these
-    # names or borrow numpy's floating-point linalg
+    # one elimination over GF(q) in linalg, the single-matrix rref in pure
+    # Python and the stacked FieldArrays kernel, and chars' float64 pair
+    # mod ell: a third routine would carry one of these names or borrow
+    # numpy's floating-point linalg
     found, borrowed = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -247,10 +248,37 @@ def test_row_reduction_is_defined_in_linalg_and_the_mod_ell_helpers():
                     borrowed.append(f"{path.name}:{node.lineno}")
     assert found == {
         ("linalg", "rref"),
-        ("linalg", "nullspace"),
         ("linalg", "FieldArrays.rref"),
         ("linalg", "FieldArrays.nullrows"),
         ("chars", "_rref_mod"),
         ("chars", "_nullspace_mod"),
     }, found
     assert not borrowed, borrowed
+
+
+def test_linalg_keeps_one_scalar_rref_beside_the_field_arrays():
+    # every other GF(q) vector operation computes through FieldArrays: the
+    # pure-Python reduce, membership, combination, coordinate and null-space
+    # routines live on only as the tests' references
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined == {"rref", "_guard", "field_arrays", "FieldArrays"}, defined
+
+
+def test_nilalg_and_linalg_import_numpy_inside_functions():
+    # nilalg imports linalg before the larger package modules are compiled;
+    # numpy loaded under those compilations raises every command's peak memory
+    for name in ("linalg", "nilalg"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn)}
+        found = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in inside
+            and any((getattr(node, "module", None) or alias.name).split(".")[0] == "numpy"
+                    for alias in node.names)
+        ]
+        assert not found, (name, found)
+        assert any(isinstance(node, ast.Import) and node.names[0].name == "numpy"
+                   for node in ast.walk(tree)), name

@@ -13,7 +13,7 @@ from oneplusa.errors import CapExceeded, NotASubgroup, NotNormal
 from oneplusa.exactfield import gf
 from oneplusa.gutkin import quotient_pairing
 from oneplusa.identities import beta
-from oneplusa.linalg import combine, field_arrays
+from oneplusa.linalg import field_arrays
 from oneplusa.nilalg import (
     Algebra,
     FieldRing,
@@ -38,7 +38,7 @@ from oneplusa.unitgroup import (
     unit,
     unit_group_of,
 )
-from test_nilalg import _from_labels
+from test_nilalg import _from_labels, combine
 
 
 def ul(n, q):
@@ -56,7 +56,7 @@ def test_index_coords_roundtrip():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16])
 def test_coordinate_maps_match_scalar_combine(q):
-    # map_indices and span_indices against one scalar linalg.combine per
+    # map_indices and span_indices against one scalar combine per
     # coordinate vector
     G = ul(3, q)
     ops = FieldRing(G.field)

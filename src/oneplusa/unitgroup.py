@@ -3,12 +3,14 @@
 Group elements are formal expressions 1 + a with a in A, multiplied by
 (1+x)(1+y) = 1 + (x + y + xy); nilpotency makes every such element invertible
 via the geometric series.  Over a finite field the group is finite of order
-q^dim and we keep an explicit numpy multiplication table (for orders up to
-TABLE_CAP).  UnitGroup is a FiniteGroupTable, and that class's index API,
-mul, inv, conj and comm on index arrays, is the one place that knows the
-table: conjugacy classes, subgroup closures, quotients, the character
-machinery and the descent all multiply through it, so the table can later
-give way to coordinate arithmetic.  UnitElement itself is ring-agnostic and
+q^dim (up to TABLE_CAP here), and any product can be formed from
+coordinates, so no command holds all N^2 products: UnitGroup keeps a row
+cache, the rows L_x: y -> xy of the Cayley table for the x that products
+have asked for, and forms its inverses and exponent from the algebra.
+UnitGroup is a FiniteGroupTable, and that class's index API, mul, inv, conj
+and comm on index arrays, is the one place that knows the rows: conjugacy
+classes, subgroup closures, quotients, the character machinery and the
+descent all multiply through it.  UnitElement itself is ring-agnostic and
 also serves the symbolic checks over Z and Z[lam].
 
 Element n of a group, subgroup or quotient has the base-q digits of n as its
@@ -19,16 +21,17 @@ matrix over GF(q) with linalg.FieldArrays, the package's GF(q) arrays.
 Those arrays and the scalar field ops share the field's one log/antilog
 pair and need no q x q table, so the group takes a field of any order.
 
-The table is built by digit arithmetic on indices, never by coordinates.
+Table rows are built by digit arithmetic on indices, never by coordinates.
 FiniteField numbers GF(p^k) by the base-p digits of its coefficients, so an
 index is also the base-p number of the coordinates over GF(p): x + y is
 digit-wise addition mod p without carry (XOR when p = 2), and the bilinear
 xy is the sum over the left coordinates i of (x_i e_i) y, read from one
-small q x N table per i (UnitGroup._build_table).
+small q x N table per i (UnitGroup._build_table); the same tables give
+products of pairs (UnitGroup._products) without any row.
 
-Groups and subgroups keep everything they compute on first use (the table,
-inverses, classes, generators, subgroups, and the character tables and
-pairings of the modules above) in their one memo, nilalg.Memoized.memo.
+Groups and subgroups keep everything they compute on first use (the row
+cache, inverses, classes, generators, subgroups, and the character tables
+and pairings of the modules above) in their one memo, nilalg.Memoized.memo.
 """
 
 from __future__ import annotations
@@ -131,11 +134,42 @@ class _DigitAdder:
             return [out]
         return [np.repeat(part, out.shape[1], axis=1) for part in self.split(x)]
 
+    def value(self, parts):
+        """The indices the parts hold, as a new array (XOR: the part itself)."""
+        if self.xor:
+            return parts[0]
+        return parts[0] * self.low + parts[1]
+
     def join(self, parts, out):
         """Write the indices the parts hold into out."""
         if not self.xor:
             np.multiply(parts[0], self.low, out=out)
             out += parts[1]
+
+
+class _RowCache:
+    """The built rows of a Cayley table on n elements: slot[x] is the
+    position of row x in rows, or -1 while row x is not built; rows is a
+    k x n int32 store whose first size rows are in use, grown by doubling
+    so that a build copies the rows built before it only log(n) times."""
+
+    def __init__(self, n):
+        self.slot = np.full(n, -1, dtype=np.int64)
+        self.rows = np.empty((0, n), dtype=np.int32)
+        self.size = 0
+
+    def add(self, xs, build):
+        """Build the rows xs (distinct, none built yet) by
+        build(xs, out=...) into the store, and point their slots there."""
+        start, stop = self.size, self.size + len(xs)
+        if stop > len(self.rows):
+            grown = np.empty((min(len(self.slot), max(stop, 2 * len(self.rows))),
+                              len(self.slot)), dtype=np.int32)
+            grown[:start] = self.rows[:start]
+            self.rows = grown
+        build(xs, out=self.rows[start:stop])
+        self.slot[xs] = np.arange(start, stop)
+        self.size = stop
 
 
 class UnitElement:
@@ -182,13 +216,15 @@ def unit(a):
 
 
 class FiniteGroupTable(Memoized):
-    """A finite group on the indices 0..n-1 with identity 0, given by its
-    n x n multiplication table and a generating set.
+    """A finite group on the indices 0..n-1 with identity 0, given by a
+    generating set and its multiplication: here an explicit n x n table,
+    which the quotients keep (they are small); UnitGroup replaces it by a
+    cache of table rows.
 
     mul, inv, conj and comm are the index API: they take index arrays (or
     ints) and broadcast like numpy indexing, and they are the only code that
-    reads the table.  Everything else here, and every other module, does its
-    group arithmetic through them."""
+    reads the multiplication.  Everything else here, and every other module,
+    does its group arithmetic through them."""
 
     def __init__(self, table, generators):
         self.table = table
@@ -217,11 +253,16 @@ class FiniteGroupTable(Memoized):
         """Indices of a generating set."""
         return self._generators
 
+    def _mul_pairs(self, x, y):
+        """x[n] y[n] for index arrays of one shape."""
+        return self.mul(x, y)
+
     def exponent(self):
         """The least e with x^e = 1 for every x, found by powering all
-        elements at once until they reach the identity together.  In a
-        group e divides the order, so an element x with x^order != 1 proves
-        the table wrong (VerificationFailed naming x)."""
+        elements at once (_mul_pairs) until they reach the identity
+        together.  In a group e divides the order, so an element x with
+        x^order != 1 proves the multiplication wrong (VerificationFailed
+        naming x)."""
         def build():
             g = np.arange(self.order)
             x, e = g, 1
@@ -229,7 +270,7 @@ class FiniteGroupTable(Memoized):
                 if e >= self.order:
                     raise VerificationFailed(
                         "power-order-is-identity", witness=int(np.flatnonzero(x)[0]))
-                x, e = self.mul(x, g), e + 1
+                x, e = self._mul_pairs(x, g), e + 1
             return e
         return self.memo("exponent", build)
 
@@ -262,8 +303,8 @@ class FiniteGroupTable(Memoized):
         indices = np.asarray(indices, dtype=np.int64)
         mask = np.zeros(self.order, dtype=bool)
         mask[indices] = True
-        gens = self.generator_indices() if gens is None else gens
-        return all(mask[self.conj(indices, g)].all() for g in gens)
+        gens = np.asarray(self.generator_indices() if gens is None else gens, dtype=np.int64)
+        return bool(mask[self.conj(indices[None, :], gens[:, None])].all())
 
     def quotient(self, normal_indices):
         """Quotient group, the projection array (old index -> new index), and
@@ -362,7 +403,12 @@ def _span_generators(group, rows, members):
 
 class UnitGroup(FiniteGroupTable):
     """The full unit group 1 + A over a finite field, with the index API of
-    FiniteGroupTable; the table is built on first use, up to TABLE_CAP."""
+    FiniteGroupTable, up to TABLE_CAP.  mul reads a row cache in the memo
+    (_RowCache): row x of the Cayley table is built the first time a
+    product needs it, so a command holds only the rows it multiplies by.
+    inv and exponent come from the algebra by products of pairs and build
+    no row; the table property builds the whole table, for the tests and
+    the size ladder."""
 
     def __init__(self, algebra, cap=DEFAULT_GROUP_CAP):
         if algebra.ring.kind != "field":
@@ -392,7 +438,7 @@ class UnitGroup(FiniteGroupTable):
 
         return UnitElement(AlgebraElement(self.algebra, self.coords_of_index(n)))
 
-    # -- multiplication table ----------------------------------------------------
+    # -- multiplication: a cache of table rows ------------------------------------
 
     def check_table_cap(self):
         """CapExceeded unless the Cayley table may be built."""
@@ -401,32 +447,59 @@ class UnitGroup(FiniteGroupTable):
 
     @property
     def table(self):
+        """The whole Cayley table, for tests and the size ladder; the index
+        API reads the row cache and never builds this."""
         self.check_table_cap()
         return self.memo("table", self._build_table)
 
-    def _build_table(self):
-        """table[x, y] = index of (1+x)(1+y) = 1 + (x + y + xy), by digit
-        arithmetic on indices.  An index is the base-p number of the
+    def _row_cache(self):
+        """An empty row cache, after the cap check: past TABLE_CAP every
+        product raises CapExceeded, as the whole table did."""
+        self.check_table_cap()
+        return _RowCache(self.order)
+
+    def mul(self, x, y):
+        """x y, read from the row cache: rows[slot[x], y] when the row of
+        every x is built, else inv[rows[slot[inv[y]], inv[x]]], as
+        xy = (y^-1 x^-1)^-1.  When neither side's rows are all built, the
+        missing rows are built for the side that needs fewer of them."""
+        cache = self.memo("rows", self._row_cache)
+        at = cache.slot[x]
+        if (at >= 0).all():
+            return cache.rows[at, y]
+        inv = self.inv
+        iy = inv[y]
+        at_y = cache.slot[iy]
+        if not (at_y >= 0).all():
+            need_x = sorted_unique(np.asarray(x)[at < 0])
+            need_y = sorted_unique(iy[at_y < 0])
+            if len(need_x) <= len(need_y):
+                cache.add(need_x, self._build_table)
+                return cache.rows[cache.slot[x], y]
+            cache.add(need_y, self._build_table)
+            at_y = cache.slot[iy]
+        return inv[cache.rows[at_y, inv[x]]]
+
+    def _build_table(self, xs=None, out=None):
+        """Rows xs (default: every index) of the Cayley table, with
+        table[x, y] = index of (1+x)(1+y) = 1 + (x + y + xy), by digit
+        arithmetic on indices, written into out (len(xs) x N int32) when
+        given and returned.  An index is the base-p number of the
         coordinates over GF(p) (FiniteField numbers its elements by base-p
         coefficient digits), so x + y is digit-wise addition mod p without
         carry (_DigitAdder).  xy is bilinear: it is the sum over the left
         coordinates i of (x_i e_i) y, and left[i][a, y] holds the index of
-        (a e_i) y for every a in GF(q).  Each row block of the table starts
-        from x + y and adds left[i][x_i] for every i; blocks hold about
+        (a e_i) y for every a in GF(q).  Each block of rows starts from
+        x + y and adds left[i][x_i] for every i; blocks hold about
         TABLE_BLOCK int32 entries, so the build needs little beyond the
-        table itself."""
+        rows themselves."""
         N, d, q = self.order, self.algebra.dim, self.field.q
-        adder = _DigitAdder(self.field.p, N)
-        y = np.arange(N, dtype=np.int32)
-        ys = adder.split(y, scaled=True)
-        left = {
-            i: adder.split(rows, scaled=True)
-            for i, rows in self._left_products(y).items()
-        }
-        table = np.empty((N, N), dtype=np.int32)
+        adder, ys, left = self.memo("row_kernel", self._row_kernel)
+        xs = np.arange(N, dtype=np.int32) if xs is None else np.asarray(xs, dtype=np.int32)
+        table = np.empty((len(xs), N), dtype=np.int32) if out is None else out
         block = max(1, TABLE_BLOCK // N)
-        for start in range(0, N, block):
-            x = y[start:start + block, None]
+        for start in range(0, len(xs), block):
+            x = xs[start:start + block, None]
             acc = table[start:start + len(x)]
             parts = adder.start(x, acc)
             adder.add(parts, ys)
@@ -435,6 +508,14 @@ class UnitGroup(FiniteGroupTable):
                 adder.add(parts, [part[xi] for part in rows])
             adder.join(parts, acc)
         return table
+
+    def _row_kernel(self):
+        """The digit adder and the scaled parts of every y and of the left
+        products, shared by every row build and pair product."""
+        adder = _DigitAdder(self.field.p, self.order)
+        y = np.arange(self.order, dtype=np.int32)
+        left = {i: adder.split(rows, scaled=True) for i, rows in self._left_products(y).items()}
+        return adder, adder.split(y, scaled=True), left
 
     def _left_products(self, y):
         """{i: R} over the coordinates i that occur on the left of a
@@ -455,6 +536,54 @@ class UnitGroup(FiniteGroupTable):
             left[i] = undigits(F.mul(scalars, prod), field.q).astype(np.int32)
         return left
 
+    def _products(self, x, y, plus=()):
+        """Index of xy + sum(plus), digit-wise, for index arrays x, y and
+        each of plus, all of one shape: the algebra product xy by the
+        left-product kernel on pairs, one gather left[i][x_i, y] per left
+        coordinate i, with no table row built."""
+        self.check_table_cap()
+        adder, _, left = self.memo("row_kernel", self._row_kernel)
+        q, d = self.field.q, self.algebra.dim
+        parts = adder.split(np.zeros(np.shape(x), dtype=np.int32))
+        for term in plus:
+            adder.add(parts, adder.split(np.asarray(term, dtype=np.int32), scaled=True))
+        for i, rows in left.items():
+            xi = x // q ** (d - 1 - i) % q
+            adder.add(parts, [part[xi, y] for part in rows])
+        return adder.value(parts)
+
+    def _mul_pairs(self, x, y):
+        """x[n] y[n] = 1 + (x + y + xy), by _products: the digit sums and
+        left products of _build_table, read at (x_i, y) in place of whole
+        rows.  So exponent powers every element exactly, x^(e+1) = x^e x,
+        and builds no row."""
+        return self._products(x, y, plus=(x, y))
+
+    @property
+    def inv(self):
+        """inv[x] = x^-1 over the indices, from the algebra: (1+a)^-1 is
+        1 + sum_(i >= 1) (-a)^i.  Proof: (1+a) sum_(i >= 0) (-a)^i is
+        sum_(i >= 0) (-a)^i - sum_(i >= 1) (-a)^i = 1, as the sums are
+        finite: (-a)^i = 0 once i > dim A, A being nilpotent (the chain
+        A > A^2 > ... falls by at least one dimension a step until it
+        reaches 0).  A right inverse in a group is the inverse.  The powers
+        of -a are formed for every index at once by the left-product kernel
+        on pairs (_products), so no table row is built."""
+        def build():
+            self.check_table_cap()
+            q, d = self.field.q, self.algebra.dim
+            adder = self.memo("row_kernel", self._row_kernel)[0]
+            neg = undigits(field_arrays(self.field).neg(digits(np.arange(self.order), q, d)), q)
+            term = neg.astype(np.int32)
+            total = adder.split(term.copy())
+            for _ in range(d):
+                term = self._products(term, neg)
+                if not term.any():
+                    break
+                adder.add(total, adder.split(term, scaled=True))
+            return adder.value(total)
+        return self.memo("inv", build)
+
     # -- generators ---------------------------------------------------------------
 
     def generator_indices(self):
@@ -474,7 +603,8 @@ class UnitGroup(FiniteGroupTable):
 
     def _class_partition(self):
         x = np.arange(self.order)
-        label = orbit_labels([self.conj(x, g) for g in self.generator_indices()], self.order)
+        gens = np.asarray(self.generator_indices(), dtype=np.int64)
+        label = orbit_labels(self.conj(x[None, :], gens[:, None]), self.order)
         firsts, which, sizes = np.unique(label, return_inverse=True, return_counts=True)
         order = np.lexsort((firsts, sizes))
         rank = np.empty_like(order)

@@ -410,9 +410,12 @@ def test_quotient_by_center():
 
 
 def _order_of(G, x):
-    # the order of x, one product at a time
+    # the order of x, one product at a time; a wrong multiplication fails
+    # here after |G| products instead of looping forever
     n, y = 1, x
     while y != 0:
+        if n >= G.order:
+            raise AssertionError(f"x^{n} != 1 for x = {x} in a group of order {G.order}")
         y = int(G.mul(y, x))
         n += 1
     return n
@@ -731,6 +734,87 @@ def test_table_build_needs_little_beyond_the_table():
     finally:
         tracemalloc.stop()
     assert peak <= table.nbytes + 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the row cache behind mul, and inv and exponent from the algebra
+
+
+def _argmin_inverse(T):
+    # the table body inv had: row x is a permutation, x^-1 is where it holds 0
+    return T.argmin(axis=1).astype(T.dtype)
+
+
+def _powering_exponent(T):
+    # the table body exponent had: power every element until all reach 0
+    g = np.arange(len(T))
+    x, e = g, 1
+    while x.any():
+        x, e = T[x, g], e + 1
+    return e
+
+
+def _row_cache_cases():
+    # every catalog group, and random bases over GF(2), GF(3), GF(4), GF(9)
+    cases = [pytest.param(e.construct, id=e.name) for e in BUILTIN]
+    cases += [pytest.param(lambda t=t, s=s: _random_basis(resolve(t), s), id=f"{t}-random{s}")
+              for t, s in (("ul(4,2)", 21), ("free(2,2,3)", 22), ("ul(3,3)", 23),
+                           ("ul(3,4)", 24), ("ul(3,9)", 25))]
+    return cases
+
+
+@pytest.mark.parametrize("make", _row_cache_cases())
+def test_row_cache_matches_the_coordinate_build(make):
+    # inv and exponent against the table bodies, with no row built; then
+    # products in every shape the index API takes, in an order that reads
+    # left rows, takes the right-product path, builds rows on either side,
+    # and grows the store several times; then every product once more, so
+    # that rows built early are read after the store has grown
+    G = UnitGroup(make())
+    T, N = _reference_table(G), G.order
+    assert np.array_equal(G.inv, _argmin_inverse(T))
+    assert G.exponent() == _powering_exponent(T)
+    cache = G.memo("rows", G._row_cache)
+    assert cache.size == 0
+    rng = np.random.default_rng(N)
+    a, b = rng.integers(0, N, size=(2, 40))
+    x = np.arange(N)
+    for left, right in [(5 % N, x), (x, 7 % N), (a[:3], b[:, None]), (a[:, None], b[None, :]),
+                        (a, b), (b[::-1], a), (np.array(3 % N), np.array(2 % N)), (1 % N, N - 1)]:
+        got = G.mul(left, right)
+        want = T[left, right]
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    for y in rng.permutation(N)[:12]:  # one row at a time, through the right side
+        assert np.array_equal(G.mul(x, y), T[:, y])
+    assert np.array_equal(G.mul(x[:, None], x[None, :]), T)
+    assert cache.size == N and (cache.slot >= 0).all()
+    assert sorted(cache.slot.tolist()) == list(range(N))
+
+
+def test_row_cache_builds_each_row_once(monkeypatch):
+    # a second read of the same products builds nothing, and each build
+    # asks only for rows that are not built yet
+    G = ul(3, 4)
+    requested = []
+    real = UnitGroup._build_table
+
+    def counting(self, xs=None, out=None):
+        requested.extend(np.asarray(xs).tolist())
+        return real(self, xs, out=out)
+
+    monkeypatch.setattr(UnitGroup, "_build_table", counting)
+    x = np.arange(G.order)
+    for _ in range(2):
+        G.mul(x[:8, None], x[None, :])
+        G.mul(x[:, None], x[None, 4:16])
+    assert len(requested) == len(set(requested)) == G.memo("rows", G._row_cache).size
+
+
+def test_character_table_builds_few_rows():
+    # the oracle multiplies by few rows: at most a quarter of ul(4,4)'s
+    G = UnitGroup(resolve("ul(4,4)"))
+    character_table(G)
+    assert G.memo("rows", G._row_cache).size <= G.order // 4
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ character lambda has the line omega(K) = |K| lambda(g_K), and the rest of
 its block is one null space mod ell (_character_rows).  The split visits
 the class matrices in order with every live eigenspace stacked into one
 product; the products run through float64 BLAS on integers mod ell, exact
-under a checked bound (k (ell-1)^2 < 2^53, RuntimeError otherwise).  Only
+under a checked bound (k (ell-1)^2 < 2^53, RuntimeError otherwise).  Its
+null spaces and row reductions are the package's one GF(q) kernel,
+linalg.FieldArrays over GF(ell), one stacked call per block size and
+pass, so this module has no row reduction of its own.  Only
 the table of the group asked for is memoized and validated.  Everything
 after recovery is verified by exact orthogonality over Q(zeta_e), whose
 contraction over classes runs through float64 BLAS under a checked bound
@@ -57,22 +60,21 @@ from .exactfield import (
     Cyclotomic,
     _zeta_power_vectors,
     euler_phi,
+    gf,
     is_prime,
     prime_factors,
 )
-from .linalg import _guard
+from .linalg import _guard, field_arrays
 from .nilalg import Subspace, annihilator, quotient_algebra
 from .unitgroup import Subgroup, UnitGroup, commutator_subgroup, map_indices
 
 # ---------------------------------------------------------------------------
 # dense linear algebra mod ell: int64 arrays with entries in 0..ell-1, and
-# products through float64 BLAS under a checked exactness bound
+# products through float64 BLAS under a checked exactness bound; row
+# reductions and null spaces are linalg.FieldArrays over gf(ell), stacked,
+# and inverses and the primitive root come from gf(ell)'s log/antilog pair
 
 _FLOAT_EXACT = 2 ** 53  # float64 holds every integer below this exactly
-
-
-def _inv_mod(a, l):
-    return pow(int(a), l - 2, l)
 
 
 def _matmul_mod(a, b, l):
@@ -92,49 +94,8 @@ def _matmul_mod(a, b, l):
     return (fa @ fb).astype(np.int64) % l
 
 
-def _rref_mod(M, l):
-    """Reduced row echelon form mod l and its pivot columns.  Each pivot
-    clears its column in every other row in one array update; only the
-    pivot row and column are reduced on the way, the rest once at the end.
-    Every update adds less than (l-1)^2 to an entry, hence the guard."""
-    M = M % l
-    rows, cols = M.shape
-    _guard("row reduction mod ell", l + min(rows, cols) * (l - 1) ** 2)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = M[r:, c] % l
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            M[[r, p]] = M[[p, r]]
-        M[r, c:] = (M[r, c:] % l) * _inv_mod(col[nz[0]], l) % l
-        f = M[:, c] % l
-        f[r] = 0
-        M[:, c:] -= f[:, None] * M[r, c:]
-        pivots.append(c)
-        r += 1
-    return M[:r] % l, pivots
-
-
-def _nullspace_mod(M, l):
-    """Rows spanning {v : M v = 0 mod l}."""
-    R, pivots = _rref_mod(M, l)
-    cols = M.shape[1]
-    is_pivot = np.zeros(cols, dtype=bool)
-    is_pivot[pivots] = True
-    free = np.nonzero(~is_pivot)[0]
-    out = np.zeros((len(free), cols), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = (-R[:, free].T) % l
-    return out
-
-
 def _hessenberg_mod(M, l):
+    inv_idx = gf(l).inv_idx
     H = M.copy() % l
     n = H.shape[0]
     for c in range(n - 2):
@@ -145,7 +106,7 @@ def _hessenberg_mod(M, l):
         if p != c + 1:
             H[[c + 1, p]] = H[[p, c + 1]]
             H[:, [c + 1, p]] = H[:, [p, c + 1]]
-        inv = _inv_mod(H[c + 1, c], l)
+        inv = inv_idx(int(H[c + 1, c]))
         for r in range(c + 2, n):
             if H[r, c]:
                 f = (H[r, c] * inv) % l
@@ -179,14 +140,6 @@ def _eigenvalues_mod(M, l):
     return [int(x) for x in np.nonzero(D[n] == 0)[0]]
 
 
-def _primitive_root(l):
-    fac = prime_factors(l - 1)
-    for r0 in range(2, l):
-        if all(pow(r0, (l - 1) // p, l) != 1 for p in fac):
-            return r0
-    raise RuntimeError(f"no primitive root mod {l}")  # unreachable for prime l
-
-
 def _choose_prime(order, exponent):
     # need ell = 1 mod e, ell > 2 sqrt(|G|) (so degrees and multiplicities
     # lift uniquely from F_ell), ell not dividing |G|
@@ -213,15 +166,20 @@ def _split_class_algebra(matrices, blocks, l, r):
     and a matrix is drawn from the iterable only while a block is live.  A
     block on which R is scalar is kept as it is; every block is still
     checked to be invariant (RuntimeError otherwise: the matrices do not
-    commute)."""
+    commute).  The eigenspaces of one pass are found together: the shifts
+    R^T - lam I of every eigenvalue of every block of size d, with their
+    blocks, make one stack, which takes one null space and one RREF over
+    GF(ell), both d x d, and one product with the blocks."""
     dims = [len(B) for B in blocks]
     if sum(dims) != r:
         raise RuntimeError(f"split seeded with blocks of dimensions {dims}, not summing to {r}")
+    F = field_arrays(gf(l))
     live = [B for B in blocks if len(B) > 1]
     done = [B[0] for B in blocks if len(B) == 1]
     for N in matrices if live else ():
         SN = _matmul_mod(np.concatenate(live), N, l)
         nxt = []
+        split = {}  # block size d -> ([R^T - lam I], [B]), one entry per eigenvalue
         start = 0
         for B in live:
             BN = SN[start:start + len(B)]
@@ -237,13 +195,20 @@ def _split_class_algebra(matrices, blocks, l, r):
                 continue
             if not (_matmul_mod(R, B, l) == BN).all():
                 raise RuntimeError("class-matrix restriction left the subspace")
+            shifts, bases = split.setdefault(len(B), ([], []))
             for lam in _eigenvalues_mod(R, l):
-                K = _nullspace_mod((R.T - lam * eye) % l, l)
-                rows, _ = _rref_mod(_matmul_mod(K, B, l), l)
-                if rows.shape[0] == 1:
-                    done.append(rows[0])
-                elif rows.shape[0] > 1:
-                    nxt.append(rows)
+                shifts.append((R.T - lam * eye) % l)
+                bases.append(B)
+        for shifts, bases in split.values():
+            # B is in RREF, so RREF(K B) = RREF(K) B: each pivot of RREF(K)
+            # lands on a pivot column of B, where B is the identity
+            K, rank, _ = F.rref(F.nullrows(np.stack(shifts)))
+            rows = _matmul_mod(K, np.stack(bases), l)
+            for V, n in zip(rows, rank.tolist()):
+                if n == 1:
+                    done.append(V[0])
+                elif n > 1:
+                    nxt.append(V[:n])
         live = nxt
         if not live:
             break
@@ -671,11 +636,13 @@ def _character_rows(group):
     r = len(group.conjugacy_classes())
     reps = np.array(group.class_reps(), dtype=np.int64)
     e = group.exponent()
+    # the power basis first: past the exponents it can hold, ell may pass
+    # FIELD_ORDER_CAP, and gf(ell) would report that as the field's cap
+    basis = _power_basis(e)
     l = _choose_prime(group.order, e)
-    r0 = _primitive_root(l)
+    r0 = gf(l).logs[1][1]  # the field's generator: the least primitive root mod ell
     w0 = pow(r0, (l - 1) // e, l)
     w0_pow = np.array([pow(w0, t, l) for t in range(e)], dtype=np.int64)
-    basis = _power_basis(e)
     inflated = basis.embed(Xq[:, qclass[map_indices(field, reps, P)]], eq)
 
     Z, mus = center = _center_characters(group)
@@ -713,17 +680,27 @@ def _split_off_linear(group, blocks, mus, Z, w0_pow, l):
     block_of = {mu.tobytes(): m for m, mu in enumerate(mus)}
     # the classes of Z come first, so T[:, :len(Z)] is each lambda on Z
     owner = np.array([block_of.get(row.tobytes(), -1) for row in T[:, :len(Z)]])
-    blocks = list(blocks)
+    # one stack per (number of linear characters, block size)
+    stacks = {}
     for m in big:
         mine = T[owner == m]
-        if not len(mine):
-            continue
-        V = blocks[m]
-        K = _nullspace_mod(_matmul_mod(w0_pow[-mine % e], V.T, l), l)
-        if len(K) != len(V) - len(mine):
-            raise RuntimeError(f"the linear characters of a block span {len(V) - len(K)} "
-                               f"of its dimensions, not {len(mine)}")
-        blocks[m] = _rref_mod(_matmul_mod(K, V, l), l)[0]
+        if len(mine):
+            ms, conj = stacks.setdefault((len(mine), len(blocks[m])), ([], []))
+            ms.append(m)
+            conj.append(w0_pow[-mine % e])
+    F = field_arrays(gf(l))
+    blocks = list(blocks)
+    for (n, d), (ms, conj) in stacks.items():
+        V = np.stack([blocks[m] for m in ms])
+        # the null spaces' ranks count their rows, not the zero rows that pad them
+        K, nullity, _ = F.rref(F.nullrows(_matmul_mod(np.stack(conj), V.transpose(0, 2, 1), l)))
+        bad = np.nonzero(nullity != d - n)[0]
+        if len(bad):
+            raise RuntimeError(f"the linear characters of a block span {d - nullity[bad[0]]} "
+                               f"of its dimensions, not {n}")
+        rows = _matmul_mod(K, V, l)  # V is in RREF: RREF(K V) = RREF(K) V
+        for m, R, k in zip(ms, rows, nullity.tolist()):
+            blocks[m] = R[:k]
     is_big = np.zeros(len(blocks) + 1, dtype=bool)  # owner -1 reads the last, False
     is_big[big] = True
     return T[is_big[owner]], [B for B in blocks if len(B)]
@@ -752,14 +729,16 @@ def _lift_lines(group, lines, l, w0_pow):
     W = np.array(
         [[w0_pow[(-s * j) % e] for j in range(e)] for s in range(e)], dtype=np.int64
     )
-    e_inv = _inv_mod(e, l)
-    n_inv = np.array([_inv_mod(int(n), l) for n in sizes], dtype=np.int64)
+    F = gf(l)
+    e_inv = F.inv_idx(e)
+    n_inv = np.array([F.inv_idx(int(n) % l) for n in sizes], dtype=np.int64)
     # every lift has entries in 0..d <= sqrt(|G|) summing over e powers
     _guard("character lift", e, math.isqrt(group.order), basis.zmax)
     for s, w in enumerate(lines):
-        w = (w * _inv_mod(int(w[0]), l)) % l  # omega_0 = 1
+        # omega_0 = 1; a zero w[0] or denom leaves dd = 0, which has no root
+        w = w * F.inv_idx(int(w[0])) % l if w[0] else np.zeros_like(w)
         denom = int((w * w[inv_class] % l * n_inv % l).sum() % l)
-        dd = (group.order * _inv_mod(denom, l)) % l
+        dd = group.order * F.inv_idx(denom) % l if denom else 0
         roots = [t for t in range(1, (l + 1) // 2) if (t * t - dd) % l == 0]
         if len(roots) != 1:
             raise VerificationFailed("degree-root", witness=(dd, roots))
@@ -787,7 +766,9 @@ def _lift_lines(group, lines, l, w0_pow):
 def _power_table(Q):
     """pw[t, x] = x^t for t below the exponent E of Q, and the order of
     every element, from one power loop over all elements at once, as in
-    FiniteGroupTable.exponent: x^k = pw[k mod E, x] for every k."""
+    FiniteGroupTable.exponent: x^k = pw[k mod E, x] for every k.  In a
+    group every order divides |Q|, so an x with no power 1 up to x^|Q|
+    proves the multiplication wrong (VerificationFailed naming x)."""
     x = np.arange(Q.order)
     rows, orders = [np.zeros_like(x)], np.zeros_like(x)
     cur, t = x, 1
@@ -795,6 +776,9 @@ def _power_table(Q):
         orders[(cur == 0) & (orders == 0)] = t
         if orders.all():
             return np.array(rows), orders
+        if t >= Q.order:
+            raise VerificationFailed("power-order-is-identity",
+                                     witness=int(np.flatnonzero(orders == 0)[0]))
         rows.append(cur)
         cur, t = Q.mul(cur, x), t + 1
 

@@ -16,7 +16,7 @@ checks and the stacked polarizations all compute through it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 def rref(rows, ops):
@@ -70,7 +70,8 @@ def _guard(what, *factors):
 @lru_cache(maxsize=None)
 def field_arrays(field):
     """The array arithmetic of a field (anything with p, k, q, add_idx,
-    neg_idx and, over GF(p^k), logs), built once per field."""
+    neg_idx and, to multiply over GF(p^k) or to invert, logs), built once
+    per field."""
     return FieldArrays(field)
 
 
@@ -80,11 +81,11 @@ class FieldArrays:
 
     add and neg are the field's own add_idx and neg_idx, which work digit
     by digit with integer operators on ints and arrays alike.  A prime field
-    multiplies mod p; GF(p^k) multiplies through array copies of the
-    field's one log/antilog pair, field.logs, of at most 5q entries, so it
-    needs no q x q table and fields of any order run the same code.  Row
-    reduction, null rows and matrix products take stacks (..., rows, cols)
-    and treat each matrix on its own.
+    multiplies mod p; GF(p^k) multiplies, and every field inverts, through
+    array copies of the field's one log/antilog pair, field.logs, of at
+    most 5q entries, so it needs no q x q table and fields of any order run
+    the same code.  Row reduction, null rows and matrix products take
+    stacks (..., rows, cols) and treat each matrix on its own.
     """
 
     def __init__(self, field):
@@ -94,29 +95,27 @@ class FieldArrays:
         global np
         import numpy as np
 
+        self.field = field
         self.p, self.k, self.q = field.p, field.k, field.q
         self.add, self.neg = field.add_idx, field.neg_idx
-        if self.k > 1:
-            self.log, self.exp = (np.array(t, dtype=np.int64) for t in field.logs)
+
+    @cached_property
+    def log_exp(self):
+        """The int64 copies of field.logs, made on first use: a prime field
+        reads them only to invert."""
+        return tuple(np.array(t, dtype=np.int64) for t in self.field.logs)
 
     def mul(self, a, b):
         if self.k == 1:
             _guard("field product", self.p - 1, self.p - 1)
             return a * b % self.p
-        return self.exp[self.log[a] + self.log[b]]
+        log, exp = self.log_exp
+        return exp[log[a] + log[b]]
 
     def inv(self, a):
         """Inverses of nonzero entries; a zero entry gives an unspecified value."""
-        if self.k == 1:  # a^(p-2) by squaring
-            out = np.ones_like(a)
-            base, n = np.asarray(a), self.p - 2
-            while n:
-                if n & 1:
-                    out = self.mul(out, base)
-                base = self.mul(base, base)
-                n >>= 1
-            return out
-        return self.exp[-self.log[a] % (self.q - 1)]
+        log, exp = self.log_exp
+        return exp[-log[a] % (self.q - 1)]
 
     def matmul(self, a, b):
         """The stacked product a @ b over the field, shaped as np.matmul
@@ -140,13 +139,23 @@ class FieldArrays:
         """Reduced row echelon form of each matrix of a (B, r, c) stack, as
         (R, rank, pivot mask): R keeps the shape, with each matrix's rank
         nonzero rows first, and the mask (B, c) marks its pivot columns.
-        Every matrix picks its own pivots, column by column."""
+        Every matrix picks its own pivots, column by column.
+
+        A pivot row is zero left of its column, so each elimination updates
+        the columns from the pivot's on.  The walk stops once every
+        matrix's rank equals its number of nonzero input rows: those rows
+        are then independent and fully reduced, and the rest are zero.  A
+        stack padded with zero rows, as nullrows pads, so stops at its last
+        pivot rather than its last column."""
         R = np.array(stack, dtype=np.int64)
         nb, nr, nc = R.shape
         rank = np.zeros(nb, dtype=np.int64)
         pivots = np.zeros((nb, nc), dtype=bool)
         rows = np.arange(nr)
+        filled = np.count_nonzero(R.any(axis=2), axis=1)
         for col in range(nc):
+            if (rank == filled).all():
+                break
             live = (R[:, :, col] != 0) & (rows >= rank[:, None])
             hit = np.flatnonzero(live.any(axis=1))
             if not hit.size:
@@ -158,7 +167,8 @@ class FieldArrays:
             R[hit, dst] = prow
             f = R[hit, :, col]
             f[np.arange(hit.size), dst] = 0
-            R[hit] = self.add(R[hit], self.mul(self.neg(f)[:, :, None], prow[:, None, :]))
+            R[hit, :, col:] = self.add(R[hit, :, col:],
+                                       self.mul(self.neg(f)[:, :, None], prow[:, None, col:]))
             pivots[hit, col] = True
             rank[hit] += 1
         return R, rank, pivots

@@ -25,13 +25,9 @@ from oneplusa.chars import (
     _class_matrix_T,
     _eigenvalues_mod,
     _guard,
-    _inv_mod,
     _hessenberg_mod,
     _choose_prime,
     _matmul_mod,
-    _nullspace_mod,
-    _primitive_root,
-    _rref_mod,
     _split_class_algebra,
     character_table,
     clifford_parts,
@@ -44,11 +40,16 @@ from oneplusa.chars import (
 )
 from oneplusa.catalog import BUILTIN, resolve
 from oneplusa.errors import VerificationFailed
-from oneplusa.exactfield import Cyclotomic, gf
+from oneplusa.exactfield import (
+    FIELD_ORDER_CAP, Cyclotomic, FiniteField, euler_phi, gf, is_prime, prime_factors,
+)
+from oneplusa.linalg import field_arrays
 from oneplusa.nilalg import (
     Algebra, FieldRing, Subspace, free_nilpotent, strictly_upper_triangular,
 )
-from oneplusa.unitgroup import Subgroup, UnitGroup, commutator_subgroup, power_subgroup
+from oneplusa.unitgroup import (
+    TABLE_CAP, FiniteGroupTable, Subgroup, UnitGroup, commutator_subgroup, power_subgroup,
+)
 from test_gutkin import _reversed_basis
 from test_nilalg import _with_null
 from test_unitgroup import _order_of, _power_of, _random_basis
@@ -84,6 +85,47 @@ def linear_class_functions(H):
 
 
 # -- mod-ell eigenvalue helpers ----------------------------------------------
+
+
+def _inv_mod(a, l):
+    # reference inverse by Fermat, 0 for 0
+    return pow(int(a), l - 2, l)
+
+
+def _primitive_root(l):
+    # reference: the least r0 >= 2 of order l - 1, tested on the primes of l - 1
+    fac = prime_factors(l - 1)
+    return next(r0 for r0 in range(2, l) if all(pow(r0, (l - 1) // p, l) != 1 for p in fac))
+
+
+def test_field_generator_is_the_least_primitive_root():
+    # the oracle's meta records gf(ell).logs[1][1] as its primitive root;
+    # FiniteField(l) builds the same log table as gf(l), outside its cache
+    for l in range(3, 3000):
+        if is_prime(l):
+            assert FiniteField(l).logs[1][1] == _primitive_root(l), l
+
+
+def test_prime_choice_stays_inside_the_field_cap():
+    # the oracle builds gf(ell), which raises CapExceeded past FIELD_ORDER_CAP.
+    # Over every group order up to TABLE_CAP (a power of p) and every
+    # exponent p^j dividing it, ell stays below the cap (at most 13711 for
+    # e <= 512) except where e = |G| >= 1861, as for ul(2, 1861): the power
+    # basis, built first, then holds phi(e)^3 int64 entries (51 GB at
+    # e = 1861), so no table of such a group is in reach
+    cases = []
+    for p in (x for x in range(2, TABLE_CAP + 1) if is_prime(x)):
+        order = p
+        while order <= TABLE_CAP:
+            e = p
+            while e <= order:
+                cases.append((order, e, _choose_prime(order, e)))
+                e *= p
+            order *= p
+    assert max(l for _, e, l in cases if e <= 512) == 13711
+    over = [(order, e) for order, e, l in cases if l >= FIELD_ORDER_CAP]
+    assert min(e for _, e in over) == 1861
+    assert all(order == e and 8 * euler_phi(e) ** 3 > 5 * 10 ** 10 for order, e in over)
 
 
 def _det_mod_bruteforce(M, l):
@@ -162,20 +204,39 @@ def _rref_reference(M, l):
 
 
 def test_rref_and_nullspace_match_reference():
+    # FieldArrays over GF(ell), the oracle's row reduction, on stacks of
+    # matrices of one shape and different ranks, some padded with zero rows
+    # and some with dependent rows: the early stop at the last pivot must
+    # leave each matrix reduced exactly as the textbook reference does
     rng = np.random.default_rng(5)
     for l in (5, 61, 193):
-        for rows, cols, rank in [(1, 1, 0), (4, 7, 2), (7, 4, 3), (12, 12, 12), (30, 20, 9)]:
-            M = (rng.integers(0, l, size=(rows, rank))
-                 @ rng.integers(0, l, size=(rank, cols))) % l
-            M[:, rng.integers(0, cols)] = 0  # a column with no pivot
-            R, pivots = _rref_mod(M, l)
-            want, want_pivots = _rref_reference(M, l)
-            assert pivots == want_pivots
-            assert R.tolist() == want
-            K = _nullspace_mod(M, l)
-            assert K.shape == (cols - len(pivots), cols)
-            assert not ((M @ K.T) % l).any()
-            assert len(_rref_mod(K, l)[1]) == K.shape[0]
+        F = field_arrays(gf(l))
+        for rows, cols in [(1, 1), (4, 7), (7, 4), (12, 12), (30, 20)]:
+            stack = []
+            for rank in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+                M = (rng.integers(0, l, size=(rows, rank))
+                     @ rng.integers(0, l, size=(rank, cols))) % l
+                M[:, rng.integers(0, cols)] = 0  # a column with no pivot
+                stack.append(M)
+                padded = np.zeros_like(M)  # the rows of M, then zero rows
+                padded[:rank] = M[rng.permutation(rows)[:rank]]
+                stack.append(padded)
+                dependent = M.copy()  # a last row in the span of the others
+                dependent[-1] = (rng.integers(0, l, size=rows - 1) @ M[:-1]) % l
+                stack.append(dependent)
+            stack = np.array(stack)
+            # the whole stack, and each matrix as a stack of its own
+            for part in [stack] + [M[None] for M in stack]:
+                R, rank, pivots = F.rref(part)
+                for M, Rb, n, pv, Kb in zip(part, R, rank, pivots, F.nullrows(part)):
+                    want, want_pivots = _rref_reference(M, l)
+                    assert np.flatnonzero(pv).tolist() == want_pivots
+                    assert Rb[:n].tolist() == want
+                    assert not Rb[n:].any()
+                    null = Kb[Kb.any(axis=1)]  # the zero rows pad it to cols
+                    assert null.shape == (cols - n, cols)
+                    assert not ((M @ null.T) % l).any()
+                    assert len(_rref_reference(null, l)[1]) == null.shape[0]
 
 
 def test_matmul_mod_is_the_exact_product():
@@ -693,6 +754,20 @@ def test_cyclic_decomposition_matches_the_elementwise_reference(monkeypatch, tar
         assert (gens, orders) == (ref_gens, ref_orders)
         assert all(type(v) is int for v in gens + orders)
         assert exps.dtype == np.int64 and np.array_equal(exps, ref_exps)
+
+
+def test_power_table_rejects_a_table_that_is_no_group():
+    # [[0, 1], [1, 1]] has identity 0, but 1 * 1 = 1, so no power of 1 is 0:
+    # the power loop must stop at |Q| with 1 as the witness
+    Q = FiniteGroupTable(np.array([[0, 1], [1, 1]]), [1])
+    with pytest.raises(VerificationFailed, match="power-order-is-identity") as info:
+        chars._power_table(Q)
+    assert info.value.witness == 1
+    # a cyclic group of order 4: every order is found, and the loop ends
+    Z4 = FiniteGroupTable(np.add.outer(np.arange(4), np.arange(4)) % 4, [1])
+    pw, orders = chars._power_table(Z4)
+    assert orders.tolist() == [1, 4, 2, 4] and pw.tolist() == [[0] * 4, [0, 1, 2, 3],
+                                                                [0, 2, 0, 2], [0, 3, 2, 1]]
 
 
 # -- induction and restriction --------------------------------------------------

@@ -229,9 +229,9 @@ ROW_REDUCTION = re.compile(r"rref|echelon|null_?space|null_?rows|row_?reduc|elim
 
 def test_row_reduction_is_defined_in_linalg_and_the_mod_ell_helpers():
     # one elimination over GF(q) in linalg, the single-matrix rref in pure
-    # Python and the stacked FieldArrays kernel, and chars' float64 pair
-    # mod ell: a third routine would carry one of these names or borrow
-    # numpy's floating-point linalg
+    # Python and the stacked FieldArrays kernel, which the oracle's split
+    # mod ell also runs on: a third routine would carry one of these names
+    # or borrow numpy's floating-point linalg
     found, borrowed = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -250,8 +250,6 @@ def test_row_reduction_is_defined_in_linalg_and_the_mod_ell_helpers():
         ("linalg", "rref"),
         ("linalg", "FieldArrays.rref"),
         ("linalg", "FieldArrays.nullrows"),
-        ("chars", "_rref_mod"),
-        ("chars", "_nullspace_mod"),
     }, found
     assert not borrowed, borrowed
 
